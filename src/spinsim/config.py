@@ -76,9 +76,12 @@ class ExperimentConfig:
 
 def _parse_float(token: str, line_no: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ConfigError(line_no, f"expected a number, got {token!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(line_no, f"expected a finite number, got {token!r}")
+    return value
 
 
 def _parse_qubit(token: str, L: int, line_no: int) -> int:
@@ -224,6 +227,8 @@ def parse_config(text: str) -> ExperimentConfig:
                         cfg.run.steps = int(value)
                     except ValueError:
                         raise ConfigError(line_no, f"steps must be 'auto' or an integer, got {value!r}") from None
+                    if cfg.run.steps < 1:
+                        raise ConfigError(line_no, "steps must be 'auto' or >= 1")
             else:
                 raise ConfigError(line_no, f"unknown run directive {key.strip()!r}")
     close_eo()

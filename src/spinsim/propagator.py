@@ -52,9 +52,6 @@ _ROT_X = np.array([[1, 1j], [1j, 1]]) / _SQ2
 _ROT_Y = np.array([[1, -1], [1, 1]]) / _SQ2
 _ROT = {"x": (_ROT_X, _ROT_X.conj().T), "y": (_ROT_Y, _ROT_Y.conj().T)}
 
-_SPIN_CACHE_MAX_L = 12
-_spin_cache: dict = {}
-
 
 @dataclass
 class KernelCounters:
@@ -78,11 +75,11 @@ counters = KernelCounters()
 
 
 def worker_count() -> int:
-    """Partition cap from SPINSIM_THREADS (0 or unset = auto).
+    """Validated value of SPINSIM_THREADS (0 when unset).
 
-    Kernels are vectorized elementwise numpy operations over disjoint index
-    ranges, so results are bitwise independent of this value; it only caps how
-    many ranges a sweep is split into.
+    Every kernel runs as whole-array numpy operations in the calling thread,
+    so the value changes nothing; it is still parsed so that a malformed
+    setting is reported as a usage error instead of silently ignored.
     """
     raw = os.environ.get("SPINSIM_THREADS", "0")
     try:
@@ -91,14 +88,7 @@ def worker_count() -> int:
         raise ValueError(f"SPINSIM_THREADS must be an integer, got {raw!r}") from None
     if n < 0:
         raise ValueError(f"SPINSIM_THREADS must be >= 0, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
-
-
-def _chunk_ranges(dim: int):
-    """Split 0..dim into at most worker_count() equal ranges (>= 4096 each)."""
-    n = min(worker_count(), max(1, dim // 4096))
-    size = -(-dim // n)
-    return [(lo, min(lo + size, dim)) for lo in range(0, dim, size)]
+    return n
 
 
 @dataclass
@@ -223,8 +213,8 @@ class ElementaryOperation:
     tau: float
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError(f"duration must be >= 0, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau >= 0):
+            raise ValueError(f"duration must be finite and >= 0, got {self.tau}")
         self.model.validate()
 
 
@@ -285,59 +275,29 @@ class TrajectorySample:
     obs: Observables
 
 
-def _spin_values(L: int, j0: int, idx: np.ndarray | None):
-    """S^z eigenvalues (+-1/2) of 0-based qubit j0, cached for small registers."""
-    if idx is not None:
-        return 0.5 - ((idx >> j0) & 1)
-    key = (L, j0)
-    cached = _spin_cache.get(key)
-    if cached is None:
-        cached = 0.5 - ((np.arange(1 << L, dtype=np.int64) >> j0) & 1)
-        if L <= _SPIN_CACHE_MAX_L:
-            _spin_cache[key] = cached
-    return cached
+def _axis_phase(L: int, coupling: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """sum_{j<k} J_jk s_j s_k + sum_j h_j s_j for every basis index, s = +-1/2.
 
-
-def _diagonal_factor(state: StateVector, terms: _AxisTerms, theta: float, t_mid: float) -> None:
-    """amp[n] *= exp(+i*theta*(sum_pairs J s_j s_k + sum_j h_j(t_mid) s_j))."""
-    counters.diagonal_sweeps += 1
-    if not terms.active:
-        return
-    # per-qubit field value at the midpoint time
-    coef: dict = {}
-    for j0, h in terms.static:
-        coef[j0] = coef.get(j0, 0.0) + h
-    for f, phi, members in terms.rf:
-        s = math.sin(f * t_mid + phi)
-        for j0, h1 in members:
-            coef[j0] = coef.get(j0, 0.0) + h1 * s
-    counters.pair_terms += len(terms.pairs)
-    counters.field_terms += len(coef)
-    L = state.L
-    dim = state.amp.size
-    if L <= _SPIN_CACHE_MAX_L:
-        ranges = [(0, dim)]
-    else:
-        ranges = _chunk_ranges(dim)
-    for lo, hi in ranges:
-        idx = None if (lo, hi) == (0, dim) else np.arange(lo, hi, dtype=np.int64)
-        local: dict = {}
-
-        def spin(j0):
-            if j0 not in local:
-                local[j0] = _spin_values(L, j0, idx)
-            return local[j0]
-
-        phase = np.zeros(hi - lo)
-        for j0, k0, cjk in terms.pairs:
-            phase += cjk * (spin(j0) * spin(k0))
-        for j0, h in coef.items():
-            if h != 0.0:
-                phase += h * spin(j0)
-        state.amp[lo:hi] *= np.exp(1j * theta * phase)
-
-
-_COMPILE_MAX_L = 20  # above this, cached full-length phase vectors get too big
+    Built by recursive doubling: qubit j (0-based) is bit j of the index, so
+    the phase over qubits 0..j-1 extends to qubit j as [phase + lf/2,
+    phase - lf/2] with the local field lf = h_j + sum_{k<j} J_jk s_k. The
+    local field is built by the same doubling over the bits up to the last
+    coupled one and broadcast over the rest, so an axis costs O(2**L)
+    however many pairs are coupled. ``coupling`` must be symmetric.
+    """
+    phase = np.zeros(1)
+    for j in range(L):
+        coupled = np.flatnonzero(coupling[j, :j])
+        half_lf = np.array([0.5 * float(field[j])])
+        for k in range(coupled[-1] + 1 if coupled.size else 0):
+            quarter = 0.25 * float(coupling[j, k])
+            half_lf = np.concatenate((half_lf + quarter, half_lf - quarter))
+        low = phase.reshape(-1, half_lf.size)
+        out = np.empty((2,) + low.shape)
+        np.add(low, half_lf, out=out[0])
+        np.subtract(low, half_lf, out=out[1])
+        phase = out.reshape(-1)
+    return phase
 
 
 class _CompiledSweep:
@@ -350,11 +310,10 @@ class _CompiledSweep:
     driven/static qubit), which the caching only makes cheaper, not fewer.
     """
 
-    __slots__ = ("terms", "theta", "n_fields", "const_mult", "base_arg", "groups")
+    __slots__ = ("terms", "n_fields", "const_mult", "base_arg", "groups")
 
     def __init__(self, terms: _AxisTerms, theta: float, L: int):
         self.terms = terms
-        self.theta = theta
         qubits = {j0 for j0, _ in terms.static}
         for _, _, members in terms.rf:
             qubits.update(j0 for j0, _ in members)
@@ -364,16 +323,19 @@ class _CompiledSweep:
         self.groups = []
         if not terms.active:
             return
-        base = np.zeros(1 << L)
+        coupling = np.zeros((L, L))
         for j0, k0, cjk in terms.pairs:
-            base += (theta * cjk) * (_spin_values(L, j0, None) * _spin_values(L, k0, None))
+            coupling[j0, k0] = coupling[k0, j0] = theta * cjk
+        field = np.zeros(L)
         for j0, h in terms.static:
-            base += (theta * h) * _spin_values(L, j0, None)
+            field[j0] = theta * h
+        base = _axis_phase(L, coupling, field)
+        uncoupled = np.zeros((L, L))
         for f, phi, members in terms.rf:
-            vec = np.zeros(1 << L)
+            field = np.zeros(L)
             for j0, h1 in members:
-                vec += (theta * h1) * _spin_values(L, j0, None)
-            self.groups.append((f, phi, vec))
+                field[j0] = theta * h1
+            self.groups.append((f, phi, _axis_phase(L, uncoupled, field)))
         if self.groups:
             self.base_arg = base
         else:
@@ -402,9 +364,8 @@ def apply_diagonal_factor(
     theta is delta/2 when ``half`` is set, else delta. Pure phase; the norm is
     untouched.
     """
-    a = check_axis(axis)
-    terms = model.axis_terms()[a]
-    _diagonal_factor(state, terms, 0.5 * delta if half else delta, t_mid)
+    terms = model.axis_terms()[check_axis(axis)]
+    _CompiledSweep(terms, 0.5 * delta if half else delta, state.L).apply(state, t_mid)
     return state
 
 
@@ -420,30 +381,12 @@ def global_half_pi_rotation(state: StateVector, axis: str, inverse: bool = False
     return state
 
 
-def _conjugated_factor(
-    state: StateVector, terms: _AxisTerms, theta: float, t_mid: float, rot_axis: str
-) -> None:
-    """Apply exp(-i*theta*H_axis) as R (diagonal sweep) R+ for a non-z axis."""
-    if terms.active:
-        global_half_pi_rotation(state, rot_axis, inverse=True)
-        _diagonal_factor(state, terms, theta, t_mid)
-        global_half_pi_rotation(state, rot_axis, inverse=False)
-    else:
-        _diagonal_factor(state, terms, theta, t_mid)  # identity factor, counted
-
-
-def _step(state: StateVector, terms: tuple, delta: float, t_mid: float) -> None:
-    tx, ty, tz = terms
-    half = 0.5 * delta
-    _diagonal_factor(state, tz, half, t_mid)
-    _conjugated_factor(state, ty, half, t_mid, "x")
-    _conjugated_factor(state, tx, delta, t_mid, "y")
-    _conjugated_factor(state, ty, half, t_mid, "x")
-    _diagonal_factor(state, tz, half, t_mid)
-
-
 class _StepProgram:
-    """All five factors of one step, compiled for a fixed substep length."""
+    """All five factors of one step, compiled for a fixed substep length.
+
+    The only step implementation: ``symmetrized_step`` runs a one-step
+    program and ``evolve_eo`` reuses one program for every substep.
+    """
 
     __slots__ = ("x", "y", "z")
 
@@ -478,7 +421,7 @@ def symmetrized_step(state: StateVector, model: SpinModel, delta: float, t: floa
         raise ValueError(f"step length must be > 0, got {delta}")
     if model.L != state.L:
         raise ValueError(f"model has L={model.L} but state has L={state.L}")
-    _step(state, model.axis_terms(), delta, t + 0.5 * delta)
+    _StepProgram(model.axis_terms(), delta, state.L).apply(state, t + 0.5 * delta)
     return state
 
 
@@ -540,17 +483,11 @@ def evolve_eo(
         return state, t0
     terms = eo.model.axis_terms()
     delta = eo.tau / plan.m
-    if state.L <= _COMPILE_MAX_L:
-        prog = _StepProgram(terms, delta, state.L)
-        for n in range(plan.m):
-            prog.apply(state, (n + 0.5) * delta)
-            if substep_hook is not None:
-                substep_hook(n, t0 + (n + 1) * delta)
-    else:
-        for n in range(plan.m):
-            _step(state, terms, delta, (n + 0.5) * delta)
-            if substep_hook is not None:
-                substep_hook(n, t0 + (n + 1) * delta)
+    prog = _StepProgram(terms, delta, state.L)
+    for n in range(plan.m):
+        prog.apply(state, (n + 0.5) * delta)
+        if substep_hook is not None:
+            substep_hook(n, t0 + (n + 1) * delta)
     return state, t0 + eo.tau
 
 

@@ -93,7 +93,11 @@ class StateVector:
             amp = np.asarray(amp, dtype=np.complex128)
             if amp.shape != (dim,):
                 raise ValueError(f"amplitude array must have shape ({dim},), got {amp.shape}")
+            if not np.all(np.isfinite(amp)):
+                raise ValueError("amplitudes must be finite")
             nrm = math.sqrt(float(np.sum(np.abs(amp) ** 2)))
+            if not math.isfinite(nrm):
+                raise ValueError(f"state norm is not finite: |amp| = {nrm!r}")
             if abs(nrm - 1.0) > 1e-9:
                 raise ValueError(f"state is not normalized: |amp| = {nrm!r}")
             amp = amp.copy()

@@ -72,6 +72,13 @@ class TestRunCommand:
         assert code == 1
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["tau_over_2pi = nan", "tau_over_2pi = 1\n[run]\nsteps = 0"])
+    def test_non_finite_or_zero_steps_exits_one(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"L = 1\n[eo A]\n{bad}\n[sequence s]\neos = A\n")
+        assert main(["run", "--config", str(cfg), "--sequence", "s"]) == 1
+        assert "config error: line" in capsys.readouterr().err
+
     def test_empty_sequence_yields_single_sample(self, tmp_path, capsys):
         # a [run] with a defined but never-extended sequence cannot exist, so
         # use a zero-duration EO, which is the identity

@@ -79,6 +79,11 @@ class TestParsing:
             ("[run]\nsample_every = 0", 2, ">= 1"),
             ("stray line", 1, "key = value"),
             ("[eo A]\nh0 x 1 = 1", 1, "tau_over_2pi"),
+            ("[eo A]\ntau_over_2pi = nan", 2, "finite"),
+            ("[eo A]\ntau_over_2pi = inf", 2, "finite"),
+            ("[eo A]\ntau_over_2pi = 1\nh1 y 1 = -inf", 3, "finite"),
+            ("[run]\nsteps = 0", 2, ">= 1"),
+            ("[run]\nsteps = -3", 2, ">= 1"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):

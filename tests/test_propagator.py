@@ -18,8 +18,9 @@ from spinsim.propagator import (
     run_sequence,
     symmetrized_step,
 )
+from spinsim.propagator import _axis_phase
 from spinsim.reference import dense_propagator, hamiltonian
-from spinsim.state import StateVector, fidelity, new_basis_state
+from spinsim.state import StateVector, fidelity, new_basis_state, spin_z_values
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,6 +81,48 @@ class TestDiagonalFactor:
         apply_diagonal_factor(s, m, "z", 0.5, t_mid)
         h = 0.4 * math.sin(1.3 * t_mid + 0.2)
         assert s.amp[0] == pytest.approx(np.exp(1j * 0.5 * h * 0.5), abs=1e-15)
+
+
+class TestAxisPhase:
+    @staticmethod
+    def direct_sum(L, coupling, field):
+        s = [spin_z_values(L, j) for j in range(1, L + 1)]
+        phase = np.zeros(1 << L)
+        for j in range(L):
+            phase += field[j] * s[j]
+            for k in range(j + 1, L):
+                phase += coupling[j, k] * s[j] * s[k]
+        return phase
+
+    @pytest.mark.parametrize("L", range(1, 11))
+    def test_matches_direct_sum_for_random_models(self, L):
+        rng = np.random.default_rng(100 + L)
+        for _ in range(5):
+            # sparse random couplings leave some qubits uncoupled
+            mask = np.triu(rng.random((L, L)) < 0.4, 1)
+            upper = np.where(mask, rng.uniform(-2, 2, (L, L)), 0.0)
+            coupling = upper + upper.T
+            field = np.where(rng.random(L) < 0.7, rng.uniform(-2, 2, L), 0.0)
+            got = _axis_phase(L, coupling, field)
+            assert got.shape == (1 << L,)
+            assert np.max(np.abs(got - self.direct_sum(L, coupling, field))) < 1e-12
+
+    @pytest.mark.parametrize("L", range(2, 11))
+    def test_single_far_pair_without_fields(self, L):
+        coupling = np.zeros((L, L))
+        coupling[0, L - 1] = coupling[L - 1, 0] = 0.73  # the pair (1, L)
+        field = np.zeros(L)
+        got = _axis_phase(L, coupling, field)
+        assert np.max(np.abs(got - self.direct_sum(L, coupling, field))) < 1e-12
+
+    @pytest.mark.parametrize("L", range(1, 11))
+    def test_fields_only_and_all_zero(self, L):
+        rng = np.random.default_rng(200 + L)
+        field = rng.uniform(-1, 1, L)
+        zero = np.zeros((L, L))
+        got = _axis_phase(L, zero, field)
+        assert np.max(np.abs(got - self.direct_sum(L, zero, field))) < 1e-12
+        assert np.array_equal(_axis_phase(L, zero, np.zeros(L)), np.zeros(1 << L))
 
 
 class TestGlobalRotation:
@@ -238,6 +281,11 @@ class TestStepPlans:
         with pytest.raises(ValueError):
             StepPlan(0, 1.0)
 
+    @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
+    def test_operation_duration_must_be_finite_and_non_negative(self, tau):
+        with pytest.raises(ValueError, match="duration"):
+            ElementaryOperation("bad", SpinModel(1), tau)
+
 
 class TestEvolveEo:
     def test_zero_duration_identity(self):
@@ -371,8 +419,8 @@ class TestDeterminism:
         assert np.array_equal(results[0], results[2])
 
     def test_chunked_sweep_matches_single_range(self, monkeypatch):
-        # the range-partitioned diagonal sweep is bitwise independent of the
-        # partition count (L above the cache bound forces the chunked path)
+        # SPINSIM_THREADS is validated but changes nothing: a diagonal sweep is
+        # one whole-array pass, bitwise the same for any value
         m = SpinModel(14)
         m.set_coupling(2, 11, "z", 0.4).set_coupling(3, 14, "z", -0.7)
         m.set_static(5, "z", 1.2)

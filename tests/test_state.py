@@ -47,6 +47,17 @@ class TestBasisState:
         with pytest.raises(ValueError):
             new_basis_state(2, [0, 2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        # NaN compares False against the norm tolerance, so it needs its own check
+        with pytest.raises(ValueError, match="finite"):
+            StateVector(1, [bad, 0.0])
+
+    def test_non_finite_norm_rejected(self):
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="not finite"):
+                StateVector(1, [1e200, 0.0])
+
 
 class TestGateApplication:
     def test_identity_leaves_state(self):
