@@ -54,6 +54,25 @@ def check_axis(axis: str) -> int:
         raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}") from None
 
 
+def gate_kernel(amp: np.ndarray, j: int, g: np.ndarray) -> None:
+    """Apply the 2x2 matrix g to qubit j of every register in ``amp``, in place.
+
+    The last axis of ``amp`` is the register (2**L amplitudes); any leading
+    axes are a batch. Every amplitude pair (n0, n1) differing only in bit j-1
+    is multiplied by g. Callers check j and g.
+    """
+    if not amp.flags.c_contiguous:  # the split on bit j-1 must be a view
+        raise ValueError("amplitude array must be C-contiguous")
+    view = amp.reshape(amp.shape[:-1] + (amp.shape[-1] >> j, 2, 1 << (j - 1)))
+    a0 = view[..., 0, :]
+    a1 = view[..., 1, :]
+    t0 = a0.copy()
+    a0 *= g[0, 0]
+    a0 += g[0, 1] * a1
+    a1 *= g[1, 1]
+    a1 += g[1, 0] * t0
+
+
 def spin_z_values(L: int, j: int) -> np.ndarray:
     """S^z eigenvalue of qubit j for every basis index: +1/2 (up) or -1/2 (down)."""
     idx = np.arange(1 << L, dtype=np.int64)
@@ -95,7 +114,8 @@ class StateVector:
                 raise ValueError(f"amplitude array must have shape ({dim},), got {amp.shape}")
             if not np.all(np.isfinite(amp)):
                 raise ValueError("amplitudes must be finite")
-            nrm = math.sqrt(float(np.sum(np.abs(amp) ** 2)))
+            with np.errstate(over="ignore"):  # huge finite amplitudes: inf norm, rejected below
+                nrm = math.sqrt(float(np.sum(np.abs(amp) ** 2)))
             if not math.isfinite(nrm):
                 raise ValueError(f"state norm is not finite: |amp| = {nrm!r}")
             if abs(nrm - 1.0) > 1e-9:
@@ -140,12 +160,7 @@ class StateVector:
             dev = float(np.max(np.abs(g.conj().T @ g - np.eye(2))))
             if dev > 1e-12:
                 raise UnitarityError(f"gate is not unitary (max deviation {dev:.3e})")
-        a0, a1 = self._bit_views(j)
-        t0 = a0.copy()
-        a0 *= g[0, 0]
-        a0 += g[0, 1] * a1
-        a1 *= g[1, 1]
-        a1 += g[1, 0] * t0
+        gate_kernel(self.amp, j, g)
         return self
 
     def phase_multiply(self, phase: np.ndarray) -> "StateVector":
@@ -193,16 +208,29 @@ class StateVector:
         return float(val.real)
 
     def observables(self, t: float = 0.0) -> Observables:
-        """All per-qubit expectations, qubit values Q_j = 1/2 - <S^z_j>, and the norm."""
+        """All per-qubit expectations, qubit values Q_j = 1/2 - <S^z_j>, and the norm.
+
+        Per qubit, with c = <a0|a1> over the bit-split halves: <S^x> = Re c,
+        <S^y> = Im c and <S^z> = (<a0|a0> - <a1|a1>) / 2, the same values
+        ``expect`` returns (without its residue check), in three dot products.
+        The norm is sqrt(<a0|a0> + <a1|a1>) of the last split.
+        """
         L = self.L
         sx = np.empty(L)
         sy = np.empty(L)
         sz = np.empty(L)
-        for j in range(1, L + 1):
-            sx[j - 1] = self.expect(j, "x")
-            sy[j - 1] = self.expect(j, "y")
-            sz[j - 1] = self.expect(j, "z")
-        return Observables(sx=sx, sy=sy, sz=sz, q=0.5 - sz, norm=self.norm(), t=t)
+        for j in range(L):
+            view = self.amp.reshape(-1, 2, 1 << j)
+            a0 = view[:, 0].ravel()
+            a1 = view[:, 1].ravel()
+            c = np.vdot(a0, a1)
+            n0 = np.vdot(a0, a0).real
+            n1 = np.vdot(a1, a1).real
+            sx[j] = c.real
+            sy[j] = c.imag
+            sz[j] = 0.5 * (n0 - n1)
+        norm = math.sqrt(n0 + n1)
+        return Observables(sx=sx, sy=sy, sz=sz, q=0.5 - sz, norm=norm, t=t)
 
 
 def new_basis_state(L: int, bits) -> StateVector:

@@ -18,8 +18,9 @@ from spinsim.propagator import (
     run_sequence,
     symmetrized_step,
 )
+from spinsim import propagator
 from spinsim.propagator import _axis_phase
-from spinsim.reference import dense_propagator, hamiltonian
+from spinsim.reference import dense_propagator, dense_propagator_composed, hamiltonian
 from spinsim.state import StateVector, fidelity, new_basis_state, spin_z_values
 
 TWO_PI = 2.0 * math.pi
@@ -41,6 +42,20 @@ def random_two_spin_model(seed, with_rf=True):
             m.set_static(j, ax, rng.uniform(-1, 1))
             if with_rf:
                 m.set_rf(j, ax, rng.uniform(-0.5, 0.5), rng.uniform(0.2, 2.0), rng.uniform(0, TWO_PI))
+    return m
+
+
+def random_driven_model(L, seed):
+    """Random pairs, static fields and RF drives on all three axes, every drive at its own frequency."""
+    rng = np.random.default_rng(seed)
+    m = SpinModel(L)
+    freqs = iter(rng.permutation(np.linspace(0.3, 2.0, 3 * L)))
+    for ax in "xyz":
+        for j in range(1, L + 1):
+            m.set_static(j, ax, rng.uniform(-1, 1))
+            m.set_rf(j, ax, rng.uniform(-0.5, 0.5), float(next(freqs)), rng.uniform(0, TWO_PI))
+            for k in range(j + 1, L + 1):
+                m.set_coupling(j, k, ax, rng.uniform(-1, 1))
     return m
 
 
@@ -241,6 +256,20 @@ class TestInstrumentation:
         # every nonzero pair coupling visited once per sweep of its axis
         assert counters.pair_terms == 2 * m.pair_count("z") + 2 * m.pair_count("y") + m.pair_count("x")
 
+    @pytest.mark.parametrize("with_rf", [True, False])
+    def test_evolve_eo_counts_m_logical_steps(self, with_rf):
+        # the batched small-register path counts per-substep visits, as the
+        # in-place path does: m substeps are m times one step
+        m = random_two_spin_model(4, with_rf=with_rf)
+        counters.reset()
+        symmetrized_step(random_state(2, 7), m, 0.1, 0.0)
+        one = dict(vars(counters))
+        for steps in (1, 7, 5000):
+            counters.reset()
+            evolve_eo(random_state(2, 7), ElementaryOperation("e", m, 0.1 * steps), 0.0,
+                      plan=StepPlan(steps, 0.1 * steps))
+            assert dict(vars(counters)) == {k: steps * v for k, v in one.items()}
+
     def test_inactive_axes_skip_rotations_but_not_sweeps(self):
         m = SpinModel(2).set_coupling(1, 2, "z", -1e-6)
         s = random_state(2, 8)
@@ -352,6 +381,68 @@ class TestEvolveEo:
         obs = s.observables()
         assert obs.q[0] == pytest.approx(0.5, abs=0.05)
         assert abs(s.norm() - 1.0) < 1e-12
+
+
+class TestBatchedSteps:
+    """Registers of up to 16 amplitudes step by batched step matrices; both paths must agree."""
+
+    @staticmethod
+    def run(state, eo, m, t0=0.0):
+        seen = []
+
+        def hook(n, t_end):
+            seen.append((n, t_end, state.amp.copy()))
+
+        evolve_eo(state, eo, t0, plan=StepPlan(m, eo.tau), substep_hook=hook)
+        return seen
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_matches_in_place_path(self, L, monkeypatch):
+        model = random_driven_model(L, 40 + L)
+        for m in (1, 3, 293):  # at L=4, 293 is one full chunk of 256 plus 37
+            eo = ElementaryOperation("e", model, 0.02 * m)
+            batched = random_state(L, 50 + L)
+            reference = batched.copy()
+            seen_batched = self.run(batched, eo, m, t0=3.5)
+            with monkeypatch.context() as mp:
+                mp.setattr(propagator, "_BATCH_MAX_DIM", 1)  # in place at every size
+                seen_reference = self.run(reference, eo, m, t0=3.5)
+            assert np.max(np.abs(batched.amp - reference.amp)) < 1e-12
+            assert len(seen_batched) == len(seen_reference) == m
+            for (n, t, amp), (n_ref, t_ref, amp_ref) in zip(seen_batched, seen_reference):
+                assert (n, t) == (n_ref, t_ref)
+                assert np.max(np.abs(amp - amp_ref)) < 1e-12
+
+    def test_small_chunks_match_one_chunk(self, monkeypatch):
+        model = random_driven_model(2, 60)
+        eo = ElementaryOperation("e", model, 1.3)
+        whole = random_state(2, 61)
+        chunked = whole.copy()
+        evolve_eo(whole, eo, 0.0, plan=StepPlan(50, eo.tau))
+        monkeypatch.setattr(propagator, "_BATCH_ELEMENTS", 7 * 16)  # 7 substeps per chunk
+        evolve_eo(chunked, eo, 0.0, plan=StepPlan(50, eo.tau))
+        assert np.max(np.abs(whole.amp - chunked.amp)) < 1e-12
+
+    def test_zero_duration_never_calls_the_hook(self):
+        s = random_state(3, 62)
+        ref = s.amp.copy()
+        seen = self.run(s, ElementaryOperation("idle", random_driven_model(3, 63), 0.0), 1)
+        assert seen == [] and np.array_equal(s.amp, ref)
+
+    @pytest.mark.parametrize("L", [4, 5])
+    def test_second_order_on_both_sides_of_the_threshold(self, L):
+        # L=4 steps by matrices, L=5 in place; on both the error drops 4x per doubling
+        model = random_driven_model(L, 70 + L)
+        tau = 0.6
+        psi0 = random_state(L, 80 + L)
+        exact = dense_propagator_composed(model, 0.0, tau, segment=0.2, tol=1e-8).mat @ psi0.amp
+        errors = []
+        for steps in (8, 16, 32):
+            s = psi0.copy()
+            evolve_eo(s, ElementaryOperation("e", model, tau), 0.0, plan=StepPlan(steps, tau))
+            errors.append(np.linalg.norm(s.amp - exact))
+        for a, b in zip(errors, errors[1:]):
+            assert 3.3 < a / b < 4.7
 
 
 class TestRunSequence:

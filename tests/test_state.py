@@ -1,5 +1,7 @@
 """Tests for state-vector storage, basis conventions and observables."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,12 @@ class TestBasisState:
 
     def test_non_finite_norm_rejected(self):
         with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="not finite"):
+                StateVector(1, [1e200, 0.0])
+
+    def test_huge_amplitudes_raise_without_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(ValueError, match="not finite"):
                 StateVector(1, [1e200, 0.0])
 
@@ -122,6 +130,24 @@ class TestExpectations:
             for j in (1, 2, 3):
                 for ax in "xyz":
                     assert abs(s.expect(j, ax)) <= 0.5 + 1e-12
+
+
+class TestObservables:
+    @pytest.mark.parametrize("L", range(1, 7))
+    def test_matches_expect_and_norm_on_random_states(self, L):
+        rng = np.random.default_rng(300 + L)
+        for _ in range(10):
+            amp = rng.normal(size=1 << L) + 1j * rng.normal(size=1 << L)
+            amp /= np.linalg.norm(amp)
+            s = StateVector(L, amp)
+            obs = s.observables(t=1.25)
+            for j in range(1, L + 1):
+                assert abs(obs.sx[j - 1] - s.expect(j, "x")) <= 1e-15
+                assert abs(obs.sy[j - 1] - s.expect(j, "y")) <= 1e-15
+                assert abs(obs.sz[j - 1] - s.expect(j, "z")) <= 1e-15
+            assert abs(obs.norm - s.norm()) <= 1e-15
+            assert np.array_equal(obs.q, 0.5 - obs.sz)
+            assert obs.t == 1.25
 
 
 class TestQubitValues:
