@@ -15,10 +15,35 @@ y or x parameters) with a global quarter-turn of all spins:
     exp(-i d Hx) = Ry exp(-i d Hx-as-diagonal) Ry+,   Ry = exp(-i (pi/2) Sy)
 
 The rotation signs are pinned by Rx Sz Rx+ = Sy and Ry Sz Ry+ = Sx; they are
-asserted by the oracle cross-checks rather than trusted. Since an axis whose
-parameter family is all zero contributes an exactly-identity factor, its
-surrounding rotation pair is skipped; adjacent rotations of consecutive
-active factors are never cancelled against each other.
+asserted by the oracle cross-checks rather than trusted.
+
+In application order a step is z, Rx+, y, Rx, Ry+, x, Ry, Rx+, y, Rx, z.
+The step program builds this list once per substep length and fuses it:
+an axis whose parameter family is all zero contributes an exactly-identity
+factor, so its rotation pair is dropped (its sweep stays, as a no-op); a
+quarter turn followed directly by its own inverse is removed exactly; any
+other adjacent pair of rotations becomes one gate, their product. A fully
+active step thus makes 4 global passes (Rx+, Ry+ Rx, Rx+ Ry, Rx), one with
+x inactive makes 2 (Rx+, Rx), one with y inactive 2 (Ry+, Ry), an all-z
+step none.
+
+A global pass applies its 2x2 gate g to every qubit, _GATE_BLOCK qubits at
+a time: each block is one matmul with the 16 x 16 matrix kron(g, g, g, g)
+on a reshaped view of the register (fewer factors for the last block),
+alternating between the register and one scratch buffer. Milliseconds per
+global rotation, one BLAS thread, best of seven, median of five runs (four
+for the per-qubit row, the former loop of one copy and four ufunc passes
+per qubit), on a 2-core VM shared with other tenants:
+
+    qubits per block     L=16     L=20
+    1 (per-qubit loop)   19.9      388
+    2                     4.2       74
+    3                     1.6       54
+    4                     1.4       45
+    5                     1.7       45
+
+Four qubits per block is the fastest at L=16 and ties five at L=20; a
+single scratch buffer keeps the extra memory to one register.
 
 The Hamiltonian carries an overall minus sign in front of both the coupling
 and field sums, so exp(-i*theta*H) multiplies amplitude n by the positive
@@ -37,8 +62,8 @@ to expose would largely vanish.)
 Two operands, one step program. Every kernel acts on an array whose last
 axis is the register and whose leading axes are a batch, given a scalar
 midpoint time or a vector of them (one per batch row). Registers of more
-than 16 amplitudes are stepped in place, one substep at a time. Registers
-of up to 16 amplitudes (L <= 4) run the same program on a stack of identity
+than 32 amplitudes are stepped in place, one substep at a time. Registers
+of up to 32 amplitudes (L <= 5) run the same program on a stack of identity
 matrices, one per substep, which yields every step matrix of a chunk of
 substeps in one batched pass; each substep is then one vector-matrix
 product. Because an instruction's drive clock starts at its own start, all
@@ -47,15 +72,15 @@ substeps of a driven chain (2-core VM shared with other tenants, median of
 three runs of the best of seven):
 
     L   in place   matrix
-    2      67        3.1
-    3     101        8.9
-    4     160       42
-    5     270      147
-    6     213      675
+    2      44        2.7
+    3      43        4.7
+    4      45       12.5
+    5     103       88
+    6     112      257
 
-Matrices win by 4x or more up to L = 4 and lose by 3x from L = 6. At L = 5
-they measured ahead, but by a margin that host noise halved in one run, so
-the threshold stays at 16 amplitudes.
+Matrices win by 3.5x or more up to L = 4 and lose by 2x from L = 6. At
+L = 5 they were ahead in nine of nine runs (three sets of three), by 12-20%,
+so the threshold is 32 amplitudes.
 """
 
 from __future__ import annotations
@@ -66,7 +91,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import MAX_QUBITS, Observables, StateVector, check_axis, gate_kernel
+from .state import MAX_QUBITS, Observables, StateVector, check_axis
 
 _SQ2 = math.sqrt(2.0)
 
@@ -74,9 +99,11 @@ _SQ2 = math.sqrt(2.0)
 _ROT_X = np.array([[1, 1j], [1j, 1]]) / _SQ2
 _ROT_Y = np.array([[1, -1], [1, 1]]) / _SQ2
 _ROT = {"x": (_ROT_X, _ROT_X.conj().T), "y": (_ROT_Y, _ROT_Y.conj().T)}
+#: Qubits per matmul of a global gate pass; see the module docstring.
+_GATE_BLOCK = 4
 
 #: Largest register stepped by batched step matrices; see the module docstring.
-_BATCH_MAX_DIM = 16
+_BATCH_MAX_DIM = 32
 #: Complex entries per chunk of step matrices (1 MiB), so memory does not grow with m.
 _BATCH_ELEMENTS = 1 << 16
 
@@ -87,11 +114,13 @@ class KernelCounters:
 
     Every count is a logical per-substep visit, whichever operand the step
     program runs on. A substep adds 5 diagonal sweeps, one global rotation
-    per quarter-turn around an active x or y factor, L gate kernel calls per
-    rotation, and, per sweep of an active axis, one pair term per nonzero
-    coupling and one field term per qubit with a static or RF field on that
-    axis. A batched pass over n substeps adds n times these, so the counts
-    are the same on both sides of the register-size threshold.
+    per global pass left after fusing (4 for a fully active step; see the
+    module docstring), L gate kernel calls per pass (the logical single-qubit
+    gate applications, although one matmul covers a block of qubits), and,
+    per sweep of an active axis, one pair term per nonzero coupling and one
+    field term per qubit with a static or RF field on that axis. A batched
+    pass over n substeps adds n times these, so the counts are the same on
+    both sides of the register-size threshold.
     """
 
     diagonal_sweeps: int = 0
@@ -415,6 +444,46 @@ def apply_diagonal_factor(
     return state
 
 
+def _kron_powers(g: np.ndarray) -> list:
+    """Block matrices of a global pass of g: [g, g (x) g, ...], _GATE_BLOCK of them.
+
+    The step program builds them once per gate, not once per pass.
+    """
+    powers = [g]
+    while len(powers) < _GATE_BLOCK:
+        powers.append(np.kron(powers[-1], g))
+    return powers
+
+
+def _global_gate(amp: np.ndarray, powers: list, visits: int) -> None:
+    """Apply the 2x2 gate powers[0] to every qubit of every register in ``amp``, in place.
+
+    The last axis of ``amp`` is the register; leading axes are a batch that
+    counts as ``visits`` logical passes. ``powers`` comes from
+    ``_kron_powers``. Qubits are taken _GATE_BLOCK at a time: each block is
+    one matmul with kron(g, ..., g) on a reshaped view, from the buffer
+    holding the current result into the other of ``amp`` and one scratch
+    buffer, and the result is copied back into ``amp`` only after an odd
+    number of blocks.
+    """
+    if not amp.flags.c_contiguous:  # the reshapes below must be views
+        raise ValueError("amplitude array must be C-contiguous")
+    L = amp.shape[-1].bit_length() - 1
+    counters.global_rotations += visits
+    counters.gate_kernel_calls += visits * L
+    src, dst = amp, np.empty_like(amp)
+    for lo in range(0, L, _GATE_BLOCK):
+        k = min(_GATE_BLOCK, L - lo)
+        if lo == 0:
+            np.matmul(src.reshape(-1, 1 << k), powers[k - 1].T, out=dst.reshape(-1, 1 << k))
+        else:
+            shape = (-1, 1 << k, 1 << lo)
+            np.matmul(powers[k - 1], src.reshape(shape), out=dst.reshape(shape))
+        src, dst = dst, src
+    if src is not amp:
+        amp[...] = src
+
+
 def global_half_pi_rotation(state, axis: str, inverse: bool = False, visits: int = 1):
     """Rotate every spin by a quarter turn about x or y (or undo it), in place.
 
@@ -423,13 +492,8 @@ def global_half_pi_rotation(state, axis: str, inverse: bool = False, visits: int
     """
     if axis not in _ROT:
         raise ValueError(f"rotation axis must be 'x' or 'y', got {axis!r}")
-    g = _ROT[axis][1 if inverse else 0]
     amp = state.amp if isinstance(state, StateVector) else state
-    L = amp.shape[-1].bit_length() - 1
-    counters.global_rotations += visits
-    counters.gate_kernel_calls += visits * L
-    for j in range(1, L + 1):
-        gate_kernel(amp, j, g)
+    _global_gate(amp, _kron_powers(_ROT[axis][inverse]), visits)
     return state
 
 
@@ -439,33 +503,54 @@ class _StepProgram:
     The only step implementation: ``symmetrized_step`` runs a one-step
     program and ``evolve_eo`` reuses one program for every substep, on the
     state itself or on a stack of step matrices (see ``_CompiledSweep.apply``
-    for the operand and time shapes).
+    for the operand and time shapes). ``ops`` lists the sweeps and the fused
+    global gates in application order.
     """
 
-    __slots__ = ("dim", "x", "y", "z")
+    __slots__ = ("dim", "ops")
 
     def __init__(self, terms: tuple, delta: float, L: int):
         tx, ty, tz = terms
         self.dim = 1 << L
-        self.x = _CompiledSweep(tx, delta, L)
-        self.y = _CompiledSweep(ty, 0.5 * delta, L)
-        self.z = _CompiledSweep(tz, 0.5 * delta, L)
+        x = _CompiledSweep(tx, delta, L)
+        y = _CompiledSweep(ty, 0.5 * delta, L)
+        z = _CompiledSweep(tz, 0.5 * delta, L)
+        self.ops: list = []
+        for sweep, rot_axis in ((z, None), (y, "x"), (x, "y"), (y, "x"), (z, None)):
+            if rot_axis is not None and sweep.terms.active:
+                self._push_gate(rot_axis, True)
+                self.ops.append(sweep)
+                self._push_gate(rot_axis, False)
+            elif not sweep.terms.active and self.ops and not isinstance(self.ops[-1], _CompiledSweep):
+                # an inactive sweep is the identity: slip it under the last
+                # gate so that the next gate can fuse with it
+                self.ops.insert(-1, sweep)
+            else:
+                self.ops.append(sweep)
+        self.ops = [op if isinstance(op, _CompiledSweep) else _kron_powers(op[0]) for op in self.ops]
 
-    def _conjugated(self, amp: np.ndarray, sweep: _CompiledSweep, rot_axis: str, t_mid) -> None:
-        if sweep.terms.active:
-            visits = np.size(t_mid)
-            global_half_pi_rotation(amp, rot_axis, inverse=True, visits=visits)
-            sweep.apply(amp, t_mid)
-            global_half_pi_rotation(amp, rot_axis, inverse=False, visits=visits)
-        else:
-            sweep.apply(amp, t_mid)
+    def _push_gate(self, axis: str, inverse: bool) -> None:
+        """Append a quarter turn, fusing it with a gate that ends the list.
+
+        Entries are (g, key): key is (axis, inverse) for a plain quarter turn
+        and None for a product. A turn meeting its own inverse is removed
+        exactly; any other adjacent pair becomes the one gate g2 @ g1.
+        """
+        g = _ROT[axis][inverse]
+        if not self.ops or isinstance(self.ops[-1], _CompiledSweep):
+            self.ops.append((g, (axis, inverse)))
+            return
+        prev, key = self.ops.pop()
+        if key != (axis, not inverse):
+            self.ops.append((g @ prev, None))
 
     def apply(self, amp: np.ndarray, t_mid) -> None:
-        self.z.apply(amp, t_mid)
-        self._conjugated(amp, self.y, "x", t_mid)
-        self._conjugated(amp, self.x, "y", t_mid)
-        self._conjugated(amp, self.y, "x", t_mid)
-        self.z.apply(amp, t_mid)
+        visits = np.size(t_mid)
+        for op in self.ops:
+            if isinstance(op, _CompiledSweep):
+                op.apply(amp, t_mid)
+            else:
+                _global_gate(amp, op, visits)
 
     def step_matrices(self, t_mid: np.ndarray) -> np.ndarray:
         """Transposed step matrices at the given midpoint times, shape (n, dim, dim).
@@ -541,7 +626,7 @@ def evolve_eo(
     arguments use the operation-local midpoint times (n + 1/2) * delta, so the
     result does not depend on t0; ``substep_hook(n, t_end)`` is called after
     each substep, with the state advanced through it, and receives the global
-    end time of that substep for sampling. Registers of up to 16 amplitudes
+    end time of that substep for sampling. Registers of up to 32 amplitudes
     build the step matrices of a chunk of substeps in one batched pass and
     apply them one by one; larger ones are stepped in place.
     """

@@ -19,8 +19,8 @@ from spinsim.propagator import (
     symmetrized_step,
 )
 from spinsim import propagator
-from spinsim.propagator import _axis_phase
-from spinsim.reference import dense_propagator, dense_propagator_composed, hamiltonian
+from spinsim.propagator import _ROT, _axis_phase, _global_gate, _kron_powers
+from spinsim.reference import dense_propagator, dense_propagator_composed, embed_single, hamiltonian
 from spinsim.state import StateVector, fidelity, new_basis_state, spin_z_values
 
 TWO_PI = 2.0 * math.pi
@@ -188,6 +188,61 @@ class TestGlobalRotation:
             assert np.max(np.abs(left - right)) < 1e-12
 
 
+class TestGlobalGate:
+    """The blocked global gate pass against the dense product of single-qubit embeddings."""
+
+    GATES = {
+        "Rx": _ROT["x"][0],
+        "Rx+": _ROT["x"][1],
+        "Ry": _ROT["y"][0],
+        "Ry+": _ROT["y"][1],
+        "Ry+Rx": _ROT["y"][1] @ _ROT["x"][0],  # the fused gate between the first y and the x factor
+    }
+
+    @staticmethod
+    def oracle(g, L, amp):
+        # every row of amp is a register; applying the factors one by one is
+        # applying their product, without building a 2^L x 2^L product at L=10
+        rows = amp.reshape(-1, 1 << L)
+        for j in range(1, L + 1):
+            rows = rows @ embed_single(g, j, L).T
+        return rows.reshape(amp.shape)
+
+    @pytest.mark.parametrize("gate", sorted(GATES))
+    @pytest.mark.parametrize("L", range(1, 11))  # 1 to 3 blocks, L a multiple of 4 or not
+    def test_matches_dense_oracle(self, L, gate):
+        g = self.GATES[gate]
+        dim = 1 << L
+        rng = np.random.default_rng(L)
+        shapes = [(dim,), (3, dim)] + ([(2, dim, dim)] if L <= 6 else [])
+        for shape in shapes:
+            amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            expected = self.oracle(g, L, amp)
+            _global_gate(amp, _kron_powers(g), 1)
+            assert np.max(np.abs(amp - expected)) < 1e-13
+
+    @pytest.mark.parametrize("L", [3, 9])  # one block and three blocks
+    def test_updates_the_callers_array_in_place(self, L):
+        s = random_state(L, 30 + L)
+        amp = s.amp
+        expected = self.oracle(_ROT["y"][0], L, amp.copy())
+        global_half_pi_rotation(s, "y")
+        assert s.amp is amp
+        assert np.max(np.abs(amp - expected)) < 1e-13
+        # one row of a batch: that row changes, its neighbours do not
+        rng = np.random.default_rng(L)
+        batch = rng.normal(size=(3, 1 << L)) + 1j * rng.normal(size=(3, 1 << L))
+        before = batch.copy()
+        _global_gate(batch[1], _kron_powers(_ROT["x"][1]), 1)
+        assert np.array_equal(batch[[0, 2]], before[[0, 2]])
+        assert np.max(np.abs(batch[1] - self.oracle(_ROT["x"][1], L, before[1]))) < 1e-13
+
+    def test_rejects_a_strided_operand(self):
+        amp = np.zeros((4, 8), dtype=complex)
+        with pytest.raises(ValueError, match="contiguous"):
+            _global_gate(amp[:, ::2], _kron_powers(_ROT["x"][0]), 1)
+
+
 class TestSymmetrizedStep:
     def test_z_only_model_is_exact(self):
         m = SpinModel(2).set_coupling(1, 2, "z", 0.8)
@@ -251,8 +306,10 @@ class TestInstrumentation:
         counters.reset()
         symmetrized_step(s, m, 0.1, 0.0)
         assert counters.diagonal_sweeps == 5
-        assert counters.global_rotations == 6
-        assert counters.gate_kernel_calls == 6 * 2
+        # the layout z, Rx+, y, Rx, Ry+, x, Ry, Rx+, y, Rx, z holds 6 quarter
+        # turns; Rx·Ry+ and Ry·Rx+ fuse into one gate each, leaving 4 passes
+        assert counters.global_rotations == 4
+        assert counters.gate_kernel_calls == 4 * 2
         # every nonzero pair coupling visited once per sweep of its axis
         assert counters.pair_terms == 2 * m.pair_count("z") + 2 * m.pair_count("y") + m.pair_count("x")
 
@@ -269,6 +326,19 @@ class TestInstrumentation:
             evolve_eo(random_state(2, 7), ElementaryOperation("e", m, 0.1 * steps), 0.0,
                       plan=StepPlan(steps, 0.1 * steps))
             assert dict(vars(counters)) == {k: steps * v for k, v in one.items()}
+
+    @pytest.mark.parametrize("active, passes", [
+        ("y", 2),  # Rx+, y, Rx, x, Rx+, y, Rx: Rx meets Rx+ across the inactive x and cancels
+        ("x", 2),  # Ry+, x, Ry: no rotation around the inactive y factors
+        ("z", 0),
+    ])
+    def test_global_passes_per_step_by_active_axes(self, active, passes):
+        m = SpinModel(3).set_coupling(1, 3, active, 0.7).set_static(2, "z", 0.4)
+        counters.reset()
+        symmetrized_step(random_state(3, 9), m, 0.1, 0.0)
+        assert counters.diagonal_sweeps == 5
+        assert counters.global_rotations == passes
+        assert counters.gate_kernel_calls == 3 * passes
 
     def test_inactive_axes_skip_rotations_but_not_sweeps(self):
         m = SpinModel(2).set_coupling(1, 2, "z", -1e-6)
@@ -384,7 +454,7 @@ class TestEvolveEo:
 
 
 class TestBatchedSteps:
-    """Registers of up to 16 amplitudes step by batched step matrices; both paths must agree."""
+    """Registers of up to 32 amplitudes step by batched step matrices; both paths must agree."""
 
     @staticmethod
     def run(state, eo, m, t0=0.0):
@@ -396,7 +466,7 @@ class TestBatchedSteps:
         evolve_eo(state, eo, t0, plan=StepPlan(m, eo.tau), substep_hook=hook)
         return seen
 
-    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
     def test_matches_in_place_path(self, L, monkeypatch):
         model = random_driven_model(L, 40 + L)
         for m in (1, 3, 293):  # at L=4, 293 is one full chunk of 256 plus 37
@@ -431,7 +501,8 @@ class TestBatchedSteps:
 
     @pytest.mark.parametrize("L", [4, 5])
     def test_second_order_on_both_sides_of_the_threshold(self, L):
-        # L=4 steps by matrices, L=5 in place; on both the error drops 4x per doubling
+        # both step by matrices (up to 32 amplitudes); the in-place side,
+        # L=6 and 7, is in test_second_order_with_blocked_passes
         model = random_driven_model(L, 70 + L)
         tau = 0.6
         psi0 = random_state(L, 80 + L)
@@ -440,6 +511,36 @@ class TestBatchedSteps:
         for steps in (8, 16, 32):
             s = psi0.copy()
             evolve_eo(s, ElementaryOperation("e", model, tau), 0.0, plan=StepPlan(steps, tau))
+            errors.append(np.linalg.norm(s.amp - exact))
+        for a, b in zip(errors, errors[1:]):
+            assert 3.3 < a / b < 4.7
+
+    @pytest.mark.parametrize("L", [5, 6, 7])
+    def test_second_order_with_blocked_passes(self, L):
+        # L=5 steps by matrices, L=6 and 7 in place, all through fused and
+        # blocked global passes: the error against the oracle drops 4x per
+        # doubling, and symmetrized_step gives what evolve_eo gives.
+        # dense_propagator stops at L=6, so L=7 takes a constant model (all
+        # pairs and static fields on every axis), exact by one
+        # eigendecomposition of H.
+        tau = 0.6
+        psi0 = random_state(L, 100 + L)
+        model = random_driven_model(L, 90 + L)
+        if L <= 6:
+            exact = dense_propagator_composed(model, 0.0, tau, segment=0.3, tol=1e-7).mat @ psi0.amp
+        else:
+            model.rf_amp[:] = 0.0
+            w, v = np.linalg.eigh(hamiltonian(model, 0.0))
+            exact = v @ (np.exp(-1j * tau * w) * (v.conj().T @ psi0.amp))
+        errors = []
+        for steps in (8, 16, 32):
+            s = psi0.copy()
+            evolve_eo(s, ElementaryOperation("e", model, tau), 0.0, plan=StepPlan(steps, tau))
+            stepped = psi0.copy()
+            delta = tau / steps
+            for n in range(steps):
+                symmetrized_step(stepped, model, delta, n * delta)
+            assert np.max(np.abs(stepped.amp - s.amp)) < 1e-12
             errors.append(np.linalg.norm(s.amp - exact))
         for a, b in zip(errors, errors[1:]):
             assert 3.3 < a / b < 4.7
