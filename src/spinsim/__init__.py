@@ -30,7 +30,6 @@ from .propagator import (
     global_half_pi_rotation,
     run_sequence,
     symmetrized_step,
-    worker_count,
 )
 from .pulses import (
     EO_NAMES,

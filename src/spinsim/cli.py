@@ -7,6 +7,7 @@ Subcommands: grover, run, converge, selftest, dump-profile. Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -18,7 +19,7 @@ from .experiments import (
     self_test,
     write_trajectory_csv,
 )
-from .propagator import run_sequence, worker_count
+from .propagator import run_sequence
 from .pulses import make_profile
 from .state import StateVector, fidelity, new_basis_state
 
@@ -72,6 +73,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _usage_error(message: str) -> int:
+    print(f"spinsim: error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _cmd_grover(args) -> int:
     steps = args.steps
     if steps != "auto":
@@ -80,9 +86,9 @@ def _cmd_grover(args) -> int:
             if steps < 1:
                 raise ValueError
         except ValueError:
-            print(f"spinsim: error: --steps must be 'auto' or a positive integer, got {args.steps!r}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error(f"--steps must be 'auto' or a positive integer, got {args.steps!r}")
+    if args.sample_every is not None and args.sample_every < 1:
+        return _usage_error(f"--sample-every must be a positive integer, got {args.sample_every}")
     report = run_grover(
         args.hardware,
         args.item,
@@ -152,6 +158,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_converge(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        return _usage_error(f"--tol must be a finite number >= 0, got {args.tol!r}")
     try:
         report = converge_grover(args.hardware, args.item, init_order=args.init, tol=args.tol)
     except ConvergenceFailure as err:
@@ -183,11 +191,6 @@ def _cmd_dump_profile(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        worker_count()  # validate SPINSIM_THREADS early
-    except ValueError as err:
-        print(f"spinsim: error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     if args.command == "grover":
         return _cmd_grover(args)
     if args.command == "run":

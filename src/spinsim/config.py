@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 from .propagator import ElementaryOperation, PulseSequence, SpinModel
 from .pulses import EO_NAMES, HardwareProfile, grover_program
+from .state import MAX_QUBITS
 
 TWO_PI = 2.0 * math.pi
 
@@ -160,6 +161,8 @@ def parse_config(text: str) -> ExperimentConfig:
                     cfg.L = int(value)
                 except ValueError:
                     raise ConfigError(line_no, f"L must be an integer, got {value!r}") from None
+                if not 1 <= cfg.L <= MAX_QUBITS:
+                    raise ConfigError(line_no, f"L must be in 1..{MAX_QUBITS}, got {cfg.L}")
                 saw_l = True
             else:
                 raise ConfigError(line_no, f"unexpected top-level key {key.strip()!r}")
@@ -245,8 +248,8 @@ def _exact_tau_over_2pi(tau: float) -> float:
     return t
 
 
-def dump_profile(profile: HardwareProfile, include_programs: bool = True) -> str:
-    """Render a hardware profile (and its search programs) as config text.
+def dump_profile(profile: HardwareProfile) -> str:
+    """Render a hardware profile and its search programs as config text.
 
     Re-parsing the output reconstructs every duration and parameter bitwise,
     so a dumped-and-rerun experiment matches the preset path exactly.
@@ -275,13 +278,12 @@ def dump_profile(profile: HardwareProfile, include_programs: bool = True) -> str
                     if m.rf_phase[j, a] != 0.0:
                         lines.append(f"phi {ax} {j + 1} = {float(m.rf_phase[j, a])!r}")
         lines.append("")
-    if include_programs:
-        for init_order in ("12", "21"):
-            for item in range(4):
-                prog = grover_program(item, profile, init_order)
-                names = ", ".join(eo.name for eo in prog.seq.eos)
-                lines.append(f"[sequence grover{item}_init{init_order}]")
-                lines.append(f"eos = {names}")
-                lines.append("")
-        lines += ["[run]", "state = 00", "sequence = grover0_init12", ""]
+    for init_order in ("12", "21"):
+        for item in range(4):
+            prog = grover_program(item, profile, init_order)
+            names = ", ".join(eo.name for eo in prog.seq.eos)
+            lines.append(f"[sequence grover{item}_init{init_order}]")
+            lines.append(f"eos = {names}")
+            lines.append("")
+    lines += ["[run]", "state = 00", "sequence = grover0_init12", ""]
     return "\n".join(lines)

@@ -235,8 +235,8 @@ def converge_grover(
     doubling shifts every Q_j by less than ``tol``. Raises ConvergenceFailure
     if 2**max_doublings times the automatic plan is still not enough.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
     history = []
     prev_q = None
     mult = 1
@@ -287,12 +287,6 @@ def _check_conjugation(n_models: int = 100, seed: int = 2024) -> CheckResult:
         t_mid = rng.uniform(0.0, 10.0)
         for src_axis, rot_axis in (("y", "x"), ("x", "y")):
             a = 0 if src_axis == "x" else 1
-            zform = SpinModel(2)
-            zform.coupling[:, :, 2] = m.coupling[:, :, a]
-            zform.static_field[:, 2] = m.static_field[:, a]
-            zform.rf_amp[:, 2] = m.rf_amp[:, a]
-            zform.rf_freq[:, 2] = m.rf_freq[:, a]
-            zform.rf_phase[:, 2] = m.rf_phase[:, a]
             axis_only = SpinModel(2)
             axis_only.coupling[:, :, a] = m.coupling[:, :, a]
             axis_only.static_field[:, a] = m.static_field[:, a]
@@ -308,7 +302,7 @@ def _check_conjugation(n_models: int = 100, seed: int = 2024) -> CheckResult:
                 amp[n] = 1.0
                 s = StateVector(2, amp)
                 global_half_pi_rotation(s, rot_axis, inverse=True)
-                apply_diagonal_factor(s, zform, "z", delta, t_mid)
+                apply_diagonal_factor(s, m, src_axis, delta, t_mid)  # the axis's parameters in z form
                 global_half_pi_rotation(s, rot_axis)
                 cols.append(s.amp)
             worst = max(worst, float(np.max(np.abs(np.column_stack(cols) - exact))))

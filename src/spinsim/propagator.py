@@ -18,14 +18,18 @@ The rotation signs are pinned by Rx Sz Rx+ = Sy and Ry Sz Ry+ = Sx; they are
 asserted by the oracle cross-checks rather than trusted.
 
 In application order a step is z, Rx+, y, Rx, Ry+, x, Ry, Rx+, y, Rx, z.
-The step program builds this list once per substep length and fuses it:
-an axis whose parameter family is all zero contributes an exactly-identity
-factor, so its rotation pair is dropped (its sweep stays, as a no-op); a
-quarter turn followed directly by its own inverse is removed exactly; any
-other adjacent pair of rotations becomes one gate, their product. A fully
-active step thus makes 4 global passes (Rx+, Ry+ Rx, Rx+ Ry, Rx), one with
-x inactive makes 2 (Rx+, Rx), one with y inactive 2 (Ry+, Ry), an all-z
-step none.
+An axis whose parameters are all zero contributes an exactly-identity
+factor, so its rotations are dropped (its sweep stays, as a no-op), and
+adjacent rotations are multiplied into one gate. That leaves four layouts,
+chosen by which of x and y are active:
+
+    x and y   z, Rx+, y, Ry+ Rx, x, Rx+ Ry, y, Rx, z    4 global passes
+    y only    z, Rx+, y, x, y, Rx, z                    2
+    x only    z, y, Ry+, x, Ry, y, z                    2
+    neither   z, y, x, y, z                             0
+
+(With x inactive, the Rx after the first y meets the Rx+ before the second
+and cancels exactly.)
 
 A global pass applies its 2x2 gate g to every qubit, _GATE_BLOCK qubits at
 a time: each block is one matmul with the 16 x 16 matrix kron(g, g, g, g)
@@ -86,7 +90,6 @@ so the threshold is 32 amplitudes.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +109,11 @@ _GATE_BLOCK = 4
 _BATCH_MAX_DIM = 32
 #: Complex entries per chunk of step matrices (1 MiB), so memory does not grow with m.
 _BATCH_ELEMENTS = 1 << 16
+
+#: auto_substeps: substeps per period of the fastest RF drive, and the
+#: largest spin phase (rad) the strongest field may advance in one substep.
+_RF_SAMPLES_PER_PERIOD = 64
+_MAX_PHASE_PER_STEP = 0.1
 
 
 @dataclass
@@ -138,34 +146,6 @@ class KernelCounters:
 
 
 counters = KernelCounters()
-
-
-def worker_count() -> int:
-    """Validated value of SPINSIM_THREADS (0 when unset).
-
-    Every kernel runs as whole-array numpy operations in the calling thread,
-    so the value changes nothing; it is still parsed so that a malformed
-    setting is reported as a usage error instead of silently ignored.
-    """
-    raw = os.environ.get("SPINSIM_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"SPINSIM_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ValueError(f"SPINSIM_THREADS must be >= 0, got {n}")
-    return n
-
-
-@dataclass
-class _AxisTerms:
-    pairs: list
-    static: list
-    rf: list
-
-    @property
-    def active(self) -> bool:
-        return bool(self.pairs or self.static or self.rf)
 
 
 class SpinModel:
@@ -243,31 +223,6 @@ class SpinModel:
         """Number of pairs j < k with a nonzero coupling on this axis."""
         a = check_axis(axis)
         return int(np.count_nonzero(np.triu(self.coupling[:, :, a], 1)))
-
-    def axis_terms(self) -> tuple:
-        """Precompute per-axis term lists for the diagonal sweeps (x, y, z)."""
-        out = []
-        for a in range(3):
-            pairs = [
-                (j, k, float(self.coupling[j, k, a]))
-                for j in range(self.L)
-                for k in range(j + 1, self.L)
-                if self.coupling[j, k, a] != 0.0
-            ]
-            static = [
-                (j, float(self.static_field[j, a]))
-                for j in range(self.L)
-                if self.static_field[j, a] != 0.0
-            ]
-            groups: dict = {}
-            for j in range(self.L):
-                h1 = float(self.rf_amp[j, a])
-                if h1 != 0.0:
-                    key = (float(self.rf_freq[j, a]), float(self.rf_phase[j, a]))
-                    groups.setdefault(key, []).append((j, h1))
-            rf = [(f, phi, members) for (f, phi), members in groups.items()]
-            out.append(_AxisTerms(pairs=pairs, static=static, rf=rf))
-        return tuple(out)
 
 
 @dataclass
@@ -367,41 +322,38 @@ def _axis_phase(L: int, coupling: np.ndarray, field: np.ndarray) -> np.ndarray:
 
 
 class _CompiledSweep:
-    """One axis factor of a step, precomputed for a fixed theta.
+    """The factor of axis ``a`` of a step, loaded from the model and precomputed for a fixed theta.
 
     Without sinusoids the whole factor is one cached multiplier vector; with
-    them, the constant part and each drive's amplitude profile are cached and
+    them, the constant part and the amplitude profile of each drive group
+    (the driven qubits sharing one (f, phi), in qubit order) are cached and
     only the sine evaluations remain per substep. Counter increments report
     the logical per-sweep term visits (one per nonzero pair coupling and per
     driven/static qubit), which the caching only makes cheaper, not fewer.
     """
 
-    __slots__ = ("terms", "n_fields", "const_mult", "base_arg", "groups")
+    __slots__ = ("active", "n_pairs", "n_fields", "const_mult", "base_arg", "groups")
 
-    def __init__(self, terms: _AxisTerms, theta: float, L: int):
-        self.terms = terms
-        qubits = {j0 for j0, _ in terms.static}
-        for _, _, members in terms.rf:
-            qubits.update(j0 for j0, _ in members)
-        self.n_fields = len(qubits)
+    def __init__(self, model: SpinModel, a: int, theta: float):
+        L = model.L
+        coupling = model.coupling[:, :, a]
+        static = model.static_field[:, a]
+        amp = model.rf_amp[:, a]
+        self.n_pairs = int(np.count_nonzero(coupling)) // 2  # symmetric, zero diagonal
+        self.n_fields = int(np.count_nonzero((static != 0.0) | (amp != 0.0)))
+        self.active = bool(self.n_pairs or self.n_fields)
         self.const_mult = None
         self.base_arg = None
         self.groups = []
-        if not terms.active:
+        if not self.active:
             return
-        coupling = np.zeros((L, L))
-        for j0, k0, cjk in terms.pairs:
-            coupling[j0, k0] = coupling[k0, j0] = theta * cjk
-        field = np.zeros(L)
-        for j0, h in terms.static:
-            field[j0] = theta * h
-        base = _axis_phase(L, coupling, field)
+        base = _axis_phase(L, theta * coupling, theta * static)
+        fields: dict = {}
+        for j in np.flatnonzero(amp):
+            key = (float(model.rf_freq[j, a]), float(model.rf_phase[j, a]))
+            fields.setdefault(key, np.zeros(L))[j] = theta * amp[j]
         uncoupled = np.zeros((L, L))
-        for f, phi, members in terms.rf:
-            field = np.zeros(L)
-            for j0, h1 in members:
-                field[j0] = theta * h1
-            self.groups.append((f, phi, _axis_phase(L, uncoupled, field)))
+        self.groups = [(f, phi, _axis_phase(L, uncoupled, field)) for (f, phi), field in fields.items()]
         if self.groups:
             self.base_arg = base
         else:
@@ -416,9 +368,9 @@ class _CompiledSweep:
         """
         visits = np.size(t_mid)
         counters.diagonal_sweeps += visits
-        if not self.terms.active:
+        if not self.active:
             return
-        counters.pair_terms += visits * len(self.terms.pairs)
+        counters.pair_terms += visits * self.n_pairs
         counters.field_terms += visits * self.n_fields
         if self.const_mult is not None:
             amp *= self.const_mult
@@ -432,15 +384,13 @@ class _CompiledSweep:
 
 
 def apply_diagonal_factor(
-    state: StateVector, model: SpinModel, axis: str, delta: float, t_mid: float, half: bool = False
+    state: StateVector, model: SpinModel, axis: str, delta: float, t_mid: float
 ) -> StateVector:
     """Apply one diagonal (z-form) factor loaded with the given axis's parameters.
 
-    theta is delta/2 when ``half`` is set, else delta. Pure phase; the norm is
-    untouched.
+    Pure phase; the norm is untouched.
     """
-    terms = model.axis_terms()[check_axis(axis)]
-    _CompiledSweep(terms, 0.5 * delta if half else delta, state.L).apply(state.amp, t_mid)
+    _CompiledSweep(model, check_axis(axis), delta).apply(state.amp, t_mid)
     return state
 
 
@@ -484,16 +434,11 @@ def _global_gate(amp: np.ndarray, powers: list, visits: int) -> None:
         amp[...] = src
 
 
-def global_half_pi_rotation(state, axis: str, inverse: bool = False, visits: int = 1):
-    """Rotate every spin by a quarter turn about x or y (or undo it), in place.
-
-    ``state`` is a StateVector or an amplitude array whose last axis is the
-    register; a batch counts as ``visits`` logical rotations.
-    """
+def global_half_pi_rotation(state: StateVector, axis: str, inverse: bool = False) -> StateVector:
+    """Rotate every spin by a quarter turn about x or y (or undo it), in place."""
     if axis not in _ROT:
         raise ValueError(f"rotation axis must be 'x' or 'y', got {axis!r}")
-    amp = state.amp if isinstance(state, StateVector) else state
-    _global_gate(amp, _kron_powers(_ROT[axis][inverse]), visits)
+    _global_gate(state.amp, _kron_powers(_ROT[axis][inverse]), 1)
     return state
 
 
@@ -504,45 +449,27 @@ class _StepProgram:
     program and ``evolve_eo`` reuses one program for every substep, on the
     state itself or on a stack of step matrices (see ``_CompiledSweep.apply``
     for the operand and time shapes). ``ops`` lists the sweeps and the fused
-    global gates in application order.
+    global gates in application order, one of the four layouts in the module
+    docstring.
     """
 
     __slots__ = ("dim", "ops")
 
-    def __init__(self, terms: tuple, delta: float, L: int):
-        tx, ty, tz = terms
-        self.dim = 1 << L
-        x = _CompiledSweep(tx, delta, L)
-        y = _CompiledSweep(ty, 0.5 * delta, L)
-        z = _CompiledSweep(tz, 0.5 * delta, L)
-        self.ops: list = []
-        for sweep, rot_axis in ((z, None), (y, "x"), (x, "y"), (y, "x"), (z, None)):
-            if rot_axis is not None and sweep.terms.active:
-                self._push_gate(rot_axis, True)
-                self.ops.append(sweep)
-                self._push_gate(rot_axis, False)
-            elif not sweep.terms.active and self.ops and not isinstance(self.ops[-1], _CompiledSweep):
-                # an inactive sweep is the identity: slip it under the last
-                # gate so that the next gate can fuse with it
-                self.ops.insert(-1, sweep)
-            else:
-                self.ops.append(sweep)
-        self.ops = [op if isinstance(op, _CompiledSweep) else _kron_powers(op[0]) for op in self.ops]
-
-    def _push_gate(self, axis: str, inverse: bool) -> None:
-        """Append a quarter turn, fusing it with a gate that ends the list.
-
-        Entries are (g, key): key is (axis, inverse) for a plain quarter turn
-        and None for a product. A turn meeting its own inverse is removed
-        exactly; any other adjacent pair becomes the one gate g2 @ g1.
-        """
-        g = _ROT[axis][inverse]
-        if not self.ops or isinstance(self.ops[-1], _CompiledSweep):
-            self.ops.append((g, (axis, inverse)))
-            return
-        prev, key = self.ops.pop()
-        if key != (axis, not inverse):
-            self.ops.append((g @ prev, None))
+    def __init__(self, model: SpinModel, delta: float):
+        self.dim = 1 << model.L
+        x = _CompiledSweep(model, 0, delta)
+        y = _CompiledSweep(model, 1, 0.5 * delta)
+        z = _CompiledSweep(model, 2, 0.5 * delta)
+        (rx, rx_inv), (ry, ry_inv) = _ROT["x"], _ROT["y"]
+        if x.active and y.active:
+            ops = [z, rx_inv, y, ry_inv @ rx, x, rx_inv @ ry, y, rx, z]
+        elif y.active:
+            ops = [z, rx_inv, y, x, y, rx, z]
+        elif x.active:
+            ops = [z, y, ry_inv, x, ry, y, z]
+        else:
+            ops = [z, y, x, y, z]
+        self.ops = [op if isinstance(op, _CompiledSweep) else _kron_powers(op) for op in ops]
 
     def apply(self, amp: np.ndarray, t_mid) -> None:
         visits = np.size(t_mid)
@@ -573,21 +500,17 @@ def symmetrized_step(state: StateVector, model: SpinModel, delta: float, t: floa
         raise ValueError(f"step length must be > 0, got {delta}")
     if model.L != state.L:
         raise ValueError(f"model has L={model.L} but state has L={state.L}")
-    _StepProgram(model.axis_terms(), delta, state.L).apply(state.amp, t + 0.5 * delta)
+    _StepProgram(model, delta).apply(state.amp, t + 0.5 * delta)
     return state
 
 
-def auto_substeps(
-    eo: ElementaryOperation,
-    rf_samples_per_period: int = 64,
-    max_phase_per_step: float = 0.1,
-) -> StepPlan:
+def auto_substeps(eo: ElementaryOperation) -> StepPlan:
     """Pick a substep count for which the results no longer depend on it.
 
     A constant Hamiltonian confined to a single axis is integrated exactly by
     one step. Otherwise the substep length is capped both at 1/64 of the
     fastest RF period and at the time over which the strongest field advances
-    a spin phase by 0.1 rad (both constants overridable).
+    a spin phase by 0.1 rad.
     """
     model = eo.model
     if eo.tau == 0.0:
@@ -602,13 +525,13 @@ def auto_substeps(
     bounds = []
     freqs = np.abs(model.rf_freq[model.rf_freq != 0.0])
     if freqs.size:
-        bounds.append(2.0 * math.pi / float(freqs.max()) / rf_samples_per_period)
+        bounds.append(2.0 * math.pi / float(freqs.max()) / _RF_SAMPLES_PER_PERIOD)
     h_scale = float(np.max(np.abs(model.static_field) + np.abs(model.rf_amp)))
     if h_scale > 0.0:
-        bounds.append(max_phase_per_step / h_scale)
+        bounds.append(_MAX_PHASE_PER_STEP / h_scale)
     if not bounds:
         # constant multi-axis coupling-only model: bound the phase per step by J
-        bounds.append(max_phase_per_step / float(np.max(np.abs(model.coupling))))
+        bounds.append(_MAX_PHASE_PER_STEP / float(np.max(np.abs(model.coupling))))
     m = max(1, math.ceil(eo.tau / min(bounds) - 1e-9))
     return StepPlan(m, eo.tau)
 
@@ -636,9 +559,8 @@ def evolve_eo(
         plan = auto_substeps(eo)
     if eo.tau == 0.0:
         return state, t0
-    terms = eo.model.axis_terms()
     delta = eo.tau / plan.m
-    prog = _StepProgram(terms, delta, state.L)
+    prog = _StepProgram(eo.model, delta)
     amp = state.amp
     if state.dim > _BATCH_MAX_DIM:
         for n in range(plan.m):
@@ -661,15 +583,13 @@ def run_sequence(
     seq: PulseSequence,
     sample_every: int | None = None,
     plans: list | None = None,
-    on_sample=None,
 ) -> tuple:
     """Execute a sequence on a continuous clock; returns (final state, samples).
 
     The input state is not modified. Observables are recorded at the initial
     point, after every ``sample_every``-th substep, at each operation boundary
     and at the final point. When ``sample_every`` is None each operation is
-    sampled about 200 times (once per substep if it has fewer). ``on_sample``
-    is called with each TrajectorySample as it is recorded.
+    sampled about 200 times (once per substep if it has fewer).
     """
     for eo in seq.eos:
         if eo.model.L != state.L:
@@ -680,10 +600,7 @@ def run_sequence(
     samples: list = []
 
     def record(step: int, eo_index: int, t_now: float) -> None:
-        smp = TrajectorySample(step=step, eo_index=eo_index, obs=out.observables(t=t_now))
-        samples.append(smp)
-        if on_sample is not None:
-            on_sample(smp)
+        samples.append(TrajectorySample(step=step, eo_index=eo_index, obs=out.observables(t=t_now)))
 
     t = seq.t0
     record(0, 0, t)

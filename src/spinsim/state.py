@@ -21,8 +21,8 @@ Spin operators are S^a = sigma^a / 2, so every expectation value lies in
 [-1/2, +1/2] and the qubit value of qubit j is Q_j = 1/2 - <S^z_j>.
 
 Mutation convention: methods that evolve the register (``apply_gate``,
-``rotate_frame``, ``phase_multiply``) act in place and return ``self``;
-use ``copy()`` first when the input must be kept.
+``rotate_frame``) act in place and return ``self``; use ``copy()`` first
+when the input must be kept.
 """
 
 from __future__ import annotations
@@ -146,26 +146,20 @@ class StateVector:
         view = self.amp.reshape(1 << (self.L - j), 2, 1 << (j - 1))
         return view[:, 0, :], view[:, 1, :]
 
-    def apply_gate(self, j: int, g: np.ndarray, check_unitary: bool = True) -> "StateVector":
+    def apply_gate(self, j: int, g: np.ndarray) -> "StateVector":
         """Apply a 2x2 unitary to qubit j, in place.
 
         Every amplitude pair (n0, n1) differing only in bit j-1 is multiplied
-        by g. Rejects non-unitary matrices when ``check_unitary`` is set.
+        by g. Rejects non-unitary matrices.
         """
         self._check_qubit(j)
         g = np.asarray(g, dtype=np.complex128)
         if g.shape != (2, 2):
             raise ValueError("gate must be a 2x2 matrix")
-        if check_unitary:
-            dev = float(np.max(np.abs(g.conj().T @ g - np.eye(2))))
-            if dev > 1e-12:
-                raise UnitarityError(f"gate is not unitary (max deviation {dev:.3e})")
+        dev = float(np.max(np.abs(g.conj().T @ g - np.eye(2))))
+        if dev > 1e-12:
+            raise UnitarityError(f"gate is not unitary (max deviation {dev:.3e})")
         gate_kernel(self.amp, j, g)
-        return self
-
-    def phase_multiply(self, phase: np.ndarray) -> "StateVector":
-        """Multiply amplitude n by exp(i*phase[n]), in place (diagonal unitary)."""
-        self.amp *= np.exp(1j * np.asarray(phase))
         return self
 
     def rotate_frame(self, t: float, omega) -> "StateVector":

@@ -1,9 +1,14 @@
 """Command-line interface tests: subcommands, exit codes, round trips."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spinsim
 from spinsim.cli import main
 from spinsim.experiments import run_grover
 
@@ -138,7 +143,35 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "[eo X1]" in out and "[sequence grover3_init21]" in out
 
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPINSIM_THREADS", "many")
-        assert main(["selftest"]) == 1
-        assert "SPINSIM_THREADS" in capsys.readouterr().err
+
+class TestBadInput:
+    """Bad values exit 1 with a one-line message from a real ``spinsim`` process, never a traceback."""
+
+    @staticmethod
+    def spinsim(*argv):
+        src = str(Path(spinsim.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        return subprocess.run([sys.executable, "-m", "spinsim.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    @staticmethod
+    def assert_usage_error(proc, fragment):
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and fragment in proc.stderr
+
+    @pytest.mark.parametrize("value", ["0", "-1", "30"])
+    def test_qubit_count_out_of_range(self, tmp_path, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"L = {value}\n[eo A]\ntau_over_2pi = 1\n[sequence s]\neos = A\n")
+        self.assert_usage_error(self.spinsim("run", "--config", str(cfg), "--sequence", "s"),
+                                "config error: line 1: L must be in 1..26")
+
+    def test_zero_sample_stride(self):
+        proc = self.spinsim("grover", "--hardware", "ideal", "--item", "0", "--sample-every", "0")
+        self.assert_usage_error(proc, "--sample-every must be a positive integer")
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tolerance(self, tol):
+        proc = self.spinsim("converge", "--hardware", "ideal", "--item", "0", "--tol", tol)
+        self.assert_usage_error(proc, "--tol must be a finite number >= 0")

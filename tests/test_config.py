@@ -84,6 +84,9 @@ class TestParsing:
             ("[eo A]\ntau_over_2pi = 1\nh1 y 1 = -inf", 3, "finite"),
             ("[run]\nsteps = 0", 2, ">= 1"),
             ("[run]\nsteps = -3", 2, ">= 1"),
+            ("L = 0", 1, r"in 1\.\.26"),
+            ("L = -1\n[eo A]\ntau_over_2pi = 1", 1, r"in 1\.\.26"),
+            ("# register\nL = 30", 2, r"in 1\.\.26"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):

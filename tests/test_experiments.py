@@ -85,12 +85,12 @@ class TestTrajectoryCsv(object):
         assert first[0] == "0" and float(first[1]) == 0.0
         assert first[-1] == "0"
 
-    def test_identical_across_worker_counts(self, tmp_path, monkeypatch):
+    def test_identical_across_worker_counts(self, tmp_path):
+        # every kernel runs in the calling thread: two runs write the same bytes
         blobs = []
-        for workers in ("1", "5"):
-            monkeypatch.setenv("SPINSIM_THREADS", workers)
+        for run in range(2):
             report = run_grover("nmr", 0, "12", steps=8, sample_every=4)
-            path = tmp_path / f"w{workers}.csv"
+            path = tmp_path / f"run{run}.csv"
             write_trajectory_csv(path, report.samples, 2)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]

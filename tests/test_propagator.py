@@ -81,14 +81,6 @@ class TestDiagonalFactor:
         # exp(+i*pi*h*s): up gains i, down gains -i
         assert np.allclose(s.amp * math.sqrt(2), [1j, 1j * (-1j)], atol=1e-12)
 
-    def test_half_flag(self):
-        m = SpinModel(1).set_static(1, "z", 0.3)
-        a = random_state(1, 4)
-        b = a.copy()
-        apply_diagonal_factor(a, m, "z", 0.5, 1.0, half=True)
-        apply_diagonal_factor(b, m, "z", 0.25, 1.0, half=False)
-        assert np.allclose(a.amp, b.amp, atol=1e-15)
-
     def test_sinusoid_uses_midpoint_argument(self):
         m = SpinModel(1).set_rf(1, "z", 0.4, 1.3, 0.2)
         s = StateVector(1)
@@ -96,6 +88,28 @@ class TestDiagonalFactor:
         apply_diagonal_factor(s, m, "z", 0.5, t_mid)
         h = 0.4 * math.sin(1.3 * t_mid + 0.2)
         assert s.amp[0] == pytest.approx(np.exp(1j * 0.5 * h * 0.5), abs=1e-15)
+
+    @pytest.mark.parametrize("L", [3, 4, 5, 6])
+    def test_z_sweep_matches_reference_diagonal(self, L):
+        # qubits 1 and 2 share one (f, phi) drive group; every other driven
+        # qubit has a frequency of its own
+        rng = np.random.default_rng(300 + L)
+        m = SpinModel(L)
+        for j in range(1, L + 1):
+            m.set_static(j, "z", rng.uniform(-1, 1))
+            for k in range(j + 1, L + 1):
+                if rng.random() < 0.6:
+                    m.set_coupling(j, k, "z", rng.uniform(-1, 1))
+        m.set_rf(1, "z", 0.3, 1.1, 0.4).set_rf(2, "z", -0.2, 1.1, 0.4)
+        for j in range(3, L + 1):
+            m.set_rf(j, "z", rng.uniform(-0.5, 0.5), 1.3 + 0.2 * j, rng.uniform(0, TWO_PI))
+        theta, t = 0.37, 2.9
+        h = hamiltonian(m, t)
+        assert np.array_equal(h, np.diag(np.diag(h)))
+        s = random_state(L, 310 + L)
+        expected = np.exp(-1j * theta * np.diag(h).real) * s.amp
+        apply_diagonal_factor(s, m, "z", theta, t)
+        assert np.max(np.abs(s.amp - expected)) < 1e-13
 
 
 class TestAxisPhase:
@@ -299,6 +313,41 @@ class TestSymmetrizedStep:
             assert 3.3 < a / b < 4.7
 
 
+class TestStepLayouts:
+    """One step for each (x active, y active) layout against the dense product of axis factors."""
+
+    @staticmethod
+    def axis_factor(model, a, theta, t):
+        # exp(-i theta H_a(t)), H_a from the model's parameters on axis a only
+        only = SpinModel(model.L)
+        for arr, src in ((only.coupling, model.coupling), (only.static_field, model.static_field),
+                         (only.rf_amp, model.rf_amp), (only.rf_freq, model.rf_freq),
+                         (only.rf_phase, model.rf_phase)):
+            arr[..., a] = src[..., a]
+        w, v = np.linalg.eigh(hamiltonian(only, t))
+        return v @ np.diag(np.exp(-1j * theta * w)) @ v.conj().T
+
+    @pytest.mark.parametrize("x_active, y_active, passes", [
+        (True, True, 4), (False, True, 2), (True, False, 2), (False, False, 0),
+    ])
+    def test_step_is_the_symmetric_product(self, x_active, y_active, passes):
+        L = 3
+        model = random_driven_model(L, 400 + 2 * x_active + y_active)
+        for a, active in ((0, x_active), (1, y_active)):
+            if not active:
+                model.coupling[..., a] = model.static_field[..., a] = model.rf_amp[..., a] = 0.0
+        delta, t = 0.23, 1.4
+        t_mid = t + delta / 2
+        ez, ey = (self.axis_factor(model, a, delta / 2, t_mid) for a in (2, 1))
+        product = ez @ ey @ self.axis_factor(model, 0, delta, t_mid) @ ey @ ez
+        s = random_state(L, 410)
+        expected = product @ s.amp
+        counters.reset()
+        symmetrized_step(s, model, delta, t)
+        assert np.max(np.abs(s.amp - expected)) < 1e-12
+        assert counters.global_rotations == passes
+
+
 class TestInstrumentation:
     def test_counts_for_fully_active_model(self):
         m = random_two_spin_model(3)
@@ -499,27 +548,12 @@ class TestBatchedSteps:
         seen = self.run(s, ElementaryOperation("idle", random_driven_model(3, 63), 0.0), 1)
         assert seen == [] and np.array_equal(s.amp, ref)
 
-    @pytest.mark.parametrize("L", [4, 5])
-    def test_second_order_on_both_sides_of_the_threshold(self, L):
-        # both step by matrices (up to 32 amplitudes); the in-place side,
-        # L=6 and 7, is in test_second_order_with_blocked_passes
-        model = random_driven_model(L, 70 + L)
-        tau = 0.6
-        psi0 = random_state(L, 80 + L)
-        exact = dense_propagator_composed(model, 0.0, tau, segment=0.2, tol=1e-8).mat @ psi0.amp
-        errors = []
-        for steps in (8, 16, 32):
-            s = psi0.copy()
-            evolve_eo(s, ElementaryOperation("e", model, tau), 0.0, plan=StepPlan(steps, tau))
-            errors.append(np.linalg.norm(s.amp - exact))
-        for a, b in zip(errors, errors[1:]):
-            assert 3.3 < a / b < 4.7
-
-    @pytest.mark.parametrize("L", [5, 6, 7])
+    @pytest.mark.parametrize("L", [4, 5, 6, 7])
     def test_second_order_with_blocked_passes(self, L):
-        # L=5 steps by matrices, L=6 and 7 in place, all through fused and
-        # blocked global passes: the error against the oracle drops 4x per
-        # doubling, and symmetrized_step gives what evolve_eo gives.
+        # L=4 and 5 step by matrices, L=6 and 7 in place (both sides of the
+        # 32-amplitude threshold), all through fused and blocked global
+        # passes: the error against the oracle drops 4x per doubling, and
+        # symmetrized_step gives what evolve_eo gives.
         # dense_propagator stops at L=6, so L=7 takes a constant model (all
         # pairs and static fields on every axis), exact by one
         # eigendecomposition of H.
@@ -593,8 +627,9 @@ class TestRunSequence:
 
 
 class TestDeterminism:
-    def test_partition_count_does_not_change_results(self, monkeypatch):
-        # bitwise identical amplitudes for any worker cap
+    def test_partition_count_does_not_change_results(self):
+        # every kernel is a whole-array pass in the calling thread: repeated
+        # runs give bitwise identical amplitudes
         m = SpinModel(13)
         m.set_coupling(1, 13, "z", 0.3).set_coupling(2, 7, "x", -0.2)
         for j in (1, 5, 13):
@@ -602,24 +637,21 @@ class TestDeterminism:
             m.set_rf(j, "x", 0.2, 1.1)
         eo = ElementaryOperation("wide", m, 0.5)
         results = []
-        for workers in ("1", "3", "8"):
-            monkeypatch.setenv("SPINSIM_THREADS", workers)
+        for _ in range(3):
             s = random_state(13, 22)
             evolve_eo(s, eo, 0.0, plan=StepPlan(4, 0.5))
             results.append(s.amp)
         assert np.array_equal(results[0], results[1])
         assert np.array_equal(results[0], results[2])
 
-    def test_chunked_sweep_matches_single_range(self, monkeypatch):
-        # SPINSIM_THREADS is validated but changes nothing: a diagonal sweep is
-        # one whole-array pass, bitwise the same for any value
+    def test_chunked_sweep_matches_single_range(self):
+        # a diagonal sweep is one whole-array pass, bitwise the same every time
         m = SpinModel(14)
         m.set_coupling(2, 11, "z", 0.4).set_coupling(3, 14, "z", -0.7)
         m.set_static(5, "z", 1.2)
         m.set_rf(9, "z", 0.3, 0.8, 0.1)
         results = []
-        for workers in ("1", "4", "16"):
-            monkeypatch.setenv("SPINSIM_THREADS", workers)
+        for _ in range(3):
             s = random_state(14, 25)
             apply_diagonal_factor(s, m, "z", 0.37, 2.1)
             results.append(s.amp)
