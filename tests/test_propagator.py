@@ -548,6 +548,24 @@ class TestBatchedSteps:
         seen = self.run(s, ElementaryOperation("idle", random_driven_model(3, 63), 0.0), 1)
         assert seen == [] and np.array_equal(s.amp, ref)
 
+    @pytest.mark.parametrize("L", [5])
+    def test_second_order_on_both_sides_of_the_threshold(self, L):
+        # L=5 sits at the threshold: the largest register stepped by
+        # matrices. The error drops 4x per doubling; the in-place side
+        # (L=6, 7) is in test_second_order_with_blocked_passes.
+        assert 2**L == propagator._BATCH_MAX_DIM
+        model = random_driven_model(L, 70 + L)
+        tau = 0.6
+        psi0 = random_state(L, 80 + L)
+        exact = dense_propagator_composed(model, 0.0, tau, segment=0.2, tol=1e-8).mat @ psi0.amp
+        errors = []
+        for steps in (8, 16, 32):
+            s = psi0.copy()
+            evolve_eo(s, ElementaryOperation("e", model, tau), 0.0, plan=StepPlan(steps, tau))
+            errors.append(np.linalg.norm(s.amp - exact))
+        for a, b in zip(errors, errors[1:]):
+            assert 3.3 < a / b < 4.7
+
     @pytest.mark.parametrize("L", [4, 5, 6, 7])
     def test_second_order_with_blocked_passes(self, L):
         # L=4 and 5 step by matrices, L=6 and 7 in place (both sides of the
