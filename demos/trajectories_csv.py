@@ -17,11 +17,11 @@ for init, tag in (("12", "stable"), ("21", "swapped")):
     report = run_grover("nmr", 0, init)
     path = os.path.join(OUT_DIR, f"nmr_item0_{tag}.csv")
     write_trajectory_csv(path, report.samples, 2)
-    q_path = [(s.obs.t, s.obs.q[0], s.obs.q[1]) for s in report.samples]
+    obs = report.samples.obs
     print(f"{tag} preparation: {len(report.samples)} samples -> {path}")
     print(f"  final Q = ({report.q[0]:.4f}, {report.q[1]:.4f})")
-    mid = q_path[len(q_path) // 3]
-    print(f"  a third of the way in: t = {mid[0]:.1f}, Q = ({mid[1]:.3f}, {mid[2]:.3f})")
+    mid = len(report.samples) // 3
+    print(f"  a third of the way in: t = {obs.t[mid]:.1f}, Q = ({obs.q[mid, 0]:.3f}, {obs.q[mid, 1]:.3f})")
 
 print("\ncolumns: step,t,norm,sx1,sy1,sz1,q1,sx2,sy2,sz2,q2,eo_index")
 print("The eo_index column groups rows by instruction so plots can rescale")

@@ -22,7 +22,7 @@ from .propagator import (
     PulseSequence,
     SpinModel,
     StepPlan,
-    TrajectorySample,
+    Trajectory,
     apply_diagonal_factor,
     auto_substeps,
     counters,

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .propagator import (
-    PulseSequence,
     StepPlan,
+    Trajectory,
     auto_substeps,
     evolve_eo,
     run_sequence,
@@ -69,7 +69,7 @@ class RunReport:
     wall_time: float
     substeps: int
     plans: list
-    samples: list
+    samples: Trajectory
     final_state: StateVector
     reference: tuple | None = None
     deviations: tuple | None = None
@@ -94,17 +94,6 @@ class RunReport:
         return out
 
 
-def _plans_for(seq: PulseSequence, steps, m_multiplier: int = 1) -> list:
-    plans = []
-    for eo in seq.eos:
-        if steps == "auto" or steps is None:
-            base = auto_substeps(eo)
-        else:
-            base = StepPlan(int(steps), eo.tau)
-        plans.append(StepPlan(base.m * m_multiplier, eo.tau) if m_multiplier != 1 else base)
-    return plans
-
-
 def run_grover(
     hardware: str,
     item: int,
@@ -124,7 +113,10 @@ def run_grover(
     """
     profile = make_profile(hardware)
     prog = grover_program(item, profile, init_order)
-    plans = _plans_for(prog.seq, steps, m_multiplier)
+    auto = steps in ("auto", None)
+    plans = [auto_substeps(eo) if auto else StepPlan(int(steps), eo.tau) for eo in prog.seq.eos]
+    if m_multiplier != 1:
+        plans = [StepPlan(p.m * m_multiplier, p.tau) for p in plans]
     start = time.perf_counter()
     final, samples = run_sequence(
         new_basis_state(2, [0, 0]), prog.seq, sample_every=sample_every, plans=plans
@@ -154,7 +146,7 @@ def run_grover(
     return report
 
 
-def _rotate_samples(samples, omega) -> None:
+def _rotate_samples(samples: Trajectory, omega) -> None:
     """Replace sampled sx/sy with their rotating-frame values.
 
     Sampling keeps observables rather than states, so the rotating-frame view
@@ -162,38 +154,26 @@ def _rotate_samples(samples, omega) -> None:
     rotates rigidly at each spin's static z frequency, while sz and the qubit
     values are frame independent.
     """
-    for smp in samples:
-        t = smp.obs.t
-        for j in range(len(smp.obs.sx)):
-            c = math.cos(omega[j] * t)
-            s = math.sin(omega[j] * t)
-            x, y = smp.obs.sx[j], smp.obs.sy[j]
-            # the lab vector precesses clockwise under a +z static field, so
-            # the co-rotating view turns it back counterclockwise
-            smp.obs.sx[j] = c * x - s * y
-            smp.obs.sy[j] = s * x + c * y
+    obs = samples.obs
+    angle = np.multiply.outer(obs.t, omega)
+    c, s = np.cos(angle), np.sin(angle)
+    # the lab vector precesses clockwise under a +z static field, so the
+    # co-rotating view turns it back counterclockwise
+    obs.sx, obs.sy = c * obs.sx - s * obs.sy, s * obs.sx + c * obs.sy
 
 
-def write_trajectory_csv(path, samples, L: int) -> None:
+def write_trajectory_csv(path, samples: Trajectory, L: int) -> None:
     """CSV schema: step,t,norm,sx1,sy1,sz1,q1,...,sxL,syL,szL,qL,eo_index.
 
     Values carry 12 significant digits; identical inputs produce byte
     identical files.
     """
-    cols = []
-    for j in range(1, L + 1):
-        cols += [f"sx{j}", f"sy{j}", f"sz{j}", f"q{j}"]
-    header = "step,t,norm," + ",".join(cols) + ",eo_index"
-    lines = [header]
-    for smp in samples:
-        o = smp.obs
-        vals = []
-        for j in range(L):
-            vals += [o.sx[j], o.sy[j], o.sz[j], o.q[j]]
-        body = ",".join(f"{v:.12g}" for v in vals)
-        lines.append(f"{smp.step},{o.t:.12g},{o.norm:.12g},{body},{smp.eo_index}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = "step,t,norm," + "".join(f"sx{j},sy{j},sz{j},q{j}," for j in range(1, L + 1)) + "eo_index"
+    o = samples.obs
+    per_qubit = np.stack([o.sx, o.sy, o.sz, o.q], axis=-1).reshape(len(samples), 4 * L)
+    table = np.column_stack([samples.step, o.t, o.norm, per_qubit, samples.eo_index])
+    fmt = ["%d"] + ["%.12g"] * (4 * L + 2) + ["%d"]
+    np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, comments="")
 
 
 class ConvergenceFailure(RuntimeError):

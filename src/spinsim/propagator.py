@@ -90,7 +90,7 @@ so the threshold is 32 amplitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -111,7 +111,7 @@ _BATCH_MAX_DIM = 32
 _BATCH_ELEMENTS = 1 << 16
 
 #: auto_substeps: substeps per period of the fastest RF drive, and the
-#: largest spin phase (rad) the strongest field may advance in one substep.
+#: largest phase (rad) the strongest field or coupling may advance in one substep.
 _RF_SAMPLES_PER_PERIOD = 64
 _MAX_PHASE_PER_STEP = 0.1
 
@@ -219,11 +219,6 @@ class SpinModel:
         if np.any(np.diagonal(self.coupling, axis1=0, axis2=1) != 0.0):
             raise ValueError("diagonal couplings must be zero")
 
-    def pair_count(self, axis: str) -> int:
-        """Number of pairs j < k with a nonzero coupling on this axis."""
-        a = check_axis(axis)
-        return int(np.count_nonzero(np.triu(self.coupling[:, :, a], 1)))
-
 
 @dataclass
 class ElementaryOperation:
@@ -288,12 +283,16 @@ class StepPlan:
 
 
 @dataclass
-class TrajectorySample:
-    """One recorded point of a sequence run."""
+class Trajectory:
+    """The k samples of a sequence run: global substep count, operation index
+    and observables, each with a leading axis of length k."""
 
-    step: int
-    eo_index: int
+    step: np.ndarray
+    eo_index: np.ndarray
     obs: Observables
+
+    def __len__(self) -> int:
+        return len(self.step)
 
 
 def _axis_phase(L: int, coupling: np.ndarray, field: np.ndarray) -> np.ndarray:
@@ -395,14 +394,22 @@ def apply_diagonal_factor(
 
 
 def _kron_powers(g: np.ndarray) -> list:
-    """Block matrices of a global pass of g: [g, g (x) g, ...], _GATE_BLOCK of them.
-
-    The step program builds them once per gate, not once per pass.
-    """
+    """Block matrices of a global pass of g: [g, g (x) g, ...], _GATE_BLOCK of them."""
     powers = [g]
     while len(powers) < _GATE_BLOCK:
         powers.append(np.kron(powers[-1], g))
     return powers
+
+
+#: Block matrices of the six gates a global pass ever applies: the four
+#: quarter-turns and the two fused pairs of the fully active layout.
+_PASS = {
+    name: _kron_powers(g)
+    for name, g in zip(
+        ("Rx", "Rx+", "Ry", "Ry+", "Ry+Rx", "Rx+Ry"),
+        (*_ROT["x"], *_ROT["y"], _ROT["y"][1] @ _ROT["x"][0], _ROT["x"][1] @ _ROT["y"][0]),
+    )
+}
 
 
 def _global_gate(amp: np.ndarray, powers: list, visits: int) -> None:
@@ -438,7 +445,7 @@ def global_half_pi_rotation(state: StateVector, axis: str, inverse: bool = False
     """Rotate every spin by a quarter turn about x or y (or undo it), in place."""
     if axis not in _ROT:
         raise ValueError(f"rotation axis must be 'x' or 'y', got {axis!r}")
-    _global_gate(state.amp, _kron_powers(_ROT[axis][inverse]), 1)
+    _global_gate(state.amp, _PASS[f"R{axis}+" if inverse else f"R{axis}"], 1)
     return state
 
 
@@ -460,16 +467,14 @@ class _StepProgram:
         x = _CompiledSweep(model, 0, delta)
         y = _CompiledSweep(model, 1, 0.5 * delta)
         z = _CompiledSweep(model, 2, 0.5 * delta)
-        (rx, rx_inv), (ry, ry_inv) = _ROT["x"], _ROT["y"]
         if x.active and y.active:
-            ops = [z, rx_inv, y, ry_inv @ rx, x, rx_inv @ ry, y, rx, z]
+            self.ops = [z, _PASS["Rx+"], y, _PASS["Ry+Rx"], x, _PASS["Rx+Ry"], y, _PASS["Rx"], z]
         elif y.active:
-            ops = [z, rx_inv, y, x, y, rx, z]
+            self.ops = [z, _PASS["Rx+"], y, x, y, _PASS["Rx"], z]
         elif x.active:
-            ops = [z, y, ry_inv, x, ry, y, z]
+            self.ops = [z, y, _PASS["Ry+"], x, _PASS["Ry"], y, z]
         else:
-            ops = [z, y, x, y, z]
-        self.ops = [op if isinstance(op, _CompiledSweep) else _kron_powers(op) for op in ops]
+            self.ops = [z, y, x, y, z]
 
     def apply(self, amp: np.ndarray, t_mid) -> None:
         visits = np.size(t_mid)
@@ -508,9 +513,9 @@ def auto_substeps(eo: ElementaryOperation) -> StepPlan:
     """Pick a substep count for which the results no longer depend on it.
 
     A constant Hamiltonian confined to a single axis is integrated exactly by
-    one step. Otherwise the substep length is capped both at 1/64 of the
-    fastest RF period and at the time over which the strongest field advances
-    a spin phase by 0.1 rad.
+    one step. Otherwise the substep length is capped at 1/64 of the fastest
+    RF period, and at the times over which the strongest field and the
+    strongest coupling each advance a phase by 0.1 rad.
     """
     model = eo.model
     if eo.tau == 0.0:
@@ -529,9 +534,9 @@ def auto_substeps(eo: ElementaryOperation) -> StepPlan:
     h_scale = float(np.max(np.abs(model.static_field) + np.abs(model.rf_amp)))
     if h_scale > 0.0:
         bounds.append(_MAX_PHASE_PER_STEP / h_scale)
-    if not bounds:
-        # constant multi-axis coupling-only model: bound the phase per step by J
-        bounds.append(_MAX_PHASE_PER_STEP / float(np.max(np.abs(model.coupling))))
+    j_scale = float(np.max(np.abs(model.coupling)))
+    if j_scale > 0.0:
+        bounds.append(_MAX_PHASE_PER_STEP / j_scale)
     m = max(1, math.ceil(eo.tau / min(bounds) - 1e-9))
     return StepPlan(m, eo.tau)
 
@@ -541,41 +546,46 @@ def evolve_eo(
     eo: ElementaryOperation,
     t0: float,
     plan: StepPlan | None = None,
-    substep_hook=None,
+    sample_at=(),
 ) -> tuple:
-    """Run one operation starting at global time t0; returns (state, t0 + tau).
+    """Run one operation starting at global time t0; returns (state, samples).
 
     The state is evolved in place through plan.m symmetrized steps. Sinusoid
     arguments use the operation-local midpoint times (n + 1/2) * delta, so the
-    result does not depend on t0; ``substep_hook(n, t_end)`` is called after
-    each substep, with the state advanced through it, and receives the global
-    end time of that substep for sampling. Registers of up to 32 amplitudes
-    build the step matrices of a chunk of substeps in one batched pass and
-    apply them one by one; larger ones are stepped in place.
+    state does not depend on t0. ``samples`` holds
+    ``state.observables(t0 + n * delta)`` taken right after substep n, for
+    each n in ``sample_at``, which must increase strictly within 1..m; a zero
+    duration takes no substeps and returns no samples. Registers of up to 32
+    amplitudes build the step matrices of a chunk of substeps in one batched
+    pass and apply them one by one; larger ones are stepped in place.
     """
     if eo.model.L != state.L:
         raise ValueError(f"operation has L={eo.model.L} but state has L={state.L}")
     if plan is None:
         plan = auto_substeps(eo)
+    wanted = set(sample_at)
+    if list(sample_at) != sorted(n for n in wanted if 1 <= n <= plan.m):
+        raise ValueError(f"sample_at must be strictly increasing substep numbers in 1..{plan.m}")
+    samples: list = []
     if eo.tau == 0.0:
-        return state, t0
+        return state, samples
     delta = eo.tau / plan.m
     prog = _StepProgram(eo.model, delta)
     amp = state.amp
     if state.dim > _BATCH_MAX_DIM:
         for n in range(plan.m):
             prog.apply(amp, (n + 0.5) * delta)
-            if substep_hook is not None:
-                substep_hook(n, t0 + (n + 1) * delta)
-        return state, t0 + eo.tau
+            if n + 1 in wanted:
+                samples.append(state.observables(t0 + (n + 1) * delta))
+        return state, samples
     chunk = _BATCH_ELEMENTS // (state.dim * state.dim)
     for lo in range(0, plan.m, chunk):
         steps = prog.step_matrices((np.arange(lo, min(lo + chunk, plan.m)) + 0.5) * delta)
         for n, step in enumerate(steps, lo):
             amp[:] = amp @ step
-            if substep_hook is not None:
-                substep_hook(n, t0 + (n + 1) * delta)
-    return state, t0 + eo.tau
+            if n + 1 in wanted:
+                samples.append(state.observables(t0 + (n + 1) * delta))
+    return state, samples
 
 
 def run_sequence(
@@ -584,7 +594,7 @@ def run_sequence(
     sample_every: int | None = None,
     plans: list | None = None,
 ) -> tuple:
-    """Execute a sequence on a continuous clock; returns (final state, samples).
+    """Execute a sequence on a continuous clock; returns (final state, Trajectory).
 
     The input state is not modified. Observables are recorded at the initial
     point, after every ``sample_every``-th substep, at each operation boundary
@@ -597,27 +607,18 @@ def run_sequence(
     if sample_every is not None and sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     out = state.copy()
-    samples: list = []
-
-    def record(step: int, eo_index: int, t_now: float) -> None:
-        samples.append(TrajectorySample(step=step, eo_index=eo_index, obs=out.observables(t=t_now)))
-
+    samples = [out.observables(t=seq.t0)]
+    step, eo_index = [0], [0]
     t = seq.t0
-    record(0, 0, t)
-    gstep = 0
     for i, eo in enumerate(seq.eos):
         plan = plans[i] if plans is not None else auto_substeps(eo)
         if eo.tau == 0.0:
             continue
         stride = sample_every if sample_every is not None else max(1, round(plan.m / 200))
-        base = gstep
-
-        def hook(n, t_end, _i=i, _stride=stride, _m=plan.m, _base=base):
-            nonlocal gstep
-            gstep = _base + n + 1
-            if (n + 1) % _stride == 0 or (n + 1) == _m:
-                record(gstep, _i, t_end)
-
-        evolve_eo(out, eo, t, plan=plan, substep_hook=hook)
+        at = list(range(stride, plan.m, stride)) + [plan.m]
+        samples += evolve_eo(out, eo, t, plan=plan, sample_at=at)[1]
+        step += [step[-1] + n for n in at]  # step[-1] ended the previous operation
+        eo_index += [i] * len(at)
         t += eo.tau
-    return out, samples
+    obs = Observables(*(np.array([getattr(o, f.name) for o in samples]) for f in fields(Observables)))
+    return out, Trajectory(np.array(step), np.array(eo_index), obs)

@@ -54,25 +54,6 @@ def check_axis(axis: str) -> int:
         raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}") from None
 
 
-def gate_kernel(amp: np.ndarray, j: int, g: np.ndarray) -> None:
-    """Apply the 2x2 matrix g to qubit j of every register in ``amp``, in place.
-
-    The last axis of ``amp`` is the register (2**L amplitudes); any leading
-    axes are a batch. Every amplitude pair (n0, n1) differing only in bit j-1
-    is multiplied by g. Callers check j and g.
-    """
-    if not amp.flags.c_contiguous:  # the split on bit j-1 must be a view
-        raise ValueError("amplitude array must be C-contiguous")
-    view = amp.reshape(amp.shape[:-1] + (amp.shape[-1] >> j, 2, 1 << (j - 1)))
-    a0 = view[..., 0, :]
-    a1 = view[..., 1, :]
-    t0 = a0.copy()
-    a0 *= g[0, 0]
-    a0 += g[0, 1] * a1
-    a1 *= g[1, 1]
-    a1 += g[1, 0] * t0
-
-
 def spin_z_values(L: int, j: int) -> np.ndarray:
     """S^z eigenvalue of qubit j for every basis index: +1/2 (up) or -1/2 (down)."""
     idx = np.arange(1 << L, dtype=np.int64)
@@ -84,7 +65,9 @@ class Observables:
     """Per-qubit spin expectations and qubit values at one instant.
 
     q[j-1] = 1/2 - sz[j-1] for every qubit j; all expectations are in
-    spin units (range [-1/2, +1/2]); norm is the register's 2-norm.
+    spin units (range [-1/2, +1/2]); norm is the register's 2-norm. In a
+    ``Trajectory`` every field carries a leading sample axis: t and norm
+    have shape (k,), the per-qubit fields (k, L).
     """
 
     sx: np.ndarray
@@ -159,7 +142,14 @@ class StateVector:
         dev = float(np.max(np.abs(g.conj().T @ g - np.eye(2))))
         if dev > 1e-12:
             raise UnitarityError(f"gate is not unitary (max deviation {dev:.3e})")
-        gate_kernel(self.amp, j, g)
+        if not self.amp.flags.c_contiguous:  # the split on bit j-1 must be a view
+            raise ValueError("amplitude array must be C-contiguous")
+        a0, a1 = self._bit_views(j)
+        t0 = a0.copy()
+        a0 *= g[0, 0]
+        a0 += g[0, 1] * a1
+        a1 *= g[1, 1]
+        a1 += g[1, 0] * t0
         return self
 
     def rotate_frame(self, t: float, omega) -> "StateVector":

@@ -360,7 +360,8 @@ class TestInstrumentation:
         assert counters.global_rotations == 4
         assert counters.gate_kernel_calls == 4 * 2
         # every nonzero pair coupling visited once per sweep of its axis
-        assert counters.pair_terms == 2 * m.pair_count("z") + 2 * m.pair_count("y") + m.pair_count("x")
+        pairs = [np.count_nonzero(np.triu(m.coupling[:, :, a], 1)) for a in range(3)]
+        assert counters.pair_terms == 2 * pairs[2] + 2 * pairs[1] + pairs[0]
 
     @pytest.mark.parametrize("with_rf", [True, False])
     def test_evolve_eo_counts_m_logical_steps(self, with_rf):
@@ -425,6 +426,21 @@ class TestStepPlans:
         plan = auto_substeps(ElementaryOperation("heis", m, 4.0))
         assert plan.m == 20  # 0.1 rad per step at J = 0.5
 
+    def test_couplings_bound_the_step_when_a_field_is_set(self):
+        # strong x and z couplings on every pair plus one weak field: the
+        # field bound alone would allow one step for the whole instruction
+        rng = np.random.default_rng(31)
+        m = SpinModel(3).set_static(1, "z", 0.01)
+        for j, k in ((1, 2), (1, 3), (2, 3)):
+            m.set_coupling(j, k, "x", rng.uniform(4, 5)).set_coupling(j, k, "z", rng.uniform(-5, -4))
+        eo = ElementaryOperation("strong", m, 2.0)
+        plan = auto_substeps(eo)
+        assert plan.m >= 100
+        s = random_state(3, 32)
+        exact = dense_propagator(m, 0.0, eo.tau).mat @ s.amp
+        evolve_eo(s, eo, 0.0, plan=plan)
+        assert np.max(np.abs(s.amp - exact)) < 1e-3
+
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             StepPlan(0, 1.0)
@@ -439,8 +455,8 @@ class TestEvolveEo:
     def test_zero_duration_identity(self):
         s = random_state(2, 9)
         ref = s.amp.copy()
-        out, t1 = evolve_eo(s, ElementaryOperation("idle", SpinModel(2), 0.0), 5.0)
-        assert t1 == 5.0
+        out, samples = evolve_eo(s, ElementaryOperation("idle", SpinModel(2), 0.0), 5.0)
+        assert samples == []
         assert np.array_equal(out.amp, ref)
 
     def test_conditional_evolution_phases(self):
@@ -471,10 +487,32 @@ class TestEvolveEo:
         eo = ElementaryOperation("rf", m, 1.6)
         a = random_state(2, 13)
         b = a.copy()
-        _, ta = evolve_eo(a, eo, 0.0, plan=StepPlan(64, eo.tau))
-        _, tb = evolve_eo(b, eo, 1234.5, plan=StepPlan(64, eo.tau))
+        _, [sa] = evolve_eo(a, eo, 0.0, plan=StepPlan(64, eo.tau), sample_at=[64])
+        _, [sb] = evolve_eo(b, eo, 1234.5, plan=StepPlan(64, eo.tau), sample_at=[64])
         assert np.array_equal(a.amp, b.amp)
-        assert ta == pytest.approx(1.6) and tb == pytest.approx(1236.1)
+        assert sa.t == pytest.approx(1.6) and sb.t == pytest.approx(1236.1)
+
+    @pytest.mark.parametrize("sample_at", [[0], [5], [-1], [2, 2], [3, 1], [1, 4, 5]])
+    def test_sample_at_must_increase_within_the_plan(self, sample_at):
+        eo = ElementaryOperation("e", random_two_spin_model(14), 0.4)
+        with pytest.raises(ValueError, match="sample_at"):
+            evolve_eo(random_state(2, 15), eo, 0.0, plan=StepPlan(4, 0.4), sample_at=sample_at)
+
+    @pytest.mark.parametrize("L", [3, 6])  # batched and in place
+    def test_sample_equals_the_instruction_cut_to_n_substeps(self, L):
+        model = random_driven_model(L, 16 + L)
+        m, delta, t0 = 32, 0.03, 2.5
+        psi0 = random_state(L, 17 + L)
+        at = [1, 5, 17, 31, 32]
+        _, samples = evolve_eo(psi0.copy(), ElementaryOperation("e", model, m * delta), t0,
+                               plan=StepPlan(m, m * delta), sample_at=at)
+        assert len(samples) == len(at)
+        for n, obs in zip(at, samples):
+            cut, _ = evolve_eo(psi0.copy(), ElementaryOperation("e", model, n * delta), t0,
+                               plan=StepPlan(n, n * delta))
+            ref = cut.observables(t0 + n * delta)
+            for name in ("sx", "sy", "sz", "q", "norm", "t"):
+                assert np.max(np.abs(getattr(obs, name) - getattr(ref, name))) < 1e-12
 
     def test_split_continuity_without_rf(self):
         # for drive-free models all phases are duration-based, so one EO with
@@ -486,8 +524,8 @@ class TestEvolveEo:
         split = whole.copy()
         evolve_eo(whole, ElementaryOperation("c", m, tau), 10.0, plan=StepPlan(64, tau))
         half = ElementaryOperation("c", m, tau / 2)
-        _, t_mid = evolve_eo(split, half, 10.0, plan=StepPlan(32, tau / 2))
-        evolve_eo(split, half, t_mid, plan=StepPlan(32, tau / 2))
+        evolve_eo(split, half, 10.0, plan=StepPlan(32, tau / 2))
+        evolve_eo(split, half, 10.0 + tau / 2, plan=StepPlan(32, tau / 2))
         assert np.max(np.abs(whole.amp - split.amp)) < 1e-10
 
     def test_rf_drive_rotates_target_spin(self):
@@ -506,31 +544,33 @@ class TestBatchedSteps:
     """Registers of up to 32 amplitudes step by batched step matrices; both paths must agree."""
 
     @staticmethod
-    def run(state, eo, m, t0=0.0):
-        seen = []
-
-        def hook(n, t_end):
-            seen.append((n, t_end, state.amp.copy()))
-
-        evolve_eo(state, eo, t0, plan=StepPlan(m, eo.tau), substep_hook=hook)
-        return seen
+    def both_paths(monkeypatch, psi0, eo, m, sample_at=()):
+        """(state, samples) of the batched path and of the in-place path, from t0 = 3.5."""
+        batched = evolve_eo(psi0.copy(), eo, 3.5, plan=StepPlan(m, eo.tau), sample_at=sample_at)
+        with monkeypatch.context() as mp:
+            mp.setattr(propagator, "_BATCH_MAX_DIM", 1)  # in place at every size
+            in_place = evolve_eo(psi0.copy(), eo, 3.5, plan=StepPlan(m, eo.tau), sample_at=sample_at)
+        return batched, in_place
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
     def test_matches_in_place_path(self, L, monkeypatch):
         model = random_driven_model(L, 40 + L)
+        psi0 = random_state(L, 50 + L)
+        chunk = propagator._BATCH_ELEMENTS // 4**L
         for m in (1, 3, 293):  # at L=4, 293 is one full chunk of 256 plus 37
             eo = ElementaryOperation("e", model, 0.02 * m)
-            batched = random_state(L, 50 + L)
-            reference = batched.copy()
-            seen_batched = self.run(batched, eo, m, t0=3.5)
-            with monkeypatch.context() as mp:
-                mp.setattr(propagator, "_BATCH_MAX_DIM", 1)  # in place at every size
-                seen_reference = self.run(reference, eo, m, t0=3.5)
+            (batched, seen), (reference, seen_ref) = self.both_paths(monkeypatch, psi0, eo, m, range(1, m + 1))
             assert np.max(np.abs(batched.amp - reference.amp)) < 1e-12
-            assert len(seen_batched) == len(seen_reference) == m
-            for (n, t, amp), (n_ref, t_ref, amp_ref) in zip(seen_batched, seen_reference):
-                assert (n, t) == (n_ref, t_ref)
-                assert np.max(np.abs(amp - amp_ref)) < 1e-12
+            assert len(seen) == len(seen_ref) == m
+            for obs, ref in zip(seen, seen_ref):
+                for name in ("sx", "sy", "sz", "norm", "t"):
+                    assert np.max(np.abs(getattr(obs, name) - getattr(ref, name))) < 1e-12
+            # the amplitudes after n < m substeps are those of the instruction
+            # cut to n substeps, which has the same substep length and midpoints
+            for n in {1, 2, m - 1, chunk, chunk + 1} & set(range(1, m)):
+                cut = ElementaryOperation("e", model, n * (eo.tau / m))
+                (a, _), (b, _) = self.both_paths(monkeypatch, psi0, cut, n)
+                assert np.max(np.abs(a.amp - b.amp)) < 1e-12
 
     def test_small_chunks_match_one_chunk(self, monkeypatch):
         model = random_driven_model(2, 60)
@@ -542,11 +582,12 @@ class TestBatchedSteps:
         evolve_eo(chunked, eo, 0.0, plan=StepPlan(50, eo.tau))
         assert np.max(np.abs(whole.amp - chunked.amp)) < 1e-12
 
-    def test_zero_duration_never_calls_the_hook(self):
+    def test_zero_duration_returns_no_samples_and_leaves_the_state_untouched(self):
         s = random_state(3, 62)
         ref = s.amp.copy()
-        seen = self.run(s, ElementaryOperation("idle", random_driven_model(3, 63), 0.0), 1)
-        assert seen == [] and np.array_equal(s.amp, ref)
+        eo = ElementaryOperation("idle", random_driven_model(3, 63), 0.0)
+        _, samples = evolve_eo(s, eo, 0.0, plan=StepPlan(1, 0.0), sample_at=[1])
+        assert samples == [] and np.array_equal(s.amp, ref)
 
     @pytest.mark.parametrize("L", [5])
     def test_second_order_on_both_sides_of_the_threshold(self, L):
@@ -601,10 +642,10 @@ class TestBatchedSteps:
 class TestRunSequence:
     def test_empty_sequence(self):
         s = random_state(2, 14)
-        out, samples = run_sequence(s, PulseSequence([]))
+        out, traj = run_sequence(s, PulseSequence([]))
         assert np.array_equal(out.amp, s.amp)
-        assert len(samples) == 1
-        assert samples[0].step == 0
+        assert len(traj) == 1
+        assert traj.step[0] == 0
 
     def test_input_not_modified(self):
         m = SpinModel(2).set_static(1, "x", 1.0)
@@ -617,12 +658,30 @@ class TestRunSequence:
         m = SpinModel(1).set_static(1, "x", 1.0).set_rf(1, "z", 0.1, 1.0)
         eo = ElementaryOperation("drive", m, 1.0)
         plan = auto_substeps(eo)
-        _, samples = run_sequence(new_basis_state(1, [0]), PulseSequence([eo, eo]), sample_every=3)
-        steps = [s.step for s in samples]
+        _, traj = run_sequence(new_basis_state(1, [0]), PulseSequence([eo, eo]), sample_every=3)
+        steps = list(traj.step)
         assert steps[0] == 0
         assert plan.m in steps and 2 * plan.m in steps
         assert steps == sorted(set(steps))
-        assert samples[-1].obs.t == pytest.approx(2.0)
+        assert traj.obs.t[-1] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("m", [1, 7, 293])
+    @pytest.mark.parametrize("sample_every", [1, 3, None])
+    def test_rows_follow_the_stride_rule(self, m, sample_every):
+        # every stride-th substep and the last one of each operation, after
+        # the initial point; a zero-duration operation adds no row
+        eo = ElementaryOperation("e", SpinModel(1).set_static(1, "x", 1.0), 0.01 * m)
+        idle = ElementaryOperation("idle", SpinModel(1), 0.0)
+        plans = [StepPlan(m, eo.tau), StepPlan(1, 0.0), StepPlan(m, eo.tau)]
+        _, traj = run_sequence(new_basis_state(1, [0]), PulseSequence([eo, idle, eo]),
+                               sample_every=sample_every, plans=plans)
+        stride = sample_every or max(1, round(m / 200))
+        per_eo = [n for n in range(1, m + 1) if n % stride == 0 or n == m]
+        assert len(traj) == 1 + 2 * len(per_eo)
+        assert list(traj.step) == [0] + per_eo + [m + n for n in per_eo]
+        assert list(traj.eo_index) == [0] * (1 + len(per_eo)) + [2] * len(per_eo)
+        assert traj.obs.sx.shape == (len(traj), 1) and traj.obs.t.shape == (len(traj),)
+        assert traj.obs.t[-1] == pytest.approx(2 * eo.tau)
 
     def test_mismatched_width_rejected(self):
         m = SpinModel(2).set_static(1, "x", 1.0)
