@@ -7,9 +7,7 @@ One time step of length delta applies five factors, right to left,
 with every sinusoidal field evaluated at the single midpoint time
 t + delta/2. Each per-axis Hamiltonian H_a collects the pair couplings and
 fields of that axis only. The z factor is diagonal in the computational
-basis, so it reduces to an element-by-element phase sweep; the y and x
-factors are computed by conjugating the same diagonal sweep (loaded with the
-y or x parameters) with a global quarter-turn of all spins:
+basis; the y and x factors are diagonal after a global quarter-turn:
 
     exp(-i d Hy) = Rx exp(-i d Hy-as-diagonal) Rx+,   Rx = exp(+i (pi/2) Sx)
     exp(-i d Hx) = Ry exp(-i d Hx-as-diagonal) Ry+,   Ry = exp(-i (pi/2) Sy)
@@ -18,36 +16,37 @@ The rotation signs are pinned by Rx Sz Rx+ = Sy and Ry Sz Ry+ = Sx; they are
 asserted by the oracle cross-checks rather than trusted.
 
 In application order a step is z, Rx+, y, Rx, Ry+, x, Ry, Rx+, y, Rx, z.
-An axis whose parameters are all zero contributes an exactly-identity
-factor, so its rotations are dropped (its sweep stays, as a no-op), and
-adjacent rotations are multiplied into one gate. That leaves four layouts,
-chosen by which of x and y are active:
+The field part of an axis factor is diagonal and commutes with that axis's
+couplings: exp(-i d (J_a + h_a)) = exp(-i d J_a) (x)_j diag(e^{i d h_j/2},
+e^{-i d h_j/2}). So a step compiles into coupling multipliers (one cached
+vector per axis, independent of time) and global passes of per-qubit gates.
+Walking the order above, quarter-turns and single-qubit field factors
+collect in a pending list; at an axis with a coupling the list is flushed
+as one pass and the axis's multiplier is applied, its field factor joining
+whichever side already has a pass. Static fields stay in a multiplier that
+exists anyway: a coupled axis's, and z's, which needs no rotation. Adjacent
+inverse turns cancel, adjacent field factors of one axis merge, and an
+empty list is no pass. Passes per substep, by coupled axes:
 
-    x and y   z, Rx+, y, Ry+ Rx, x, Rx+ Ry, y, Rx, z    4 global passes
-    y only    z, Rx+, y, x, y, Rx, z                    2
-    x only    z, y, Ry+, x, Ry, y, z                    2
-    neither   z, y, x, y, z                             0
+    coupled axes     none  x   y   z   xy  xz  yz  xyz
+    no field          0    2   2   0   4   2   2   4
+    static z          0    2   2   0   4   2   2   4
+    static x, y, z    1    2   3   1   4   2   3   4
+    RF on z           1    2   2   1   4   2   2   4
 
-(With x inactive, the Rx after the first y meets the Rx+ before the second
-and cancels exactly.)
+With couplings on z only (the NMR machine, a driven chain) a substep is a
+z multiply, one pass and a z multiply.
 
-A global pass applies its 2x2 gate g to every qubit, _GATE_BLOCK qubits at
-a time: each block is one matmul with the 16 x 16 matrix kron(g, g, g, g)
-on a reshaped view of the register (fewer factors for the last block),
-alternating between the register and one scratch buffer. Milliseconds per
-global rotation, one BLAS thread, best of seven, median of five runs (four
-for the per-qubit row, the former loop of one copy and four ufunc passes
-per qubit), on a 2-core VM shared with other tenants:
+A pass applies its per-qubit gates _GATE_BLOCK qubits at a time: each block
+is one matmul with the 16 x 16 matrix kron(g_lo+3, ..., g_lo) on a reshaped
+view of the register (fewer factors for the last block), alternating
+between the register and one scratch buffer. Milliseconds per pass of
+random per-qubit gates, one BLAS thread, median of five runs of the best of
+seven, on a 2-core VM shared with other tenants:
 
-    qubits per block     L=16     L=20
-    1 (per-qubit loop)   19.9      388
-    2                     4.2       74
-    3                     1.6       54
-    4                     1.4       45
-    5                     1.7       45
-
-Four qubits per block is the fastest at L=16 and ties five at L=20; a
-single scratch buffer keeps the extra memory to one register.
+    qubits per block     1      2      3      4      5
+    L=16              10.1    2.8    1.4    1.2    1.3
+    L=20               192     60     36     33     34
 
 The Hamiltonian carries an overall minus sign in front of both the coupling
 and field sums, so exp(-i*theta*H) multiplies amplitude n by the positive
@@ -64,31 +63,28 @@ co-rotating frame, and the pulse-order sensitivity this simulator is built
 to expose would largely vanish.)
 
 Two operands, one step program. Every kernel acts on an array whose last
-axis is the register and whose leading axes are a batch, given a scalar
-midpoint time or a vector of them (one per batch row). Registers of more
-than 32 amplitudes are stepped in place, one substep at a time. Registers
-of up to 32 amplitudes (L <= 5) run the same program on a stack of identity
-matrices, one per substep, which yields every step matrix of a chunk of
-substeps in one batched pass; each substep is then one vector-matrix
-product. Because an instruction's drive clock starts at its own start, all
-of its step matrices are known up front. Microseconds per substep, 512
-substeps of a driven chain (2-core VM shared with other tenants, median of
-three runs of the best of seven):
+axis is the register and whose leading axes are a batch. An instruction's
+drive clock starts at its own start, so the gates of a chunk of substeps
+are built at once. Registers of up to 16 amplitudes (L <= 4) then get the
+chunk's step matrices in one batched pass, and each substep is one
+vector-matrix product; larger ones are stepped in place. Microseconds per
+substep, 512 substeps, in place and by matrices (2-core VM shared with
+other tenants, median of three runs of the best of seven):
 
-    L   in place   matrix
-    2      44        2.7
-    3      43        4.7
-    4      45       12.5
-    5     103       88
-    6     112      257
+    L    driven chain      all pairs, 4 passes
+    2     4.7    1.8        15.6    4.1
+    3     5.2    3.6        18.5    8.5
+    4     6.5    7.6        26.0   22.0
+    5    10.3   19.6        37.9   72.7
+    6    11.8   61.9        41.1  313
 
-Matrices win by 3.5x or more up to L = 4 and lose by 2x from L = 6. At
-L = 5 they were ahead in nine of nine runs (three sets of three), by 12-20%,
-so the threshold is 32 amplitudes.
-"""
+Matrices win by 1.4x or more up to L = 3 and lose by 1.9x or more from
+L = 5; at L = 4 they split, 1.2x either way, and the threshold is 16
+amplitudes."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -96,18 +92,20 @@ import numpy as np
 
 from .state import MAX_QUBITS, Observables, StateVector, check_axis
 
-_SQ2 = math.sqrt(2.0)
-
-#: Global quarter-turn generators; ROT[axis] = (R, R_dagger).
-_ROT_X = np.array([[1, 1j], [1j, 1]]) / _SQ2
-_ROT_Y = np.array([[1, -1], [1, 1]]) / _SQ2
-_ROT = {"x": (_ROT_X, _ROT_X.conj().T), "y": (_ROT_Y, _ROT_Y.conj().T)}
+#: The quarter-turns Rx = exp(+i (pi/2) Sx), Ry = exp(-i (pi/2) Sy) and their
+#: inverses, each as (alpha, beta) of g = [[alpha, beta], [-conj(beta), conj(alpha)]].
+_TURN = {key: (math.sqrt(0.5), b * math.sqrt(0.5)) for key, b in (("Rx", 1j), ("Rx+", -1j), ("Ry", -1), ("Ry+", 1))}
+_INVERSE = {"Rx": "Rx+", "Rx+": "Rx", "Ry": "Ry+", "Ry+": "Ry"}
+#: One step in application order: (axis, share of delta) for each axis
+#: factor in z form, and the quarter-turns that carry the y and x factors there.
+_ORDER = ((2, 0.5), "Rx+", (1, 0.5), "Rx", "Ry+", (0, 1.0), "Ry", "Rx+", (1, 0.5), "Rx", (2, 0.5))
 #: Qubits per matmul of a global gate pass; see the module docstring.
 _GATE_BLOCK = 4
 
 #: Largest register stepped by batched step matrices; see the module docstring.
-_BATCH_MAX_DIM = 32
-#: Complex entries per chunk of step matrices (1 MiB), so memory does not grow with m.
+_BATCH_MAX_DIM = 16
+#: Complex entries per chunk of step matrices, or of pass blocks in place
+#: (1 MiB), so memory does not grow with m.
 _BATCH_ELEMENTS = 1 << 16
 
 #: auto_substeps: substeps per period of the fastest RF drive, and the
@@ -121,14 +119,15 @@ class KernelCounters:
     """Instrumentation for the operation-count invariants of one run.
 
     Every count is a logical per-substep visit, whichever operand the step
-    program runs on. A substep adds 5 diagonal sweeps, one global rotation
-    per global pass left after fusing (4 for a fully active step; see the
-    module docstring), L gate kernel calls per pass (the logical single-qubit
-    gate applications, although one matmul covers a block of qubits), and,
-    per sweep of an active axis, one pair term per nonzero coupling and one
-    field term per qubit with a static or RF field on that axis. A batched
-    pass over n substeps adds n times these, so the counts are the same on
-    both sides of the register-size threshold.
+    program runs on. A substep adds one diagonal sweep per coupling
+    multiplier it applies, one global rotation per global pass (see the
+    module docstring for both), and L gate kernel calls per pass (the
+    per-qubit gates, although one matmul covers a block of qubits). Per axis
+    factor (z and y twice, x once) it adds one pair term per nonzero coupling
+    and one field term per qubit with a static or RF field on that axis,
+    whether a multiplier or a pass applies it. A chunk of n substeps adds n
+    times these, so the counts are the same on both sides of the
+    register-size threshold.
     """
 
     diagonal_sweeps: int = 0
@@ -320,122 +319,62 @@ def _axis_phase(L: int, coupling: np.ndarray, field: np.ndarray) -> np.ndarray:
     return phase
 
 
-class _CompiledSweep:
-    """The factor of axis ``a`` of a step, loaded from the model and precomputed for a fixed theta.
-
-    Without sinusoids the whole factor is one cached multiplier vector; with
-    them, the constant part and the amplitude profile of each drive group
-    (the driven qubits sharing one (f, phi), in qubit order) are cached and
-    only the sine evaluations remain per substep. Counter increments report
-    the logical per-sweep term visits (one per nonzero pair coupling and per
-    driven/static qubit), which the caching only makes cheaper, not fewer.
-    """
-
-    __slots__ = ("active", "n_pairs", "n_fields", "const_mult", "base_arg", "groups")
-
-    def __init__(self, model: SpinModel, a: int, theta: float):
-        L = model.L
-        coupling = model.coupling[:, :, a]
-        static = model.static_field[:, a]
-        amp = model.rf_amp[:, a]
-        self.n_pairs = int(np.count_nonzero(coupling)) // 2  # symmetric, zero diagonal
-        self.n_fields = int(np.count_nonzero((static != 0.0) | (amp != 0.0)))
-        self.active = bool(self.n_pairs or self.n_fields)
-        self.const_mult = None
-        self.base_arg = None
-        self.groups = []
-        if not self.active:
-            return
-        base = _axis_phase(L, theta * coupling, theta * static)
-        fields: dict = {}
-        for j in np.flatnonzero(amp):
-            key = (float(model.rf_freq[j, a]), float(model.rf_phase[j, a]))
-            fields.setdefault(key, np.zeros(L))[j] = theta * amp[j]
-        uncoupled = np.zeros((L, L))
-        self.groups = [(f, phi, _axis_phase(L, uncoupled, field)) for (f, phi), field in fields.items()]
-        if self.groups:
-            self.base_arg = base
-        else:
-            self.const_mult = np.exp(1j * base)
-
-    def apply(self, amp: np.ndarray, t_mid) -> None:
-        """Multiply ``amp`` by the factor at midpoint time(s) ``t_mid``, in place.
-
-        With a scalar ``t_mid``, ``amp`` is one register or a batch sharing
-        that time; with a vector of n times, axis 0 of ``amp`` has length n
-        and row i takes the factor at ``t_mid[i]``.
-        """
-        visits = np.size(t_mid)
-        counters.diagonal_sweeps += visits
-        if not self.active:
-            return
-        counters.pair_terms += visits * self.n_pairs
-        counters.field_terms += visits * self.n_fields
-        if self.const_mult is not None:
-            amp *= self.const_mult
-            return
-        t = np.asarray(t_mid)
-        arg = np.broadcast_to(self.base_arg, t.shape + self.base_arg.shape).copy()
-        for f, phi, vec in self.groups:
-            arg += np.multiply.outer(np.sin(f * t + phi), vec)
-        mult = np.exp(1j * arg)
-        amp *= mult.reshape(mult.shape[:-1] + (1,) * (amp.ndim - mult.ndim) + mult.shape[-1:])
-
-
 def apply_diagonal_factor(
     state: StateVector, model: SpinModel, axis: str, delta: float, t_mid: float
 ) -> StateVector:
     """Apply one diagonal (z-form) factor loaded with the given axis's parameters.
 
-    Pure phase; the norm is untouched.
+    Couplings and fields together, exp(+i delta (sum J s s + sum h(t_mid) s))
+    on every amplitude. Pure phase; the norm is untouched.
     """
-    _CompiledSweep(model, check_axis(axis), delta).apply(state.amp, t_mid)
+    a = check_axis(axis)
+    field = model.static_field[:, a] + model.rf_amp[:, a] * np.sin(model.rf_freq[:, a] * t_mid + model.rf_phase[:, a])
+    state.amp *= np.exp(1j * _axis_phase(model.L, delta * model.coupling[:, :, a], delta * field))
     return state
 
 
-def _kron_powers(g: np.ndarray) -> list:
-    """Block matrices of a global pass of g: [g, g (x) g, ...], _GATE_BLOCK of them."""
-    powers = [g]
-    while len(powers) < _GATE_BLOCK:
-        powers.append(np.kron(powers[-1], g))
-    return powers
+def _gate_blocks(alpha, beta, L: int, group: int = _GATE_BLOCK) -> list:
+    """Kronecker blocks of per-qubit gates g_j = [[alpha_j, beta_j], [-conj(beta_j), conj(alpha_j)]].
+
+    ``alpha`` and ``beta`` broadcast to (..., L); leading axes (one per
+    substep) carry into every block. Block b is kron(g_hi-1, ..., g_lo) over
+    qubits lo = b * group up to hi, so its row index counts those bits.
+    """
+    shape = np.broadcast_shapes(np.shape(alpha), np.shape(beta), (L,))
+    g = np.empty(shape + (2, 2), dtype=np.complex128)
+    g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1] = alpha, beta, -np.conj(beta), np.conj(alpha)
+    blocks = []
+    for lo in range(0, L, group):
+        blk = g[..., lo, :, :]
+        for q in range(lo + 1, min(lo + group, L)):
+            size = 2 * blk.shape[-1]
+            blk = (g[..., q, :, None, :, None] * blk[..., None, :, None, :]).reshape(shape[:-1] + (size, size))
+        blocks.append(blk)
+    return blocks
 
 
-#: Block matrices of the six gates a global pass ever applies: the four
-#: quarter-turns and the two fused pairs of the fully active layout.
-_PASS = {
-    name: _kron_powers(g)
-    for name, g in zip(
-        ("Rx", "Rx+", "Ry", "Ry+", "Ry+Rx", "Rx+Ry"),
-        (*_ROT["x"], *_ROT["y"], _ROT["y"][1] @ _ROT["x"][0], _ROT["x"][1] @ _ROT["y"][0]),
-    )
-}
+def _global_gate(amp: np.ndarray, blocks: list) -> None:
+    """Apply per-qubit gates to every register in ``amp``, in place.
 
-
-def _global_gate(amp: np.ndarray, powers: list, visits: int) -> None:
-    """Apply the 2x2 gate powers[0] to every qubit of every register in ``amp``, in place.
-
-    The last axis of ``amp`` is the register; leading axes are a batch that
-    counts as ``visits`` logical passes. ``powers`` comes from
-    ``_kron_powers``. Qubits are taken _GATE_BLOCK at a time: each block is
-    one matmul with kron(g, ..., g) on a reshaped view, from the buffer
-    holding the current result into the other of ``amp`` and one scratch
-    buffer, and the result is copied back into ``amp`` only after an odd
-    number of blocks.
+    The last axis of ``amp`` is the register and leading axes are a batch.
+    ``blocks`` come from ``_gate_blocks``; a block with no leading axes acts
+    on every register, one with a leading axis of length n on the n
+    registers (or n stacks) along axis 0. Each block is one matmul on a
+    reshaped view, from the buffer holding the current result into the other
+    of ``amp`` and one scratch buffer, and the result is copied back into
+    ``amp`` only after an odd number of blocks.
     """
     if not amp.flags.c_contiguous:  # the reshapes below must be views
         raise ValueError("amplitude array must be C-contiguous")
-    L = amp.shape[-1].bit_length() - 1
-    counters.global_rotations += visits
-    counters.gate_kernel_calls += visits * L
-    src, dst = amp, np.empty_like(amp)
-    for lo in range(0, L, _GATE_BLOCK):
-        k = min(_GATE_BLOCK, L - lo)
+    src, dst, lo = amp, np.empty_like(amp), 0
+    for blk in blocks:
+        size, lead = blk.shape[-1], blk.shape[:-2]
         if lo == 0:
-            np.matmul(src.reshape(-1, 1 << k), powers[k - 1].T, out=dst.reshape(-1, 1 << k))
+            np.matmul(src.reshape(lead + (-1, size)), blk.swapaxes(-1, -2), out=dst.reshape(lead + (-1, size)))
         else:
-            shape = (-1, 1 << k, 1 << lo)
-            np.matmul(powers[k - 1], src.reshape(shape), out=dst.reshape(shape))
+            shape = lead + (-1, size, 1 << lo)
+            np.matmul(blk[..., None, :, :], src.reshape(shape), out=dst.reshape(shape))
+        lo += size.bit_length() - 1
         src, dst = dst, src
     if src is not amp:
         amp[...] = src
@@ -443,9 +382,9 @@ def _global_gate(amp: np.ndarray, powers: list, visits: int) -> None:
 
 def global_half_pi_rotation(state: StateVector, axis: str, inverse: bool = False) -> StateVector:
     """Rotate every spin by a quarter turn about x or y (or undo it), in place."""
-    if axis not in _ROT:
+    if axis not in ("x", "y"):
         raise ValueError(f"rotation axis must be 'x' or 'y', got {axis!r}")
-    _global_gate(state.amp, _PASS[f"R{axis}+" if inverse else f"R{axis}"], 1)
+    _global_gate(state.amp, _gate_blocks(*_TURN[f"R{axis}+" if inverse else f"R{axis}"], state.L))
     return state
 
 
@@ -454,45 +393,131 @@ class _StepProgram:
 
     The only step implementation: ``symmetrized_step`` runs a one-step
     program and ``evolve_eo`` reuses one program for every substep, on the
-    state itself or on a stack of step matrices (see ``_CompiledSweep.apply``
-    for the operand and time shapes). ``ops`` lists the sweeps and the fused
-    global gates in application order, one of the four layouts in the module
-    docstring.
+    state itself or on a stack of step matrices. ``ops`` lists in
+    application order the cached multiplier vector of each axis that has one
+    and the global passes between them, by the compile rule in the module
+    docstring. A pass is a list of quarter-turn keys and (axis, theta) field
+    factors diag(exp(i theta h_j/2), exp(-i theta h_j/2)), h_j being the part
+    of qubit j's field on that axis that no multiplier holds, kept per axis
+    in ``fields`` as (static, RF amplitude or None, frequency, phase).
     """
 
-    __slots__ = ("dim", "ops")
+    __slots__ = ("L", "dim", "fields", "ops", "counts")
 
     def __init__(self, model: SpinModel, delta: float):
-        self.dim = 1 << model.L
-        x = _CompiledSweep(model, 0, delta)
-        y = _CompiledSweep(model, 1, 0.5 * delta)
-        z = _CompiledSweep(model, 2, 0.5 * delta)
-        if x.active and y.active:
-            self.ops = [z, _PASS["Rx+"], y, _PASS["Ry+Rx"], x, _PASS["Rx+Ry"], y, _PASS["Rx"], z]
-        elif y.active:
-            self.ops = [z, _PASS["Rx+"], y, x, y, _PASS["Rx"], z]
-        elif x.active:
-            self.ops = [z, y, _PASS["Ry+"], x, _PASS["Ry"], y, z]
-        else:
-            self.ops = [z, y, x, y, z]
+        L = self.L = model.L
+        self.dim = 1 << L
+        coupling, static, rf_amp = model.coupling, model.static_field, model.rf_amp
+        # a static field stays in a multiplier that exists anyway: a coupled
+        # axis's, or z's, which needs no rotation
+        multiplied = [bool(np.any(coupling[:, :, a])) for a in range(3)]
+        multiplied[2] = multiplied[2] or bool(np.any(static[:, 2]))
+        self.fields = [
+            (np.zeros(L) if multiplied[a] else static[:, a], rf_amp[:, a] if np.any(rf_amp[:, a]) else None,
+             model.rf_freq[:, a], model.rf_phase[:, a])
+            for a in range(3)
+        ]
+        mult: dict = {}
+        self.ops, pending = [], []
 
-    def apply(self, amp: np.ndarray, t_mid) -> None:
-        visits = np.size(t_mid)
-        for op in self.ops:
-            if isinstance(op, _CompiledSweep):
-                op.apply(amp, t_mid)
+        def push(factor):
+            if isinstance(factor, str) and pending and pending[-1] == _INVERSE[factor]:
+                pending.pop()
+            elif isinstance(factor, tuple) and pending and pending[-1][0] == factor[0]:
+                pending[-1] = (factor[0], pending[-1][1] + factor[1])
             else:
-                _global_gate(amp, op, visits)
+                pending.append(factor)
+
+        def flush():
+            if pending:
+                self.ops.append(pending.copy())
+                pending.clear()
+
+        for item in _ORDER:
+            if isinstance(item, str):
+                push(item)
+                continue
+            a, share = item
+            theta = share * delta
+            field = (a, theta) if np.any(self.fields[a][0]) or self.fields[a][1] is not None else None
+            # a field factor commutes with its axis's multiplier: it joins the
+            # pass before the multiplier if there is one, else the pass after it
+            if field and (pending or not multiplied[a]):
+                push(field)
+                field = None
+            if multiplied[a]:
+                flush()
+                if a not in mult:  # an axis's share of delta is the same at each occurrence
+                    mult[a] = np.exp(1j * _axis_phase(L, theta * coupling[:, :, a], theta * static[:, a]))
+                self.ops.append(mult[a])
+                if field:
+                    push(field)
+        flush()
+        passes = sum(isinstance(op, list) for op in self.ops)
+        visits = np.array([1, 2, 2])  # of the x, y and z factors per substep
+        self.counts = {
+            "diagonal_sweeps": len(self.ops) - passes,
+            "global_rotations": passes,
+            "gate_kernel_calls": passes * L,
+            "pair_terms": int(visits @ np.count_nonzero(coupling, axis=(0, 1))) // 2,  # symmetric
+            "field_terms": int(visits @ np.count_nonzero((static != 0.0) | (rf_amp != 0.0), axis=0)),
+        }
+
+    def count(self, n: int) -> None:
+        """Add n substeps to the kernel counters."""
+        for name, per_substep in self.counts.items():
+            setattr(counters, name, getattr(counters, name) + n * per_substep)
+
+    def pass_blocks(self, factors: list, t_mid, group: int = _GATE_BLOCK) -> list:
+        """Kronecker blocks of one pass at midpoint time(s) ``t_mid``.
+
+        Every factor is in SU(2), so each qubit's gate is kept as its (alpha,
+        beta) and composing is a few elementwise products over all qubits and
+        substeps at once. The blocks have no leading axis unless an RF field
+        makes them vary.
+        """
+        t = np.asarray(t_mid)[..., None]
+        alpha, beta = 1.0 + 0j, 0j
+        for factor in factors:
+            if isinstance(factor, str):
+                a, b = _TURN[factor]
+                alpha, beta = a * alpha - b * np.conj(beta), a * beta + b * np.conj(alpha)
+            else:
+                axis, theta = factor
+                static, amp, freq, phase = self.fields[axis]
+                e = np.exp(0.5j * theta * (static if amp is None else static + amp * np.sin(freq * t + phase)))
+                alpha, beta = e * alpha, e * beta
+        return _gate_blocks(alpha, beta, self.L, group)
+
+    def substep_blocks(self, t_mid) -> list:
+        """The blocks of every pass at each of the midpoint times, one list per substep."""
+        per_pass = (self.pass_blocks(op, t_mid) for op in self.ops if isinstance(op, list))
+        split = (zip(*b) if b[0].ndim > 2 else itertools.repeat(b) for b in per_pass)
+        return [blocks for _, *blocks in zip(t_mid, *split)]
+
+    def apply(self, amp: np.ndarray, blocks, ops=None) -> None:
+        """Run ``ops`` (all of them by default) on ``amp`` in place, the passes taking ``blocks`` in turn."""
+        blocks = iter(blocks)
+        for op in self.ops if ops is None else ops:
+            if isinstance(op, list):
+                _global_gate(amp, next(blocks))
+            else:
+                amp *= op
 
     def step_matrices(self, t_mid: np.ndarray) -> np.ndarray:
         """Transposed step matrices at the given midpoint times, shape (n, dim, dim).
 
         Row k of entry i is the step at ``t_mid[i]`` applied to basis state
-        k, so a state advances by one substep as ``amp @ result[i]``.
+        k, so a state advances by one substep as ``amp @ result[i]``. Each
+        pass is one block over the whole register; the stack starts as
+        diag(multipliers before the first pass) times its transposed block.
         """
+        blocks = [self.pass_blocks(op, t_mid, self.L) for op in self.ops if isinstance(op, list)]
+        first = next((k for k, op in enumerate(self.ops) if isinstance(op, list)), len(self.ops))
+        lead = np.prod([np.ones(self.dim)] + self.ops[:first], axis=0)
         steps = np.empty((len(t_mid), self.dim, self.dim), dtype=np.complex128)
-        steps[:] = np.eye(self.dim)
-        self.apply(steps, t_mid)
+        np.multiply(lead[:, None], blocks[0][0].swapaxes(-1, -2) if blocks else np.eye(self.dim), out=steps)
+        self.apply(steps, blocks[1:], self.ops[first + 1:])
         return steps
 
 
@@ -505,7 +530,9 @@ def symmetrized_step(state: StateVector, model: SpinModel, delta: float, t: floa
         raise ValueError(f"step length must be > 0, got {delta}")
     if model.L != state.L:
         raise ValueError(f"model has L={model.L} but state has L={state.L}")
-    _StepProgram(model, delta).apply(state.amp, t + 0.5 * delta)
+    prog = _StepProgram(model, delta)
+    prog.count(1)
+    prog.apply(state.amp, prog.substep_blocks([t + 0.5 * delta])[0])
     return state
 
 
@@ -555,34 +582,37 @@ def evolve_eo(
     state does not depend on t0. ``samples`` holds
     ``state.observables(t0 + n * delta)`` taken right after substep n, for
     each n in ``sample_at``, which must increase strictly within 1..m; a zero
-    duration takes no substeps and returns no samples. Registers of up to 32
-    amplitudes build the step matrices of a chunk of substeps in one batched
-    pass and apply them one by one; larger ones are stepped in place.
+    duration takes no substeps and returns no samples. ``plan`` must be for
+    ``eo.tau``. Each chunk of substeps builds its step matrices (registers of
+    up to 16 amplitudes) or its pass blocks (stepped in place) in one pass.
     """
     if eo.model.L != state.L:
         raise ValueError(f"operation has L={eo.model.L} but state has L={state.L}")
     if plan is None:
         plan = auto_substeps(eo)
+    if plan.tau != eo.tau:
+        raise ValueError(f"plan is for a duration of {plan.tau}, but the operation lasts {eo.tau}")
     wanted = set(sample_at)
     if list(sample_at) != sorted(n for n in wanted if 1 <= n <= plan.m):
         raise ValueError(f"sample_at must be strictly increasing substep numbers in 1..{plan.m}")
     samples: list = []
     if eo.tau == 0.0:
         return state, samples
-    delta = eo.tau / plan.m
+    delta = plan.delta
     prog = _StepProgram(eo.model, delta)
     amp = state.amp
-    if state.dim > _BATCH_MAX_DIM:
-        for n in range(plan.m):
-            prog.apply(amp, (n + 0.5) * delta)
-            if n + 1 in wanted:
-                samples.append(state.observables(t0 + (n + 1) * delta))
-        return state, samples
-    chunk = _BATCH_ELEMENTS // (state.dim * state.dim)
+    batched = state.dim <= _BATCH_MAX_DIM
+    # a chunk holds _BATCH_ELEMENTS entries of step matrices, or of pass
+    # blocks in place: at most 4 passes of at most 64 entries per qubit
+    chunk = max(1, _BATCH_ELEMENTS // (state.dim**2 if batched else 256 * state.L))
     for lo in range(0, plan.m, chunk):
-        steps = prog.step_matrices((np.arange(lo, min(lo + chunk, plan.m)) + 0.5) * delta)
-        for n, step in enumerate(steps, lo):
-            amp[:] = amp @ step
+        t_mid = (np.arange(lo, min(lo + chunk, plan.m)) + 0.5) * delta
+        prog.count(len(t_mid))
+        for n, step in enumerate(prog.step_matrices(t_mid) if batched else prog.substep_blocks(t_mid), lo):
+            if batched:
+                amp[:] = amp @ step
+            else:
+                prog.apply(amp, step)
             if n + 1 in wanted:
                 samples.append(state.observables(t0 + (n + 1) * delta))
     return state, samples

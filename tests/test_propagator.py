@@ -1,9 +1,12 @@
 """Integrator tests: factor algebra, step plans, convergence, instrumentation."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinsim.propagator import (
     ElementaryOperation,
@@ -19,11 +22,13 @@ from spinsim.propagator import (
     symmetrized_step,
 )
 from spinsim import propagator
-from spinsim.propagator import _ROT, _axis_phase, _global_gate, _kron_powers
+from spinsim.propagator import _axis_phase, _gate_blocks, _global_gate
 from spinsim.reference import dense_propagator, dense_propagator_composed, embed_single, hamiltonian
 from spinsim.state import StateVector, fidelity, new_basis_state, spin_z_values
 
 TWO_PI = 2.0 * math.pi
+ROT_X = np.array([[1, 1j], [1j, 1]]) / math.sqrt(2)  # exp(+i (pi/2) Sx)
+ROT_Y = np.array([[1, -1], [1, 1]]) / math.sqrt(2)  # exp(-i (pi/2) Sy)
 
 
 def random_state(L, seed):
@@ -91,8 +96,8 @@ class TestDiagonalFactor:
 
     @pytest.mark.parametrize("L", [3, 4, 5, 6])
     def test_z_sweep_matches_reference_diagonal(self, L):
-        # qubits 1 and 2 share one (f, phi) drive group; every other driven
-        # qubit has a frequency of its own
+        # qubits 1 and 2 share one (f, phi); every other driven qubit has a
+        # frequency of its own
         rng = np.random.default_rng(300 + L)
         m = SpinModel(L)
         for j in range(1, L + 1):
@@ -206,12 +211,17 @@ class TestGlobalGate:
     """The blocked global gate pass against the dense product of single-qubit embeddings."""
 
     GATES = {
-        "Rx": _ROT["x"][0],
-        "Rx+": _ROT["x"][1],
-        "Ry": _ROT["y"][0],
-        "Ry+": _ROT["y"][1],
-        "Ry+Rx": _ROT["y"][1] @ _ROT["x"][0],  # the fused gate between the first y and the x factor
+        "Rx": ROT_X,
+        "Rx+": ROT_X.conj().T,
+        "Ry": ROT_Y,
+        "Ry+": ROT_Y.conj().T,
+        "Ry+Rx": ROT_Y.conj().T @ ROT_X,  # the fused gate between the first y and the x factor
     }
+
+    @staticmethod
+    def blocks(g, L):
+        # every gate here is in SU(2), fixed by its first row
+        return _gate_blocks(g[0, 0], g[0, 1], L)
 
     @staticmethod
     def oracle(g, L, amp):
@@ -232,14 +242,30 @@ class TestGlobalGate:
         for shape in shapes:
             amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             expected = self.oracle(g, L, amp)
-            _global_gate(amp, _kron_powers(g), 1)
+            _global_gate(amp, self.blocks(g, L))
             assert np.max(np.abs(amp - expected)) < 1e-13
+
+    @pytest.mark.parametrize("L", range(1, 11))
+    def test_per_qubit_gates_with_one_set_per_register(self, L):
+        # random SU(2) gates, different on every qubit and for every register
+        # of a batch: block b must be kron(g_hi-1, ..., g_lo) in bit order
+        rng = np.random.default_rng(500 + L)
+        q = rng.normal(size=(2, 3, L)) + 1j * rng.normal(size=(2, 3, L))
+        alpha, beta = q / np.linalg.norm(q, axis=0)
+        amp = rng.normal(size=(3, 1 << L)) + 1j * rng.normal(size=(3, 1 << L))
+        expected = amp.copy()
+        for r in range(3):
+            for j in range(L):
+                g = np.array([[alpha[r, j], beta[r, j]], [-np.conj(beta[r, j]), np.conj(alpha[r, j])]])
+                expected[r] = embed_single(g, j + 1, L) @ expected[r]
+        _global_gate(amp, _gate_blocks(alpha, beta, L))
+        assert np.max(np.abs(amp - expected)) < 1e-13
 
     @pytest.mark.parametrize("L", [3, 9])  # one block and three blocks
     def test_updates_the_callers_array_in_place(self, L):
         s = random_state(L, 30 + L)
         amp = s.amp
-        expected = self.oracle(_ROT["y"][0], L, amp.copy())
+        expected = self.oracle(ROT_Y, L, amp.copy())
         global_half_pi_rotation(s, "y")
         assert s.amp is amp
         assert np.max(np.abs(amp - expected)) < 1e-13
@@ -247,14 +273,14 @@ class TestGlobalGate:
         rng = np.random.default_rng(L)
         batch = rng.normal(size=(3, 1 << L)) + 1j * rng.normal(size=(3, 1 << L))
         before = batch.copy()
-        _global_gate(batch[1], _kron_powers(_ROT["x"][1]), 1)
+        _global_gate(batch[1], self.blocks(ROT_X.conj().T, L))
         assert np.array_equal(batch[[0, 2]], before[[0, 2]])
-        assert np.max(np.abs(batch[1] - self.oracle(_ROT["x"][1], L, before[1]))) < 1e-13
+        assert np.max(np.abs(batch[1] - self.oracle(ROT_X.conj().T, L, before[1]))) < 1e-13
 
     def test_rejects_a_strided_operand(self):
         amp = np.zeros((4, 8), dtype=complex)
         with pytest.raises(ValueError, match="contiguous"):
-            _global_gate(amp[:, ::2], _kron_powers(_ROT["x"][0]), 1)
+            _global_gate(amp[:, ::2], self.blocks(ROT_X, 3))
 
 
 class TestSymmetrizedStep:
@@ -313,8 +339,25 @@ class TestSymmetrizedStep:
             assert 3.3 < a / b < 4.7
 
 
+# Passes per substep, derived from the compile rule (module docstring): a
+# static field stays in the multiplier Ca of a coupled axis a, and in z's
+# even when z is uncoupled; every other field folds into a pass.
+# - "-" (none coupled) and z: every turn cancels, so no field: 0 passes;
+#   static x and y fields make one pass (Rx+ y Rx Ry+ x Ry Rx+ y Rx), and
+#   so does z RF (its two factors merge across the cancelled turns).
+# - x and xz: Ry+ before Cx and Ry after it: 2 whatever the fields.
+# - y and yz: Rx+ before the first Cy and Rx after the second: 2; a static
+#   x field puts Rx Ry+ x Ry Rx+ between the two Cy: 3.
+# - xy and xyz: a pass before each of Cy, Cx, Cy and one after: 4.
+PASSES_BY_COUPLED_AXES = {  # coupled axes: passes with no field, static z, static xyz, z RF
+    "-": (0, 0, 1, 1), "x": (2, 2, 2, 2), "y": (2, 2, 3, 2), "z": (0, 0, 1, 1),
+    "xy": (4, 4, 4, 4), "xz": (2, 2, 2, 2), "yz": (2, 2, 3, 2), "xyz": (4, 4, 4, 4),
+}
+FIELD_CASES = ("none", "static z", "static xyz", "z RF")
+
+
 class TestStepLayouts:
-    """One step for each (x active, y active) layout against the dense product of axis factors."""
+    """One step against the dense product of axis factors, and its global passes by coupled axes."""
 
     @staticmethod
     def axis_factor(model, a, theta, t):
@@ -327,8 +370,27 @@ class TestStepLayouts:
         w, v = np.linalg.eigh(hamiltonian(only, t))
         return v @ np.diag(np.exp(-1j * theta * w)) @ v.conj().T
 
+    @classmethod
+    def check_step(cls, model, seed):
+        """One symmetrized_step against ez ey ex ey ez at the midpoint, within 1e-12."""
+        delta, t = 0.23, 1.4
+        t_mid = t + delta / 2
+        ez, ey = (cls.axis_factor(model, a, delta / 2, t_mid) for a in (2, 1))
+        product = ez @ ey @ cls.axis_factor(model, 0, delta, t_mid) @ ey @ ez
+        s = random_state(model.L, seed)
+        expected = product @ s.amp
+        symmetrized_step(s, model, delta, t)
+        assert np.max(np.abs(s.amp - expected)) < 1e-12
+
+    # every axis left active is coupled and carries static and RF fields; z
+    # always is. In application order z, Rx+, y, Rx, Ry+, x, Ry, Rx+, y, Rx, z
+    # a pass sits before each coupled x or y multiplier and after the last
+    # one, so x and y give 4; y alone gives 2 (Rx+ | Cy, Rx Ry+ Ry Rx+ cancel
+    # to nothing, Cy | Rx), as does x alone (Rx+ Rx cancel, Ry+ | Cx | Ry,
+    # Rx+ Rx cancel); with neither, the turns all cancel and z's RF factors
+    # merge into the one pass between the two z multipliers.
     @pytest.mark.parametrize("x_active, y_active, passes", [
-        (True, True, 4), (False, True, 2), (True, False, 2), (False, False, 0),
+        (True, True, 4), (False, True, 2), (True, False, 2), (False, False, 1),
     ])
     def test_step_is_the_symmetric_product(self, x_active, y_active, passes):
         L = 3
@@ -336,16 +398,61 @@ class TestStepLayouts:
         for a, active in ((0, x_active), (1, y_active)):
             if not active:
                 model.coupling[..., a] = model.static_field[..., a] = model.rf_amp[..., a] = 0.0
-        delta, t = 0.23, 1.4
-        t_mid = t + delta / 2
-        ez, ey = (self.axis_factor(model, a, delta / 2, t_mid) for a in (2, 1))
-        product = ez @ ey @ self.axis_factor(model, 0, delta, t_mid) @ ey @ ez
-        s = random_state(L, 410)
-        expected = product @ s.amp
         counters.reset()
-        symmetrized_step(s, model, delta, t)
-        assert np.max(np.abs(s.amp - expected)) < 1e-12
+        self.check_step(model, 410)
         assert counters.global_rotations == passes
+
+    @pytest.mark.parametrize("coupled, field, passes", [
+        (coupled, field, passes)
+        for coupled, row in PASSES_BY_COUPLED_AXES.items()
+        for field, passes in zip(FIELD_CASES, row)
+    ])
+    def test_passes_per_substep_by_coupled_axes(self, coupled, field, passes):
+        rng = np.random.default_rng(420)
+        model = SpinModel(3)
+        for ax in coupled.strip("-"):
+            model.set_coupling(1, 2, ax, rng.uniform(-1, 1)).set_coupling(2, 3, ax, rng.uniform(-1, 1))
+        for j in range(1, 4):
+            for ax in {"static z": "z", "static xyz": "xyz"}.get(field, ""):
+                model.set_static(j, ax, rng.uniform(-1, 1))
+            if field == "z RF":
+                model.set_rf(j, "z", rng.uniform(-0.5, 0.5), rng.uniform(0.3, 2.0), rng.uniform(0, TWO_PI))
+        counters.reset()
+        self.check_step(model, 430)
+        assert counters.global_rotations == passes
+        assert counters.gate_kernel_calls == 3 * passes
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        L=st.integers(1, 4),
+        coupled=st.sets(st.sampled_from("xyz")),
+        static=st.sets(st.sampled_from("xyz")),
+        rf=st.sets(st.sampled_from("xyz")),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_folded_step_property(self, L, coupled, static, rf, seed):
+        # any coupled axes and any static and RF fields: one step is the
+        # symmetric product of dense axis factors, and evolve_eo gives the
+        # same state by step matrices and in place
+        rng = np.random.default_rng(seed)
+        model = SpinModel(L)
+        for ax in coupled:
+            for j in range(1, L + 1):
+                for k in range(j + 1, L + 1):
+                    model.set_coupling(j, k, ax, rng.uniform(-1, 1))
+        for j in range(1, L + 1):
+            for ax in static:
+                model.set_static(j, ax, rng.uniform(-1, 1))
+            for ax in rf:
+                model.set_rf(j, ax, rng.uniform(-0.5, 0.5), rng.uniform(0.3, 2.0), rng.uniform(0, TWO_PI))
+        self.check_step(model, seed)
+        eo = ElementaryOperation("e", model, 0.5)
+        psi0 = random_state(L, seed + 1)
+        by_matrices, in_place = psi0.copy(), psi0.copy()
+        evolve_eo(by_matrices, eo, 0.0, plan=StepPlan(5, eo.tau))
+        with mock.patch.object(propagator, "_BATCH_MAX_DIM", 1):
+            evolve_eo(in_place, eo, 0.0, plan=StepPlan(5, eo.tau))
+        assert np.max(np.abs(by_matrices.amp - in_place.amp)) < 1e-12
 
 
 class TestInstrumentation:
@@ -354,9 +461,12 @@ class TestInstrumentation:
         s = random_state(2, 7)
         counters.reset()
         symmetrized_step(s, m, 0.1, 0.0)
+        # every axis is coupled, so each of the five axis factors is one
+        # multiply: z, y, x, y, z
         assert counters.diagonal_sweeps == 5
-        # the layout z, Rx+, y, Rx, Ry+, x, Ry, Rx+, y, Rx, z holds 6 quarter
-        # turns; Rx·Ry+ and Ry·Rx+ fuse into one gate each, leaving 4 passes
+        # the step z, Rx+, y, Rx, Ry+, x, Ry, Rx+, y, Rx, z holds 6 quarter
+        # turns; the fields fold into the passes between the multipliers:
+        # Rx+ | Cy | Rx Ry+ | Cx | Ry Rx+ | Cy | Rx, 4 passes of L = 2 gates
         assert counters.global_rotations == 4
         assert counters.gate_kernel_calls == 4 * 2
         # every nonzero pair coupling visited once per sweep of its axis
@@ -378,24 +488,27 @@ class TestInstrumentation:
             assert dict(vars(counters)) == {k: steps * v for k, v in one.items()}
 
     @pytest.mark.parametrize("active, passes", [
-        ("y", 2),  # Rx+, y, Rx, x, Rx+, y, Rx: Rx meets Rx+ across the inactive x and cancels
-        ("x", 2),  # Ry+, x, Ry: no rotation around the inactive y factors
-        ("z", 0),
+        ("y", 2),  # Rx+ | Cy | Rx, Ry+, Ry, Rx+ cancel | Cy | Rx
+        ("x", 2),  # Rx+, Rx cancel, Ry+ | Cx | Ry, Rx+, Rx cancel
+        ("z", 0),  # every turn cancels between the two z multipliers
     ])
     def test_global_passes_per_step_by_active_axes(self, active, passes):
         m = SpinModel(3).set_coupling(1, 3, active, 0.7).set_static(2, "z", 0.4)
         counters.reset()
         symmetrized_step(random_state(3, 9), m, 0.1, 0.0)
-        assert counters.diagonal_sweeps == 5
+        # one multiply per occurrence of the coupled axis plus the two of z,
+        # which holds the static z field: y twice, x once, z (already counted)
+        assert counters.diagonal_sweeps == {"y": 4, "x": 3, "z": 2}[active]
         assert counters.global_rotations == passes
         assert counters.gate_kernel_calls == 3 * passes
 
-    def test_inactive_axes_skip_rotations_but_not_sweeps(self):
+    def test_inactive_axes_skip_rotations_and_multiplies(self):
         m = SpinModel(2).set_coupling(1, 2, "z", -1e-6)
         s = random_state(2, 8)
         counters.reset()
         symmetrized_step(s, m, 0.5, 0.0)
-        assert counters.diagonal_sweeps == 5
+        # only the two z multipliers: x and y have no multiplier and no pass
+        assert counters.diagonal_sweeps == 2
         assert counters.global_rotations == 0
 
 
@@ -492,6 +605,14 @@ class TestEvolveEo:
         assert np.array_equal(a.amp, b.amp)
         assert sa.t == pytest.approx(1.6) and sb.t == pytest.approx(1236.1)
 
+    def test_plan_for_another_duration_is_rejected(self):
+        s = random_state(2, 18)
+        ref = s.amp.copy()
+        eo = ElementaryOperation("e", random_two_spin_model(19), 1.0)
+        with pytest.raises(ValueError, match="duration"):
+            evolve_eo(s, eo, 0.0, plan=StepPlan(4, 2.0))
+        assert np.array_equal(s.amp, ref)
+
     @pytest.mark.parametrize("sample_at", [[0], [5], [-1], [2, 2], [3, 1], [1, 4, 5]])
     def test_sample_at_must_increase_within_the_plan(self, sample_at):
         eo = ElementaryOperation("e", random_two_spin_model(14), 0.4)
@@ -541,7 +662,7 @@ class TestEvolveEo:
 
 
 class TestBatchedSteps:
-    """Registers of up to 32 amplitudes step by batched step matrices; both paths must agree."""
+    """Registers of up to 16 amplitudes step by batched step matrices; both paths must agree."""
 
     @staticmethod
     def both_paths(monkeypatch, psi0, eo, m, sample_at=()):
@@ -556,7 +677,9 @@ class TestBatchedSteps:
     def test_matches_in_place_path(self, L, monkeypatch):
         model = random_driven_model(L, 40 + L)
         psi0 = random_state(L, 50 + L)
-        chunk = propagator._BATCH_ELEMENTS // 4**L
+        # chunk lengths of the matrix path (dim**2 entries per substep) and of
+        # the in-place path (a bound of 256 entries per qubit)
+        chunks = {propagator._BATCH_ELEMENTS // 4**L, propagator._BATCH_ELEMENTS // (256 * L)}
         for m in (1, 3, 293):  # at L=4, 293 is one full chunk of 256 plus 37
             eo = ElementaryOperation("e", model, 0.02 * m)
             (batched, seen), (reference, seen_ref) = self.both_paths(monkeypatch, psi0, eo, m, range(1, m + 1))
@@ -567,7 +690,7 @@ class TestBatchedSteps:
                     assert np.max(np.abs(getattr(obs, name) - getattr(ref, name))) < 1e-12
             # the amplitudes after n < m substeps are those of the instruction
             # cut to n substeps, which has the same substep length and midpoints
-            for n in {1, 2, m - 1, chunk, chunk + 1} & set(range(1, m)):
+            for n in ({1, 2, m - 1} | chunks | {c + 1 for c in chunks}) & set(range(1, m)):
                 cut = ElementaryOperation("e", model, n * (eo.tau / m))
                 (a, _), (b, _) = self.both_paths(monkeypatch, psi0, cut, n)
                 assert np.max(np.abs(a.amp - b.amp)) < 1e-12
@@ -590,27 +713,34 @@ class TestBatchedSteps:
         assert samples == [] and np.array_equal(s.amp, ref)
 
     @pytest.mark.parametrize("L", [5])
-    def test_second_order_on_both_sides_of_the_threshold(self, L):
-        # L=5 sits at the threshold: the largest register stepped by
-        # matrices. The error drops 4x per doubling; the in-place side
-        # (L=6, 7) is in test_second_order_with_blocked_passes.
-        assert 2**L == propagator._BATCH_MAX_DIM
+    def test_second_order_on_both_sides_of_the_threshold(self, monkeypatch, L):
+        # L=5 sits just above the threshold: the smallest register stepped in
+        # place. Stepped in place and, with the threshold raised, by
+        # matrices, the error drops 4x per doubling on both sides and the two
+        # agree. L=4, the largest register stepped by matrices at the default
+        # threshold, is in test_second_order_with_blocked_passes.
+        assert 2 ** (L - 1) == propagator._BATCH_MAX_DIM
         model = random_driven_model(L, 70 + L)
         tau = 0.6
         psi0 = random_state(L, 80 + L)
         exact = dense_propagator_composed(model, 0.0, tau, segment=0.2, tol=1e-8).mat @ psi0.amp
-        errors = []
-        for steps in (8, 16, 32):
-            s = psi0.copy()
-            evolve_eo(s, ElementaryOperation("e", model, tau), 0.0, plan=StepPlan(steps, tau))
-            errors.append(np.linalg.norm(s.amp - exact))
-        for a, b in zip(errors, errors[1:]):
-            assert 3.3 < a / b < 4.7
+        errors = {}
+        for batch_max_dim in (propagator._BATCH_MAX_DIM, 2**L):
+            monkeypatch.setattr(propagator, "_BATCH_MAX_DIM", batch_max_dim)
+            for steps in (8, 16, 32):
+                s = psi0.copy()
+                evolve_eo(s, ElementaryOperation("e", model, tau), 0.0, plan=StepPlan(steps, tau))
+                errors.setdefault(batch_max_dim, []).append(np.linalg.norm(s.amp - exact))
+        in_place, by_matrices = errors.values()
+        assert np.max(np.abs(np.subtract(in_place, by_matrices))) < 1e-12
+        for side in (in_place, by_matrices):
+            for a, b in zip(side, side[1:]):
+                assert 3.3 < a / b < 4.7
 
     @pytest.mark.parametrize("L", [4, 5, 6, 7])
     def test_second_order_with_blocked_passes(self, L):
-        # L=4 and 5 step by matrices, L=6 and 7 in place (both sides of the
-        # 32-amplitude threshold), all through fused and blocked global
+        # L=4 steps by matrices, L=5 to 7 in place (both sides of the
+        # 16-amplitude threshold), all through fused and blocked global
         # passes: the error against the oracle drops 4x per doubling, and
         # symmetrized_step gives what evolve_eo gives.
         # dense_propagator stops at L=6, so L=7 takes a constant model (all
