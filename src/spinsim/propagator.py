@@ -66,9 +66,13 @@ Two operands, one step program. Every kernel acts on an array whose last
 axis is the register and whose leading axes are a batch. An instruction's
 drive clock starts at its own start, so the gates of a chunk of substeps
 are built at once. Registers of up to 16 amplitudes (L <= 4) then get the
-chunk's step matrices in one batched pass, and each substep is one
-vector-matrix product; larger ones are stepped in place. Microseconds per
-substep, 512 substeps, in place and by matrices (2-core VM shared with
+chunk's step matrices in one batched pass. The matrices between two
+samples are multiplied together by a pairwise tree of batched matmuls, so
+a sample, not a substep, costs one vector-matrix product, and the
+observables of a chunk's sampled states are read in one batched call.
+Larger registers are stepped in place, one substep at a time. The
+threshold rests on microseconds per substep, 512 substeps, in place and by
+matrices with one vector-matrix product per substep (2-core VM shared with
 other tenants, median of three runs of the best of seven):
 
     L    driven chain      all pairs, 4 passes
@@ -90,7 +94,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .state import MAX_QUBITS, Observables, StateVector, check_axis
+from .state import MAX_QUBITS, Observables, StateVector, check_axis, observables_of
 
 #: The quarter-turns Rx = exp(+i (pi/2) Sx), Ry = exp(-i (pi/2) Sy) and their
 #: inverses, each as (alpha, beta) of g = [[alpha, beta], [-conj(beta), conj(alpha)]].
@@ -568,6 +572,32 @@ def auto_substeps(eo: ElementaryOperation) -> StepPlan:
     return StepPlan(m, eo.tau)
 
 
+def _segment_products(steps: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The product of each run of consecutive matrices of ``steps``, in order.
+
+    The runs have the given lengths and cover ``steps``. A pairwise tree:
+    each level puts one identity after every run of odd length, so that the
+    pairs of every run sit at even offsets, and multiplies all pairs in one
+    batched matmul, halving every run. A run of n matrices takes
+    ceil(log2 n) levels, and a level pads by at most one matrix per run.
+    """
+    eye = np.eye(steps.shape[-1])
+    while len(steps) > len(lengths):
+        odd = lengths % 2 == 1
+        if odd.any():
+            steps = np.insert(steps, np.cumsum(lengths)[odd], eye, axis=0)
+            lengths = lengths + odd
+        steps, lengths = steps[0::2] @ steps[1::2], lengths // 2
+    return steps
+
+
+def _concatenate(parts: list, dim: int) -> Observables:
+    """One ``Observables`` of the samples of ``parts`` in order; no parts give k = 0."""
+    if not parts:
+        return observables_of(np.empty((0, dim), dtype=np.complex128), np.empty(0))
+    return Observables(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(Observables)))
+
+
 def evolve_eo(
     state: StateVector,
     eo: ElementaryOperation,
@@ -579,12 +609,20 @@ def evolve_eo(
 
     The state is evolved in place through plan.m symmetrized steps. Sinusoid
     arguments use the operation-local midpoint times (n + 1/2) * delta, so the
-    state does not depend on t0. ``samples`` holds
-    ``state.observables(t0 + n * delta)`` taken right after substep n, for
-    each n in ``sample_at``, which must increase strictly within 1..m; a zero
-    duration takes no substeps and returns no samples. ``plan`` must be for
-    ``eo.tau``. Each chunk of substeps builds its step matrices (registers of
-    up to 16 amplitudes) or its pass blocks (stepped in place) in one pass.
+    state does not depend on t0. ``samples`` is one ``Observables`` with a
+    leading axis over the substep numbers n in ``sample_at``, each taken
+    right after substep n at time t0 + n * delta. ``sample_at`` is any
+    iterable of integers increasing strictly within 1..m; a zero duration
+    takes no substeps and returns no samples. ``plan`` must be for
+    ``eo.tau``.
+
+    Each chunk of substeps builds its step matrices (registers of up to 16
+    amplitudes) or its pass blocks (stepped in place) in one pass. The step
+    matrices are cut at each sampled substep and at the chunk end, each
+    piece is multiplied into one matrix by a pairwise tree, and the state
+    advances by one vector-matrix product per piece; the observables of the
+    chunk's sampled states are read in one batched call. In place, each
+    substep is applied to the state and each sample read as it is taken.
     """
     if eo.model.L != state.L:
         raise ValueError(f"operation has L={eo.model.L} but state has L={state.L}")
@@ -592,30 +630,41 @@ def evolve_eo(
         plan = auto_substeps(eo)
     if plan.tau != eo.tau:
         raise ValueError(f"plan is for a duration of {plan.tau}, but the operation lasts {eo.tau}")
-    wanted = set(sample_at)
-    if list(sample_at) != sorted(n for n in wanted if 1 <= n <= plan.m):
+    at = list(sample_at)
+    if at != sorted({int(n) for n in at if 1 <= n <= plan.m}):  # a fractional n differs from int(n)
         raise ValueError(f"sample_at must be strictly increasing substep numbers in 1..{plan.m}")
-    samples: list = []
     if eo.tau == 0.0:
-        return state, samples
+        return state, _concatenate([], state.dim)
+    at = np.array(at, dtype=np.int64)
     delta = plan.delta
     prog = _StepProgram(eo.model, delta)
     amp = state.amp
     batched = state.dim <= _BATCH_MAX_DIM
+    # the observables of each chunk's samples (by matrices) or of each sample (in place)
+    wanted, parts = set(at.tolist()), []
     # a chunk holds _BATCH_ELEMENTS entries of step matrices, or of pass
     # blocks in place: at most 4 passes of at most 64 entries per qubit
     chunk = max(1, _BATCH_ELEMENTS // (state.dim**2 if batched else 256 * state.L))
     for lo in range(0, plan.m, chunk):
-        t_mid = (np.arange(lo, min(lo + chunk, plan.m)) + 0.5) * delta
-        prog.count(len(t_mid))
-        for n, step in enumerate(prog.step_matrices(t_mid) if batched else prog.substep_blocks(t_mid), lo):
-            if batched:
-                amp[:] = amp @ step
-            else:
-                prog.apply(amp, step)
-            if n + 1 in wanted:
-                samples.append(state.observables(t0 + (n + 1) * delta))
-    return state, samples
+        hi = min(lo + chunk, plan.m)
+        t_mid = (np.arange(lo, hi) + 0.5) * delta
+        prog.count(hi - lo)
+        if batched:
+            first, last = np.searchsorted(at, (lo, hi), side="right")
+            ends = np.union1d(at[first:last] - lo, hi - lo)
+            pieces = _segment_products(prog.step_matrices(t_mid), np.diff(ends, prepend=0))
+            sampled = np.empty((last - first, state.dim), dtype=np.complex128)
+            for k, piece in enumerate(pieces):
+                amp[:] = amp @ piece
+                if k < len(sampled):
+                    sampled[k] = amp
+            parts.append(observables_of(sampled, t0 + at[first:last] * delta))
+        else:
+            for n, blocks in enumerate(prog.substep_blocks(t_mid), lo + 1):
+                prog.apply(amp, blocks)
+                if n in wanted:
+                    parts.append(observables_of(amp[None], np.array([t0 + n * delta])))
+    return state, _concatenate(parts, state.dim)
 
 
 def run_sequence(
@@ -629,15 +678,18 @@ def run_sequence(
     The input state is not modified. Observables are recorded at the initial
     point, after every ``sample_every``-th substep, at each operation boundary
     and at the final point. When ``sample_every`` is None each operation is
-    sampled about 200 times (once per substep if it has fewer).
+    sampled about 200 times (once per substep if it has fewer). ``plans``,
+    if given, holds one plan per operation.
     """
     for eo in seq.eos:
         if eo.model.L != state.L:
             raise ValueError(f"operation {eo.name!r} has L={eo.model.L} but state has L={state.L}")
     if sample_every is not None and sample_every < 1:
         raise ValueError("sample_every must be >= 1")
+    if plans is not None and len(plans) != len(seq):
+        raise ValueError(f"got {len(plans)} plans for a sequence of {len(seq)} operations")
     out = state.copy()
-    samples = [out.observables(t=seq.t0)]
+    parts = [observables_of(out.amp[None], np.array([seq.t0]))]
     step, eo_index = [0], [0]
     t = seq.t0
     for i, eo in enumerate(seq.eos):
@@ -646,9 +698,8 @@ def run_sequence(
             continue
         stride = sample_every if sample_every is not None else max(1, round(plan.m / 200))
         at = list(range(stride, plan.m, stride)) + [plan.m]
-        samples += evolve_eo(out, eo, t, plan=plan, sample_at=at)[1]
+        parts.append(evolve_eo(out, eo, t, plan=plan, sample_at=at)[1])
         step += [step[-1] + n for n in at]  # step[-1] ended the previous operation
         eo_index += [i] * len(at)
         t += eo.tau
-    obs = Observables(*(np.array([getattr(o, f.name) for o in samples]) for f in fields(Observables)))
-    return out, Trajectory(np.array(step), np.array(eo_index), obs)
+    return out, Trajectory(np.array(step), np.array(eo_index), _concatenate(parts, out.dim))

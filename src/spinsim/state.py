@@ -65,9 +65,10 @@ class Observables:
     """Per-qubit spin expectations and qubit values at one instant.
 
     q[j-1] = 1/2 - sz[j-1] for every qubit j; all expectations are in
-    spin units (range [-1/2, +1/2]); norm is the register's 2-norm. In a
-    ``Trajectory`` every field carries a leading sample axis: t and norm
-    have shape (k,), the per-qubit fields (k, L).
+    spin units (range [-1/2, +1/2]); norm is the register's 2-norm. The
+    observables of a batch of k states, as sampled by ``evolve_eo`` and in
+    a ``Trajectory``, carry a leading sample axis on every field: t and
+    norm have shape (k,), the per-qubit fields (k, L).
     """
 
     sx: np.ndarray
@@ -192,29 +193,36 @@ class StateVector:
         return float(val.real)
 
     def observables(self, t: float = 0.0) -> Observables:
-        """All per-qubit expectations, qubit values Q_j = 1/2 - <S^z_j>, and the norm.
+        """All per-qubit expectations, qubit values Q_j = 1/2 - <S^z_j>, and the norm."""
+        return observables_of(self.amp, t)
 
-        Per qubit, with c = <a0|a1> over the bit-split halves: <S^x> = Re c,
-        <S^y> = Im c and <S^z> = (<a0|a0> - <a1|a1>) / 2, the same values
-        ``expect`` returns (without its residue check), in three dot products.
-        The norm is sqrt(<a0|a0> + <a1|a1>) of the last split.
-        """
-        L = self.L
-        sx = np.empty(L)
-        sy = np.empty(L)
-        sz = np.empty(L)
-        for j in range(L):
-            view = self.amp.reshape(-1, 2, 1 << j)
-            a0 = view[:, 0].ravel()
-            a1 = view[:, 1].ravel()
-            c = np.vdot(a0, a1)
-            n0 = np.vdot(a0, a0).real
-            n1 = np.vdot(a1, a1).real
-            sx[j] = c.real
-            sy[j] = c.imag
-            sz[j] = 0.5 * (n0 - n1)
-        norm = math.sqrt(n0 + n1)
-        return Observables(sx=sx, sy=sy, sz=sz, q=0.5 - sz, norm=norm, t=t)
+
+def observables_of(amp: np.ndarray, t) -> Observables:
+    """The observables of every register in ``amp`` at time(s) ``t``.
+
+    The last axis of ``amp`` is the register and leading axes are a batch,
+    which every field but ``t`` (stored as given) carries in front. Per
+    qubit, with c = <a0|a1> over the bit-split halves: <S^x> = Re c,
+    <S^y> = Im c and <S^z> = (<a0|a0> - <a1|a1>) / 2, the same values
+    ``StateVector.expect`` returns (without its residue check), in three
+    dot products over the last axis of each half, a strided view where the
+    layout allows one and a copy otherwise. The norm is sqrt(<a0|a0> +
+    <a1|a1>) of the last split.
+    """
+    lead, dim = amp.shape[:-1], amp.shape[-1]
+    L = dim.bit_length() - 1
+    sx, sy, sz = np.empty(lead + (L,)), np.empty(lead + (L,)), np.empty(lead + (L,))
+    for j in range(L):
+        view = amp.reshape(lead + (dim >> (j + 1), 2, 1 << j))
+        a0 = view[..., 0, :].reshape(lead + (dim >> 1,))
+        a1 = view[..., 1, :].reshape(lead + (dim >> 1,))
+        c = np.vecdot(a0, a1)
+        n0 = np.vecdot(a0, a0).real
+        n1 = np.vecdot(a1, a1).real
+        sx[..., j] = c.real
+        sy[..., j] = c.imag
+        sz[..., j] = 0.5 * (n0 - n1)
+    return Observables(sx=sx, sy=sy, sz=sz, q=0.5 - sz, norm=np.sqrt(n0 + n1), t=t)
 
 
 def new_basis_state(L: int, bits) -> StateVector:

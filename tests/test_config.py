@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinsim.config import ConfigError, dump_profile, parse_config
+from spinsim.propagator import ElementaryOperation
 from spinsim.pulses import EO_NAMES, make_profile
 
 SAMPLE = """
@@ -114,6 +117,41 @@ class TestDump:
             assert np.array_equal(a.model.rf_amp, b.model.rf_amp)
             assert np.array_equal(a.model.rf_freq, b.model.rf_freq)
             assert np.array_equal(a.model.rf_phase, b.model.rf_phase)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        kind=st.sampled_from(["ideal", "nmr"]),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(EO_NAMES),
+                st.sampled_from(["J", "h0", "rf", "tau"]),
+                st.sampled_from("xyz"),
+                st.integers(1, 2),
+                st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_edited_profiles_reparse_bitwise(self, kind, edits):
+        # either bundled profile, with no edits or with random couplings,
+        # fields, drives and durations written over it
+        profile = make_profile(kind)
+        for name, what, axis, j, (a, b, c) in edits:
+            eo = profile.eos[name]
+            if what == "J":
+                eo.model.set_coupling(1, 2, axis, a)
+            elif what == "h0":
+                eo.model.set_static(j, axis, a)
+            elif what == "rf":  # a zero amplitude drops its frequency and phase
+                eo.model.set_rf(j, axis, a or 1.0, b, c)
+            else:
+                profile.eos[name] = ElementaryOperation(name, eo.model, 2.0 * math.pi * abs(a))
+        cfg = parse_config(dump_profile(profile))
+        for name in EO_NAMES:
+            a, b = profile.eos[name], cfg.eos[name]
+            assert b.tau == a.tau
+            for arr in ("coupling", "static_field", "rf_amp", "rf_freq", "rf_phase"):
+                assert np.array_equal(getattr(a.model, arr), getattr(b.model, arr))
 
     def test_dump_includes_search_programs(self):
         cfg = parse_config(dump_profile(make_profile("ideal")))

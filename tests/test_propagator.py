@@ -23,6 +23,7 @@ from spinsim.propagator import (
 )
 from spinsim import propagator
 from spinsim.propagator import _axis_phase, _gate_blocks, _global_gate
+from spinsim.pulses import grover_program, make_profile
 from spinsim.reference import dense_propagator, dense_propagator_composed, embed_single, hamiltonian
 from spinsim.state import StateVector, fidelity, new_basis_state, spin_z_values
 
@@ -487,6 +488,22 @@ class TestInstrumentation:
                       plan=StepPlan(steps, 0.1 * steps))
             assert dict(vars(counters)) == {k: steps * v for k, v in one.items()}
 
+    def test_nmr_program_counts(self):
+        # the search for item 2 in the swapped "21" order, 22,080 substeps at
+        # the auto plan: the counts are per logical substep, however the step
+        # matrices between two samples are multiplied together
+        counters.reset()
+        prog = grover_program(2, make_profile("nmr"), "21")
+        _, traj = run_sequence(new_basis_state(2, [0, 0]), prog.seq)
+        assert len(traj) == 2859
+        assert dict(vars(counters)) == {
+            "diagonal_sweeps": 44160,
+            "global_rotations": 22078,
+            "gate_kernel_calls": 44156,
+            "pair_terms": 44160,
+            "field_terms": 157708,
+        }
+
     @pytest.mark.parametrize("active, passes", [
         ("y", 2),  # Rx+ | Cy | Rx, Ry+, Ry, Rx+ cancel | Cy | Rx
         ("x", 2),  # Rx+, Rx cancel, Ry+ | Cx | Ry, Rx+, Rx cancel
@@ -569,7 +586,7 @@ class TestEvolveEo:
         s = random_state(2, 9)
         ref = s.amp.copy()
         out, samples = evolve_eo(s, ElementaryOperation("idle", SpinModel(2), 0.0), 5.0)
-        assert samples == []
+        assert samples.t.shape == (0,) and samples.q.shape == (0, 2)
         assert np.array_equal(out.amp, ref)
 
     def test_conditional_evolution_phases(self):
@@ -600,10 +617,10 @@ class TestEvolveEo:
         eo = ElementaryOperation("rf", m, 1.6)
         a = random_state(2, 13)
         b = a.copy()
-        _, [sa] = evolve_eo(a, eo, 0.0, plan=StepPlan(64, eo.tau), sample_at=[64])
-        _, [sb] = evolve_eo(b, eo, 1234.5, plan=StepPlan(64, eo.tau), sample_at=[64])
+        _, sa = evolve_eo(a, eo, 0.0, plan=StepPlan(64, eo.tau), sample_at=[64])
+        _, sb = evolve_eo(b, eo, 1234.5, plan=StepPlan(64, eo.tau), sample_at=[64])
         assert np.array_equal(a.amp, b.amp)
-        assert sa.t == pytest.approx(1.6) and sb.t == pytest.approx(1236.1)
+        assert sa.t == pytest.approx([1.6]) and sb.t == pytest.approx([1236.1])
 
     def test_plan_for_another_duration_is_rejected(self):
         s = random_state(2, 18)
@@ -613,11 +630,19 @@ class TestEvolveEo:
             evolve_eo(s, eo, 0.0, plan=StepPlan(4, 2.0))
         assert np.array_equal(s.amp, ref)
 
-    @pytest.mark.parametrize("sample_at", [[0], [5], [-1], [2, 2], [3, 1], [1, 4, 5]])
+    @pytest.mark.parametrize("sample_at", [[0], [5], [-1], [2, 2], [3, 1], [1, 4, 5], [1.5, 3]])
     def test_sample_at_must_increase_within_the_plan(self, sample_at):
         eo = ElementaryOperation("e", random_two_spin_model(14), 0.4)
         with pytest.raises(ValueError, match="sample_at"):
             evolve_eo(random_state(2, 15), eo, 0.0, plan=StepPlan(4, 0.4), sample_at=sample_at)
+
+    def test_sample_at_takes_any_iterable(self):
+        # an iterator is read once, not consumed by the check and then rejected
+        eo = ElementaryOperation("e", random_two_spin_model(14), 1.0)
+        _, from_iter = evolve_eo(random_state(2, 15), eo, 0.0, plan=StepPlan(10, 1.0), sample_at=iter([2, 5, 10]))
+        _, from_list = evolve_eo(random_state(2, 15), eo, 0.0, plan=StepPlan(10, 1.0), sample_at=[2, 5, 10])
+        assert from_iter.t == pytest.approx([0.2, 0.5, 1.0])
+        assert np.array_equal(from_iter.q, from_list.q)
 
     @pytest.mark.parametrize("L", [3, 6])  # batched and in place
     def test_sample_equals_the_instruction_cut_to_n_substeps(self, L):
@@ -627,13 +652,13 @@ class TestEvolveEo:
         at = [1, 5, 17, 31, 32]
         _, samples = evolve_eo(psi0.copy(), ElementaryOperation("e", model, m * delta), t0,
                                plan=StepPlan(m, m * delta), sample_at=at)
-        assert len(samples) == len(at)
-        for n, obs in zip(at, samples):
+        assert samples.t.shape == (len(at),) and samples.q.shape == (len(at), L)
+        for i, n in enumerate(at):
             cut, _ = evolve_eo(psi0.copy(), ElementaryOperation("e", model, n * delta), t0,
                                plan=StepPlan(n, n * delta))
             ref = cut.observables(t0 + n * delta)
             for name in ("sx", "sy", "sz", "q", "norm", "t"):
-                assert np.max(np.abs(getattr(obs, name) - getattr(ref, name))) < 1e-12
+                assert np.max(np.abs(getattr(samples, name)[i] - getattr(ref, name))) < 1e-12
 
     def test_split_continuity_without_rf(self):
         # for drive-free models all phases are duration-based, so one EO with
@@ -684,10 +709,9 @@ class TestBatchedSteps:
             eo = ElementaryOperation("e", model, 0.02 * m)
             (batched, seen), (reference, seen_ref) = self.both_paths(monkeypatch, psi0, eo, m, range(1, m + 1))
             assert np.max(np.abs(batched.amp - reference.amp)) < 1e-12
-            assert len(seen) == len(seen_ref) == m
-            for obs, ref in zip(seen, seen_ref):
-                for name in ("sx", "sy", "sz", "norm", "t"):
-                    assert np.max(np.abs(getattr(obs, name) - getattr(ref, name))) < 1e-12
+            assert seen.t.shape == seen_ref.t.shape == (m,)
+            for name in ("sx", "sy", "sz", "norm", "t"):
+                assert np.max(np.abs(getattr(seen, name) - getattr(seen_ref, name))) < 1e-12
             # the amplitudes after n < m substeps are those of the instruction
             # cut to n substeps, which has the same substep length and midpoints
             for n in ({1, 2, m - 1} | chunks | {c + 1 for c in chunks}) & set(range(1, m)):
@@ -710,7 +734,7 @@ class TestBatchedSteps:
         ref = s.amp.copy()
         eo = ElementaryOperation("idle", random_driven_model(3, 63), 0.0)
         _, samples = evolve_eo(s, eo, 0.0, plan=StepPlan(1, 0.0), sample_at=[1])
-        assert samples == [] and np.array_equal(s.amp, ref)
+        assert samples.t.shape == (0,) and np.array_equal(s.amp, ref)
 
     @pytest.mark.parametrize("L", [5])
     def test_second_order_on_both_sides_of_the_threshold(self, monkeypatch, L):
@@ -769,6 +793,51 @@ class TestBatchedSteps:
             assert 3.3 < a / b < 4.7
 
 
+class TestSampledMatrixPath:
+    """Between two samples the matrix path multiplies the step matrices by a
+    pairwise tree, and each sample is one vector-matrix product; it must give
+    what symmetrized_step gives one substep at a time."""
+
+    @staticmethod
+    def check(model, psi0, m, at, tau=None):
+        tau = 0.03 * m if tau is None else tau
+        t0, delta = 2.5, tau / m
+        s, samples = evolve_eo(psi0.copy(), ElementaryOperation("e", model, tau), t0,
+                               plan=StepPlan(m, tau), sample_at=at)
+        ref, rows = psi0.copy(), {}
+        for n in range(m):
+            symmetrized_step(ref, model, delta, n * delta)
+            if n + 1 in at:
+                rows[n + 1] = ref.observables(t0 + (n + 1) * delta)
+        assert np.max(np.abs(s.amp - ref.amp)) < 1e-12
+        assert samples.t.shape == (len(at),) and samples.sx.shape == (len(at), model.L)
+        for i, n in enumerate(at):
+            for name in ("sx", "sy", "sz", "q", "norm", "t"):
+                assert np.max(np.abs(getattr(samples, name)[i] - getattr(rows[n], name))) < 1e-12
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        L=st.integers(1, 4),
+        m_at=st.integers(1, 40).flatmap(lambda m: st.tuples(st.just(m), st.sets(st.integers(1, m)))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_one_substep_at_a_time(self, L, m_at, seed):
+        m, at = m_at
+        self.check(random_driven_model(L, seed % 1000), random_state(L, seed), m, sorted(at))
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    @pytest.mark.parametrize("at", [[], [1], [37], [1, 2, 9, 10, 31, 37], [3, 36]], ids=str)
+    def test_edge_samples(self, L, at):
+        # none, the first substep alone, the last alone, uneven gaps
+        self.check(random_driven_model(L, 110 + L), random_state(L, 120 + L), 37, at)
+
+    def test_samples_on_both_sides_of_a_chunk_edge(self):
+        edge = propagator._BATCH_ELEMENTS // 4**2  # substeps per chunk of step matrices at L=2
+        m = edge + 7
+        at = [1, edge - 300, edge - 1, edge, edge + 1, edge + 4, m]
+        self.check(random_two_spin_model(130), random_state(2, 131), m, at, tau=0.001 * m)
+
+
 class TestRunSequence:
     def test_empty_sequence(self):
         s = random_state(2, 14)
@@ -812,6 +881,12 @@ class TestRunSequence:
         assert list(traj.eo_index) == [0] * (1 + len(per_eo)) + [2] * len(per_eo)
         assert traj.obs.sx.shape == (len(traj), 1) and traj.obs.t.shape == (len(traj),)
         assert traj.obs.t[-1] == pytest.approx(2 * eo.tau)
+
+    @pytest.mark.parametrize("n_plans", [1, 3])
+    def test_plans_must_match_the_sequence(self, n_plans):
+        eo = ElementaryOperation("e", SpinModel(1).set_static(1, "x", 1.0), 0.1)
+        with pytest.raises(ValueError, match=f"got {n_plans} plans for a sequence of 2 operations"):
+            run_sequence(new_basis_state(1, [0]), PulseSequence([eo, eo]), plans=[StepPlan(4, eo.tau)] * n_plans)
 
     def test_mismatched_width_rejected(self):
         m = SpinModel(2).set_static(1, "x", 1.0)

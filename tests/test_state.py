@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinsim.state import (
     CapacityError,
@@ -12,6 +14,7 @@ from spinsim.state import (
     fidelity,
     inner_product,
     new_basis_state,
+    observables_of,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -148,6 +151,26 @@ class TestObservables:
             assert abs(obs.norm - s.norm()) <= 1e-15
             assert np.array_equal(obs.q, 0.5 - obs.sz)
             assert obs.t == 1.25
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(L=st.integers(1, 6), k=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    def test_batch_matches_expect_for_every_state(self, L, k, seed):
+        rng = np.random.default_rng(seed)
+        amp = rng.normal(size=(k, 1 << L)) + 1j * rng.normal(size=(k, 1 << L))
+        amp /= np.linalg.norm(amp, axis=1, keepdims=True)
+        t = 0.5 * np.arange(k)
+        obs = observables_of(amp, t)
+        for name in ("sx", "sy", "sz", "q"):
+            assert getattr(obs, name).shape == (k, L)
+        assert obs.norm.shape == (k,) and obs.t is t
+        for i in range(k):
+            s = StateVector(L, amp[i])
+            for j in range(1, L + 1):
+                assert abs(obs.sx[i, j - 1] - s.expect(j, "x")) <= 1e-15
+                assert abs(obs.sy[i, j - 1] - s.expect(j, "y")) <= 1e-15
+                assert abs(obs.sz[i, j - 1] - s.expect(j, "z")) <= 1e-15
+            assert abs(obs.norm[i] - s.norm()) <= 1e-15
+        assert np.array_equal(obs.q, 0.5 - obs.sz)
 
 
 class TestQubitValues:
