@@ -16,7 +16,7 @@ os.makedirs(OUT_DIR, exist_ok=True)
 for init, tag in (("12", "stable"), ("21", "swapped")):
     report = run_grover("nmr", 0, init)
     path = os.path.join(OUT_DIR, f"nmr_item0_{tag}.csv")
-    write_trajectory_csv(path, report.samples, 2)
+    write_trajectory_csv(path, report.samples)
     obs = report.samples.obs
     print(f"{tag} preparation: {len(report.samples)} samples -> {path}")
     print(f"  final Q = ({report.q[0]:.4f}, {report.q[1]:.4f})")

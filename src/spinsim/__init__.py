@@ -23,7 +23,6 @@ from .propagator import (
     SpinModel,
     StepPlan,
     Trajectory,
-    apply_diagonal_factor,
     auto_substeps,
     counters,
     evolve_eo,
@@ -35,13 +34,10 @@ from .pulses import (
     EO_NAMES,
     GroverProgram,
     HardwareProfile,
-    conditional_phase_seq,
     execution_order,
-    f_oracle_seq,
     grover_program,
     make_profile,
     sequence_from_product,
-    wh_transform_seq,
 )
 from .reference import (
     ConvergenceError,

@@ -101,7 +101,7 @@ def _cmd_grover(args) -> int:
         print(line)
     if args.out:
         try:
-            write_trajectory_csv(args.out, report.samples, 2)
+            write_trajectory_csv(args.out, report.samples)
         except OSError as err:
             print(f"spinsim: error: cannot write {args.out}: {err}", file=sys.stderr)
             return EXIT_IO
@@ -149,7 +149,7 @@ def _cmd_run(args) -> int:
         print(f"  fidelity with uniform superposition = {fidelity(final, uniform):.9f}")
     if args.out:
         try:
-            write_trajectory_csv(args.out, samples, cfg.L)
+            write_trajectory_csv(args.out, samples)
         except OSError as err:
             print(f"spinsim: error: cannot write {args.out}: {err}", file=sys.stderr)
             return EXIT_IO

@@ -246,7 +246,6 @@ class PulseSequence:
     """
 
     eos: list
-    t0: float = 0.0
 
     def __post_init__(self):
         if self.eos:
@@ -260,9 +259,6 @@ class PulseSequence:
 
     def __iter__(self):
         return iter(self.eos)
-
-    def __add__(self, other: "PulseSequence") -> "PulseSequence":
-        return PulseSequence(self.eos + other.eos, t0=self.t0)
 
     @property
     def total_duration(self) -> float:
@@ -323,20 +319,6 @@ def _axis_phase(L: int, coupling: np.ndarray, field: np.ndarray) -> np.ndarray:
     return phase
 
 
-def apply_diagonal_factor(
-    state: StateVector, model: SpinModel, axis: str, delta: float, t_mid: float
-) -> StateVector:
-    """Apply one diagonal (z-form) factor loaded with the given axis's parameters.
-
-    Couplings and fields together, exp(+i delta (sum J s s + sum h(t_mid) s))
-    on every amplitude. Pure phase; the norm is untouched.
-    """
-    a = check_axis(axis)
-    field = model.static_field[:, a] + model.rf_amp[:, a] * np.sin(model.rf_freq[:, a] * t_mid + model.rf_phase[:, a])
-    state.amp *= np.exp(1j * _axis_phase(model.L, delta * model.coupling[:, :, a], delta * field))
-    return state
-
-
 def _gate_blocks(alpha, beta, L: int, group: int = _GATE_BLOCK) -> list:
     """Kronecker blocks of per-qubit gates g_j = [[alpha_j, beta_j], [-conj(beta_j), conj(alpha_j)]].
 
@@ -385,7 +367,11 @@ def _global_gate(amp: np.ndarray, blocks: list) -> None:
 
 
 def global_half_pi_rotation(state: StateVector, axis: str, inverse: bool = False) -> StateVector:
-    """Rotate every spin by a quarter turn about x or y (or undo it), in place."""
+    """Rotate every spin by a quarter turn about x or y (or undo it), in place.
+
+    The step program applies its quarter-turns inside fused passes and does
+    not call this; it stays because ``perfbench/tracing.py`` binds it by name.
+    """
     if axis not in ("x", "y"):
         raise ValueError(f"rotation axis must be 'x' or 'y', got {axis!r}")
     _global_gate(state.amp, _gate_blocks(*_TURN[f"R{axis}+" if inverse else f"R{axis}"], state.L))
@@ -673,7 +659,7 @@ def run_sequence(
     sample_every: int | None = None,
     plans: list | None = None,
 ) -> tuple:
-    """Execute a sequence on a continuous clock; returns (final state, Trajectory).
+    """Execute a sequence on a continuous clock from 0; returns (final state, Trajectory).
 
     The input state is not modified. Observables are recorded at the initial
     point, after every ``sample_every``-th substep, at each operation boundary
@@ -689,9 +675,9 @@ def run_sequence(
     if plans is not None and len(plans) != len(seq):
         raise ValueError(f"got {len(plans)} plans for a sequence of {len(seq)} operations")
     out = state.copy()
-    parts = [observables_of(out.amp[None], np.array([seq.t0]))]
+    parts = [observables_of(out.amp[None], np.array([0.0]))]
     step, eo_index = [0], [0]
-    t = seq.t0
+    t = 0.0
     for i, eo in enumerate(seq.eos):
         plan = plans[i] if plans is not None else auto_substeps(eo)
         if eo.tau == 0.0:

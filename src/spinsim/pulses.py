@@ -109,9 +109,9 @@ def execution_order(product_names) -> list:
     return list(reversed(list(product_names)))
 
 
-def sequence_from_product(profile: HardwareProfile, product_names, t0: float = 0.0) -> PulseSequence:
+def sequence_from_product(profile: HardwareProfile, product_names) -> PulseSequence:
     """PulseSequence for a gate product written in operator (right-to-left) order."""
-    return PulseSequence([profile.eo(n) for n in execution_order(product_names)], t0=t0)
+    return PulseSequence([profile.eo(n) for n in execution_order(product_names)])
 
 
 def _check_qubit(j: int) -> None:
@@ -130,11 +130,6 @@ def wh_transform_product(j: int) -> list:
     return [f"X{j}", f"X{j}", f"Y{j}b"]
 
 
-def wh_transform_seq(j: int, profile: HardwareProfile) -> PulseSequence:
-    """Three-instruction WH transform; Yb_j executes first, then X_j twice."""
-    return sequence_from_product(profile, wh_transform_product(j))
-
-
 def f_oracle_product(item: int) -> list:
     """Database encoding F_item as a product of phase gadgets and Ipi.
 
@@ -147,17 +142,9 @@ def f_oracle_product(item: int) -> list:
     return ["Y1", b1, "Y1b", "Y2", b2, "Y2b", "Ipi"]
 
 
-def f_oracle_seq(item: int, profile: HardwareProfile) -> PulseSequence:
-    return sequence_from_product(profile, f_oracle_product(item))
-
-
 def conditional_phase_product() -> list:
     """Conditional phase shift P = Y1 Xb1 Yb1 Y2 Xb2 Yb2 Ipi (equals -F0)."""
     return ["Y1", "X1b", "Y1b", "Y2", "X2b", "Y2b", "Ipi"]
-
-
-def conditional_phase_seq(profile: HardwareProfile) -> PulseSequence:
-    return sequence_from_product(profile, conditional_phase_product())
 
 
 def shortened_search_product(item: int) -> list:

@@ -167,16 +167,17 @@ class IterateReport:
         return self.pure_iterations == self.expected_iterations and self.indices_ok
 
 
-def grover_iterate_check(item: int, max_iter: int = 10) -> IterateReport:
+def grover_iterate_check(item: int) -> IterateReport:
     """Iterate the search loop on the encoded state and find the pure-state hits.
 
     Starts from the encoded state F_item |U| and applies one search iteration
     at a time: the inversion about the mean followed by a fresh database
     query. (The inversion alone is an involution, D^2 = identity, so repeated
     bare D would just flip between two states; re-querying after each
-    inversion is what advances the search cycle.) Records the iteration counts
-    at which the register is a pure basis state, the period-3 pattern
-    1, 4, 7, ..., and checks that the basis state is the searched item.
+    inversion is what advances the search cycle.) Records, over iterations
+    1 to 10, the counts at which the register is a pure basis state, the
+    period-3 pattern 1, 4, 7, 10, and checks that the basis state is the
+    searched item.
     """
     if item not in (0, 1, 2, 3):
         raise ValueError(f"item must be 0..3, got {item}")
@@ -184,10 +185,8 @@ def grover_iterate_check(item: int, max_iter: int = 10) -> IterateReport:
     fmat = ideal_two_qubit(f"F{item}").mat
     d = ideal_two_qubit("D").mat
     psi = fmat @ uniform
-    report = IterateReport(
-        item=item, expected_iterations=[k for k in range(1, max_iter + 1) if k % 3 == 1]
-    )
-    for k in range(1, max_iter + 1):
+    report = IterateReport(item=item, expected_iterations=[1, 4, 7, 10])
+    for k in range(1, 11):
         psi = fmat @ (d @ psi)
         peak = np.abs(psi).max()
         if peak >= 1.0 - 1e-12:

@@ -20,9 +20,10 @@ basis index.
 Spin operators are S^a = sigma^a / 2, so every expectation value lies in
 [-1/2, +1/2] and the qubit value of qubit j is Q_j = 1/2 - <S^z_j>.
 
-Mutation convention: methods that evolve the register (``apply_gate``,
-``rotate_frame``) act in place and return ``self``; use ``copy()`` first
-when the input must be kept.
+Mutation convention: what evolves a register acts on it in place:
+``StateVector.apply_gate`` (which returns ``self``) and the propagator's
+``symmetrized_step`` and ``evolve_eo``. Use ``copy()`` first when the input
+must be kept.
 """
 
 from __future__ import annotations
@@ -134,7 +135,8 @@ class StateVector:
         """Apply a 2x2 unitary to qubit j, in place.
 
         Every amplitude pair (n0, n1) differing only in bit j-1 is multiplied
-        by g. Rejects non-unitary matrices.
+        by g. Rejects non-unitary matrices. The step program does not call
+        this; it stays because ``perfbench/tracing.py`` binds it by name.
         """
         self._check_qubit(j)
         g = np.asarray(g, dtype=np.complex128)
@@ -151,25 +153,6 @@ class StateVector:
         a0 += g[0, 1] * a1
         a1 *= g[1, 1]
         a1 += g[1, 0] * t0
-        return self
-
-    def rotate_frame(self, t: float, omega) -> "StateVector":
-        """Diagonal frame rotation: amp[n] *= exp(+i * t * sum_j omega[j] * s_j(n)).
-
-        s_j(n) is +1/2 for bit 0 (up) and -1/2 for bit 1 (down). Used to move
-        between the laboratory frame and frames co-rotating about z at the
-        per-qubit angular frequencies ``omega``. Leaves every <S^z_j> (and
-        hence every qubit value) unchanged.
-        """
-        omega = np.asarray(omega, dtype=float)
-        if omega.shape != (self.L,):
-            raise ValueError(f"omega must have {self.L} entries")
-        phase = np.zeros(self.dim)
-        for j in range(1, self.L + 1):
-            w = omega[j - 1]
-            if w != 0.0:
-                phase += (t * w) * spin_z_values(self.L, j)
-        self.amp *= np.exp(1j * phase)
         return self
 
     def expect(self, j: int, axis: str) -> float:

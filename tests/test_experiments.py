@@ -1,5 +1,7 @@
 """Experiment-layer tests: reports, convergence studies, CSV, self-test."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -74,8 +76,8 @@ class TestTrajectoryCsv(object):
         report = run_grover("ideal", 2, "12", sample_every=1)
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
-        write_trajectory_csv(p1, report.samples, 2)
-        write_trajectory_csv(p2, report.samples, 2)
+        write_trajectory_csv(p1, report.samples)
+        write_trajectory_csv(p2, report.samples)
         b1 = p1.read_bytes()
         assert b1 == p2.read_bytes()
         lines = b1.decode().splitlines()
@@ -91,7 +93,7 @@ class TestTrajectoryCsv(object):
         for run in range(2):
             report = run_grover("nmr", 0, "12", steps=8, sample_every=4)
             path = tmp_path / f"run{run}.csv"
-            write_trajectory_csv(path, report.samples, 2)
+            write_trajectory_csv(path, report.samples)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
@@ -144,27 +146,27 @@ class TestSelfTest:
 
     def test_conjugation_check_detects_flipped_rotation(self):
         # a wrong rotation sign must blow the conjugation identity wide open
-        from spinsim.propagator import SpinModel, apply_diagonal_factor, global_half_pi_rotation
-        from spinsim.reference import hamiltonian
-        from spinsim.state import StateVector
+        from spinsim import propagator
+        from spinsim.experiments import _check_conjugation
 
-        m = SpinModel(2).set_static(1, "y", 0.8).set_static(2, "y", -0.3)
-        zform = SpinModel(2).set_static(1, "z", 0.8).set_static(2, "z", -0.3)
-        h = hamiltonian(m, 0.0)
-        w, v = np.linalg.eigh(h)
-        exact = v @ np.diag(np.exp(-1j * 0.4 * w)) @ v.conj().T
-        cols = []
-        for n in range(4):
-            amp = np.zeros(4, dtype=complex)
-            amp[n] = 1.0
-            s = StateVector(2, amp)
-            # deliberately inverted rotation pair
-            global_half_pi_rotation(s, "x", inverse=False)
-            apply_diagonal_factor(s, zform, "z", 0.4, 0.0)
-            global_half_pi_rotation(s, "x", inverse=True)
-            cols.append(s.amp)
-        dev = np.max(np.abs(np.column_stack(cols) - exact))
-        assert dev > 1e-2
+        turn = propagator._TURN
+        with mock.patch.dict(turn, {"Rx": turn["Rx+"], "Rx+": turn["Rx"]}):
+            check = _check_conjugation()
+        assert not check.ok
+        assert float(check.detail.split()[2]) > 1e-2  # "max deviation <value> over ..."
+
+    def test_checks_catch_a_wrong_share_of_the_x_factor(self):
+        # the self-test runs the step program itself: half an x factor per
+        # step must fail the conjugation check and the selftest command
+        from spinsim import propagator
+        from spinsim.cli import main
+        from spinsim.experiments import _check_conjugation
+
+        order = tuple((0, 0.5) if item == (0, 1.0) else item for item in propagator._ORDER)
+        assert order != propagator._ORDER
+        with mock.patch.object(propagator, "_ORDER", order):
+            assert not _check_conjugation(n_models=5).ok
+            assert main(["selftest"]) == 2
 
     def test_convergence_check_detects_first_order_stepping(self):
         # sampling the sinusoid at the left endpoint instead of the midpoint

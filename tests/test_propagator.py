@@ -14,7 +14,6 @@ from spinsim.propagator import (
     SpinModel,
     StepPlan,
     auto_substeps,
-    apply_diagonal_factor,
     counters,
     evolve_eo,
     global_half_pi_rotation,
@@ -65,25 +64,32 @@ def random_driven_model(L, seed):
     return m
 
 
+def z_step(s, m, theta, t):
+    """One step of a z-only model over [t - theta/2, t + theta/2]: the diagonal factor at t."""
+    return symmetrized_step(s, m, theta, t - 0.5 * theta)
+
+
 class TestDiagonalFactor:
+    """The diagonal z factor, run as one step of a z-only model."""
+
     def test_all_zero_is_identity(self):
         s = random_state(2, 0)
         ref = s.amp.copy()
-        apply_diagonal_factor(s, SpinModel(2), "z", 0.7, 3.0)
+        z_step(s, SpinModel(2), 0.7, 3.0)
         assert np.array_equal(s.amp, ref)
 
     def test_pair_phase_on_uniform(self):
         # J = -1e-6 for a time giving theta*J = -pi: phases -/+ pi/4
         m = SpinModel(2).set_coupling(1, 2, "z", -1e-6)
         s = StateVector(2, np.full(4, 0.5))
-        apply_diagonal_factor(s, m, "z", math.pi * 1e6, 0.0)
+        z_step(s, m, math.pi * 1e6, 0.0)
         expected = 0.5 * np.exp(1j * np.pi / 4 * np.array([-1, 1, 1, -1]))
         assert np.allclose(s.amp, expected, atol=1e-12)
 
     def test_single_field_phase(self):
         m = SpinModel(1).set_static(1, "z", 1.0)
         s = StateVector(1, np.array([1, 1j]) / math.sqrt(2))
-        apply_diagonal_factor(s, m, "z", math.pi, 0.0)
+        z_step(s, m, math.pi, 0.0)
         # exp(+i*pi*h*s): up gains i, down gains -i
         assert np.allclose(s.amp * math.sqrt(2), [1j, 1j * (-1j)], atol=1e-12)
 
@@ -91,7 +97,7 @@ class TestDiagonalFactor:
         m = SpinModel(1).set_rf(1, "z", 0.4, 1.3, 0.2)
         s = StateVector(1)
         t_mid = 2.7
-        apply_diagonal_factor(s, m, "z", 0.5, t_mid)
+        z_step(s, m, 0.5, t_mid)
         h = 0.4 * math.sin(1.3 * t_mid + 0.2)
         assert s.amp[0] == pytest.approx(np.exp(1j * 0.5 * h * 0.5), abs=1e-15)
 
@@ -114,7 +120,7 @@ class TestDiagonalFactor:
         assert np.array_equal(h, np.diag(np.diag(h)))
         s = random_state(L, 310 + L)
         expected = np.exp(-1j * theta * np.diag(h).real) * s.amp
-        apply_diagonal_factor(s, m, "z", theta, t)
+        z_step(s, m, theta, t)
         assert np.max(np.abs(s.amp - expected)) < 1e-13
 
 
@@ -172,40 +178,6 @@ class TestGlobalRotation:
         s = new_basis_state(2, [0, 0])
         global_half_pi_rotation(s, "x")
         assert np.allclose(s.amp, 0.5 * np.array([1, 1j, 1j, -1]), atol=1e-12)
-
-    def test_conjugation_identity_dense(self):
-        # Rx exp(-i d Hz') Rx+ == exp(-i d Hy) with y-parameters in z form
-        for seed in range(100):
-            m = random_two_spin_model(seed)
-            t_mid = 0.83
-            delta = 0.31
-            # left side via the integrator kernels on all four basis columns
-            cols = []
-            for n in range(4):
-                amp = np.zeros(4, dtype=complex)
-                amp[n] = 1.0
-                s = StateVector(2, amp)
-                global_half_pi_rotation(s, "x", inverse=True)
-                only_y = SpinModel(2)
-                only_y.coupling[:, :, 2] = m.coupling[:, :, 1]
-                only_y.static_field[:, 2] = m.static_field[:, 1]
-                only_y.rf_amp[:, 2] = m.rf_amp[:, 1]
-                only_y.rf_freq[:, 2] = m.rf_freq[:, 1]
-                only_y.rf_phase[:, 2] = m.rf_phase[:, 1]
-                apply_diagonal_factor(s, only_y, "z", delta, t_mid)
-                global_half_pi_rotation(s, "x")
-                cols.append(s.amp)
-            left = np.column_stack(cols)
-            only_y_full = SpinModel(2)
-            only_y_full.coupling[:, :, 1] = m.coupling[:, :, 1]
-            only_y_full.static_field[:, 1] = m.static_field[:, 1]
-            only_y_full.rf_amp[:, 1] = m.rf_amp[:, 1]
-            only_y_full.rf_freq[:, 1] = m.rf_freq[:, 1]
-            only_y_full.rf_phase[:, 1] = m.rf_phase[:, 1]
-            h = hamiltonian(only_y_full, t_mid)
-            w, v = np.linalg.eigh(h)
-            right = v @ np.diag(np.exp(-1j * delta * w)) @ v.conj().T
-            assert np.max(np.abs(left - right)) < 1e-12
 
 
 class TestGlobalGate:
@@ -935,7 +907,7 @@ class TestDeterminism:
         results = []
         for _ in range(3):
             s = random_state(14, 25)
-            apply_diagonal_factor(s, m, "z", 0.37, 2.1)
+            z_step(s, m, 0.37, 2.1)
             results.append(s.amp)
         assert np.array_equal(results[0], results[1])
         assert np.array_equal(results[0], results[2])

@@ -5,19 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from spinsim.propagator import auto_substeps, run_sequence
+from spinsim.propagator import PulseSequence, auto_substeps, run_sequence
 from spinsim.pulses import (
     EO_NAMES,
     GroverProgram,
-    conditional_phase_seq,
+    conditional_phase_product,
     execution_order,
-    f_oracle_seq,
+    f_oracle_product,
     full_search_product,
     grover_program,
     make_profile,
     sequence_from_product,
     shortened_search_product,
-    wh_transform_seq,
+    wh_transform_product,
 )
 from spinsim.reference import (
     dense_propagator,
@@ -119,29 +119,29 @@ class TestSequenceConstruction:
         assert execution_order(["A", "B", "C"]) == ["C", "B", "A"]
 
     def test_wh_executes_inverse_y_first(self, ideal):
-        seq = wh_transform_seq(1, ideal)
+        seq = sequence_from_product(ideal, wh_transform_product(1))
         assert [eo.name for eo in seq.eos] == ["Y1b", "X1", "X1"]
 
     def test_wh_reconstructs_walsh_hadamard(self, ideal):
-        got = matrix_of_sequence(wh_transform_seq(2, ideal))
+        got = matrix_of_sequence(sequence_from_product(ideal, wh_transform_product(2)))
         w2 = np.kron((1j / math.sqrt(2)) * np.array([[1, 1], [1, -1]]), np.eye(2))
         assert np.max(np.abs(got.mat - w2)) < 1e-14
 
     def test_conditional_phase_flips_all_but_ground(self, ideal):
-        got = matrix_of_sequence(conditional_phase_seq(ideal)).mat
+        got = matrix_of_sequence(sequence_from_product(ideal, conditional_phase_product())).mat
         phase = global_phase_between(got, ideal_two_qubit("P").mat)
         assert abs(abs(phase) - 1.0) < 1e-12
 
     def test_f_sequences_reconstruct_encodings(self, ideal):
         for item in range(4):
-            got = matrix_of_sequence(f_oracle_seq(item, ideal)).mat
+            got = matrix_of_sequence(sequence_from_product(ideal, f_oracle_product(item))).mat
             phase = global_phase_between(got, ideal_two_qubit(f"F{item}").mat)
             assert abs(abs(phase) - 1.0) < 1e-12
 
     def test_f0_sequence_is_minus_p_sequence(self, ideal):
         # the two products are the same instruction list
-        f0 = [eo.name for eo in f_oracle_seq(0, ideal).eos]
-        p = [eo.name for eo in conditional_phase_seq(ideal).eos]
+        f0 = [eo.name for eo in sequence_from_product(ideal, f_oracle_product(0)).eos]
+        p = [eo.name for eo in sequence_from_product(ideal, conditional_phase_product()).eos]
         assert f0 == p
         assert np.array_equal(ideal_two_qubit("F0").mat, -ideal_two_qubit("P").mat)
 
@@ -181,12 +181,13 @@ class TestSequenceConstruction:
         with pytest.raises(ValueError):
             grover_program(1, ideal, "013")
         with pytest.raises(ValueError):
-            wh_transform_seq(3, ideal)
+            wh_transform_product(3)
 
 
 class TestIdealExecution:
     def test_uniform_preparation(self, ideal):
-        seq = wh_transform_seq(1, ideal) + wh_transform_seq(2, ideal)
+        w1, w2 = (sequence_from_product(ideal, wh_transform_product(j)) for j in (1, 2))
+        seq = PulseSequence(w1.eos + w2.eos)
         out, _ = run_sequence(new_basis_state(2, [0, 0]), seq)
         uniform = StateVector(2, np.full(4, 0.5))
         assert fidelity(out, uniform) == pytest.approx(1.0, abs=1e-12)
@@ -194,7 +195,8 @@ class TestIdealExecution:
 
     def test_wh_twice_returns_up_to_phase(self, ideal):
         # W^2 = -identity on the qubit, so two transforms undo themselves
-        seq = wh_transform_seq(1, ideal) + wh_transform_seq(1, ideal)
+        w1 = sequence_from_product(ideal, wh_transform_product(1))
+        seq = PulseSequence(w1.eos + w1.eos)
         out, _ = run_sequence(new_basis_state(2, [0, 0]), seq)
         assert fidelity(out, new_basis_state(2, [0, 0])) == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(out.observables().q, [0.0, 0.0], atol=1e-9)
@@ -220,17 +222,19 @@ class TestIdealExecution:
 
     def test_encoding_sequence_on_uniform_state(self, ideal):
         # the item-2 encoding flips exactly the item-2 amplitude's sign
-        prep = wh_transform_seq(1, ideal) + wh_transform_seq(2, ideal)
+        w1, w2 = (sequence_from_product(ideal, wh_transform_product(j)) for j in (1, 2))
+        prep = PulseSequence(w1.eos + w2.eos)
         uniform, _ = run_sequence(new_basis_state(2, [0, 0]), prep)
-        encoded, _ = run_sequence(uniform, f_oracle_seq(2, ideal))
+        encoded, _ = run_sequence(uniform, sequence_from_product(ideal, f_oracle_product(2)))
         target = StateVector(2, 0.5 * np.array([1, 1, -1, 1], dtype=complex))
         assert fidelity(encoded, target) == pytest.approx(1.0, abs=1e-12)
 
     def test_conditional_phase_on_uniform_state(self, ideal):
         # sign flip on everything except the all-up amplitude, up to phase
-        prep = wh_transform_seq(1, ideal) + wh_transform_seq(2, ideal)
+        w1, w2 = (sequence_from_product(ideal, wh_transform_product(j)) for j in (1, 2))
+        prep = PulseSequence(w1.eos + w2.eos)
         uniform, _ = run_sequence(new_basis_state(2, [0, 0]), prep)
-        flipped, _ = run_sequence(uniform, conditional_phase_seq(ideal))
+        flipped, _ = run_sequence(uniform, sequence_from_product(ideal, conditional_phase_product()))
         target = StateVector(2, 0.5 * np.array([1, -1, -1, -1], dtype=complex))
         assert fidelity(flipped, target) == pytest.approx(1.0, abs=1e-12)
 
@@ -253,7 +257,7 @@ class TestIdealExecution:
 
 class TestNmrExecution:
     def test_wh_rotates_first_qubit_halfway(self, nmr):
-        out, _ = run_sequence(new_basis_state(2, [0, 0]), wh_transform_seq(1, nmr))
+        out, _ = run_sequence(new_basis_state(2, [0, 0]), sequence_from_product(nmr, wh_transform_product(1)))
         assert out.observables().q[0] == pytest.approx(0.5, abs=0.05)
 
     def test_duration_accounting(self, nmr):

@@ -215,30 +215,3 @@ class TestInnerProductFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             inner_product(new_basis_state(1, [0]), new_basis_state(2, [0, 0]))
-
-
-class TestFrameRotation:
-    def test_zero_time_is_identity(self):
-        rng = np.random.default_rng(2)
-        amp = rng.normal(size=4) + 1j * rng.normal(size=4)
-        amp /= np.linalg.norm(amp)
-        s = StateVector(2, amp)
-        s.rotate_frame(0.0, [1.3, -0.4])
-        assert np.allclose(s.amp, amp, atol=1e-15)
-
-    def test_full_period_up_to_global_phase(self):
-        s = StateVector(1, np.array([0.6, 0.8j]))
-        ref = s.copy()
-        s.rotate_frame(2 * np.pi, [1.0])
-        assert fidelity(s, ref) == pytest.approx(1.0, abs=1e-12)
-
-    def test_z_expectations_invariant(self):
-        rng = np.random.default_rng(17)
-        amp = rng.normal(size=8) + 1j * rng.normal(size=8)
-        amp /= np.linalg.norm(amp)
-        s = StateVector(3, amp)
-        before = s.observables()
-        s.rotate_frame(0.37, [1.0, 0.25, -2.0])
-        after = s.observables()
-        assert np.allclose(after.q, before.q, atol=1e-12)
-        assert np.allclose(after.sz, before.sz, atol=1e-12)
