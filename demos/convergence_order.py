@@ -17,7 +17,7 @@ from spinsim import StateVector, StepPlan, dense_propagator_composed, evolve_eo,
 eo = make_profile("nmr").eo("X1")
 print(f"instruction: resonant quarter-turn pulse, duration/2pi = {eo.tau/(2*math.pi):g}")
 print("building the dense reference propagator...")
-oracle = dense_propagator_composed(eo.model, 0.0, eo.tau, segment=2 * math.pi, tol=3e-9).mat
+oracle = dense_propagator_composed(eo.model, 0.0, eo.tau, segment=2 * math.pi, tol=3e-9)
 
 rng = np.random.default_rng(1)
 amp = rng.normal(size=4) + 1j * rng.normal(size=4)

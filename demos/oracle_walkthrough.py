@@ -21,7 +21,7 @@ from spinsim.reference import global_phase_between
 np.set_printoptions(precision=3, suppress=True)
 
 print("inversion about the mean (4x4):")
-print(ideal_two_qubit("D").mat.real)
+print(ideal_two_qubit("D").real)
 print("\nIt is an involution: applying it twice is the identity, so the")
 print("search loop must re-query the database between inversions.")
 
@@ -36,7 +36,7 @@ profile = make_profile("ideal")
 for item in range(4):
     short = matrix_of_sequence(sequence_from_product(profile, shortened_search_product(item)))
     full = matrix_of_sequence(sequence_from_product(profile, full_search_product(item)))
-    phase = global_phase_between(short.mat, full.mat)
+    phase = global_phase_between(short, full)
     n_short = len(shortened_search_product(item))
     n_full = len(full_search_product(item))
     print(f"  item {item}: {n_full} -> {n_short} instructions, "

@@ -13,6 +13,7 @@ from .experiments import (
     ConvergenceFailure,
     converge_grover,
     run_grover,
+    run_report,
     self_test,
     write_trajectory_csv,
 )
@@ -41,7 +42,6 @@ from .pulses import (
 )
 from .reference import (
     ConvergenceError,
-    GateMatrix,
     dense_propagator,
     dense_propagator_composed,
     grover_iterate_check,

@@ -9,17 +9,18 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
+
+import numpy as np
 
 from .config import ConfigError, dump_profile, parse_config
 from .experiments import (
     ConvergenceFailure,
     converge_grover,
     run_grover,
+    run_report,
     self_test,
     write_trajectory_csv,
 )
-from .propagator import run_sequence
 from .pulses import make_profile
 from .state import StateVector, fidelity, new_basis_state
 
@@ -97,16 +98,7 @@ def _cmd_grover(args) -> int:
         sample_every=args.sample_every,
         rotating_frame=args.rotating_frame,
     )
-    for line in report.lines():
-        print(line)
-    if args.out:
-        try:
-            write_trajectory_csv(args.out, report.samples)
-        except OSError as err:
-            print(f"spinsim: error: cannot write {args.out}: {err}", file=sys.stderr)
-            return EXIT_IO
-        print(f"  trajectory written to {args.out}")
-    return EXIT_OK
+    return _print_and_write(report, args.out)
 
 
 def _cmd_run(args) -> int:
@@ -126,34 +118,31 @@ def _cmd_run(args) -> int:
         print(f"spinsim: config error: {err}", file=sys.stderr)
         return EXIT_USAGE
     bits = cfg.run.state_bits or [0] * cfg.L
-    state = new_basis_state(cfg.L, bits)
-    plans = None
-    if cfg.run.steps != "auto":
-        from .propagator import StepPlan
-
-        plans = [StepPlan(int(cfg.run.steps), eo.tau) for eo in seq.eos]
-    start = time.perf_counter()
-    final, samples = run_sequence(state, seq, sample_every=cfg.run.sample_every, plans=plans)
-    wall = time.perf_counter() - start
-    obs = final.observables(t=seq.total_duration)
-    print(f"sequence {seq_name}: {len(seq)} operations, {len(samples)} samples")
-    qtxt = ", ".join(f"Q{j + 1} = {obs.q[j]:.6f}" for j in range(cfg.L))
-    print(f"  final {qtxt}")
-    print(f"  norm deviation = {abs(obs.norm - 1.0):.3e}")
-    print(f"  wall time = {wall:.3f} s")
+    report = run_report(
+        f"sequence {seq_name}",
+        new_basis_state(cfg.L, bits),
+        seq,
+        steps=cfg.run.steps,
+        sample_every=cfg.run.sample_every,
+    )
+    extra = []
     if args.compare_uniform:
-        import numpy as np
-
         dim = 1 << cfg.L
         uniform = StateVector(cfg.L, np.full(dim, 1.0 / dim**0.5, dtype=complex))
-        print(f"  fidelity with uniform superposition = {fidelity(final, uniform):.9f}")
-    if args.out:
+        extra.append(f"  fidelity with uniform superposition = {fidelity(report.final_state, uniform):.9f}")
+    return _print_and_write(report, args.out, extra)
+
+
+def _print_and_write(report, path, extra_lines=()) -> int:
+    """Print a run report's lines and write its trajectory CSV to ``path``, if given."""
+    print("\n".join([*report.lines(), *extra_lines]))
+    if path:
         try:
-            write_trajectory_csv(args.out, samples)
+            write_trajectory_csv(path, report.samples)
         except OSError as err:
-            print(f"spinsim: error: cannot write {args.out}: {err}", file=sys.stderr)
+            print(f"spinsim: error: cannot write {path}: {err}", file=sys.stderr)
             return EXIT_IO
-        print(f"  trajectory written to {args.out}")
+        print(f"  trajectory written to {path}")
     return EXIT_OK
 
 
@@ -165,8 +154,7 @@ def _cmd_converge(args) -> int:
     except ConvergenceFailure as err:
         print(f"spinsim: convergence failure: {err}", file=sys.stderr)
         return EXIT_SELFCHECK
-    for line in report.lines():
-        print(line)
+    print("\n".join(report.lines()))
     return EXIT_OK
 
 

@@ -59,15 +59,12 @@ REFERENCE_Q = {
 
 @dataclass
 class RunReport:
-    """Everything one search run produced."""
+    """Everything one run produced."""
 
-    hardware: str
-    item: int
-    init_order: str
+    title: str
     q: tuple
     norm: float
     wall_time: float
-    substeps: int
     plans: list
     samples: Trajectory
     final_state: StateVector
@@ -75,23 +72,46 @@ class RunReport:
     deviations: tuple | None = None
     flagged: bool = False
 
+    @property
+    def substeps(self) -> int:
+        return sum(p.m for p in self.plans)
+
     def lines(self) -> list:
         out = [
-            f"grover search: hardware={self.hardware} item={self.item} init={self.init_order}",
+            self.title,
             f"  operations {len(self.plans)}, substeps {self.substeps}, samples {len(self.samples)}",
-            f"  final Q1 = {self.q[0]:.6f}   Q2 = {self.q[1]:.6f}",
+            "  final " + "   ".join(f"Q{j} = {q:.6f}" for j, q in enumerate(self.q, 1)),
             f"  norm deviation = {abs(self.norm - 1.0):.3e}",
             f"  wall time = {self.wall_time:.3f} s",
         ]
         if self.reference is not None:
-            d1, d2 = self.deviations
             status = "FLAG: outside tolerance" if self.flagged else "ok"
-            out.append(
-                f"  reference ({self.hardware}/init {self.init_order}/item {self.item}): "
-                f"Q1 = {self.reference[0]:.3f}  Q2 = {self.reference[1]:.3f}"
-            )
-            out.append(f"  deviation dQ1 = {d1:.4f}  dQ2 = {d2:.4f}  [{status}, tol {Q_TOLERANCE}]")
+            ref = "  ".join(f"Q{j} = {r:.3f}" for j, r in enumerate(self.reference, 1))
+            dq = "  ".join(f"dQ{j} = {d:.4f}" for j, d in enumerate(self.deviations, 1))
+            out += [f"  reference: {ref}", f"  deviation {dq}  [{status}, tol {Q_TOLERANCE}]"]
         return out
+
+
+def run_report(
+    title: str,
+    state: StateVector,
+    seq,
+    steps="auto",
+    sample_every: int | None = None,
+    m_multiplier: int = 1,
+) -> RunReport:
+    """Run ``seq`` from ``state`` and report its final readouts and trajectory.
+
+    ``steps`` is "auto" or an absolute per-operation substep count;
+    ``m_multiplier`` scales whichever plan results. ``state`` is not modified.
+    """
+    plans = [auto_substeps(eo) if steps == "auto" else StepPlan(int(steps), eo.tau) for eo in seq.eos]
+    plans = [StepPlan(p.m * m_multiplier, p.tau) for p in plans]
+    start = time.perf_counter()
+    final, samples = run_sequence(state, seq, sample_every=sample_every, plans=plans)
+    wall = time.perf_counter() - start
+    obs = final.observables(t=seq.total_duration)
+    return RunReport(title, tuple(float(q) for q in obs.q), obs.norm, wall, plans, samples, final)
 
 
 def run_grover(
@@ -103,45 +123,24 @@ def run_grover(
     m_multiplier: int = 1,
     rotating_frame: bool = False,
 ) -> RunReport:
-    """Run one search preset and return the full report.
+    """Run one search preset and compare its readouts with the published ones.
 
-    ``steps`` is "auto" or an absolute per-operation substep count;
-    ``m_multiplier`` scales whichever plan results. With ``rotating_frame``
-    the sampled transverse expectations are reported in the frame co-rotating
-    at each spin's static z field (z components and qubit values are frame
-    independent).
+    ``steps``, ``sample_every`` and ``m_multiplier`` are those of
+    ``run_report``. With ``rotating_frame`` the sampled transverse
+    expectations are reported in the frame co-rotating at each spin's static
+    z field (z components and qubit values are frame independent).
     """
     profile = make_profile(hardware)
     prog = grover_program(item, profile, init_order)
-    auto = steps in ("auto", None)
-    plans = [auto_substeps(eo) if auto else StepPlan(int(steps), eo.tau) for eo in prog.seq.eos]
-    if m_multiplier != 1:
-        plans = [StepPlan(p.m * m_multiplier, p.tau) for p in plans]
-    start = time.perf_counter()
-    final, samples = run_sequence(
-        new_basis_state(2, [0, 0]), prog.seq, sample_every=sample_every, plans=plans
-    )
-    wall = time.perf_counter() - start
+    title = f"grover search: hardware={hardware} item={item} init={init_order}"
+    report = run_report(title, new_basis_state(2, [0, 0]), prog.seq, steps, sample_every, m_multiplier)
     if rotating_frame:
         omega = [float(profile.eo("Ipi").model.static_field[j, 2]) for j in range(2)]
-        _rotate_samples(samples, omega)
-    obs = final.observables(t=prog.seq.total_duration)
-    report = RunReport(
-        hardware=hardware,
-        item=item,
-        init_order=init_order,
-        q=(float(obs.q[0]), float(obs.q[1])),
-        norm=obs.norm,
-        wall_time=wall,
-        substeps=sum(p.m for p in plans),
-        plans=plans,
-        samples=samples,
-        final_state=final,
-    )
+        _rotate_samples(report.samples, omega)
     ref = REFERENCE_Q.get((hardware, init_order, item))
     if ref is not None:
         report.reference = ref
-        report.deviations = (abs(report.q[0] - ref[0]), abs(report.q[1] - ref[1]))
+        report.deviations = tuple(abs(q - r) for q, r in zip(report.q, ref))
         report.flagged = max(report.deviations) > Q_TOLERANCE
     return report
 
@@ -292,7 +291,7 @@ def _check_convergence_order() -> CheckResult:
     """Global l2 error vs the dense oracle drops ~4x per substep doubling."""
     profile = make_profile("nmr")
     eo = profile.eo("X1")
-    u = dense_propagator_composed(eo.model, 0.0, eo.tau, segment=TWO_PI, tol=3e-9).mat
+    u = dense_propagator_composed(eo.model, 0.0, eo.tau, segment=TWO_PI, tol=3e-9)
     rng = np.random.default_rng(7)
     amp = rng.normal(size=4) + 1j * rng.normal(size=4)
     amp /= np.linalg.norm(amp)
@@ -319,8 +318,8 @@ def _check_shortening() -> CheckResult:
     worst = 0.0
     phases_ok = True
     for item in range(4):
-        short = matrix_of_sequence(sequence_from_product(profile, shortened_search_product(item))).mat
-        full = matrix_of_sequence(sequence_from_product(profile, full_search_product(item))).mat
+        short = matrix_of_sequence(sequence_from_product(profile, shortened_search_product(item)))
+        full = matrix_of_sequence(sequence_from_product(profile, full_search_product(item)))
         phase = global_phase_between(short, full, atol=1e-10)
         worst = max(worst, float(np.max(np.abs(short - phase * full))))
         expected = -1.0 if item in (1, 2) else 1.0
@@ -346,7 +345,7 @@ def _check_ideal_eo_exactness() -> CheckResult:
     profile = make_profile("ideal")
     worst = 0.0
     for name in profile.eos:
-        u = matrix_of_sequence([name]).mat
+        u = matrix_of_sequence([name])
         eo = profile.eo(name)
         for n in range(4):
             amp = np.zeros(4, dtype=complex)

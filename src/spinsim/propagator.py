@@ -171,15 +171,6 @@ class SpinModel:
         self.rf_freq = np.zeros((L, 3))
         self.rf_phase = np.zeros((L, 3))
 
-    def copy(self) -> "SpinModel":
-        dup = SpinModel(self.L)
-        dup.coupling = self.coupling.copy()
-        dup.static_field = self.static_field.copy()
-        dup.rf_amp = self.rf_amp.copy()
-        dup.rf_freq = self.rf_freq.copy()
-        dup.rf_phase = self.rf_phase.copy()
-        return dup
-
     def _check_qubit(self, j: int) -> None:
         if not 1 <= j <= self.L:
             raise ValueError(f"qubit index must be in 1..{self.L}, got {j}")

@@ -31,7 +31,7 @@ _SQ2 = math.sqrt(2.0)
 
 _SINGLE = {
     "X": np.array([[1, 1j], [1j, 1]]) / _SQ2,
-    "Yb": np.array([[1, -1], [1, 1]]) / _SQ2,
+    "Yb": np.array([[1, -1], [1, 1]], dtype=complex) / _SQ2,
 }
 _SINGLE["Xb"] = _SINGLE["X"].conj().T
 _SINGLE["Y"] = _SINGLE["Yb"].conj().T
@@ -49,66 +49,34 @@ class ConvergenceError(RuntimeError):
     """Slice refinement failed to reach the requested tolerance."""
 
 
-class GateMatrix:
-    """Small dense unitary; unitarity is checked on construction."""
-
-    __slots__ = ("mat",)
-
-    def __init__(self, mat, check: bool = True):
-        mat = np.asarray(mat, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("gate matrix must be square")
-        if check:
-            dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
-            if dev > 1e-12:
-                raise ValueError(f"matrix is not unitary (max deviation {dev:.3e})")
-        self.mat = mat
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def dag(self) -> "GateMatrix":
-        return GateMatrix(self.mat.conj().T, check=False)
-
-    def __matmul__(self, other: "GateMatrix") -> "GateMatrix":
-        return GateMatrix(self.mat @ other.mat, check=False)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.mat, dtype=dtype)
-
-
 def embed_single(g: np.ndarray, j: int, L: int) -> np.ndarray:
     """Place a 2x2 operator on qubit j of an L-qubit register (qubit 1 = LSB)."""
     return np.kron(np.eye(1 << (L - j)), np.kron(g, np.eye(1 << (j - 1))))
 
 
-def ideal_gate(name: str, j: int, L: int) -> GateMatrix:
+def ideal_gate(name: str, j: int, L: int) -> np.ndarray:
     """Exact single-qubit gate ("X", "Xb", "Y", "Yb", "W") embedded at qubit j."""
     if name not in _SINGLE:
         raise ValueError(f"unknown single-qubit gate {name!r}; known: {sorted(_SINGLE)}")
     if not 1 <= j <= L or L > 10:
         raise ValueError(f"qubit index {j} out of range for L={L} (L <= 10)")
-    return GateMatrix(embed_single(_SINGLE[name], j, L), check=False)
+    return embed_single(_SINGLE[name], j, L)
 
 
-def ideal_two_qubit(name: str) -> GateMatrix:
+def ideal_two_qubit(name: str) -> np.ndarray:
     """Exact 4x4 gate for the two-qubit mnemonics Ipi, F0..F3, P, D."""
     if name == "Ipi":
         # exp(-i*pi*S1z*S2z): s1*s2 = +1/4 on aligned, -1/4 on anti-aligned.
         s1s2 = np.array([0.25, -0.25, -0.25, 0.25])
-        return GateMatrix(np.diag(np.exp(-1j * np.pi * s1s2)), check=False)
+        return np.diag(np.exp(-1j * np.pi * s1s2))
     if name == "P":
-        return GateMatrix(np.diag([1, -1, -1, -1]).astype(complex), check=False)
+        return np.diag([1, -1, -1, -1]).astype(complex)
     if name in ("F0", "F1", "F2", "F3"):
         d = np.ones(4, dtype=complex)
         d[int(name[1])] = -1.0
-        return GateMatrix(np.diag(d), check=False)
+        return np.diag(d)
     if name == "D":
-        return GateMatrix(
-            0.5 * np.array([[-1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1], [1, 1, 1, -1]], dtype=complex),
-            check=False,
-        )
+        return 0.5 * np.array([[-1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1], [1, 1, 1, -1]], dtype=complex)
     raise ValueError(f"unknown two-qubit gate {name!r}")
 
 
@@ -119,7 +87,7 @@ _EO_GATE = {
 }
 
 
-def matrix_of_sequence(seq) -> GateMatrix:
+def matrix_of_sequence(seq) -> np.ndarray:
     """Reconstruct the exact unitary of an execution-ordered EO sequence (L = 2).
 
     Accepts a PulseSequence or an iterable of EO names; the first element acts
@@ -133,18 +101,16 @@ def matrix_of_sequence(seq) -> GateMatrix:
         raise ValueError(f"sequence contains EOs with no ideal-gate mapping: {unknown}")
     for name in names:
         if name == "Ipi":
-            m = ideal_two_qubit("Ipi").mat
+            m = ideal_two_qubit("Ipi")
         else:
             gate, j = _EO_GATE[name]
-            m = ideal_gate(gate, j, 2).mat
+            m = ideal_gate(gate, j, 2)
         total = m @ total
-    return GateMatrix(total, check=False)
+    return total
 
 
 def global_phase_between(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> complex:
     """Phase c with a == c*b; raises if the matrices differ beyond a phase."""
-    a = np.asarray(a)
-    b = np.asarray(b)
     k = np.unravel_index(np.argmax(np.abs(b)), b.shape)
     c = a[k] / b[k]
     dev = float(np.max(np.abs(a - c * b)))
@@ -182,8 +148,8 @@ def grover_iterate_check(item: int) -> IterateReport:
     if item not in (0, 1, 2, 3):
         raise ValueError(f"item must be 0..3, got {item}")
     uniform = np.full(4, -0.5, dtype=complex)  # W2 W1 |uu>
-    fmat = ideal_two_qubit(f"F{item}").mat
-    d = ideal_two_qubit("D").mat
+    fmat = ideal_two_qubit(f"F{item}")
+    d = ideal_two_qubit("D")
     psi = fmat @ uniform
     report = IterateReport(item=item, expected_iterations=[1, 4, 7, 10])
     for k in range(1, 11):
@@ -272,7 +238,7 @@ def dense_propagator(
     n_slices: int = 1,
     tol: float = 1e-12,
     max_slices: int = 1 << 20,
-) -> GateMatrix:
+) -> np.ndarray:
     """Time-ordered propagator over [t0, t0+tau] by brute-force slicing.
 
     Each slice is exponentiated exactly through the Hermitian spectral
@@ -290,10 +256,10 @@ def dense_propagator(
     dim = const.shape[0]
     chunk = max(1, (1 << 22) // (dim * dim))
     if tau == 0.0:
-        return GateMatrix(np.eye(dim, dtype=complex), check=False)
+        return np.eye(dim, dtype=complex)
     if not rf:
         # constant H: exact at any slice count
-        return GateMatrix(_slice_product(const, rf, t0, tau, n_slices, chunk), check=False)
+        return _slice_product(const, rf, t0, tau, n_slices, chunk)
     # Refinement must start fine enough to resolve every sinusoid: when tau is
     # commensurate with an RF period, coarse midpoint grids can alias the drive
     # to zero and fake a converged doubling.
@@ -305,7 +271,7 @@ def dense_propagator(
         u_2n = _slice_product(const, rf, t0, tau, 2 * n, chunk)
         residual = float(np.max(np.abs(u_2n - u_n)))
         if residual < tol:
-            return GateMatrix(_closest_unitary(u_2n), check=False)
+            return _closest_unitary(u_2n)
         u_n = u_2n
         n *= 2
     raise ConvergenceError(
@@ -320,7 +286,7 @@ def dense_propagator_composed(
     tau: float,
     segment: float = 1.0,
     tol: float = 1e-12,
-) -> GateMatrix:
+) -> np.ndarray:
     """Dense propagator over a long interval, composed from short segments.
 
     Uses the semi-group property U(t0+tau, t0) = prod of U over consecutive
@@ -333,5 +299,5 @@ def dense_propagator_composed(
     dim = 1 << model.L
     total = np.eye(dim, dtype=complex)
     for i in range(n_seg):
-        total = dense_propagator(model, t0 + i * dt, dt, tol=tol).mat @ total
-    return GateMatrix(_closest_unitary(total), check=False)
+        total = dense_propagator(model, t0 + i * dt, dt, tol=tol) @ total
+    return _closest_unitary(total)

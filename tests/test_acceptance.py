@@ -156,7 +156,7 @@ class TestAcceptance:
     def test_4_second_order_convergence(self):
         profile = make_profile("nmr")
         eo = profile.eo("X1")
-        oracle = dense_propagator_composed(eo.model, 0.0, eo.tau, segment=TWO_PI, tol=3e-9).mat
+        oracle = dense_propagator_composed(eo.model, 0.0, eo.tau, segment=TWO_PI, tol=3e-9)
         rng = np.random.default_rng(11)
         amp = rng.normal(size=4) + 1j * rng.normal(size=4)
         amp /= np.linalg.norm(amp)
@@ -187,8 +187,8 @@ class TestAcceptance:
         profile = make_profile("ideal")
         worst_short = 0.0
         for item in range(4):
-            short = matrix_of_sequence(sequence_from_product(profile, shortened_search_product(item))).mat
-            full = matrix_of_sequence(sequence_from_product(profile, full_search_product(item))).mat
+            short = matrix_of_sequence(sequence_from_product(profile, shortened_search_product(item)))
+            full = matrix_of_sequence(sequence_from_product(profile, full_search_product(item)))
             phase = global_phase_between(short, full, atol=1e-10)
             col_fid = min(abs(np.vdot(short[:, n], phase * full[:, n])) for n in range(4))
             worst_short = max(worst_short, 1.0 - col_fid)

@@ -114,6 +114,26 @@ class TestRunCommand:
         assert abs(q[0] - preset.q[0]) < 1e-12
         assert abs(q[1] - preset.q[1]) < 1e-12
 
+    @pytest.mark.parametrize("item,init", [(2, "21"), (1, "12")])
+    def test_run_and_grover_share_one_report(self, tmp_path, capsys, item, init):
+        # a search program from the dumped profile and the preset write the
+        # same CSV and print the same counts and readouts
+        profile_path = tmp_path / "nmr.cfg"
+        main(["dump-profile", "nmr", "--out", str(profile_path)])
+        run_csv, grover_csv = tmp_path / "run.csv", tmp_path / "grover.csv"
+        capsys.readouterr()
+        assert main(["run", "--config", str(profile_path), "--sequence", f"grover{item}_init{init}",
+                     "--out", str(run_csv)]) == 0
+        run_lines = capsys.readouterr().out.splitlines()
+        assert main(["grover", "--hardware", "nmr", "--item", str(item), "--init", init,
+                     "--out", str(grover_csv)]) == 0
+        grover_lines = capsys.readouterr().out.splitlines()
+        assert run_csv.read_bytes() == grover_csv.read_bytes()
+        for prefix in ("  operations ", "  final "):
+            shared = [line for line in run_lines if line.startswith(prefix)]
+            assert len(shared) == 1
+            assert shared == [line for line in grover_lines if line.startswith(prefix)]
+
 
 class TestOtherCommands:
     def test_selftest_passes(self, capsys):

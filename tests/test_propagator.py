@@ -263,7 +263,7 @@ class TestSymmetrizedStep:
         s = random_state(2, 2)
         ref_in = s.copy()
         symmetrized_step(s, m, 7.3, 0.0)
-        u = dense_propagator(m, 0.0, 7.3).mat
+        u = dense_propagator(m, 0.0, 7.3)
         assert np.max(np.abs(s.amp - u @ ref_in.amp)) < 1e-12
 
     def test_single_axis_constant_is_exact(self):
@@ -271,7 +271,7 @@ class TestSymmetrizedStep:
         m = SpinModel(2).set_static(1, "x", 1.0)
         s = new_basis_state(2, [0, 0])
         symmetrized_step(s, m, math.pi / 2, 0.0)
-        u = dense_propagator(m, 0.0, math.pi / 2).mat
+        u = dense_propagator(m, 0.0, math.pi / 2)
         expected = u @ new_basis_state(2, [0, 0]).amp
         assert np.max(np.abs(s.amp - expected)) < 1e-12
         # equals the quarter-turn gate on qubit 1
@@ -287,7 +287,7 @@ class TestSymmetrizedStep:
         for delta in (0.2, 0.1, 0.05):
             s = psi0.copy()
             symmetrized_step(s, m, delta, t0)
-            u = dense_propagator(m, t0, delta).mat
+            u = dense_propagator(m, t0, delta)
             errors.append(np.linalg.norm(s.amp - u @ psi0.amp))
         r1 = errors[0] / errors[1]
         r2 = errors[1] / errors[2]
@@ -299,7 +299,7 @@ class TestSymmetrizedStep:
         m = random_two_spin_model(42)
         tau = 0.75
         psi0 = random_state(2, 6)
-        u = dense_propagator(m, 0.0, tau, tol=1e-9).mat
+        u = dense_propagator(m, 0.0, tau, tol=1e-9)
         exact = u @ psi0.amp
         errors = []
         for steps in (8, 16, 32, 64):
@@ -539,7 +539,7 @@ class TestStepPlans:
         plan = auto_substeps(eo)
         assert plan.m >= 100
         s = random_state(3, 32)
-        exact = dense_propagator(m, 0.0, eo.tau).mat @ s.amp
+        exact = dense_propagator(m, 0.0, eo.tau) @ s.amp
         evolve_eo(s, eo, 0.0, plan=plan)
         assert np.max(np.abs(s.amp - exact)) < 1e-3
 
@@ -574,7 +574,7 @@ class TestEvolveEo:
         configs = [("x", 1, 1.0), ("x", 2, -1.0), ("y", 1, 1.0), ("y", 2, -1.0)]
         for ax, j, h in configs:
             m = SpinModel(2).set_static(j, ax, h)
-            u = dense_propagator(m, 0.0, math.pi / 2).mat
+            u = dense_propagator(m, 0.0, math.pi / 2)
             for n in range(4):
                 amp = np.zeros(4, dtype=complex)
                 amp[n] = 1.0
@@ -719,7 +719,7 @@ class TestBatchedSteps:
         model = random_driven_model(L, 70 + L)
         tau = 0.6
         psi0 = random_state(L, 80 + L)
-        exact = dense_propagator_composed(model, 0.0, tau, segment=0.2, tol=1e-8).mat @ psi0.amp
+        exact = dense_propagator_composed(model, 0.0, tau, segment=0.2, tol=1e-8) @ psi0.amp
         errors = {}
         for batch_max_dim in (propagator._BATCH_MAX_DIM, 2**L):
             monkeypatch.setattr(propagator, "_BATCH_MAX_DIM", batch_max_dim)
@@ -746,7 +746,7 @@ class TestBatchedSteps:
         psi0 = random_state(L, 100 + L)
         model = random_driven_model(L, 90 + L)
         if L <= 6:
-            exact = dense_propagator_composed(model, 0.0, tau, segment=0.3, tol=1e-7).mat @ psi0.amp
+            exact = dense_propagator_composed(model, 0.0, tau, segment=0.3, tol=1e-7) @ psi0.amp
         else:
             model.rf_amp[:] = 0.0
             w, v = np.linalg.eigh(hamiltonian(model, 0.0))

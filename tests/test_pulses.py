@@ -125,17 +125,17 @@ class TestSequenceConstruction:
     def test_wh_reconstructs_walsh_hadamard(self, ideal):
         got = matrix_of_sequence(sequence_from_product(ideal, wh_transform_product(2)))
         w2 = np.kron((1j / math.sqrt(2)) * np.array([[1, 1], [1, -1]]), np.eye(2))
-        assert np.max(np.abs(got.mat - w2)) < 1e-14
+        assert np.max(np.abs(got - w2)) < 1e-14
 
     def test_conditional_phase_flips_all_but_ground(self, ideal):
-        got = matrix_of_sequence(sequence_from_product(ideal, conditional_phase_product())).mat
-        phase = global_phase_between(got, ideal_two_qubit("P").mat)
+        got = matrix_of_sequence(sequence_from_product(ideal, conditional_phase_product()))
+        phase = global_phase_between(got, ideal_two_qubit("P"))
         assert abs(abs(phase) - 1.0) < 1e-12
 
     def test_f_sequences_reconstruct_encodings(self, ideal):
         for item in range(4):
-            got = matrix_of_sequence(sequence_from_product(ideal, f_oracle_product(item))).mat
-            phase = global_phase_between(got, ideal_two_qubit(f"F{item}").mat)
+            got = matrix_of_sequence(sequence_from_product(ideal, f_oracle_product(item)))
+            phase = global_phase_between(got, ideal_two_qubit(f"F{item}"))
             assert abs(abs(phase) - 1.0) < 1e-12
 
     def test_f0_sequence_is_minus_p_sequence(self, ideal):
@@ -143,7 +143,7 @@ class TestSequenceConstruction:
         f0 = [eo.name for eo in sequence_from_product(ideal, f_oracle_product(0)).eos]
         p = [eo.name for eo in sequence_from_product(ideal, conditional_phase_product()).eos]
         assert f0 == p
-        assert np.array_equal(ideal_two_qubit("F0").mat, -ideal_two_qubit("P").mat)
+        assert np.array_equal(ideal_two_qubit("F0"), -ideal_two_qubit("P"))
 
     def test_item_bits_put_bars_on_rightmost_block(self):
         assert shortened_search_product(0)[5:7] == ["X1", "Y1b"]
@@ -155,8 +155,8 @@ class TestSequenceConstruction:
         # shortened program equals the full product up to a global phase,
         # which is -1 exactly for items 1 and 2
         for item in range(4):
-            short = matrix_of_sequence(sequence_from_product(ideal, shortened_search_product(item))).mat
-            full = matrix_of_sequence(sequence_from_product(ideal, full_search_product(item))).mat
+            short = matrix_of_sequence(sequence_from_product(ideal, shortened_search_product(item)))
+            full = matrix_of_sequence(sequence_from_product(ideal, full_search_product(item)))
             phase = global_phase_between(short, full, atol=1e-12)
             expected = -1.0 if item in (1, 2) else 1.0
             assert phase == pytest.approx(expected, abs=1e-12)
@@ -211,7 +211,7 @@ class TestIdealExecution:
     def test_every_ideal_eo_matches_its_gate(self, ideal):
         # simulated action equals the exact gate on all basis states
         for name in EO_NAMES:
-            u = matrix_of_sequence([name]).mat
+            u = matrix_of_sequence([name])
             eo = ideal.eo(name)
             for n in range(4):
                 amp = np.zeros(4, dtype=complex)
@@ -271,7 +271,7 @@ class TestNmrExecution:
         # agree on every basis state
         for name in EO_NAMES:
             eo = ideal.eo(name)
-            u = dense_propagator(eo.model, 0.0, eo.tau).mat
+            u = dense_propagator(eo.model, 0.0, eo.tau)
             for n in range(4):
                 amp = np.zeros(4, dtype=complex)
                 amp[n] = 1.0
@@ -284,9 +284,9 @@ class TestNmrExecution:
     def test_pulse_approximates_rotation_with_measurable_error(self, nmr):
         # the sinusoidal pulse only approximates the exact quarter turn
         eo = nmr.eo("X1")
-        u = dense_propagator(eo.model, 0.0, eo.tau, tol=1e-7).mat
+        u = dense_propagator(eo.model, 0.0, eo.tau, tol=1e-7)
         from spinsim.reference import ideal_gate
 
-        col_fid = [abs(np.vdot(ideal_gate("X", 1, 2).mat[:, n], u[:, n])) for n in range(4)]
+        col_fid = [abs(np.vdot(ideal_gate("X", 1, 2)[:, n], u[:, n])) for n in range(4)]
         assert min(col_fid) > 0.99
         assert min(col_fid) < 1.0 - 1e-4

@@ -8,7 +8,6 @@ import pytest
 from spinsim.propagator import SpinModel
 from spinsim.reference import (
     ConvergenceError,
-    GateMatrix,
     dense_propagator,
     dense_propagator_composed,
     global_phase_between,
@@ -22,62 +21,51 @@ from spinsim.reference import (
 SQ2 = math.sqrt(2.0)
 
 
-class TestGateMatrix:
-    def test_unitarity_enforced(self):
-        with pytest.raises(ValueError, match="unitary"):
-            GateMatrix(np.array([[1, 0], [0, 1.0001]]))
-
-    def test_closure(self):
-        a = GateMatrix(np.array([[0, 1], [1, 0]], dtype=complex))
-        prod = a @ a.dag()
-        assert np.allclose(prod.mat, np.eye(2))
-
-
 class TestIdealGates:
     def test_x_is_clockwise_quarter_turn(self):
         g = ideal_gate("X", 1, 1)
-        assert np.allclose(g.mat, np.array([[1, 1j], [1j, 1]]) / SQ2)
+        assert np.allclose(g, np.array([[1, 1j], [1j, 1]]) / SQ2)
 
     def test_y_is_dagger_of_yb(self):
-        y = ideal_gate("Y", 1, 1).mat
-        yb = ideal_gate("Yb", 1, 1).mat
+        y = ideal_gate("Y", 1, 1)
+        yb = ideal_gate("Yb", 1, 1)
         assert np.allclose(y, yb.conj().T)
 
     def test_walsh_hadamard(self):
-        w = ideal_gate("W", 1, 1).mat
+        w = ideal_gate("W", 1, 1)
         assert np.allclose(w, (1j / SQ2) * np.array([[1, 1], [1, -1]]))
         # maps up to i(up + down)/sqrt2
         assert np.allclose(w @ [1, 0], 1j / SQ2 * np.ones(2))
 
     def test_embedding_respects_bit_order(self):
-        x1 = ideal_gate("X", 1, 2).mat
-        x2 = ideal_gate("X", 2, 2).mat
+        x1 = ideal_gate("X", 1, 2)
+        x2 = ideal_gate("X", 2, 2)
         g = np.array([[1, 1j], [1j, 1]]) / SQ2
         assert np.allclose(x1, np.kron(np.eye(2), g))
         assert np.allclose(x2, np.kron(g, np.eye(2)))
 
     def test_diffusion_matrix(self):
-        d = ideal_two_qubit("D").mat
+        d = ideal_two_qubit("D")
         expected = 0.5 * np.array(
             [[-1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1], [1, 1, 1, -1]], dtype=complex
         )
         assert np.allclose(d, expected)
 
     def test_item_encodings(self):
-        assert np.allclose(ideal_two_qubit("F2").mat, np.diag([1, 1, -1, 1]))
-        assert np.allclose(ideal_two_qubit("F0").mat, -ideal_two_qubit("P").mat)
+        assert np.allclose(ideal_two_qubit("F2"), np.diag([1, 1, -1, 1]))
+        assert np.allclose(ideal_two_qubit("F0"), -ideal_two_qubit("P"))
 
     def test_conditional_phase_from_zz_evolution(self):
-        ipi = ideal_two_qubit("Ipi").mat
+        ipi = ideal_two_qubit("Ipi")
         expected = np.diag(np.exp(-1j * np.pi / 4 * np.array([1, -1, -1, 1])))
         assert np.allclose(ipi, expected)
 
     def test_diffusion_decomposition(self):
         # D = W1 W2 P W1 W2
-        w1 = ideal_gate("W", 1, 2).mat
-        w2 = ideal_gate("W", 2, 2).mat
-        p = ideal_two_qubit("P").mat
-        assert np.allclose(w1 @ w2 @ p @ w1 @ w2, ideal_two_qubit("D").mat, atol=1e-14)
+        w1 = ideal_gate("W", 1, 2)
+        w2 = ideal_gate("W", 2, 2)
+        p = ideal_two_qubit("P")
+        assert np.allclose(w1 @ w2 @ p @ w1 @ w2, ideal_two_qubit("D"), atol=1e-14)
 
     def test_unknown_names(self):
         with pytest.raises(ValueError):
@@ -89,22 +77,22 @@ class TestIdealGates:
 class TestSequenceReconstruction:
     def test_wh_from_three_rotations(self):
         got = matrix_of_sequence(["Y1b", "X1", "X1"])
-        assert np.allclose(got.mat, ideal_gate("W", 1, 2).mat, atol=1e-14)
+        assert np.allclose(got, ideal_gate("W", 1, 2), atol=1e-14)
 
     def test_empty_sequence_is_identity(self):
-        assert np.allclose(matrix_of_sequence([]).mat, np.eye(4))
+        assert np.allclose(matrix_of_sequence([]), np.eye(4))
 
     def test_unknown_eo_listed(self):
         with pytest.raises(ValueError, match="BOGUS"):
             matrix_of_sequence(["X1", "BOGUS"])
 
     def test_global_phase_helper(self):
-        a = np.exp(0.3j) * ideal_two_qubit("D").mat
-        assert global_phase_between(a, ideal_two_qubit("D").mat) == pytest.approx(
+        a = np.exp(0.3j) * ideal_two_qubit("D")
+        assert global_phase_between(a, ideal_two_qubit("D")) == pytest.approx(
             np.exp(0.3j), abs=1e-12
         )
         with pytest.raises(ValueError, match="beyond a global phase"):
-            global_phase_between(ideal_two_qubit("P").mat, ideal_two_qubit("D").mat)
+            global_phase_between(ideal_two_qubit("P"), ideal_two_qubit("D"))
 
 
 class TestGroverIteration:
@@ -117,22 +105,22 @@ class TestGroverIteration:
 
     def test_single_iteration_finds_item_two(self):
         uniform = np.full(4, -0.5, dtype=complex)
-        psi = ideal_two_qubit("D").mat @ (ideal_two_qubit("F2").mat @ uniform)
+        psi = ideal_two_qubit("D") @ (ideal_two_qubit("F2") @ uniform)
         assert abs(psi[2]) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_iterations_return_to_uniform(self):
         # one search iteration = inversion about the mean, then a fresh query
         uniform = np.full(4, -0.5, dtype=complex)
-        d = ideal_two_qubit("D").mat
-        f2 = ideal_two_qubit("F2").mat
+        d = ideal_two_qubit("D")
+        f2 = ideal_two_qubit("F2")
         step = f2 @ d
         psi2 = step @ (step @ (f2 @ uniform))
         assert abs(np.vdot(uniform, psi2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_three_iterations_negate_encoded_state(self):
         uniform = np.full(4, -0.5, dtype=complex)
-        d = ideal_two_qubit("D").mat
-        f2 = ideal_two_qubit("F2").mat
+        d = ideal_two_qubit("D")
+        f2 = ideal_two_qubit("F2")
         psi = f2 @ uniform
         psi3 = np.linalg.matrix_power(f2 @ d, 3) @ psi
         assert np.allclose(psi3, -psi, atol=1e-12)
@@ -140,13 +128,13 @@ class TestGroverIteration:
 
 class TestDensePropagator:
     def test_zero_hamiltonian(self):
-        u = dense_propagator(SpinModel(2), 0.0, 5.0).mat
+        u = dense_propagator(SpinModel(2), 0.0, 5.0)
         assert np.allclose(u, np.eye(4))
 
     def test_constant_single_axis_rotation(self):
         m = SpinModel(2).set_static(1, "x", 1.0)
-        u = dense_propagator(m, 0.0, math.pi / 2).mat
-        assert np.max(np.abs(u - ideal_gate("X", 1, 2).mat)) < 1e-12
+        u = dense_propagator(m, 0.0, math.pi / 2)
+        assert np.max(np.abs(u - ideal_gate("X", 1, 2))) < 1e-12
 
     def test_rf_drive_only_approximates_rotation(self):
         # sinusoidal pulse version of the quarter turn: close to but measurably
@@ -154,8 +142,8 @@ class TestDensePropagator:
         m = SpinModel(2).set_coupling(1, 2, "z", -1e-6)
         m.set_static(1, "z", 1.0).set_static(2, "z", 0.25)
         m.set_rf(1, "y", -0.05, 1.0).set_rf(2, "y", -0.0125, 1.0)
-        u = dense_propagator(m, 0.0, 2 * math.pi * 10, tol=1e-7).mat
-        ideal = ideal_gate("X", 1, 2).mat
+        u = dense_propagator(m, 0.0, 2 * math.pi * 10, tol=1e-7)
+        ideal = ideal_gate("X", 1, 2)
         col_fid = [abs(np.vdot(ideal[:, n], u[:, n])) for n in range(4)]
         assert min(col_fid) < 1.0 - 1e-4
         assert min(col_fid) > 0.9
@@ -169,28 +157,28 @@ class TestDensePropagator:
                 m.set_static(j, ax, rng.uniform(-0.5, 0.5))
                 m.set_rf(j, ax, rng.uniform(-0.3, 0.3), rng.uniform(0.3, 1.5))
         ta, tb = 0.6, 0.9
-        whole = dense_propagator(m, 0.2, ta + tb, tol=1e-11).mat
-        left = dense_propagator(m, 0.2 + ta, tb, tol=1e-11).mat
-        right = dense_propagator(m, 0.2, ta, tol=1e-11).mat
+        whole = dense_propagator(m, 0.2, ta + tb, tol=1e-11)
+        left = dense_propagator(m, 0.2 + ta, tb, tol=1e-11)
+        right = dense_propagator(m, 0.2, ta, tol=1e-11)
         assert np.max(np.abs(whole - left @ right)) < 1e-10
 
     def test_refinements_agree_at_return(self):
         # two converged calls starting from different slice counts agree to
         # the declared threshold
         m = SpinModel(1).set_static(1, "z", 0.5).set_rf(1, "x", 0.3, 1.0)
-        a = dense_propagator(m, 0.0, 2.0, n_slices=64, tol=1e-10).mat
-        b = dense_propagator(m, 0.0, 2.0, n_slices=96, tol=1e-10).mat
+        a = dense_propagator(m, 0.0, 2.0, n_slices=64, tol=1e-10)
+        b = dense_propagator(m, 0.0, 2.0, n_slices=96, tol=1e-10)
         assert np.max(np.abs(a - b)) < 5e-10
 
     def test_composed_matches_whole(self):
         m = SpinModel(1).set_static(1, "z", 0.5).set_rf(1, "x", 0.3, 1.0)
-        whole = dense_propagator(m, 0.0, 3.0, tol=1e-12).mat
-        comp = dense_propagator_composed(m, 0.0, 3.0, segment=0.75, tol=1e-12).mat
+        whole = dense_propagator(m, 0.0, 3.0, tol=1e-12)
+        comp = dense_propagator_composed(m, 0.0, 3.0, segment=0.75, tol=1e-12)
         assert np.max(np.abs(whole - comp)) < 1e-10
 
     def test_every_result_is_unitary(self):
         m = SpinModel(2).set_rf(1, "x", 0.4, 1.0).set_static(2, "z", 0.3)
-        u = dense_propagator(m, 0.0, 2.0, tol=1e-10).mat
+        u = dense_propagator(m, 0.0, 2.0, tol=1e-10)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
 
     def test_capacity_limit(self):
