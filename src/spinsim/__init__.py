@@ -10,8 +10,6 @@ from .config import ConfigError, ExperimentConfig, dump_profile, parse_config
 from .experiments import (
     Q_TOLERANCE,
     REFERENCE_Q,
-    ConvergenceFailure,
-    converge_grover,
     run_grover,
     run_report,
     self_test,

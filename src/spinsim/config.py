@@ -170,10 +170,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if section[0] == "eo":
             b = section[1]
             if key_parts == ["tau_over_2pi"]:
-                t2p = _parse_float(value, line_no)
-                if t2p < 0:
-                    raise ConfigError(line_no, "tau_over_2pi must be >= 0")
-                b.tau = TWO_PI * t2p
+                b.tau = TWO_PI * _parse_float(value, line_no)
+                if not 0 <= b.tau < math.inf:  # 2 pi times a finite value may overflow
+                    raise ConfigError(line_no, f"tau_over_2pi must be >= 0 and give a finite duration, got {value}")
             elif key_parts[0] == "J" and len(key_parts) == 4:
                 ax = _parse_axis(key_parts[1], line_no)
                 j = _parse_qubit(key_parts[2], cfg.L, line_no)

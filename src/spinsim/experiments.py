@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,9 @@ TWO_PI = 2.0 * math.pi
 #: Tolerance for flagging deviations from the reference endpoints.
 Q_TOLERANCE = 0.03
 
+#: Most doublings of an operation's substep count that a tolerance may ask for.
+MAX_DOUBLINGS = 10
+
 #: Published final qubit values for the bundled presets, keyed by
 #: (hardware, init order, item). Ideal endpoints are exact bit patterns.
 REFERENCE_Q = {
@@ -59,7 +62,7 @@ REFERENCE_Q = {
 
 @dataclass
 class RunReport:
-    """Everything one run produced."""
+    """Everything one run produced; ``estimates`` (one per operation) only with a tolerance."""
 
     title: str
     q: tuple
@@ -71,10 +74,17 @@ class RunReport:
     reference: tuple | None = None
     deviations: tuple | None = None
     flagged: bool = False
+    tol: float | None = None
+    estimates: list | None = None
 
     @property
     def substeps(self) -> int:
         return sum(p.m for p in self.plans)
+
+    @property
+    def converged(self) -> bool:
+        """Whether every operation's estimate is under ``tol``; True without a tolerance."""
+        return self.estimates is None or all(e < self.tol for e in self.estimates)
 
     def lines(self) -> list:
         out = [
@@ -89,6 +99,11 @@ class RunReport:
             ref = "  ".join(f"Q{j} = {r:.3f}" for j, r in enumerate(self.reference, 1))
             dq = "  ".join(f"dQ{j} = {d:.4f}" for j, d in enumerate(self.deviations, 1))
             out += [f"  reference: {ref}", f"  deviation {dq}  [{status}, tol {Q_TOLERANCE}]"]
+        if self.estimates is not None:
+            out += [f"  operation {i:2d}: m = {p.m}, error estimate = {e:.3e}"
+                    for i, (p, e) in enumerate(zip(self.plans, self.estimates), 1)]
+            verdict = "every operation under" if self.converged else "NOT every operation under"
+            out.append(f"  error estimate = {sum(self.estimates):.3e} (sum); {verdict} tol {self.tol:g}")
         return out
 
 
@@ -99,19 +114,44 @@ def run_report(
     steps="auto",
     sample_every: int | None = None,
     m_multiplier: int = 1,
+    tol: float | None = None,
 ) -> RunReport:
     """Run ``seq`` from ``state`` and report its final readouts and trajectory.
 
     ``steps`` is "auto" or an absolute per-operation substep count;
     ``m_multiplier`` scales whichever plan results. ``state`` is not modified.
+
+    With a tolerance ``tol`` (finite, >= 0) the plans are then refined one
+    operation at a time, each from the state the refined plans before it
+    leave. The step is second order, so the error of a run at 2m substeps is
+    about |psi_2m - psi_m| / (2^2 - 1); m is doubled, at most MAX_DOUBLINGS
+    times, until that estimate is under ``tol``, and the 2m plan is kept. The
+    doubling runs add to the kernel counters and to the wall time.
     """
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
     plans = [auto_substeps(eo) if steps == "auto" else StepPlan(int(steps), eo.tau) for eo in seq.eos]
     plans = [StepPlan(p.m * m_multiplier, p.tau) for p in plans]
     start = time.perf_counter()
+    estimates = None
+    if tol is not None:
+        psi, estimates = state.copy(), []
+        for i, eo in enumerate(seq.eos):
+            psi_m = evolve_eo(psi.copy(), eo, 0.0, plans[i])[0]
+            for _ in range(MAX_DOUBLINGS):
+                plans[i] = StepPlan(2 * plans[i].m, eo.tau)
+                psi_2m = evolve_eo(psi.copy(), eo, 0.0, plans[i])[0]
+                estimate = float(np.linalg.norm(psi_2m.amp - psi_m.amp)) / 3
+                if estimate < tol:
+                    break
+                psi_m = psi_2m
+            psi = psi_2m
+            estimates.append(estimate)
     final, samples = run_sequence(state, seq, sample_every=sample_every, plans=plans)
     wall = time.perf_counter() - start
     obs = final.observables(t=seq.total_duration)
-    return RunReport(title, tuple(float(q) for q in obs.q), obs.norm, wall, plans, samples, final)
+    q = tuple(float(qj) for qj in obs.q)
+    return RunReport(title, q, obs.norm, wall, plans, samples, final, tol=tol, estimates=estimates)
 
 
 def run_grover(
@@ -122,10 +162,11 @@ def run_grover(
     sample_every: int | None = None,
     m_multiplier: int = 1,
     rotating_frame: bool = False,
+    tol: float | None = None,
 ) -> RunReport:
     """Run one search preset and compare its readouts with the published ones.
 
-    ``steps``, ``sample_every`` and ``m_multiplier`` are those of
+    ``steps``, ``sample_every``, ``m_multiplier`` and ``tol`` are those of
     ``run_report``. With ``rotating_frame`` the sampled transverse
     expectations are reported in the frame co-rotating at each spin's static
     z field (z components and qubit values are frame independent).
@@ -133,7 +174,7 @@ def run_grover(
     profile = make_profile(hardware)
     prog = grover_program(item, profile, init_order)
     title = f"grover search: hardware={hardware} item={item} init={init_order}"
-    report = run_report(title, new_basis_state(2, [0, 0]), prog.seq, steps, sample_every, m_multiplier)
+    report = run_report(title, new_basis_state(2, [0, 0]), prog.seq, steps, sample_every, m_multiplier, tol)
     if rotating_frame:
         omega = [float(profile.eo("Ipi").model.static_field[j, 2]) for j in range(2)]
         _rotate_samples(report.samples, omega)
@@ -174,73 +215,6 @@ def write_trajectory_csv(path, samples: Trajectory) -> None:
     table = np.column_stack([samples.step, o.t, o.norm, per_qubit, samples.eo_index])
     fmt = ["%d"] + ["%.12g"] * (4 * L + 2) + ["%d"]
     np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, comments="")
-
-
-class ConvergenceFailure(RuntimeError):
-    """m-doubling did not stabilize the final qubit values."""
-
-
-@dataclass
-class ConvergeReport:
-    hardware: str
-    item: int
-    init_order: str
-    tol: float
-    multiplier: int
-    q: tuple
-    history: list = field(default_factory=list)
-
-    def lines(self) -> list:
-        out = [
-            f"convergence study: hardware={self.hardware} item={self.item} "
-            f"init={self.init_order} tol={self.tol:g}",
-        ]
-        for mult, q, shift in self.history:
-            shift_txt = "-" if shift is None else f"{shift:.3e}"
-            out.append(f"  multiplier {mult:5d}: Q = ({q[0]:.9f}, {q[1]:.9f})  shift {shift_txt}")
-        out.append(f"  converged at multiplier {self.multiplier}: Q = ({self.q[0]:.6f}, {self.q[1]:.6f})")
-        return out
-
-
-def converge_grover(
-    hardware: str,
-    item: int,
-    init_order: str = "12",
-    tol: float = 1e-6,
-    max_doublings: int = 10,
-) -> ConvergeReport:
-    """Double every substep count until the final qubit values stop moving.
-
-    Starts from the automatic plan and reports the first multiplier whose
-    doubling shifts every Q_j by less than ``tol``. Raises ConvergenceFailure
-    if 2**max_doublings times the automatic plan is still not enough.
-    """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
-    history = []
-    prev_q = None
-    mult = 1
-    for k in range(max_doublings + 1):
-        report = run_grover(hardware, item, init_order, m_multiplier=mult, sample_every=10**9)
-        q = report.q
-        shift = None if prev_q is None else max(abs(q[0] - prev_q[0]), abs(q[1] - prev_q[1]))
-        history.append((mult, q, shift))
-        if shift is not None and shift < tol:
-            return ConvergeReport(
-                hardware=hardware,
-                item=item,
-                init_order=init_order,
-                tol=tol,
-                multiplier=mult // 2,
-                q=q,
-                history=history,
-            )
-        prev_q = q
-        mult *= 2
-    raise ConvergenceFailure(
-        f"final qubit values still shift by {history[-1][2]:.3e} (> {tol:g}) after "
-        f"{max_doublings} doublings of the automatic plan"
-    )
 
 
 @dataclass

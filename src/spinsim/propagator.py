@@ -521,9 +521,9 @@ def auto_substeps(eo: ElementaryOperation) -> StepPlan:
     """Pick a substep count for which the results no longer depend on it.
 
     A constant Hamiltonian confined to a single axis is integrated exactly by
-    one step. Otherwise the substep length is capped at 1/64 of the fastest
-    RF period, and at the times over which the strongest field and the
-    strongest coupling each advance a phase by 0.1 rad.
+    one step. Otherwise the substep length is capped at 1/64 of the period of
+    the fastest RF drive with a nonzero amplitude, and at the times over which
+    the strongest field and the strongest coupling each advance a phase by 0.1 rad.
     """
     model = eo.model
     if eo.tau == 0.0:
@@ -536,7 +536,7 @@ def auto_substeps(eo: ElementaryOperation) -> StepPlan:
     if len(active) <= 1 and not np.any(model.rf_amp):
         return StepPlan(1, eo.tau)
     bounds = []
-    freqs = np.abs(model.rf_freq[model.rf_freq != 0.0])
+    freqs = np.abs(model.rf_freq[(model.rf_freq != 0.0) & (model.rf_amp != 0.0)])
     if freqs.size:
         bounds.append(2.0 * math.pi / float(freqs.max()) / _RF_SAMPLES_PER_PERIOD)
     h_scale = float(np.max(np.abs(model.static_field) + np.abs(model.rf_amp)))

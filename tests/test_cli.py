@@ -145,18 +145,25 @@ class TestOtherCommands:
     def test_converge_ideal(self, capsys):
         code = main(["converge", "--hardware", "ideal", "--item", "2", "--init", "12",
                      "--tol", "1e-9"])
+        out = capsys.readouterr().out
         assert code == 0
-        assert "converged at multiplier 1" in capsys.readouterr().out
+        assert out.count(": m = 2, error estimate = ") == 16
+        assert "every operation under tol 1e-09" in out
 
-    def test_converge_unreachable(self, capsys, monkeypatch):
-        import spinsim.cli as cli_mod
-
-        def fake(*args, **kwargs):
-            raise cli_mod.ConvergenceFailure("still moving")
-
-        monkeypatch.setattr(cli_mod, "converge_grover", fake)
-        code = main(["converge", "--hardware", "nmr", "--item", "2", "--tol", "0"])
+    def test_converge_unreachable(self, capsys):
+        code = main(["converge", "--hardware", "ideal", "--item", "2", "--tol", "0"])
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.err.count("\n") == 1 and "convergence failure" in captured.err
+        assert "NOT every operation under tol 0" in captured.out
+
+    def test_converge_nmr_meets_its_tolerance(self, capsys):
+        code = main(["converge", "--hardware", "nmr", "--item", "2", "--init", "12", "--tol", "1e-4"])
+        out = capsys.readouterr().out
+        estimates = [float(line.rsplit("= ", 1)[1]) for line in out.splitlines() if line.startswith("  operation ")]
+        assert code == 0
+        assert len(estimates) == 16 and max(estimates) < 1e-4
+        assert "every operation under tol 0.0001" in out
 
     def test_dump_profile_stdout(self, capsys):
         assert main(["dump-profile", "nmr"]) == 0
@@ -190,6 +197,13 @@ class TestBadInput:
     def test_zero_sample_stride(self):
         proc = self.spinsim("grover", "--hardware", "ideal", "--item", "0", "--sample-every", "0")
         self.assert_usage_error(proc, "--sample-every must be a positive integer")
+
+    def test_duration_overflow(self, tmp_path):
+        # 2 pi times the largest finite tau_over_2pi is not finite
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("L = 1\n[eo A]\ntau_over_2pi = 1e308\nh0 z 1 = 1\n[sequence s]\neos = A\n")
+        self.assert_usage_error(self.spinsim("run", "--config", str(cfg), "--sequence", "s"),
+                                "config error: line 3: tau_over_2pi must be >= 0 and give a finite duration")
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_bad_tolerance(self, tol):

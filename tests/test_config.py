@@ -84,6 +84,8 @@ class TestParsing:
             ("[eo A]\nh0 x 1 = 1", 1, "tau_over_2pi"),
             ("[eo A]\ntau_over_2pi = nan", 2, "finite"),
             ("[eo A]\ntau_over_2pi = inf", 2, "finite"),
+            ("[eo A]\ntau_over_2pi = 1e308", 2, "finite duration"),
+            ("[eo A]\ntau_over_2pi = -1", 2, ">= 0"),
             ("[eo A]\ntau_over_2pi = 1\nh1 y 1 = -inf", 3, "finite"),
             ("[run]\nsteps = 0", 2, ">= 1"),
             ("[run]\nsteps = -3", 2, ">= 1"),

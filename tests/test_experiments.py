@@ -1,18 +1,30 @@
-"""Experiment-layer tests: reports, convergence studies, CSV, self-test."""
+"""Experiment-layer tests: reports, the step-doubling tolerance, CSV, self-test."""
 
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinsim.experiments import (
+    MAX_DOUBLINGS,
     REFERENCE_Q,
-    ConvergenceFailure,
-    converge_grover,
     run_grover,
+    run_report,
     self_test,
     write_trajectory_csv,
 )
+from spinsim.propagator import ElementaryOperation, PulseSequence, SpinModel
+from spinsim.pulses import make_profile
+from spinsim.reference import dense_propagator, dense_propagator_composed
+from spinsim.state import StateVector
+
+
+def random_state(L, rng):
+    amp = rng.normal(size=1 << L) + 1j * rng.normal(size=1 << L)
+    return StateVector(L, amp / np.linalg.norm(amp))
 
 
 class TestRunReports:
@@ -49,8 +61,6 @@ class TestRunReports:
     def test_rotating_frame_freezes_free_precession(self):
         # a +x spin under its static z field precesses in the lab but must
         # sit still in the co-rotating view
-        import math
-
         from spinsim.experiments import _rotate_samples
         from spinsim.propagator import ElementaryOperation, PulseSequence, SpinModel, StepPlan
         from spinsim.propagator import run_sequence as run_seq
@@ -99,24 +109,81 @@ class TestTrajectoryCsv(object):
 
 
 class TestConvergence:
+    """``run_report(..., tol)``: step doubling per operation, checked against the dense oracle."""
+
     def test_ideal_converges_immediately(self):
-        report = converge_grover("ideal", 1, "12", tol=1e-9)
-        assert report.multiplier == 1
+        # every ideal instruction is one exact step, so the first doubling agrees
+        report = run_grover("ideal", 1, "12", sample_every=10**9, tol=1e-12)
+        assert report.converged
+        assert len(report.estimates) == 16 and max(report.estimates) < 1e-12
+        assert all(p.m == 2 for p in report.plans)
         assert report.q[0] == pytest.approx(1.0, abs=1e-9)
+        assert "every operation under tol 1e-12" in "\n".join(report.lines())
 
     def test_unreachable_tolerance_fails(self):
-        with pytest.raises(ConvergenceFailure, match="doublings"):
-            converge_grover("ideal", 0, "12", tol=0.0, max_doublings=2)
+        # no estimate is below 0: every plan is doubled the most times allowed
+        report = run_grover("ideal", 0, "12", sample_every=10**9, tol=0.0)
+        assert not report.converged
+        assert all(p.m == 2**MAX_DOUBLINGS for p in report.plans)
+        assert "NOT every operation under tol 0" in "\n".join(report.lines())
 
-    def test_nmr_converges_self_consistently(self):
-        # report.q comes from the run at twice the reported multiplier; the
-        # doubling after that one must move it, but by less than the tolerance
-        report = converge_grover("nmr", 2, "12", tol=1e-4)
-        assert report.multiplier >= 1
-        follow = run_grover("nmr", 2, "12", m_multiplier=report.multiplier * 4,
-                            sample_every=10**9)
-        shift = max(abs(a - b) for a, b in zip(report.q, follow.q))
-        assert 0.0 < shift < 1e-4
+    def test_nmr_estimate_bounds_the_dense_error(self):
+        eo = make_profile("nmr").eo("X1")
+        psi0 = random_state(2, np.random.default_rng(3))
+        report = run_report("X1", psi0, PulseSequence([eo]), sample_every=10**9, tol=1e-6)
+        exact = dense_propagator_composed(eo.model, 0.0, eo.tau, segment=2 * np.pi, tol=1e-8) @ psi0.amp
+        err = float(np.linalg.norm(report.final_state.amp - exact))
+        assert report.converged and report.plans[0].m > 1
+        assert err <= 1.5 * sum(report.estimates) + 1e-9
+        assert err >= 0.5 * sum(report.estimates)  # the estimate is not a loose upper bound
+
+    def test_each_operation_starts_from_the_state_it_receives(self):
+        eo = make_profile("nmr").eo("X1")
+        psi0 = random_state(2, np.random.default_rng(4))
+        both = run_report("X1 X1", psi0, PulseSequence([eo, eo]), sample_every=10**9, tol=1e-5)
+        first = run_report("X1", psi0, PulseSequence([eo]), sample_every=10**9, tol=1e-5)
+        second = run_report("X1", first.final_state, PulseSequence([eo]), sample_every=10**9, tol=1e-5)
+        assert both.estimates == pytest.approx(first.estimates + second.estimates, rel=1e-6, abs=0)
+        assert both.estimates[0] != pytest.approx(both.estimates[1], rel=1e-6, abs=0)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        L=st.integers(1, 3),
+        coupled=st.sets(st.sampled_from("xyz")),
+        static=st.sets(st.sampled_from("xyz")),
+        rf=st.sets(st.sampled_from("xyz")),
+        tau=st.floats(0.05, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_estimate_bounds_the_dense_error_of_random_models(self, L, coupled, static, rf, tau, seed):
+        rng = np.random.default_rng(seed)
+        model = SpinModel(L)
+        for ax in coupled:
+            for j in range(1, L + 1):
+                for k in range(j + 1, L + 1):
+                    model.set_coupling(j, k, ax, rng.uniform(-1, 1))
+        for j in range(1, L + 1):
+            for ax in static:
+                model.set_static(j, ax, rng.uniform(-1, 1))
+            for ax in rf:
+                model.set_rf(j, ax, rng.uniform(-0.5, 0.5), rng.uniform(0.3, 2.0), rng.uniform(0, 2 * math.pi))
+        psi0 = random_state(L, rng)
+        eo = ElementaryOperation("random", model, tau)
+        report = run_report("random", psi0, PulseSequence([eo]), sample_every=10**9, tol=1e-5)
+        exact = dense_propagator(model, 0.0, tau, tol=1e-9) @ psi0.amp
+        err = float(np.linalg.norm(report.final_state.amp - exact))
+        assert report.converged
+        assert err <= 1.5 * sum(report.estimates) + 1e-9
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            run_grover("ideal", 0, "12", tol=tol)
+
+    def test_no_tolerance_leaves_the_run_alone(self):
+        plain = run_grover("nmr", 3, "21", sample_every=10**9)
+        assert plain.estimates is None and plain.tol is None and plain.converged
+        assert not any("estimate" in line for line in plain.lines())
 
 
 class TestReferenceTable:

@@ -543,6 +543,15 @@ class TestStepPlans:
         evolve_eo(s, eo, 0.0, plan=plan)
         assert np.max(np.abs(s.amp - exact)) < 1e-3
 
+    def test_frequency_without_amplitude_sets_no_bound(self):
+        # a stray drive frequency with a zero amplitude drives nothing
+        m = SpinModel(2).set_static(1, "z", 1.0).set_static(2, "x", 1.0)
+        assert auto_substeps(ElementaryOperation("a", m, TWO_PI)).m == 63
+        m.rf_freq[0, 1] = 1000.0
+        assert auto_substeps(ElementaryOperation("a", m, TWO_PI)).m == 63
+        m.rf_amp[0, 1] = 0.01
+        assert auto_substeps(ElementaryOperation("a", m, TWO_PI)).m == 64000
+
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             StepPlan(0, 1.0)
