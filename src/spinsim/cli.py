@@ -114,13 +114,11 @@ def _cmd_run(args) -> int:
         print(f"spinsim: config error: {err}", file=sys.stderr)
         return EXIT_USAGE
     bits = cfg.run.state_bits or [0] * cfg.L
-    report = run_report(
-        f"sequence {seq_name}",
-        new_basis_state(cfg.L, bits),
-        seq,
-        steps=cfg.run.steps,
-        sample_every=cfg.run.sample_every,
-    )
+    try:
+        report = run_report(f"sequence {seq_name}", new_basis_state(cfg.L, bits), seq,
+                            steps=cfg.run.steps, sample_every=cfg.run.sample_every)
+    except ValueError as err:  # a model the step planner cannot plan
+        return _usage_error(str(err))
     extra = []
     if args.compare_uniform:
         dim = 1 << cfg.L

@@ -213,8 +213,11 @@ def write_trajectory_csv(path, samples: Trajectory) -> None:
     header = "step,t,norm," + "".join(f"sx{j},sy{j},sz{j},q{j}," for j in range(1, L + 1)) + "eo_index"
     per_qubit = np.stack([o.sx, o.sy, o.sz, o.q], axis=-1).reshape(len(samples), 4 * L)
     table = np.column_stack([samples.step, o.t, o.norm, per_qubit, samples.eo_index])
-    fmt = ["%d"] + ["%.12g"] * (4 * L + 2) + ["%d"]
-    np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, comments="")
+    row = ",".join(["%d"] + ["%.12g"] * (4 * L + 2) + ["%d"]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for block in np.split(table, range(512, len(table), 512)):  # the bytes of np.savetxt, a block at a time
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 @dataclass

@@ -66,10 +66,11 @@ Two operands, one step program. Every kernel acts on an array whose last
 axis is the register and whose leading axes are a batch. An instruction's
 drive clock starts at its own start, so the gates of a chunk of substeps
 are built at once. Registers of up to 16 amplitudes (L <= 4) then get the
-chunk's step matrices in one batched pass. The matrices between two
-samples are multiplied together by a pairwise tree of batched matmuls, so
-a sample, not a substep, costs one vector-matrix product, and the
-observables of a chunk's sampled states are read in one batched call.
+chunk's step matrices in one batched pass, and a pairwise tree of batched
+matmuls multiplies the matrices between two samples into one piece. A
+sample, not a substep, costs one vector-matrix product, and a chunk's
+samples are read in one batched call. The pieces depend only on the
+operation, its plan and its sample stride, so run_sequence reuses them.
 Larger registers are stepped in place, one substep at a time. The
 threshold rests on microseconds per substep, 512 substeps, in place and by
 matrices with one vector-matrix product per substep (2-core VM shared with
@@ -130,8 +131,8 @@ class KernelCounters:
     factor (z and y twice, x once) it adds one pair term per nonzero coupling
     and one field term per qubit with a static or RF field on that axis,
     whether a multiplier or a pass applies it. A chunk of n substeps adds n
-    times these, so the counts are the same on both sides of the
-    register-size threshold.
+    times these, also when its pieces are replayed, so the counts are the
+    same on both sides of the register-size threshold, with or without reuse.
     """
 
     diagonal_sweeps: int = 0
@@ -141,11 +142,7 @@ class KernelCounters:
     field_terms: int = 0
 
     def reset(self) -> None:
-        self.diagonal_sweeps = 0
-        self.global_rotations = 0
-        self.gate_kernel_calls = 0
-        self.pair_terms = 0
-        self.field_terms = 0
+        self.__init__()
 
 
 counters = KernelCounters()
@@ -545,8 +542,10 @@ def auto_substeps(eo: ElementaryOperation) -> StepPlan:
     j_scale = float(np.max(np.abs(model.coupling)))
     if j_scale > 0.0:
         bounds.append(_MAX_PHASE_PER_STEP / j_scale)
-    m = max(1, math.ceil(eo.tau / min(bounds) - 1e-9))
-    return StepPlan(m, eo.tau)
+    step = min(bounds)
+    if not (step > 0.0 and math.isfinite(eo.tau / step)):
+        raise ValueError(f"operation {eo.name!r} needs a substep count that is not finite: tau {eo.tau:g} / step bound {step:g}")
+    return StepPlan(max(1, math.ceil(eo.tau / step - 1e-9)), eo.tau)
 
 
 def _segment_products(steps: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -575,12 +574,41 @@ def _concatenate(parts: list, dim: int) -> Observables:
     return Observables(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(Observables)))
 
 
+def _matrix_pieces(model: SpinModel, plan: StepPlan, at: np.ndarray):
+    """Yield per chunk of substeps (step program, substep count, sampled substep numbers, pieces):
+    the pairwise-tree products of the chunk's step matrices cut at each sample and at its end."""
+    prog = _StepProgram(model, plan.delta)
+    chunk = max(1, _BATCH_ELEMENTS // prog.dim**2)
+    for lo in range(0, plan.m, chunk):
+        hi = min(lo + chunk, plan.m)
+        first, last = np.searchsorted(at, (lo, hi), side="right")
+        ends = np.union1d(at[first:last] - lo, hi - lo)
+        steps = prog.step_matrices((np.arange(lo, hi) + 0.5) * plan.delta)
+        yield prog, hi - lo, at[first:last], _segment_products(steps, np.diff(ends, prepend=0))
+
+
+def _replay(amp: np.ndarray, pieces, t0: float, delta: float) -> list:
+    """Advance ``amp`` by each piece of ``_matrix_pieces`` and count its substeps; returns each chunk's samples."""
+    parts = []
+    for prog, n, at, products in pieces:
+        prog.count(n)
+        sampled = np.empty((len(at), amp.size), dtype=np.complex128)
+        for k, piece in enumerate(products):
+            amp[:] = amp @ piece
+            if k < len(at):
+                sampled[k] = amp
+        parts.append(observables_of(sampled, t0 + at * delta))
+    return parts
+
+
 def evolve_eo(
     state: StateVector,
     eo: ElementaryOperation,
     t0: float,
     plan: StepPlan | None = None,
     sample_at=(),
+    *,
+    pieces: list | None = None,
 ) -> tuple:
     """Run one operation starting at global time t0; returns (state, samples).
 
@@ -593,13 +621,13 @@ def evolve_eo(
     takes no substeps and returns no samples. ``plan`` must be for
     ``eo.tau``.
 
-    Each chunk of substeps builds its step matrices (registers of up to 16
-    amplitudes) or its pass blocks (stepped in place) in one pass. The step
-    matrices are cut at each sampled substep and at the chunk end, each
-    piece is multiplied into one matrix by a pairwise tree, and the state
-    advances by one vector-matrix product per piece; the observables of the
-    chunk's sampled states are read in one batched call. In place, each
-    substep is applied to the state and each sample read as it is taken.
+    A register of up to 16 amplitudes ``_replay``s the pieces of
+    ``_matrix_pieces``, which depend only on the model, the plan and
+    ``sample_at``. They are computed afresh unless ``pieces`` is a list: an
+    empty one is filled with them, and a filled one, from an earlier call with
+    the same operation, plan and ``sample_at``, is replayed. A larger register
+    ignores ``pieces``: it builds each chunk's pass blocks in one pass,
+    applies each substep to the state and reads each sample as it is taken.
     """
     if eo.model.L != state.L:
         raise ValueError(f"operation has L={eo.model.L} but state has L={state.L}")
@@ -613,34 +641,23 @@ def evolve_eo(
     if eo.tau == 0.0:
         return state, _concatenate([], state.dim)
     at = np.array(at, dtype=np.int64)
-    delta = plan.delta
-    prog = _StepProgram(eo.model, delta)
-    amp = state.amp
-    batched = state.dim <= _BATCH_MAX_DIM
-    # the observables of each chunk's samples (by matrices) or of each sample (in place)
+    if state.dim <= _BATCH_MAX_DIM:
+        fresh = _matrix_pieces(eo.model, plan, at)  # computes nothing until it is read
+        if pieces is None:
+            pieces = fresh
+        elif not pieces:
+            pieces += fresh
+        return state, _concatenate(_replay(state.amp, pieces, t0, plan.delta), state.dim)
+    delta, prog = plan.delta, _StepProgram(eo.model, plan.delta)
     wanted, parts = set(at.tolist()), []
-    # a chunk holds _BATCH_ELEMENTS entries of step matrices, or of pass
-    # blocks in place: at most 4 passes of at most 64 entries per qubit
-    chunk = max(1, _BATCH_ELEMENTS // (state.dim**2 if batched else 256 * state.L))
+    chunk = max(1, _BATCH_ELEMENTS // (256 * state.L))  # pass blocks: at most 4 passes of 64 entries per qubit
     for lo in range(0, plan.m, chunk):
         hi = min(lo + chunk, plan.m)
-        t_mid = (np.arange(lo, hi) + 0.5) * delta
         prog.count(hi - lo)
-        if batched:
-            first, last = np.searchsorted(at, (lo, hi), side="right")
-            ends = np.union1d(at[first:last] - lo, hi - lo)
-            pieces = _segment_products(prog.step_matrices(t_mid), np.diff(ends, prepend=0))
-            sampled = np.empty((last - first, state.dim), dtype=np.complex128)
-            for k, piece in enumerate(pieces):
-                amp[:] = amp @ piece
-                if k < len(sampled):
-                    sampled[k] = amp
-            parts.append(observables_of(sampled, t0 + at[first:last] * delta))
-        else:
-            for n, blocks in enumerate(prog.substep_blocks(t_mid), lo + 1):
-                prog.apply(amp, blocks)
-                if n in wanted:
-                    parts.append(observables_of(amp[None], np.array([t0 + n * delta])))
+        for n, blocks in enumerate(prog.substep_blocks((np.arange(lo, hi) + 0.5) * delta), lo + 1):
+            prog.apply(state.amp, blocks)
+            if n in wanted:
+                parts.append(observables_of(state.amp[None], np.array([t0 + n * delta])))
     return state, _concatenate(parts, state.dim)
 
 
@@ -657,6 +674,10 @@ def run_sequence(
     and at the final point. When ``sample_every`` is None each operation is
     sampled about 200 times (once per substep if it has fewer). ``plans``,
     if given, holds one plan per operation.
+
+    An operation object that recurs at one plan and stride hands ``evolve_eo``
+    one ``pieces`` list under the key (id, plan, stride): its first occurrence
+    fills it, the next ones replay it, and it is dropped after the last.
     """
     for eo in seq.eos:
         if eo.model.L != state.L:
@@ -665,17 +686,20 @@ def run_sequence(
         raise ValueError("sample_every must be >= 1")
     if plans is not None and len(plans) != len(seq):
         raise ValueError(f"got {len(plans)} plans for a sequence of {len(seq)} operations")
+    plans = plans if plans is not None else [auto_substeps(eo) for eo in seq.eos]
+    strides = [sample_every or max(1, round(plan.m / 200)) for plan in plans]
+    keys = list(zip(map(id, seq.eos), plans, strides))
+    last_use, kept = {key: i for i, key in enumerate(keys)}, {}
     out = state.copy()
     parts = [observables_of(out.amp[None], np.array([0.0]))]
     step, eo_index = [0], [0]
     t = 0.0
-    for i, eo in enumerate(seq.eos):
-        plan = plans[i] if plans is not None else auto_substeps(eo)
+    for i, (eo, plan, stride, key) in enumerate(zip(seq.eos, plans, strides, keys)):
         if eo.tau == 0.0:
             continue
-        stride = sample_every if sample_every is not None else max(1, round(plan.m / 200))
         at = list(range(stride, plan.m, stride)) + [plan.m]
-        parts.append(evolve_eo(out, eo, t, plan=plan, sample_at=at)[1])
+        pieces = kept.setdefault(key, []) if last_use[key] > i else kept.pop(key, None)
+        parts.append(evolve_eo(out, eo, t, plan=plan, sample_at=at, pieces=pieces)[1])
         step += [step[-1] + n for n in at]  # step[-1] ended the previous operation
         eo_index += [i] * len(at)
         t += eo.tau

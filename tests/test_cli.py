@@ -205,6 +205,13 @@ class TestBadInput:
         self.assert_usage_error(self.spinsim("run", "--config", str(cfg), "--sequence", "s"),
                                 "config error: line 3: tau_over_2pi must be >= 0 and give a finite duration")
 
+    def test_substep_count_overflow(self, tmp_path):
+        # 0.1 rad per substep of a 1e308 field over 2 pi is not a finite count
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("L = 1\n[eo A]\ntau_over_2pi = 1\nh0 z 1 = 1e308\nh0 x 1 = 1\n[sequence s]\neos = A\n")
+        self.assert_usage_error(self.spinsim("run", "--config", str(cfg), "--sequence", "s"),
+                                "operation 'A' needs a substep count that is not finite")
+
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_bad_tolerance(self, tol):
         proc = self.spinsim("converge", "--hardware", "ideal", "--item", "0", "--tol", tol)

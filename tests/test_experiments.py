@@ -16,10 +16,10 @@ from spinsim.experiments import (
     self_test,
     write_trajectory_csv,
 )
-from spinsim.propagator import ElementaryOperation, PulseSequence, SpinModel
+from spinsim.propagator import ElementaryOperation, PulseSequence, SpinModel, Trajectory
 from spinsim.pulses import make_profile
 from spinsim.reference import dense_propagator, dense_propagator_composed
-from spinsim.state import StateVector
+from spinsim.state import Observables, StateVector
 
 
 def random_state(L, rng):
@@ -96,6 +96,26 @@ class TestTrajectoryCsv(object):
         first = lines[1].split(",")
         assert first[0] == "0" and float(first[1]) == 0.0
         assert first[-1] == "0"
+
+    @pytest.mark.parametrize("k", [0, 1, 511, 512, 513, 1300])
+    def test_writes_the_bytes_of_savetxt(self, tmp_path, k):
+        # awkward values in every column, across block edges of 512 rows, at L = 3
+        L = 3
+        rng = np.random.default_rng(k)
+        awkward = np.array([-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 0.1, 1 / 3, -2.5e-7, 123456789.0])
+        pick = lambda *shape: rng.choice(awkward, size=shape) * rng.choice([1.0, rng.normal()], size=shape)
+        step = np.sort(rng.integers(0, 2**53, size=k))  # float64 holds every step count up to 2**53
+        obs = Observables(pick(k, L), pick(k, L), pick(k, L), pick(k, L), pick(k), pick(k))
+        samples = Trajectory(step, rng.integers(0, 10**6, size=k), obs)
+        path = tmp_path / "new.csv"
+        write_trajectory_csv(path, samples)
+        per_qubit = np.stack([obs.sx, obs.sy, obs.sz, obs.q], axis=-1).reshape(k, 4 * L)
+        table = np.column_stack([samples.step, obs.t, obs.norm, per_qubit, samples.eo_index])
+        header = "step,t,norm," + "".join(f"sx{j},sy{j},sz{j},q{j}," for j in range(1, L + 1)) + "eo_index"
+        np.savetxt(tmp_path / "old.csv", table, fmt=["%d"] + ["%.12g"] * (4 * L + 2) + ["%d"],
+                   delimiter=",", header=header, comments="")
+        assert path.read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert len(path.read_bytes().splitlines()) == k + 1
 
     def test_identical_across_worker_counts(self, tmp_path):
         # every kernel runs in the calling thread: two runs write the same bytes
@@ -242,7 +262,7 @@ class TestSelfTest:
         from spinsim.propagator import symmetrized_step
         from spinsim.pulses import make_profile
         from spinsim.reference import dense_propagator_composed
-        from spinsim.state import StateVector
+        from spinsim.state import Observables, StateVector
 
         profile = make_profile("nmr")
         eo = profile.eo("X1")

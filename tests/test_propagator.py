@@ -1,5 +1,6 @@
 """Integrator tests: factor algebra, step plans, convergence, instrumentation."""
 
+import copy
 import math
 from unittest import mock
 
@@ -887,6 +888,57 @@ class TestRunSequence:
             before = s.norm()
             symmetrized_step(s, m, 0.05, n * 0.05)
             assert abs(s.norm() - before) < 1e-13
+
+
+class TestPieceReuse:
+    """run_sequence replays the matrix-path pieces of a recurring operation object; nothing may show it."""
+
+    @staticmethod
+    def run(L, shared):
+        """One sequence in which two operation objects recur, one of them at two plans, sampled with a stride."""
+        a = ElementaryOperation("a", random_driven_model(L, 140 + L), 0.9)
+        b = ElementaryOperation("b", random_driven_model(L, 150 + L), 0.5)
+        idle = ElementaryOperation("idle", SpinModel(L), 0.0)
+        eos = [a, b, idle, a, a, b, idle, a]
+        ms = [30, 20, 1, 30, 45, 20, 1, 30]
+        plans = [StepPlan(m, eo.tau) for m, eo in zip(ms, eos)]
+        if not shared:
+            eos = [copy.deepcopy(eo) for eo in eos]
+        built, step_matrices = [], propagator._StepProgram.step_matrices
+
+        def counted(prog, t_mid):
+            built.append(len(t_mid))
+            return step_matrices(prog, t_mid)
+
+        counters.reset()
+        with mock.patch.object(propagator._StepProgram, "step_matrices", counted):
+            out, traj = run_sequence(random_state(L, 160 + L), PulseSequence(eos), sample_every=4, plans=plans)
+        return out, traj, dict(vars(counters)), sum(built)
+
+    @pytest.mark.parametrize("L, built", [(2, 95), (4, 95), (5, 0)])  # L = 5 is stepped in place
+    def test_shared_objects_match_private_copies(self, L, built):
+        out, traj, counts, substeps = self.run(L, shared=True)
+        ref, ref_traj, ref_counts, ref_substeps = self.run(L, shared=False)
+        # step matrices are built once for a at m = 30 and 45 and b at m = 20,
+        # and for all 175 substeps when every position holds its own copy
+        assert (substeps, ref_substeps) == (built, 175 if built else 0)
+        assert np.array_equal(out.amp, ref.amp)
+        assert np.array_equal(traj.step, ref_traj.step) and np.array_equal(traj.eo_index, ref_traj.eo_index)
+        for name in ("sx", "sy", "sz", "q", "norm", "t"):
+            assert np.array_equal(getattr(traj.obs, name), getattr(ref_traj.obs, name))
+        assert counts == ref_counts
+
+    def test_pieces_do_not_outlive_a_call(self):
+        model = random_driven_model(2, 170)
+        eo = ElementaryOperation("e", model, 0.8)
+        psi0, plans = random_state(2, 171), [StepPlan(40, 0.8)] * 2
+        before = run_sequence(psi0, PulseSequence([eo, eo]), sample_every=3, plans=plans)[0]
+        model.static_field[0, 2] += 0.5
+        again = run_sequence(psi0, PulseSequence([eo, eo]), sample_every=3, plans=plans)[0]
+        fresh = ElementaryOperation("e", copy.deepcopy(model), 0.8)
+        expected = run_sequence(psi0, PulseSequence([fresh, fresh]), sample_every=3, plans=plans)[0]
+        assert np.array_equal(again.amp, expected.amp)
+        assert not np.allclose(again.amp, before.amp)
 
 
 class TestDeterminism:
