@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from .config import ConfigError, dump_profile, parse_config
-from .experiments import MAX_DOUBLINGS, run_grover, run_report, self_test, write_trajectory_csv
+from .experiments import run_grover, run_report, self_test, write_trajectory_csv
+from .propagator import MAX_DOUBLINGS
 from .pulses import make_profile
 from .state import StateVector, fidelity, new_basis_state
 

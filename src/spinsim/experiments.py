@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagator import (
-    StepPlan,
-    Trajectory,
-    auto_substeps,
-    evolve_eo,
-    run_sequence,
-)
+from .propagator import StepPlan, Trajectory, evolve_eo, run_sequence
 from .pulses import grover_program, make_profile
 from .reference import (
     dense_propagator_composed,
@@ -34,9 +28,6 @@ TWO_PI = 2.0 * math.pi
 
 #: Tolerance for flagging deviations from the reference endpoints.
 Q_TOLERANCE = 0.03
-
-#: Most doublings of an operation's substep count that a tolerance may ask for.
-MAX_DOUBLINGS = 10
 
 #: Published final qubit values for the bundled presets, keyed by
 #: (hardware, init order, item). Ideal endpoints are exact bit patterns.
@@ -62,24 +53,26 @@ REFERENCE_Q = {
 
 @dataclass
 class RunReport:
-    """Everything one run produced; ``estimates`` (one per operation) only with a tolerance."""
+    """Everything one run produced; its plans and error estimates are those of ``samples``."""
 
     title: str
     q: tuple
     norm: float
     wall_time: float
-    plans: list
     samples: Trajectory
     final_state: StateVector
     reference: tuple | None = None
     deviations: tuple | None = None
     flagged: bool = False
     tol: float | None = None
-    estimates: list | None = None
+
+    @property
+    def estimates(self) -> list | None:
+        return self.samples.estimates
 
     @property
     def substeps(self) -> int:
-        return sum(p.m for p in self.plans)
+        return sum(p.m for p in self.samples.plans)
 
     @property
     def converged(self) -> bool:
@@ -89,7 +82,7 @@ class RunReport:
     def lines(self) -> list:
         out = [
             self.title,
-            f"  operations {len(self.plans)}, substeps {self.substeps}, samples {len(self.samples)}",
+            f"  operations {len(self.samples.plans)}, substeps {self.substeps}, samples {len(self.samples)}",
             "  final " + "   ".join(f"Q{j} = {q:.6f}" for j, q in enumerate(self.q, 1)),
             f"  norm deviation = {abs(self.norm - 1.0):.3e}",
             f"  wall time = {self.wall_time:.3f} s",
@@ -101,7 +94,7 @@ class RunReport:
             out += [f"  reference: {ref}", f"  deviation {dq}  [{status}, tol {Q_TOLERANCE}]"]
         if self.estimates is not None:
             out += [f"  operation {i:2d}: m = {p.m}, error estimate = {e:.3e}"
-                    for i, (p, e) in enumerate(zip(self.plans, self.estimates), 1)]
+                    for i, (p, e) in enumerate(zip(self.samples.plans, self.estimates), 1)]
             verdict = "every operation under" if self.converged else "NOT every operation under"
             out.append(f"  error estimate = {sum(self.estimates):.3e} (sum); {verdict} tol {self.tol:g}")
         return out
@@ -113,45 +106,20 @@ def run_report(
     seq,
     steps="auto",
     sample_every: int | None = None,
-    m_multiplier: int = 1,
     tol: float | None = None,
 ) -> RunReport:
     """Run ``seq`` from ``state`` and report its final readouts and trajectory.
 
     ``steps`` is "auto" or an absolute per-operation substep count;
-    ``m_multiplier`` scales whichever plan results. ``state`` is not modified.
-
-    With a tolerance ``tol`` (finite, >= 0) the plans are then refined one
-    operation at a time, each from the state the refined plans before it
-    leave. The step is second order, so the error of a run at 2m substeps is
-    about |psi_2m - psi_m| / (2^2 - 1); m is doubled, at most MAX_DOUBLINGS
-    times, until that estimate is under ``tol``, and the 2m plan is kept. The
-    doubling runs add to the kernel counters and to the wall time.
+    ``sample_every`` and ``tol`` are those of ``run_sequence``, whose doubling
+    trials count in the wall time. ``state`` is not modified.
     """
-    if tol is not None and not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
-    plans = [auto_substeps(eo) if steps == "auto" else StepPlan(int(steps), eo.tau) for eo in seq.eos]
-    plans = [StepPlan(p.m * m_multiplier, p.tau) for p in plans]
+    plans = None if steps == "auto" else [StepPlan(int(steps), eo.tau) for eo in seq.eos]
     start = time.perf_counter()
-    estimates = None
-    if tol is not None:
-        psi, estimates = state.copy(), []
-        for i, eo in enumerate(seq.eos):
-            psi_m = evolve_eo(psi.copy(), eo, 0.0, plans[i])[0]
-            for _ in range(MAX_DOUBLINGS):
-                plans[i] = StepPlan(2 * plans[i].m, eo.tau)
-                psi_2m = evolve_eo(psi.copy(), eo, 0.0, plans[i])[0]
-                estimate = float(np.linalg.norm(psi_2m.amp - psi_m.amp)) / 3
-                if estimate < tol:
-                    break
-                psi_m = psi_2m
-            psi = psi_2m
-            estimates.append(estimate)
-    final, samples = run_sequence(state, seq, sample_every=sample_every, plans=plans)
+    final, samples = run_sequence(state, seq, sample_every, plans, tol)
     wall = time.perf_counter() - start
     obs = final.observables(t=seq.total_duration)
-    q = tuple(float(qj) for qj in obs.q)
-    return RunReport(title, q, obs.norm, wall, plans, samples, final, tol=tol, estimates=estimates)
+    return RunReport(title, tuple(float(qj) for qj in obs.q), obs.norm, wall, samples, final, tol=tol)
 
 
 def run_grover(
@@ -160,21 +128,20 @@ def run_grover(
     init_order: str = "12",
     steps="auto",
     sample_every: int | None = None,
-    m_multiplier: int = 1,
     rotating_frame: bool = False,
     tol: float | None = None,
 ) -> RunReport:
     """Run one search preset and compare its readouts with the published ones.
 
-    ``steps``, ``sample_every``, ``m_multiplier`` and ``tol`` are those of
-    ``run_report``. With ``rotating_frame`` the sampled transverse
-    expectations are reported in the frame co-rotating at each spin's static
-    z field (z components and qubit values are frame independent).
+    ``steps``, ``sample_every`` and ``tol`` are those of ``run_report``. With
+    ``rotating_frame`` the sampled transverse expectations are reported in
+    the frame co-rotating at each spin's static z field (z components and
+    qubit values are frame independent).
     """
     profile = make_profile(hardware)
     prog = grover_program(item, profile, init_order)
     title = f"grover search: hardware={hardware} item={item} init={init_order}"
-    report = run_report(title, new_basis_state(2, [0, 0]), prog.seq, steps, sample_every, m_multiplier, tol)
+    report = run_report(title, new_basis_state(2, [0, 0]), prog.seq, steps, sample_every, tol)
     if rotating_frame:
         omega = [float(profile.eo("Ipi").model.static_field[j, 2]) for j in range(2)]
         _rotate_samples(report.samples, omega)

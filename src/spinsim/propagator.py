@@ -70,11 +70,11 @@ chunk's step matrices in one batched pass, and a pairwise tree of batched
 matmuls multiplies the matrices between two samples into one piece. A
 sample, not a substep, costs one vector-matrix product, and a chunk's
 samples are read in one batched call. The pieces depend only on the
-operation, its plan and its sample stride, so run_sequence reuses them.
-Larger registers are stepped in place, one substep at a time. The
-threshold rests on microseconds per substep, 512 substeps, in place and by
-matrices with one vector-matrix product per substep (2-core VM shared with
-other tenants, median of three runs of the best of seven):
+operation, its plan and its sample stride, so run_sequence reuses them in a
+run without a tolerance. Larger registers are stepped in place, one substep
+at a time. The threshold rests on microseconds per substep, 512 substeps, in
+place and by matrices with one vector-matrix product per substep (2-core VM
+shared with other tenants, median of three runs of the best of seven):
 
     L    driven chain      all pairs, 4 passes
     2     4.7    1.8        15.6    4.1
@@ -91,7 +91,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -117,6 +117,9 @@ _BATCH_ELEMENTS = 1 << 16
 #: largest phase (rad) the strongest field or coupling may advance in one substep.
 _RF_SAMPLES_PER_PERIOD = 64
 _MAX_PHASE_PER_STEP = 0.1
+
+#: Most doublings of an operation's substep count that a tolerance may ask for.
+MAX_DOUBLINGS = 10
 
 
 @dataclass
@@ -272,11 +275,14 @@ class StepPlan:
 @dataclass
 class Trajectory:
     """The k samples of a sequence run: global substep count, operation index
-    and observables, each with a leading axis of length k."""
+    and observables, each with a leading axis of length k; the plan each
+    operation ran at, and its error estimate if the run had a tolerance."""
 
     step: np.ndarray
     eo_index: np.ndarray
     obs: Observables
+    plans: list = field(default_factory=list)
+    estimates: list | None = None
 
     def __len__(self) -> int:
         return len(self.step)
@@ -536,7 +542,8 @@ def auto_substeps(eo: ElementaryOperation) -> StepPlan:
     freqs = np.abs(model.rf_freq[(model.rf_freq != 0.0) & (model.rf_amp != 0.0)])
     if freqs.size:
         bounds.append(2.0 * math.pi / float(freqs.max()) / _RF_SAMPLES_PER_PERIOD)
-    h_scale = float(np.max(np.abs(model.static_field) + np.abs(model.rf_amp)))
+    with np.errstate(over="ignore"):  # an infinite scale is reported below
+        h_scale = float(np.max(np.abs(model.static_field) + np.abs(model.rf_amp)))
     if h_scale > 0.0:
         bounds.append(_MAX_PHASE_PER_STEP / h_scale)
     j_scale = float(np.max(np.abs(model.coupling)))
@@ -666,6 +673,7 @@ def run_sequence(
     seq: PulseSequence,
     sample_every: int | None = None,
     plans: list | None = None,
+    tol: float | None = None,
 ) -> tuple:
     """Execute a sequence on a continuous clock from 0; returns (final state, Trajectory).
 
@@ -673,11 +681,17 @@ def run_sequence(
     point, after every ``sample_every``-th substep, at each operation boundary
     and at the final point. When ``sample_every`` is None each operation is
     sampled about 200 times (once per substep if it has fewer). ``plans``,
-    if given, holds one plan per operation.
+    if given, holds one plan per operation (default ``auto_substeps``).
 
-    An operation object that recurs at one plan and stride hands ``evolve_eo``
-    one ``pieces`` list under the key (id, plan, stride): its first occurrence
-    fills it, the next ones replay it, and it is dropped after the last.
+    Without a tolerance, an operation object that recurs at one plan hands
+    ``evolve_eo`` one ``pieces`` list: its first occurrence fills it, the next
+    ones replay it, and it is dropped after the last. With a tolerance ``tol``
+    (finite, >= 0) each operation runs from the state the ones before it
+    leave, at m and 2m substeps, each trial sampled and with fresh pieces. The
+    step is second order, so the 2m trial's error is about |psi_2m - psi_m| /
+    (2^2 - 1); m is doubled, at most MAX_DOUBLINGS times, until that is under
+    ``tol``, and the last 2m trial is the run. A zero-duration operation keeps
+    its plan, with an estimate of 0.
     """
     for eo in seq.eos:
         if eo.model.L != state.L:
@@ -686,21 +700,39 @@ def run_sequence(
         raise ValueError("sample_every must be >= 1")
     if plans is not None and len(plans) != len(seq):
         raise ValueError(f"got {len(plans)} plans for a sequence of {len(seq)} operations")
-    plans = plans if plans is not None else [auto_substeps(eo) for eo in seq.eos]
-    strides = [sample_every or max(1, round(plan.m / 200)) for plan in plans]
-    keys = list(zip(map(id, seq.eos), plans, strides))
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    plans = list(plans) if plans is not None else [auto_substeps(eo) for eo in seq.eos]
+    keys = list(zip(map(id, seq.eos), plans))
     last_use, kept = {key: i for i, key in enumerate(keys)}, {}
+    estimates = None if tol is None else [0.0] * len(seq)
     out = state.copy()
     parts = [observables_of(out.amp[None], np.array([0.0]))]
-    step, eo_index = [0], [0]
-    t = 0.0
-    for i, (eo, plan, stride, key) in enumerate(zip(seq.eos, plans, strides, keys)):
+    step, eo_index, t = [0], [0], 0.0
+
+    def advance(psi, eo, plan, pieces=None):  # returns psi, its sampled substep numbers and samples
+        stride = sample_every or max(1, round(plan.m / 200))
+        at = list(range(stride, plan.m, stride)) + [plan.m]
+        return psi, at, evolve_eo(psi, eo, t, plan=plan, sample_at=at, pieces=pieces)[1]
+
+    for i, (eo, key) in enumerate(zip(seq.eos, keys)):
         if eo.tau == 0.0:
             continue
-        at = list(range(stride, plan.m, stride)) + [plan.m]
-        pieces = kept.setdefault(key, []) if last_use[key] > i else kept.pop(key, None)
-        parts.append(evolve_eo(out, eo, t, plan=plan, sample_at=at, pieces=pieces)[1])
+        if tol is None:
+            pieces = kept.setdefault(key, []) if last_use[key] > i else kept.pop(key, None)
+            out, at, samples = advance(out, eo, plans[i], pieces)
+        else:
+            psi_m = advance(out.copy(), eo, plans[i])[0]
+            for _ in range(MAX_DOUBLINGS):
+                plans[i] = StepPlan(2 * plans[i].m, eo.tau)
+                psi_2m, at, samples = advance(out.copy(), eo, plans[i])
+                estimates[i] = float(np.linalg.norm(psi_2m.amp - psi_m.amp)) / 3
+                if estimates[i] < tol:
+                    break
+                psi_m = psi_2m
+            out = psi_2m
+        parts.append(samples)
         step += [step[-1] + n for n in at]  # step[-1] ended the previous operation
         eo_index += [i] * len(at)
         t += eo.tau
-    return out, Trajectory(np.array(step), np.array(eo_index), _concatenate(parts, out.dim))
+    return out, Trajectory(np.array(step), np.array(eo_index), _concatenate(parts, out.dim), plans, estimates)

@@ -7,6 +7,7 @@ calibrated elsewhere.
 
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,9 +18,18 @@ from spinsim.experiments import (
     _check_conjugation,
     run_grover,
 )
-from spinsim.propagator import ElementaryOperation, SpinModel, StepPlan, evolve_eo, symmetrized_step
+from spinsim.propagator import (
+    ElementaryOperation,
+    SpinModel,
+    StepPlan,
+    auto_substeps,
+    evolve_eo,
+    run_sequence,
+    symmetrized_step,
+)
 from spinsim.pulses import (
     full_search_product,
+    grover_program,
     make_profile,
     sequence_from_product,
     shortened_search_product,
@@ -30,7 +40,7 @@ from spinsim.reference import (
     grover_iterate_check,
     matrix_of_sequence,
 )
-from spinsim.state import StateVector
+from spinsim.state import StateVector, new_basis_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,6 +63,15 @@ def ideal_runs():
     return runs, wall
 
 
+def _scaled_plan_run(item, init, k):
+    """An NMR search program at k times each operation's automatic plan; its final (q, norm)."""
+    seq = grover_program(item, make_profile("nmr"), init).seq
+    plans = [StepPlan(k * auto_substeps(eo).m, eo.tau) for eo in seq.eos]
+    final, _ = run_sequence(new_basis_state(2, [0, 0]), seq, sample_every=10**9, plans=plans)
+    obs = final.observables(t=seq.total_duration)
+    return SimpleNamespace(q=tuple(float(qj) for qj in obs.q), norm=obs.norm)
+
+
 @pytest.fixture(scope="module")
 def nmr_runs():
     """Auto-plan and doubled-plan runs for both preparation orders.
@@ -67,11 +86,11 @@ def nmr_runs():
         for item in range(4):
             auto = run_grover("nmr", item, init, sample_every=10**9)
             wall_auto += auto.wall_time
-            doubled = run_grover("nmr", item, init, m_multiplier=2, sample_every=10**9)
+            doubled = _scaled_plan_run(item, init, 2)
             runs[(init, item)] = (auto, doubled)
             _record_norm(f"nmr {init}/{item} auto", auto.norm)
             _record_norm(f"nmr {init}/{item} x2", doubled.norm)
-        probe = run_grover("nmr", 0, init, m_multiplier=4, sample_every=10**9)
+        probe = _scaled_plan_run(0, init, 4)
         runs[(init, "probe4")] = probe
         runs[(init, "wall_auto")] = wall_auto
         _record_norm(f"nmr {init}/0 x4", probe.norm)

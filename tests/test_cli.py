@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,39 @@ class TestOtherCommands:
         assert len(estimates) == 16 and max(estimates) < 1e-4
         assert "every operation under tol 0.0001" in out
 
+    def test_converge_report_is_pinned(self, capsys):
+        # the whole report of one NMR preset, its wall-time line left out
+        expected = """
+        grover search: hardware=nmr item=2 init=12
+          operations 16, substeps 44160, samples 17
+          final Q1 = 0.035825   Q2 = 0.838009
+          norm deviation = 1.472e-11
+          reference: Q1 = 0.037  Q2 = 0.836
+          deviation dQ1 = 0.0012  dQ2 = 0.0020  [ok, tol 0.03]
+          operation  1: m = 1280, error estimate = 1.257e-06
+          operation  2: m = 1280, error estimate = 1.257e-06
+          operation  3: m = 1280, error estimate = 1.257e-06
+          operation  4: m = 5028, error estimate = 1.634e-05
+          operation  5: m = 5028, error estimate = 1.634e-05
+          operation  6: m = 5028, error estimate = 1.634e-05
+          operation  7: m = 2, error estimate = 3.701e-17
+          operation  8: m = 5028, error estimate = 1.634e-05
+          operation  9: m = 5028, error estimate = 1.634e-05
+          operation 10: m = 1280, error estimate = 1.258e-06
+          operation 11: m = 1280, error estimate = 1.255e-06
+          operation 12: m = 2, error estimate = 5.703e-17
+          operation 13: m = 5028, error estimate = 1.634e-05
+          operation 14: m = 5028, error estimate = 1.634e-05
+          operation 15: m = 1280, error estimate = 1.257e-06
+          operation 16: m = 1280, error estimate = 1.259e-06
+          error estimate = 1.232e-04 (sum); every operation under tol 0.0001
+        """
+        code = main(["converge", "--hardware", "nmr", "--item", "2", "--init", "12", "--tol", "1e-4"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert [line for line in out if not line.startswith("  wall time = ")] == (
+            textwrap.dedent(expected).strip("\n").splitlines())
+
     def test_dump_profile_stdout(self, capsys):
         assert main(["dump-profile", "nmr"]) == 0
         out = capsys.readouterr().out
@@ -209,6 +243,13 @@ class TestBadInput:
         # 0.1 rad per substep of a 1e308 field over 2 pi is not a finite count
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("L = 1\n[eo A]\ntau_over_2pi = 1\nh0 z 1 = 1e308\nh0 x 1 = 1\n[sequence s]\neos = A\n")
+        self.assert_usage_error(self.spinsim("run", "--config", str(cfg), "--sequence", "s"),
+                                "operation 'A' needs a substep count that is not finite")
+
+    def test_field_scale_overflow(self, tmp_path):
+        # a static and an RF amplitude of 1e308 on one qubit add to infinity
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("L = 1\n[eo A]\ntau_over_2pi = 1\nh0 z 1 = 1e308\nh1 z 1 = 1e308\n[sequence s]\neos = A\n")
         self.assert_usage_error(self.spinsim("run", "--config", str(cfg), "--sequence", "s"),
                                 "operation 'A' needs a substep count that is not finite")
 

@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsim.experiments import (
-    MAX_DOUBLINGS,
     REFERENCE_Q,
     run_grover,
     run_report,
     self_test,
     write_trajectory_csv,
 )
-from spinsim.propagator import ElementaryOperation, PulseSequence, SpinModel, Trajectory
+from spinsim.propagator import MAX_DOUBLINGS, ElementaryOperation, PulseSequence, SpinModel, Trajectory
 from spinsim.pulses import make_profile
 from spinsim.reference import dense_propagator, dense_propagator_composed
 from spinsim.state import Observables, StateVector
@@ -48,7 +47,7 @@ class TestRunReports:
 
     def test_steps_override(self):
         report = run_grover("ideal", 0, "12", steps=3)
-        assert all(p.m == 3 for p in report.plans)
+        assert all(p.m == 3 for p in report.samples.plans)
         assert report.substeps == 3 * 16
 
     def test_rotating_frame_keeps_q(self):
@@ -136,7 +135,7 @@ class TestConvergence:
         report = run_grover("ideal", 1, "12", sample_every=10**9, tol=1e-12)
         assert report.converged
         assert len(report.estimates) == 16 and max(report.estimates) < 1e-12
-        assert all(p.m == 2 for p in report.plans)
+        assert all(p.m == 2 for p in report.samples.plans)
         assert report.q[0] == pytest.approx(1.0, abs=1e-9)
         assert "every operation under tol 1e-12" in "\n".join(report.lines())
 
@@ -144,7 +143,7 @@ class TestConvergence:
         # no estimate is below 0: every plan is doubled the most times allowed
         report = run_grover("ideal", 0, "12", sample_every=10**9, tol=0.0)
         assert not report.converged
-        assert all(p.m == 2**MAX_DOUBLINGS for p in report.plans)
+        assert all(p.m == 2**MAX_DOUBLINGS for p in report.samples.plans)
         assert "NOT every operation under tol 0" in "\n".join(report.lines())
 
     def test_nmr_estimate_bounds_the_dense_error(self):
@@ -153,7 +152,7 @@ class TestConvergence:
         report = run_report("X1", psi0, PulseSequence([eo]), sample_every=10**9, tol=1e-6)
         exact = dense_propagator_composed(eo.model, 0.0, eo.tau, segment=2 * np.pi, tol=1e-8) @ psi0.amp
         err = float(np.linalg.norm(report.final_state.amp - exact))
-        assert report.converged and report.plans[0].m > 1
+        assert report.converged and report.samples.plans[0].m > 1
         assert err <= 1.5 * sum(report.estimates) + 1e-9
         assert err >= 0.5 * sum(report.estimates)  # the estimate is not a loose upper bound
 

@@ -941,6 +941,45 @@ class TestPieceReuse:
         assert not np.allclose(again.amp, before.amp)
 
 
+class TestToleranceRuns:
+    """run_sequence(..., tol): the accepted doubling trial of each operation is the run."""
+
+    @pytest.mark.parametrize("L, seed, tol", [(2, 21, 1.7e-3), (5, 19, 4.3e-3)])  # L = 5 is stepped in place
+    def test_the_accepted_trials_are_the_run(self, L, seed, tol):
+        a = ElementaryOperation("a", random_driven_model(L, 300 + seed), 0.9)
+        b = ElementaryOperation("b", random_driven_model(L, 400 + seed), 0.5)
+        idle = ElementaryOperation("idle", SpinModel(L), 0.0)
+        seq = PulseSequence([a, b, idle, a])
+        start = [StepPlan(3, a.tau), StepPlan(3, b.tau), StepPlan(1, 0.0), StepPlan(3, a.tau)]
+        psi0 = random_state(L, 500 + seed)
+        counters.reset()
+        out, traj = run_sequence(psi0, seq, sample_every=3, plans=start, tol=tol)
+        counts = dict(vars(counters))
+        ms = [p.m for p in traj.plans]
+        # a starts from two different states, and its two positions keep different plans
+        assert ms[0] != ms[3] and all(e < tol for e in traj.estimates)
+        assert (traj.plans[2], traj.estimates[2]) == (StepPlan(1, 0.0), 0.0)
+        ref, ref_traj = run_sequence(psi0, seq, sample_every=3, plans=traj.plans)
+        assert np.array_equal(out.amp, ref.amp)
+        assert np.array_equal(traj.step, ref_traj.step) and np.array_equal(traj.eo_index, ref_traj.eo_index)
+        for name in ("sx", "sy", "sz", "q", "norm", "t"):
+            assert np.array_equal(getattr(traj.obs, name), getattr(ref_traj.obs, name))
+        assert ref_traj.plans == traj.plans and ref_traj.estimates is None
+        # every trial m0, 2 m0, ..., M of a position runs once: 2 M - m0 substeps, nothing more
+        expected = dict.fromkeys(counts, 0)
+        for eo, first, kept in zip(seq.eos, start, traj.plans):
+            if eo.tau > 0.0:
+                for name, per_substep in propagator._StepProgram(eo.model, 1.0).counts.items():
+                    expected[name] += (2 * kept.m - first.m) * per_substep
+        assert counts == expected
+
+    def test_tolerance_must_be_finite_and_non_negative(self):
+        eo = ElementaryOperation("e", SpinModel(1).set_static(1, "x", 1.0), 0.1)
+        for tol in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+                run_sequence(new_basis_state(1, [0]), PulseSequence([eo]), tol=tol)
+
+
 class TestDeterminism:
     def test_partition_count_does_not_change_results(self):
         # every kernel is a whole-array pass in the calling thread: repeated
