@@ -17,8 +17,9 @@ for item in range(4):
     obs = final.observables()
     bits = [item & 1, (item >> 1) & 1]
     fid = fidelity(final, new_basis_state(2, bits))
-    answer = round(obs.q[0]) + 2 * round(obs.q[1])
-    print(f"  {item}    {obs.q[0]:.6f} {obs.q[1]:.6f}   {answer}        {fid:.12f}")
+    q1, q2 = (q if round(q, 6) else 0.0 for q in obs.q.tolist())  # a readout rounding to zero prints unsigned
+    answer = round(q1) + 2 * round(q2)
+    print(f"  {item}    {q1:.6f} {q2:.6f}   {answer}        {fid:.12f}")
 
 print()
 print("Swapping the two preparation transforms changes nothing here;")

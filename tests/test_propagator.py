@@ -22,7 +22,7 @@ from spinsim.propagator import (
     symmetrized_step,
 )
 from spinsim import propagator
-from spinsim.propagator import _axis_phase, _gate_blocks, _global_gate
+from spinsim.propagator import _axis_multiplier, _gate_blocks, _global_gate
 from spinsim.pulses import grover_program, make_profile
 from spinsim.reference import dense_propagator, dense_propagator_composed, embed_single, hamiltonian
 from spinsim.state import StateVector, fidelity, new_basis_state, spin_z_values
@@ -126,6 +126,8 @@ class TestDiagonalFactor:
 
 
 class TestAxisPhase:
+    """The coupling multiplier of ``_axis_multiplier`` against exp(i * the directly summed phase)."""
+
     @staticmethod
     def direct_sum(L, coupling, field):
         s = [spin_z_values(L, j) for j in range(1, L + 1)]
@@ -136,6 +138,11 @@ class TestAxisPhase:
                 phase += coupling[j, k] * s[j] * s[k]
         return phase
 
+    def assert_matches_direct_sum(self, L, coupling, field):
+        got = _axis_multiplier(L, coupling, field)
+        assert got.shape == (1 << L,) and got.dtype == np.complex128
+        assert np.max(np.abs(got - np.exp(1j * self.direct_sum(L, coupling, field)))) < 1e-12
+
     @pytest.mark.parametrize("L", range(1, 11))
     def test_matches_direct_sum_for_random_models(self, L):
         rng = np.random.default_rng(100 + L)
@@ -143,28 +150,28 @@ class TestAxisPhase:
             # sparse random couplings leave some qubits uncoupled
             mask = np.triu(rng.random((L, L)) < 0.4, 1)
             upper = np.where(mask, rng.uniform(-2, 2, (L, L)), 0.0)
-            coupling = upper + upper.T
             field = np.where(rng.random(L) < 0.7, rng.uniform(-2, 2, L), 0.0)
-            got = _axis_phase(L, coupling, field)
-            assert got.shape == (1 << L,)
-            assert np.max(np.abs(got - self.direct_sum(L, coupling, field))) < 1e-12
+            self.assert_matches_direct_sum(L, upper + upper.T, field)
 
     @pytest.mark.parametrize("L", range(2, 11))
     def test_single_far_pair_without_fields(self, L):
         coupling = np.zeros((L, L))
         coupling[0, L - 1] = coupling[L - 1, 0] = 0.73  # the pair (1, L)
-        field = np.zeros(L)
-        got = _axis_phase(L, coupling, field)
-        assert np.max(np.abs(got - self.direct_sum(L, coupling, field))) < 1e-12
+        self.assert_matches_direct_sum(L, coupling, np.zeros(L))
 
     @pytest.mark.parametrize("L", range(1, 11))
     def test_fields_only_and_all_zero(self, L):
         rng = np.random.default_rng(200 + L)
-        field = rng.uniform(-1, 1, L)
-        zero = np.zeros((L, L))
-        got = _axis_phase(L, zero, field)
-        assert np.max(np.abs(got - self.direct_sum(L, zero, field))) < 1e-12
-        assert np.array_equal(_axis_phase(L, zero, np.zeros(L)), np.zeros(1 << L))
+        self.assert_matches_direct_sum(L, np.zeros((L, L)), rng.uniform(-1, 1, L))
+        assert np.array_equal(_axis_multiplier(L, np.zeros((L, L)), np.zeros(L)), np.ones(1 << L))
+
+    @pytest.mark.parametrize("L", [10, 14])
+    def test_unit_modulus_with_every_pair_coupled(self, L):
+        # a product of unit phase factors per entry drifts off the unit circle only by rounding
+        rng = np.random.default_rng(300 + L)
+        upper = np.triu(rng.uniform(-2, 2, (L, L)), 1)
+        got = _axis_multiplier(L, upper + upper.T, rng.uniform(-2, 2, L))
+        assert np.max(np.abs(np.abs(got) - 1.0)) <= 1e-14
 
 
 class TestGlobalRotation:
