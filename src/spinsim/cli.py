@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, dump_profile, parse_config
+from .config import ConfigError, dump_profile, parse_config, parse_count
 from .experiments import run_grover, run_report, self_test, write_trajectory_csv
 from .propagator import MAX_DOUBLINGS
 from .pulses import make_profile
@@ -77,14 +77,10 @@ def _usage_error(message: str) -> int:
 
 
 def _cmd_grover(args) -> int:
-    steps = args.steps
-    if steps != "auto":
-        try:
-            steps = int(steps)
-            if steps < 1:
-                raise ValueError
-        except ValueError:
-            return _usage_error(f"--steps must be 'auto' or a positive integer, got {args.steps!r}")
+    try:
+        steps = parse_count(args.steps, "--steps", auto=True)
+    except ConfigError as err:
+        return _usage_error(str(err))
     if args.sample_every is not None and args.sample_every < 1:
         return _usage_error(f"--sample-every must be a positive integer, got {args.sample_every}")
     report = run_grover(

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .propagator import ElementaryOperation, PulseSequence, SpinModel
-from .pulses import EO_NAMES, HardwareProfile, grover_program
+from .pulses import EO_NAMES, TWO_PI, HardwareProfile, grover_program
 from .state import MAX_QUBITS
-
-TWO_PI = 2.0 * math.pi
 
 
 class ConfigError(ValueError):
@@ -75,6 +74,18 @@ class ExperimentConfig:
         return PulseSequence([self.eos[n] for n in eo_names])
 
 
+AXES = ("x", "y", "z")
+
+#: EO parameter lines ``key axis qubit... = value``, in dump order: key -> (qubit count, SpinModel array).
+EO_KEYS = {
+    "J": (2, "coupling"),
+    "h0": (1, "static_field"),
+    "h1": (1, "rf_amp"),
+    "f": (1, "rf_freq"),
+    "phi": (1, "rf_phase"),
+}
+
+
 def _parse_float(token: str, line_no: int) -> float:
     try:
         value = float(token)
@@ -95,36 +106,32 @@ def _parse_qubit(token: str, L: int, line_no: int) -> int:
     return j
 
 
-def _parse_axis(token: str, line_no: int) -> str:
-    if token not in ("x", "y", "z"):
-        raise ConfigError(line_no, f"axis must be x, y or z, got {token!r}")
-    return token
-
-
-class _EoBuilder:
-    def __init__(self, name: str, L: int, line_no: int):
-        self.name = name
-        self.model = SpinModel(L)
-        self.tau = None
-        self.line_no = line_no
-
-    def finish(self) -> ElementaryOperation:
-        if self.tau is None:
-            raise ConfigError(self.line_no, f"[eo {self.name}] is missing tau_over_2pi")
-        return ElementaryOperation(self.name, self.model, self.tau)
+def parse_count(value: str, name: str, line_no: int | None = None, auto: bool = False) -> int | str:
+    """Parse an integer >= 1 (or "auto", when ``auto`` is set) for the setting ``name``."""
+    if auto and value == "auto":
+        return "auto"
+    alternative = "'auto' or " if auto else ""
+    try:
+        n = int(value)
+    except ValueError:
+        raise ConfigError(line_no, f"{name} must be {alternative}an integer, got {value!r}") from None
+    if n < 1:
+        raise ConfigError(line_no, f"{name} must be {alternative}>= 1")
+    return n
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse configuration text; raises ConfigError with a line number."""
     cfg = ExperimentConfig()
-    section = None  # None | ("eo", builder) | ("sequence", name) | ("run",)
-    pending_eos: list = []
+    section = None  # None | ("eo" | "sequence", name, header line) | ("run",)
+    model = tau = None  # parameters of the open [eo] section
     saw_l = False
 
     def close_eo():
         if section is not None and section[0] == "eo":
-            eo = section[1].finish()
-            cfg.eos[eo.name] = eo
+            if tau is None:
+                raise ConfigError(section[2], f"[eo {section[1]}] is missing tau_over_2pi")
+            cfg.eos[section[1]] = ElementaryOperation(section[1], model, tau)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -135,14 +142,11 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(line_no, "unterminated section header")
             head = line[1:-1].split()
             close_eo()
-            if head[0] == "eo" and len(head) == 2:
-                if head[1] in cfg.eos:
-                    raise ConfigError(line_no, f"duplicate EO name {head[1]!r}")
-                section = ("eo", _EoBuilder(head[1], cfg.L, line_no))
-            elif head[0] == "sequence" and len(head) == 2:
-                if head[1] in cfg.sequences:
-                    raise ConfigError(line_no, f"duplicate sequence name {head[1]!r}")
-                section = ("sequence", head[1])
+            if len(head) == 2 and head[0] in ("eo", "sequence"):
+                if head[1] in (cfg.eos if head[0] == "eo" else cfg.sequences):
+                    raise ConfigError(line_no, f"duplicate {'EO' if head[0] == 'eo' else 'sequence'} name {head[1]!r}")
+                section = (head[0], head[1], line_no)
+                model, tau = SpinModel(cfg.L), None
             elif head == ["run"]:
                 section = ("run",)
             else:
@@ -154,45 +158,31 @@ def parse_config(text: str) -> ExperimentConfig:
         key_parts = key.split()
         value = value.strip()
         if section is None:
-            if key_parts == ["L"]:
-                if cfg.eos or saw_l:
-                    raise ConfigError(line_no, "L must be set once, before any section")
-                try:
-                    cfg.L = int(value)
-                except ValueError:
-                    raise ConfigError(line_no, f"L must be an integer, got {value!r}") from None
-                if not 1 <= cfg.L <= MAX_QUBITS:
-                    raise ConfigError(line_no, f"L must be in 1..{MAX_QUBITS}, got {cfg.L}")
-                saw_l = True
-            else:
+            if key_parts != ["L"]:
                 raise ConfigError(line_no, f"unexpected top-level key {key.strip()!r}")
-            continue
-        if section[0] == "eo":
-            b = section[1]
+            if saw_l:
+                raise ConfigError(line_no, "L must be set once, before any section")
+            try:
+                cfg.L = int(value)
+            except ValueError:
+                raise ConfigError(line_no, f"L must be an integer, got {value!r}") from None
+            if not 1 <= cfg.L <= MAX_QUBITS:
+                raise ConfigError(line_no, f"L must be in 1..{MAX_QUBITS}, got {cfg.L}")
+            saw_l = True
+        elif section[0] == "eo":
+            param, *args = key_parts or [""]
             if key_parts == ["tau_over_2pi"]:
-                b.tau = TWO_PI * _parse_float(value, line_no)
-                if not 0 <= b.tau < math.inf:  # 2 pi times a finite value may overflow
+                tau = TWO_PI * _parse_float(value, line_no)
+                if not 0 <= tau < math.inf:  # 2 pi times a finite value may overflow
                     raise ConfigError(line_no, f"tau_over_2pi must be >= 0 and give a finite duration, got {value}")
-            elif key_parts[0] == "J" and len(key_parts) == 4:
-                ax = _parse_axis(key_parts[1], line_no)
-                j = _parse_qubit(key_parts[2], cfg.L, line_no)
-                k = _parse_qubit(key_parts[3], cfg.L, line_no)
-                if j == k:
-                    raise ConfigError(line_no, "J requires two distinct qubits")
-                b.model.set_coupling(j, k, ax, _parse_float(value, line_no))
-            elif key_parts[0] in ("h0", "h1", "f", "phi") and len(key_parts) == 3:
-                ax = _parse_axis(key_parts[1], line_no)
-                j = _parse_qubit(key_parts[2], cfg.L, line_no)
-                v = _parse_float(value, line_no)
-                a = {"x": 0, "y": 1, "z": 2}[ax]
-                if key_parts[0] == "h0":
-                    b.model.static_field[j - 1, a] = v
-                elif key_parts[0] == "h1":
-                    b.model.rf_amp[j - 1, a] = v
-                elif key_parts[0] == "f":
-                    b.model.rf_freq[j - 1, a] = v
-                else:
-                    b.model.rf_phase[j - 1, a] = v
+            elif param in EO_KEYS and len(args) == 1 + EO_KEYS[param][0]:
+                if args[0] not in AXES:
+                    raise ConfigError(line_no, f"axis must be x, y or z, got {args[0]!r}")
+                qubits = [_parse_qubit(token, cfg.L, line_no) - 1 for token in args[1:]]
+                if len(set(qubits)) < len(qubits):
+                    raise ConfigError(line_no, f"{param} requires two distinct qubits")
+                arr, a = getattr(model, EO_KEYS[param][1]), AXES.index(args[0])
+                arr[(*qubits, a)] = arr[(*reversed(qubits), a)] = _parse_float(value, line_no)  # J stays symmetric
             else:
                 raise ConfigError(line_no, f"unknown EO parameter {key.strip()!r}")
         elif section[0] == "sequence":
@@ -202,37 +192,20 @@ def parse_config(text: str) -> ExperimentConfig:
             if not names:
                 raise ConfigError(line_no, "empty EO list")
             cfg.sequences.setdefault(section[1], []).extend(names)
-        else:  # run
-            if key_parts == ["state"]:
-                bits = []
-                for ch in value:
-                    if ch not in "01":
-                        raise ConfigError(line_no, f"state must be a bitstring of 0/1, got {value!r}")
-                    bits.append(int(ch))
-                if len(bits) != cfg.L:
-                    raise ConfigError(line_no, f"state needs {cfg.L} bits, got {len(bits)}")
-                cfg.run.state_bits = bits
-            elif key_parts == ["sequence"]:
-                cfg.run.sequence = value
-            elif key_parts == ["sample_every"]:
-                try:
-                    cfg.run.sample_every = int(value)
-                except ValueError:
-                    raise ConfigError(line_no, f"sample_every must be an integer, got {value!r}") from None
-                if cfg.run.sample_every < 1:
-                    raise ConfigError(line_no, "sample_every must be >= 1")
-            elif key_parts == ["steps"]:
-                if value == "auto":
-                    cfg.run.steps = "auto"
-                else:
-                    try:
-                        cfg.run.steps = int(value)
-                    except ValueError:
-                        raise ConfigError(line_no, f"steps must be 'auto' or an integer, got {value!r}") from None
-                    if cfg.run.steps < 1:
-                        raise ConfigError(line_no, "steps must be 'auto' or >= 1")
-            else:
-                raise ConfigError(line_no, f"unknown run directive {key.strip()!r}")
+        elif key_parts == ["state"]:
+            if not set(value) <= set("01"):
+                raise ConfigError(line_no, f"state must be a bitstring of 0/1, got {value!r}")
+            if len(value) != cfg.L:
+                raise ConfigError(line_no, f"state needs {cfg.L} bits, got {len(value)}")
+            cfg.run.state_bits = [int(ch) for ch in value]
+        elif key_parts == ["sequence"]:
+            cfg.run.sequence = value
+        elif key_parts == ["sample_every"]:
+            cfg.run.sample_every = parse_count(value, "sample_every", line_no)
+        elif key_parts == ["steps"]:
+            cfg.run.steps = parse_count(value, "steps", line_no, auto=True)
+        else:
+            raise ConfigError(line_no, f"unknown run directive {key.strip()!r}")
     close_eo()
     # resolve-time validation of sequence contents is deferred to resolve_sequence
     return cfg
@@ -253,36 +226,20 @@ def dump_profile(profile: HardwareProfile) -> str:
     Re-parsing the output reconstructs every duration and parameter bitwise,
     so a dumped-and-rerun experiment matches the preset path exactly.
     """
-    lines = [f"# spinsim hardware profile: {profile.kind}", "L = 2", ""]
-    axes = "xyz"
+    lines = [f"# spinsim hardware profile: {profile.kind}", f"L = {profile.eos[EO_NAMES[0]].model.L}", ""]
     for name in EO_NAMES:
         eo = profile.eos[name]
-        m = eo.model
-        lines.append(f"[eo {name}]")
-        lines.append(f"tau_over_2pi = {_exact_tau_over_2pi(eo.tau)!r}")
-        for a, ax in enumerate(axes):
-            for j in range(m.L):
-                for k in range(j + 1, m.L):
-                    if m.coupling[j, k, a] != 0.0:
-                        lines.append(f"J {ax} {j + 1} {k + 1} = {float(m.coupling[j, k, a])!r}")
-        for a, ax in enumerate(axes):
-            for j in range(m.L):
-                if m.static_field[j, a] != 0.0:
-                    lines.append(f"h0 {ax} {j + 1} = {float(m.static_field[j, a])!r}")
-        for a, ax in enumerate(axes):
-            for j in range(m.L):
-                if m.rf_amp[j, a] != 0.0:
-                    lines.append(f"h1 {ax} {j + 1} = {float(m.rf_amp[j, a])!r}")
-                    lines.append(f"f {ax} {j + 1} = {float(m.rf_freq[j, a])!r}")
-                    if m.rf_phase[j, a] != 0.0:
-                        lines.append(f"phi {ax} {j + 1} = {float(m.rf_phase[j, a])!r}")
+        lines += [f"[eo {name}]", f"tau_over_2pi = {_exact_tau_over_2pi(eo.tau)!r}"]
+        for param, (n_qubits, attr) in EO_KEYS.items():
+            arr = getattr(eo.model, attr)
+            for a, axis in enumerate(AXES):
+                for qubits in combinations(range(eo.model.L), n_qubits):
+                    if (v := float(arr[(*qubits, a)])) != 0.0:
+                        lines.append(f"{param} {axis} {' '.join(str(j + 1) for j in qubits)} = {v!r}")
         lines.append("")
     for init_order in ("12", "21"):
         for item in range(4):
-            prog = grover_program(item, profile, init_order)
-            names = ", ".join(eo.name for eo in prog.seq.eos)
-            lines.append(f"[sequence grover{item}_init{init_order}]")
-            lines.append(f"eos = {names}")
-            lines.append("")
+            names = ", ".join(eo.name for eo in grover_program(item, profile, init_order).seq.eos)
+            lines += [f"[sequence grover{item}_init{init_order}]", f"eos = {names}", ""]
     lines += ["[run]", "state = 00", "sequence = grover0_init12", ""]
     return "\n".join(lines)

@@ -76,8 +76,8 @@ class Observables:
     sy: np.ndarray
     sz: np.ndarray
     q: np.ndarray
-    norm: float
-    t: float
+    norm: float | np.ndarray
+    t: float | np.ndarray
 
 
 class StateVector:

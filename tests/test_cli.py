@@ -235,9 +235,19 @@ class TestBadInput:
         self.assert_usage_error(self.spinsim("run", "--config", str(cfg), "--sequence", "s"),
                                 "config error: line 1: L must be in 1..26")
 
+    def test_empty_section_header(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("L = 1\n[]\n")
+        self.assert_usage_error(self.spinsim("run", "--config", str(cfg)),
+                                "config error: line 2: unknown section '[]'")
+
     def test_zero_sample_stride(self):
         proc = self.spinsim("grover", "--hardware", "ideal", "--item", "0", "--sample-every", "0")
         self.assert_usage_error(proc, "--sample-every must be a positive integer")
+
+    def test_zero_steps(self):
+        proc = self.spinsim("grover", "--hardware", "ideal", "--item", "0", "--steps", "0")
+        self.assert_usage_error(proc, "--steps must be 'auto' or >= 1")
 
     def test_duration_overflow(self, tmp_path):
         # 2 pi times the largest finite tau_over_2pi is not finite

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinsim.config import ConfigError, dump_profile, parse_config
@@ -92,6 +92,17 @@ class TestParsing:
             ("L = 0", 1, r"in 1\.\.26"),
             ("L = -1\n[eo A]\ntau_over_2pi = 1", 1, r"in 1\.\.26"),
             ("# register\nL = 30", 2, r"in 1\.\.26"),
+            ("[]", 1, "unknown section"),
+            ("[ ]", 1, "unknown section"),
+            ("[eo A]\n= 3", 2, "unknown EO parameter"),
+            ("L = 2\nL = 3", 2, "set once"),
+            ("[eo A]\ntau_over_2pi = 1\n[sequence s]\neos = A\n[sequence s]", 5, "duplicate"),
+            ("[eo A]\ntau_over_2pi = 1\nJ z 1 1 = 1", 3, "distinct"),
+            ("[eo", 1, "unterminated"),
+            ("[sequence s]\nnames = A", 2, "only 'eos'"),
+            ("x = 1", 1, "unexpected top-level key"),
+            ("[run]\nspeed = 3", 2, "unknown run directive"),
+            ("[run]\nsteps = soon", 2, "integer"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):
@@ -121,6 +132,7 @@ class TestDump:
             assert np.array_equal(a.model.rf_phase, b.model.rf_phase)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
+    @example(kind="nmr", edits=[("X1", "rf", "y", 1, [0.0, 2.0, 0.3])])  # a drive with zero amplitude
     @given(
         kind=st.sampled_from(["ideal", "nmr"]),
         edits=st.lists(
@@ -144,8 +156,8 @@ class TestDump:
                 eo.model.set_coupling(1, 2, axis, a)
             elif what == "h0":
                 eo.model.set_static(j, axis, a)
-            elif what == "rf":  # a zero amplitude drops its frequency and phase
-                eo.model.set_rf(j, axis, a or 1.0, b, c)
+            elif what == "rf":
+                eo.model.set_rf(j, axis, a, b, c)
             else:
                 profile.eos[name] = ElementaryOperation(name, eo.model, 2.0 * math.pi * abs(a))
         cfg = parse_config(dump_profile(profile))
