@@ -2,8 +2,9 @@
 
 Evolves one sinusoidally driven instruction with successively halved step
 lengths and compares each result against a brute-force propagator built
-from spectrally exact slice exponentials. The error drops by a factor of
-four per halving, the signature of a second-order method; measuring
+from fourth-order Magnus slices, each exponentiated exactly through its
+eigendecomposition and refined until it sits far below the errors measured
+here. The error drops by a factor of four per halving, the signature of a second-order method; measuring
 1 - |overlap| instead would hide the global phase and show fourth-order
 numbers.
 """
@@ -12,12 +13,12 @@ import math
 
 import numpy as np
 
-from spinsim import StateVector, StepPlan, dense_propagator_composed, evolve_eo, make_profile
+from spinsim import StateVector, StepPlan, dense_propagator, evolve_eo, make_profile
 
 eo = make_profile("nmr").eo("X1")
 print(f"instruction: resonant quarter-turn pulse, duration/2pi = {eo.tau/(2*math.pi):g}")
 print("building the dense reference propagator...")
-oracle = dense_propagator_composed(eo.model, 0.0, eo.tau, segment=2 * math.pi, tol=3e-9)
+oracle = dense_propagator(eo.model, 0.0, eo.tau, tol=3e-9)
 
 rng = np.random.default_rng(1)
 amp = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -37,5 +38,5 @@ for m in (80, 160, 320, 640, 1280):
     print(f"{m:8d}   {eo.tau/m:.5f}       {err:.3e}    {r}   {err_f:.3e}    {rf}")
     prev, prev_f = err, err_f
 
-print("\nl2 ratios sit at 4 (second order); overlap-based ratios sit at 16")
-print("until they hit the reference accuracy floor.")
+print("\nl2 ratios sit at 4 (second order); overlap-based ratios sit at 16 and")
+print("above, since 1-|overlap| squares the error and drops its phase part.")

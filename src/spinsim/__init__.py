@@ -41,7 +41,6 @@ from .pulses import (
 from .reference import (
     ConvergenceError,
     dense_propagator,
-    dense_propagator_composed,
     grover_iterate_check,
     hamiltonian,
     ideal_gate,

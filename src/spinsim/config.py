@@ -126,12 +126,16 @@ def parse_config(text: str) -> ExperimentConfig:
     section = None  # None | ("eo" | "sequence", name, header line) | ("run",)
     model = tau = None  # parameters of the open [eo] section
     saw_l = False
+    headers = set()  # (kind, name) of every [eo] and [sequence] header so far
 
-    def close_eo():
-        if section is not None and section[0] == "eo":
+    def close_section():
+        kind = section and section[0]
+        if kind == "eo":
             if tau is None:
                 raise ConfigError(section[2], f"[eo {section[1]}] is missing tau_over_2pi")
             cfg.eos[section[1]] = ElementaryOperation(section[1], model, tau)
+        elif kind == "sequence" and section[1] not in cfg.sequences:
+            raise ConfigError(section[2], f"[sequence {section[1]}] is missing an eos line")
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -141,10 +145,12 @@ def parse_config(text: str) -> ExperimentConfig:
             if not line.endswith("]"):
                 raise ConfigError(line_no, "unterminated section header")
             head = line[1:-1].split()
-            close_eo()
-            if len(head) == 2 and head[0] in ("eo", "sequence"):
-                if head[1] in (cfg.eos if head[0] == "eo" else cfg.sequences):
-                    raise ConfigError(line_no, f"duplicate {'EO' if head[0] == 'eo' else 'sequence'} name {head[1]!r}")
+            named = len(head) == 2 and head[0] in ("eo", "sequence")
+            if named and tuple(head) in headers:  # before the open section closes, which may be the first
+                raise ConfigError(line_no, f"duplicate {'EO' if head[0] == 'eo' else 'sequence'} name {head[1]!r}")
+            close_section()
+            if named:
+                headers.add(tuple(head))
                 section = (head[0], head[1], line_no)
                 model, tau = SpinModel(cfg.L), None
             elif head == ["run"]:
@@ -206,7 +212,7 @@ def parse_config(text: str) -> ExperimentConfig:
             cfg.run.steps = parse_count(value, "steps", line_no, auto=True)
         else:
             raise ConfigError(line_no, f"unknown run directive {key.strip()!r}")
-    close_eo()
+    close_section()
     # resolve-time validation of sequence contents is deferred to resolve_sequence
     return cfg
 

@@ -103,6 +103,9 @@ class TestParsing:
             ("x = 1", 1, "unexpected top-level key"),
             ("[run]\nspeed = 3", 2, "unknown run directive"),
             ("[run]\nsteps = soon", 2, "integer"),
+            ("[sequence s]\n[sequence s]\n[run]\nsequence = s\n", 2, "duplicate sequence name 's'"),
+            ("[sequence s]\n[run]\nsequence = s", 1, r"\[sequence s\] is missing an eos line"),
+            ("[eo A]\ntau_over_2pi = 1\n[sequence s]  # no eos line", 3, "missing an eos line"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):

@@ -12,7 +12,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # stdout fragments each demo must print; every one comes from a computed value
 EXPECTED = {
-    "convergence_order.py": ["    1280   0.04909       1.255e-06     4.01"],
+    "convergence_order.py": ["    1280   0.04909       1.257e-06     4.00"],
     "detuned_pulse.py": ["  1.00       0.4998          <- on resonance",
                          "Q after a half-turn pulse: 0.999648"],
     "ideal_search.py": ["  0    0.000000 0.000000   0        1.000000000000",

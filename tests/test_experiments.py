@@ -17,7 +17,7 @@ from spinsim.experiments import (
 )
 from spinsim.propagator import MAX_DOUBLINGS, ElementaryOperation, PulseSequence, SpinModel, Trajectory
 from spinsim.pulses import make_profile
-from spinsim.reference import dense_propagator, dense_propagator_composed
+from spinsim.reference import dense_propagator
 from spinsim.state import Observables, StateVector
 
 
@@ -150,7 +150,7 @@ class TestConvergence:
         eo = make_profile("nmr").eo("X1")
         psi0 = random_state(2, np.random.default_rng(3))
         report = run_report("X1", psi0, PulseSequence([eo]), sample_every=10**9, tol=1e-6)
-        exact = dense_propagator_composed(eo.model, 0.0, eo.tau, segment=2 * np.pi, tol=1e-8) @ psi0.amp
+        exact = dense_propagator(eo.model, 0.0, eo.tau, tol=1e-8) @ psi0.amp
         err = float(np.linalg.norm(report.final_state.amp - exact))
         assert report.converged and report.samples.plans[0].m > 1
         assert err <= 1.5 * sum(report.estimates) + 1e-9
@@ -282,12 +282,11 @@ class TestSelfTest:
         # degrades the method to first order: error halves instead of quartering
         from spinsim.propagator import symmetrized_step
         from spinsim.pulses import make_profile
-        from spinsim.reference import dense_propagator_composed
         from spinsim.state import Observables, StateVector
 
         profile = make_profile("nmr")
         eo = profile.eo("X1")
-        exact = dense_propagator_composed(eo.model, 0.0, eo.tau, segment=2 * np.pi, tol=1e-8)
+        exact = dense_propagator(eo.model, 0.0, eo.tau, tol=1e-8)
         rng = np.random.default_rng(5)
         amp = rng.normal(size=4) + 1j * rng.normal(size=4)
         amp /= np.linalg.norm(amp)

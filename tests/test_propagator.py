@@ -24,7 +24,7 @@ from spinsim.propagator import (
 from spinsim import propagator
 from spinsim.propagator import _axis_multiplier, _gate_blocks, _global_gate
 from spinsim.pulses import grover_program, make_profile
-from spinsim.reference import dense_propagator, dense_propagator_composed, embed_single, hamiltonian
+from spinsim.reference import dense_propagator, embed_single, hamiltonian
 from spinsim.state import StateVector, fidelity, new_basis_state, spin_z_values
 
 TWO_PI = 2.0 * math.pi
@@ -736,7 +736,7 @@ class TestBatchedSteps:
         model = random_driven_model(L, 70 + L)
         tau = 0.6
         psi0 = random_state(L, 80 + L)
-        exact = dense_propagator_composed(model, 0.0, tau, segment=0.2, tol=1e-8) @ psi0.amp
+        exact = dense_propagator(model, 0.0, tau, tol=1e-8) @ psi0.amp
         errors = {}
         for batch_max_dim in (propagator._BATCH_MAX_DIM, 2**L):
             monkeypatch.setattr(propagator, "_BATCH_MAX_DIM", batch_max_dim)
@@ -763,7 +763,7 @@ class TestBatchedSteps:
         psi0 = random_state(L, 100 + L)
         model = random_driven_model(L, 90 + L)
         if L <= 6:
-            exact = dense_propagator_composed(model, 0.0, tau, segment=0.3, tol=1e-7) @ psi0.amp
+            exact = dense_propagator(model, 0.0, tau, tol=1e-7) @ psi0.amp
         else:
             model.rf_amp[:] = 0.0
             w, v = np.linalg.eigh(hamiltonian(model, 0.0))

@@ -7,9 +7,11 @@ import pytest
 
 from spinsim.propagator import SpinModel
 from spinsim.reference import (
+    _SPIN,
     ConvergenceError,
+    _hamiltonian_parts,
+    _slice_product,
     dense_propagator,
-    dense_propagator_composed,
     global_phase_between,
     grover_iterate_check,
     hamiltonian,
@@ -170,11 +172,41 @@ class TestDensePropagator:
         b = dense_propagator(m, 0.0, 2.0, n_slices=96, tol=1e-10)
         assert np.max(np.abs(a - b)) < 5e-10
 
-    def test_composed_matches_whole(self):
-        m = SpinModel(1).set_static(1, "z", 0.5).set_rf(1, "x", 0.3, 1.0)
-        whole = dense_propagator(m, 0.0, 3.0, tol=1e-12)
-        comp = dense_propagator_composed(m, 0.0, 3.0, segment=0.75, tol=1e-12)
-        assert np.max(np.abs(whole - comp)) < 1e-10
+    def test_fourth_order_per_slice_doubling(self):
+        # couplings, static fields and RF drives on every axis, so H(t) fails
+        # to commute with itself at other times: the commutator term is what
+        # lifts the slices from second to fourth order
+        rng = np.random.default_rng(5)
+        m = SpinModel(3)
+        for ax in "xyz":
+            for j in range(1, 4):
+                for k in range(j + 1, 4):
+                    m.set_coupling(j, k, ax, rng.uniform(-1, 1))
+                m.set_static(j, ax, rng.uniform(-1, 1))
+                m.set_rf(j, ax, rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi))
+        const, rf = _hamiltonian_parts(m)
+        fine = _slice_product(const, rf, 0.3, 2.0, 4096, 4096)
+        errors = [np.max(np.abs(_slice_product(const, rf, 0.3, 2.0, n, 4096) - fine)) for n in (8, 16, 32, 64)]
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        assert all(14 < r < 18 for r in ratios), ratios
+
+    def test_circularly_polarised_drive_matches_rotating_frame(self):
+        # one spin, static field along z, drive rotating in the xy plane: in
+        # the frame turning with the drive H is constant, so
+        # U = Rz(w*tau + phi) exp(-i*tau*((w - h0)*Sz - h1*Sy)) Rz(phi)^dagger
+        # with Rz(theta) = exp(+i*theta*Sz)
+        h0, h1, w, phi, tau = 1.0, 0.3, 1.1, 0.4, 7.0
+        m = SpinModel(1).set_static(1, "z", h0)
+        m.set_rf(1, "x", h1, w, phi).set_rf(1, "y", h1, w, phi + math.pi / 2)
+        _, sy, sz = _SPIN
+
+        def rz(theta):
+            return np.diag(np.exp(1j * theta * np.diag(sz)))
+
+        ev, vec = np.linalg.eigh((w - h0) * sz - h1 * sy)
+        exact = rz(w * tau + phi) @ vec @ np.diag(np.exp(-1j * tau * ev)) @ vec.conj().T @ rz(phi).conj().T
+        u = dense_propagator(m, 0.0, tau, tol=1e-12)
+        assert np.max(np.abs(u - exact)) < 1e-12
 
     def test_every_result_is_unitary(self):
         m = SpinModel(2).set_rf(1, "x", 0.4, 1.0).set_static(2, "z", 0.3)
