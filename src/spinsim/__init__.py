@@ -54,7 +54,6 @@ from .state import (
     StateVector,
     UnitarityError,
     fidelity,
-    inner_product,
     new_basis_state,
 )
 

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: grover, run, converge, selftest, dump-profile. Exit codes:
-0 success, 1 usage/parse error, 2 numerical self-check failure or an unmet
-converge tolerance, 3 I/O error.
+Subcommands: grover, run, selftest, dump-profile. Exit codes: 0 success,
+1 usage/parse error, 2 numerical self-check failure or an unmet ``--tol``,
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ def _build_parser() -> _Parser:
                    help="sample every k-th substep (default about 200 per operation)")
     p.add_argument("--rotating-frame", action="store_true",
                    help="report transverse components in the co-rotating frame")
+    p.add_argument("--tol", type=float, default=None,
+                   help="double each operation's substeps until its estimated state error, "
+                   f"|psi_2m - psi_m| / 3, is under TOL (at most {MAX_DOUBLINGS} times; exit 2 if not)")
 
     p = sub.add_parser("run", help="execute a sequence from a config file")
     p.add_argument("--config", required=True)
@@ -54,14 +57,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", help="trajectory CSV path")
     p.add_argument("--compare-uniform", action="store_true",
                    help="report fidelity with the uniform superposition")
-
-    p = sub.add_parser("converge", help="run a search preset, doubling each operation's substeps until its "
-                       f"error estimate is under --tol (at most {MAX_DOUBLINGS} times; exit 2 if not)")
-    p.add_argument("--hardware", choices=("ideal", "nmr"), required=True)
-    p.add_argument("--item", type=int, choices=(0, 1, 2, 3), required=True)
-    p.add_argument("--init", choices=("12", "21"), default="12")
-    p.add_argument("--tol", type=float, required=True,
-                   help="bound on each operation's estimated state error, |psi_2m - psi_m| / 3")
 
     sub.add_parser("selftest", help="run the oracle cross-checks")
 
@@ -83,6 +78,8 @@ def _cmd_grover(args) -> int:
         return _usage_error(str(err))
     if args.sample_every is not None and args.sample_every < 1:
         return _usage_error(f"--sample-every must be a positive integer, got {args.sample_every}")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        return _usage_error(f"--tol must be a finite number >= 0, got {args.tol!r}")
     report = run_grover(
         args.hardware,
         args.item,
@@ -90,8 +87,15 @@ def _cmd_grover(args) -> int:
         steps=steps,
         sample_every=args.sample_every,
         rotating_frame=args.rotating_frame,
+        tol=args.tol,
     )
-    return _print_and_write(report, args.out)
+    code = _print_and_write(report, args.out)
+    if code == EXIT_OK and not report.converged:
+        worst = max(report.estimates)
+        print(f"spinsim: convergence failure: an error estimate is {worst:.3e} (>= {args.tol:g}) "
+              f"after {MAX_DOUBLINGS} doublings", file=sys.stderr)
+        return EXIT_SELFCHECK
+    return code
 
 
 def _cmd_run(args) -> int:
@@ -137,19 +141,6 @@ def _print_and_write(report, path, extra_lines=()) -> int:
     return EXIT_OK
 
 
-def _cmd_converge(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        return _usage_error(f"--tol must be a finite number >= 0, got {args.tol!r}")
-    report = run_grover(args.hardware, args.item, init_order=args.init, sample_every=10**9, tol=args.tol)
-    code = _print_and_write(report, None)
-    if not report.converged:
-        worst = max(report.estimates)
-        print(f"spinsim: convergence failure: an error estimate is {worst:.3e} (>= {args.tol:g}) "
-              f"after {MAX_DOUBLINGS} doublings", file=sys.stderr)
-        return EXIT_SELFCHECK
-    return code
-
-
 def _cmd_selftest() -> int:
     checks = self_test(report_fn=print)
     return EXIT_OK if all(c.ok for c in checks) else EXIT_SELFCHECK
@@ -175,8 +166,6 @@ def main(argv=None) -> int:
         return _cmd_grover(args)
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "converge":
-        return _cmd_converge(args)
     if args.command == "selftest":
         return _cmd_selftest()
     return _cmd_dump_profile(args)

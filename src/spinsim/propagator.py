@@ -115,6 +115,9 @@ _BATCH_MAX_DIM = 16
 #: Complex entries per chunk of step matrices, or of pass blocks in place
 #: (1 MiB), so memory does not grow with m.
 _BATCH_ELEMENTS = 1 << 16
+#: Most complex entries of matrix-path pieces that run_sequence keeps for
+#: reuse at once (16 MiB); an operation whose pieces do not fit streams its own.
+_KEPT_ELEMENTS = 16 * _BATCH_ELEMENTS
 
 #: auto_substeps: substeps per period of the fastest RF drive, and the
 #: largest phase (rad) the strongest field or coupling may advance in one substep.
@@ -584,11 +587,16 @@ def _concatenate(parts: list, dim: int) -> Observables:
     return Observables(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(Observables)))
 
 
+def _matrix_chunk(dim: int) -> int:
+    """Substeps per chunk of step matrices of a register of ``dim`` amplitudes."""
+    return max(1, _BATCH_ELEMENTS // dim**2)
+
+
 def _matrix_pieces(model: SpinModel, plan: StepPlan, at: np.ndarray):
     """Yield per chunk of substeps (step program, substep count, sampled substep numbers, pieces):
     the pairwise-tree products of the chunk's step matrices cut at each sample and at its end."""
     prog = _StepProgram(model, plan.delta)
-    chunk = max(1, _BATCH_ELEMENTS // prog.dim**2)
+    chunk = _matrix_chunk(prog.dim)
     for lo in range(0, plan.m, chunk):
         hi = min(lo + chunk, plan.m)
         first, last = np.searchsorted(at, (lo, hi), side="right")
@@ -688,7 +696,10 @@ def run_sequence(
 
     Without a tolerance, an operation object that recurs at one plan hands
     ``evolve_eo`` one ``pieces`` list: its first occurrence fills it, the next
-    ones replay it, and it is dropped after the last. With a tolerance ``tol``
+    ones replay it, and it is dropped after the last. Pieces are kept only
+    while all kept pieces hold at most _KEPT_ELEMENTS complex entries, counted
+    as one piece per sample and per chunk; past that, each occurrence of an
+    operation computes its own pieces afresh. With a tolerance ``tol``
     (finite, >= 0) each operation runs from the state the ones before it
     leave, at m and 2m substeps, each trial sampled and with fresh pieces. The
     step is second order, so the 2m trial's error is about |psi_2m - psi_m| /
@@ -707,22 +718,30 @@ def run_sequence(
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
     plans = list(plans) if plans is not None else [auto_substeps(eo) for eo in seq.eos]
     keys = list(zip(map(id, seq.eos), plans))
-    last_use, kept = {key: i for i, key in enumerate(keys)}, {}
+    last_use, kept, held = {key: i for i, key in enumerate(keys)}, {}, 0
     estimates = None if tol is None else [0.0] * len(seq)
     out = state.copy()
     parts = [observables_of(out.amp[None], np.array([0.0]))]
     step, eo_index, t = [0], [0], 0.0
 
-    def advance(psi, eo, plan, pieces=None):  # returns psi, its sampled substep numbers and samples
+    def sampled(plan):  # the substep numbers an operation run at ``plan`` is sampled at
         stride = sample_every or max(1, round(plan.m / 200))
-        at = list(range(stride, plan.m, stride)) + [plan.m]
+        return list(range(stride, plan.m, stride)) + [plan.m]
+
+    def advance(psi, eo, plan, pieces=None):  # returns psi, its sampled substep numbers and samples
+        at = sampled(plan)
         return psi, at, evolve_eo(psi, eo, t, plan=plan, sample_at=at, pieces=pieces)[1]
 
     for i, (eo, key) in enumerate(zip(seq.eos, keys)):
         if eo.tau == 0.0:
             continue
         if tol is None:
-            pieces = kept.setdefault(key, []) if last_use[key] > i else kept.pop(key, None)
+            size = (len(sampled(plans[i])) + -(-plans[i].m // _matrix_chunk(out.dim))) * out.dim**2
+            if key not in kept and last_use[key] > i and held + size <= _KEPT_ELEMENTS:
+                kept[key], held = [], held + size
+            pieces = kept.get(key) if last_use[key] > i else kept.pop(key, None)
+            if pieces is not None and last_use[key] == i:
+                held -= size
             out, at, samples = advance(out, eo, plans[i], pieces)
         else:
             psi_m = advance(out.copy(), eo, plans[i])[0]

@@ -122,15 +122,6 @@ class StateVector:
         """2-norm, accumulated with numpy's pairwise summation (deterministic)."""
         return math.sqrt(float(np.sum(self.amp.real**2 + self.amp.imag**2)))
 
-    def _check_qubit(self, j: int) -> None:
-        if not 1 <= j <= self.L:
-            raise ValueError(f"qubit index must be in 1..{self.L}, got {j}")
-
-    def _bit_views(self, j: int):
-        """Views of the amplitude array split on bit j-1: (bit=0 part, bit=1 part)."""
-        view = self.amp.reshape(1 << (self.L - j), 2, 1 << (j - 1))
-        return view[:, 0, :], view[:, 1, :]
-
     def apply_gate(self, j: int, g: np.ndarray) -> "StateVector":
         """Apply a 2x2 unitary to qubit j, in place.
 
@@ -138,7 +129,8 @@ class StateVector:
         by g. Rejects non-unitary matrices. The step program does not call
         this; it stays because ``perfbench/tracing.py`` binds it by name.
         """
-        self._check_qubit(j)
+        if not 1 <= j <= self.L:
+            raise ValueError(f"qubit index must be in 1..{self.L}, got {j}")
         g = np.asarray(g, dtype=np.complex128)
         if g.shape != (2, 2):
             raise ValueError("gate must be a 2x2 matrix")
@@ -147,33 +139,14 @@ class StateVector:
             raise UnitarityError(f"gate is not unitary (max deviation {dev:.3e})")
         if not self.amp.flags.c_contiguous:  # the split on bit j-1 must be a view
             raise ValueError("amplitude array must be C-contiguous")
-        a0, a1 = self._bit_views(j)
+        view = self.amp.reshape(1 << (self.L - j), 2, 1 << (j - 1))  # split on bit j-1
+        a0, a1 = view[:, 0, :], view[:, 1, :]
         t0 = a0.copy()
         a0 *= g[0, 0]
         a0 += g[0, 1] * a1
         a1 *= g[1, 1]
         a1 += g[1, 0] * t0
         return self
-
-    def expect(self, j: int, axis: str) -> float:
-        """<S^a_j> for a in {x, y, z}; the imaginary residue must be < 1e-10."""
-        self._check_qubit(j)
-        ax = check_axis(axis)
-        if ax == 2:
-            a0, a1 = self._bit_views(j)
-            val = complex(0.5 * (np.sum(np.abs(a0) ** 2) - np.sum(np.abs(a1) ** 2)))
-        else:
-            a0, a1 = self._bit_views(j)
-            cross = np.sum(a0.conj() * a1)
-            if ax == 0:
-                val = 0.5 * (cross + np.sum(a1.conj() * a0))
-            else:
-                val = 0.5 * (-1j * cross + 1j * np.sum(a1.conj() * a0))
-        if abs(val.imag) >= 1e-10:
-            raise ArithmeticError(
-                f"expectation <S^{axis}_{j}> has imaginary residue {val.imag:.3e}"
-            )
-        return float(val.real)
 
     def observables(self, t: float = 0.0) -> Observables:
         """All per-qubit expectations, qubit values Q_j = 1/2 - <S^z_j>, and the norm."""
@@ -186,10 +159,9 @@ def observables_of(amp: np.ndarray, t) -> Observables:
     The last axis of ``amp`` is the register and leading axes are a batch,
     which every field but ``t`` (stored as given) carries in front. Per
     qubit, with c = <a0|a1> over the bit-split halves: <S^x> = Re c,
-    <S^y> = Im c and <S^z> = (<a0|a0> - <a1|a1>) / 2, the same values
-    ``StateVector.expect`` returns (without its residue check), in three
-    dot products over the last axis of each half, a strided view where the
-    layout allows one and a copy otherwise. The norm is sqrt(<a0|a0> +
+    <S^y> = Im c and <S^z> = (<a0|a0> - <a1|a1>) / 2, in three dot products
+    over the last axis of each half, a strided view where the layout allows
+    one and a copy otherwise. The norm is sqrt(<a0|a0> +
     <a1|a1>) of the last split.
     """
     lead, dim = amp.shape[:-1], amp.shape[-1]
@@ -227,13 +199,8 @@ def new_basis_state(L: int, bits) -> StateVector:
     return state
 
 
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b>; both states must have the same qubit count."""
+def fidelity(a: StateVector, b: StateVector) -> float:
+    """|<a|b>|, insensitive to global phase; both states must have the same qubit count."""
     if a.L != b.L:
         raise ValueError(f"qubit counts differ: {a.L} vs {b.L}")
-    return complex(np.vdot(a.amp, b.amp))
-
-
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|, insensitive to global phase."""
-    return abs(inner_product(a, b))
+    return abs(complex(np.vdot(a.amp, b.amp)))

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,8 +11,11 @@ from pathlib import Path
 import pytest
 
 import spinsim
+from spinsim import cli
 from spinsim.cli import main
 from spinsim.experiments import run_grover
+
+PINNED = ["--sample-every", "1000000000"]  # one sample per operation, as in the pinned report
 
 
 class TestGroverCommand:
@@ -46,11 +50,51 @@ class TestGroverCommand:
         code = main(["grover", "--hardware", "ideal", "--item", "0",
                      "--out", str(tmp_path / "no" / "dir" / "x.csv")])
         assert code == 3
+        # the I/O error wins over an unmet tolerance, with its one stderr line
+        capsys.readouterr()
+        code = main(["grover", "--hardware", "ideal", "--item", "0", "--tol", "0",
+                     "--out", str(tmp_path / "no" / "dir" / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 3 and err.count("\n") == 1 and "cannot write" in err
 
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as err:
             main(["grover", "--hardware", "warp", "--item", "0"])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("hardware, exit_code", [("ideal", 0), ("nmr", 2)])
+    def test_tol_starts_doubling_from_steps(self, capsys, hardware, exit_code):
+        # --steps sets the first trial plan, so each operation ends at m = 7 * 2^k,
+        # k >= 1; nmr needs more than 10 doublings from 7 for some of them
+        code = main(["grover", "--hardware", hardware, "--item", "1", "--steps", "7", "--tol", "1e-6", *PINNED])
+        ms = [int(line.split("m = ")[1].split(",")[0]) for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  operation ")]
+        assert code == exit_code and len(ms) == 16
+        assert all(m % 7 == 0 and m // 7 >= 2 and (m // 7) & (m // 7 - 1) == 0 for m in ms)
+        assert max(ms) == (7 << 10 if exit_code else 14)
+
+    def test_tol_writes_the_accepted_trajectory(self, tmp_path, capsys):
+        # with the default sampling the CSV holds the samples of the accepted
+        # trials: the initial point, then every stride-th substep and the end
+        # of each operation at its accepted plan
+        out = tmp_path / "traj.csv"
+        assert main(["grover", "--hardware", "nmr", "--item", "2", "--tol", "1e-4", "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = run_grover("nmr", 2, tol=1e-4)
+        strides = [max(1, round(p.m / 200)) for p in report.samples.plans]
+        rows = out.read_text().splitlines()
+        assert len(rows) == 2 + sum(len(range(k, p.m, k)) + 1 for k, p in zip(strides, report.samples.plans))
+        assert len(rows) == 1 + len(report.samples)
+        header, last = rows[0].split(","), rows[-1].split(",")
+        assert [float(last[header.index(f"q{j}")]) for j in (1, 2)] == pytest.approx(report.q, abs=1e-11)
+
+    def test_help_names_the_documented_subcommands(self, capsys):
+        documented = re.search(r"Subcommands: ([^.]*)\.", cli.__doc__).group(1)
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        listed = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1)
+        assert err.value.code == 0
+        assert listed.split(",") == [name.strip() for name in documented.split(",")]
 
 
 class TestRunCommand:
@@ -151,22 +195,22 @@ class TestOtherCommands:
         assert "[FAIL]" not in out
 
     def test_converge_ideal(self, capsys):
-        code = main(["converge", "--hardware", "ideal", "--item", "2", "--init", "12",
-                     "--tol", "1e-9"])
+        code = main(["grover", "--hardware", "ideal", "--item", "2", "--init", "12",
+                     "--tol", "1e-9", *PINNED])
         out = capsys.readouterr().out
         assert code == 0
         assert out.count(": m = 2, error estimate = ") == 16
         assert "every operation under tol 1e-09" in out
 
     def test_converge_unreachable(self, capsys):
-        code = main(["converge", "--hardware", "ideal", "--item", "2", "--tol", "0"])
+        code = main(["grover", "--hardware", "ideal", "--item", "2", "--tol", "0", *PINNED])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.count("\n") == 1 and "convergence failure" in captured.err
         assert "NOT every operation under tol 0" in captured.out
 
     def test_converge_nmr_meets_its_tolerance(self, capsys):
-        code = main(["converge", "--hardware", "nmr", "--item", "2", "--init", "12", "--tol", "1e-4"])
+        code = main(["grover", "--hardware", "nmr", "--item", "2", "--init", "12", "--tol", "1e-4", *PINNED])
         out = capsys.readouterr().out
         estimates = [float(line.rsplit("= ", 1)[1]) for line in out.splitlines() if line.startswith("  operation ")]
         assert code == 0
@@ -200,7 +244,7 @@ class TestOtherCommands:
           operation 16: m = 1280, error estimate = 1.259e-06
           error estimate = 1.232e-04 (sum); every operation under tol 0.0001
         """
-        code = main(["converge", "--hardware", "nmr", "--item", "2", "--init", "12", "--tol", "1e-4"])
+        code = main(["grover", "--hardware", "nmr", "--item", "2", "--init", "12", "--tol", "1e-4", *PINNED])
         out = capsys.readouterr().out.splitlines()
         assert code == 0
         assert [line for line in out if not line.startswith("  wall time = ")] == (
@@ -272,5 +316,11 @@ class TestBadInput:
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_bad_tolerance(self, tol):
-        proc = self.spinsim("converge", "--hardware", "ideal", "--item", "0", "--tol", tol)
+        proc = self.spinsim("grover", "--hardware", "ideal", "--item", "0", "--tol", tol)
         self.assert_usage_error(proc, "--tol must be a finite number >= 0")
+
+    def test_removed_converge_command(self):
+        # the tolerance is grover's --tol; the old subcommand is an unknown choice
+        proc = self.spinsim("converge", "--hardware", "nmr", "--item", "2", "--tol", "1e-4")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "invalid choice: 'converge'" in proc.stderr

@@ -901,8 +901,10 @@ class TestPieceReuse:
     """run_sequence replays the matrix-path pieces of a recurring operation object; nothing may show it."""
 
     @staticmethod
-    def run(L, shared):
-        """One sequence in which two operation objects recur, one of them at two plans, sampled with a stride."""
+    def run(L, shared, kept=propagator._KEPT_ELEMENTS):
+        """One sequence in which two operation objects recur, one of them at two plans, sampled with a stride.
+
+        ``kept`` bounds the complex entries of the pieces kept for reuse."""
         a = ElementaryOperation("a", random_driven_model(L, 140 + L), 0.9)
         b = ElementaryOperation("b", random_driven_model(L, 150 + L), 0.5)
         idle = ElementaryOperation("idle", SpinModel(L), 0.0)
@@ -918,22 +920,39 @@ class TestPieceReuse:
             return step_matrices(prog, t_mid)
 
         counters.reset()
-        with mock.patch.object(propagator._StepProgram, "step_matrices", counted):
+        with mock.patch.object(propagator._StepProgram, "step_matrices", counted), \
+                mock.patch.object(propagator, "_KEPT_ELEMENTS", kept):
             out, traj = run_sequence(random_state(L, 160 + L), PulseSequence(eos), sample_every=4, plans=plans)
         return out, traj, dict(vars(counters)), sum(built)
 
-    @pytest.mark.parametrize("L, built", [(2, 95), (4, 95), (5, 0)])  # L = 5 is stepped in place
-    def test_shared_objects_match_private_copies(self, L, built):
-        out, traj, counts, substeps = self.run(L, shared=True)
-        ref, ref_traj, ref_counts, ref_substeps = self.run(L, shared=False)
-        # step matrices are built once for a at m = 30 and 45 and b at m = 20,
-        # and for all 175 substeps when every position holds its own copy
-        assert (substeps, ref_substeps) == (built, 175 if built else 0)
-        assert np.array_equal(out.amp, ref.amp)
+    @staticmethod
+    def assert_same_run(run, ref):
+        (out, traj, counts, _), (ref_out, ref_traj, ref_counts, _) = run, ref
+        assert np.array_equal(out.amp, ref_out.amp)
         assert np.array_equal(traj.step, ref_traj.step) and np.array_equal(traj.eo_index, ref_traj.eo_index)
         for name in ("sx", "sy", "sz", "q", "norm", "t"):
             assert np.array_equal(getattr(traj.obs, name), getattr(ref_traj.obs, name))
         assert counts == ref_counts
+
+    @pytest.mark.parametrize("L, built", [(2, 95), (4, 95), (5, 0)])  # L = 5 is stepped in place
+    def test_shared_objects_match_private_copies(self, L, built):
+        shared, private = self.run(L, shared=True), self.run(L, shared=False)
+        # step matrices are built once for a at m = 30 and 45 and b at m = 20,
+        # and for all 175 substeps when every position holds its own copy
+        assert (shared[3], private[3]) == (built, 175 if built else 0)
+        self.assert_same_run(shared, private)
+
+    @pytest.mark.parametrize("L", [2, 4])
+    @pytest.mark.parametrize("pieces, built", [(14, 115), (8, 155), (5, 175)])
+    def test_reuse_stays_within_the_memory_bound(self, L, pieces, built):
+        # a at m = 30 keeps 9 pieces (8 samples, 1 chunk) and b at m = 20 keeps
+        # 6, each of 2^L x 2^L entries, and a comes first. With room for 14, a
+        # is kept and b is built at both of its occurrences; with room for 8,
+        # a is built at all three and b once; with room for 5, every
+        # occurrence builds its own, as private copies do (95 with room for 15)
+        shared = self.run(L, shared=True, kept=pieces * 4**L)
+        assert shared[3] == built
+        self.assert_same_run(shared, self.run(L, shared=False))
 
     def test_pieces_do_not_outlive_a_call(self):
         model = random_driven_model(2, 170)
@@ -988,9 +1007,9 @@ class TestToleranceRuns:
 
 
 class TestDeterminism:
-    def test_partition_count_does_not_change_results(self):
-        # every kernel is a whole-array pass in the calling thread: repeated
-        # runs give bitwise identical amplitudes
+    def test_repeated_evolution_is_bitwise_identical(self):
+        # every kernel is a whole-array pass in the calling thread, so three
+        # runs of one wide operation give bitwise identical amplitudes
         m = SpinModel(13)
         m.set_coupling(1, 13, "z", 0.3).set_coupling(2, 7, "x", -0.2)
         for j in (1, 5, 13):
@@ -1005,8 +1024,9 @@ class TestDeterminism:
         assert np.array_equal(results[0], results[1])
         assert np.array_equal(results[0], results[2])
 
-    def test_chunked_sweep_matches_single_range(self):
-        # a diagonal sweep is one whole-array pass, bitwise the same every time
+    def test_repeated_z_step_is_bitwise_identical(self):
+        # a diagonal sweep is one whole-array pass, so three z steps of one
+        # model give bitwise identical amplitudes
         m = SpinModel(14)
         m.set_coupling(2, 11, "z", 0.4).set_coupling(3, 14, "z", -0.7)
         m.set_static(5, "z", 1.2)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinsim.propagator import SpinModel
+from spinsim.reference import hamiltonian
 from spinsim.state import (
     CapacityError,
     StateVector,
     UnitarityError,
     fidelity,
-    inner_product,
     new_basis_state,
     observables_of,
 )
@@ -20,6 +21,17 @@ from spinsim.state import (
 SQ2 = np.sqrt(2.0)
 GATE_X = np.array([[1, 1j], [1j, 1]]) / SQ2   # clockwise quarter turn about x
 GATE_YB = np.array([[1, -1], [1, 1]]) / SQ2   # anticlockwise quarter turn about y
+
+
+def dense_spins(L):
+    """S^a_j as dense matrices from ``reference.hamiltonian``, keyed (j, a): H = -h.S, so a field of -1 is S^a_j."""
+    return {(j, a): hamiltonian(SpinModel(L).set_static(j, a, -1.0), 0.0)
+            for j in range(1, L + 1) for a in "xyz"}
+
+
+def expectations(amp, spins):
+    """<psi|S^a_j|psi> for every (j, a) in ``spins``, each by a dense matrix-vector product."""
+    return {key: np.vdot(amp, op @ amp).real for key, op in spins.items()}
 
 
 class TestBasisState:
@@ -111,43 +123,45 @@ class TestGateApplication:
 
 class TestExpectations:
     def test_up_eigenstate(self):
-        s = new_basis_state(2, [0, 0])
-        assert s.expect(1, "z") == pytest.approx(0.5, abs=1e-12)
+        obs = new_basis_state(2, [0, 0]).observables()
+        assert obs.sz[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_plus_eigenstate_of_x(self):
-        s = new_basis_state(2, [0, 0]).apply_gate(1, np.array([[1, 1], [1, -1]]) / SQ2)
-        assert s.expect(1, "x") == pytest.approx(0.5, abs=1e-12)
-        assert s.expect(2, "z") == pytest.approx(0.5, abs=1e-12)
+        obs = new_basis_state(2, [0, 0]).apply_gate(1, np.array([[1, 1], [1, -1]]) / SQ2).observables()
+        assert obs.sx[0] == pytest.approx(0.5, abs=1e-12)
+        assert obs.sz[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_equatorial_state(self):
-        s = StateVector(1, np.array([1, 1j]) / SQ2)
-        assert s.expect(1, "z") == pytest.approx(0.0, abs=1e-12)
-        assert s.expect(1, "y") == pytest.approx(0.5, abs=1e-12)
+        obs = StateVector(1, np.array([1, 1j]) / SQ2).observables()
+        assert obs.sz[0] == pytest.approx(0.0, abs=1e-12)
+        assert obs.sy[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_bounds(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             amp = rng.normal(size=8) + 1j * rng.normal(size=8)
             amp /= np.linalg.norm(amp)
-            s = StateVector(3, amp)
-            for j in (1, 2, 3):
-                for ax in "xyz":
-                    assert abs(s.expect(j, ax)) <= 0.5 + 1e-12
+            obs = StateVector(3, amp).observables()
+            for values in (obs.sx, obs.sy, obs.sz):
+                assert np.all(np.abs(values) <= 0.5 + 1e-12)
 
 
 class TestObservables:
     @pytest.mark.parametrize("L", range(1, 7))
     def test_matches_expect_and_norm_on_random_states(self, L):
+        # the expectations against dense S^a_j from reference.py, which shares no kernel with observables_of
         rng = np.random.default_rng(300 + L)
+        spins = dense_spins(L)
         for _ in range(10):
             amp = rng.normal(size=1 << L) + 1j * rng.normal(size=1 << L)
             amp /= np.linalg.norm(amp)
             s = StateVector(L, amp)
             obs = s.observables(t=1.25)
+            expected = expectations(amp, spins)
             for j in range(1, L + 1):
-                assert abs(obs.sx[j - 1] - s.expect(j, "x")) <= 1e-15
-                assert abs(obs.sy[j - 1] - s.expect(j, "y")) <= 1e-15
-                assert abs(obs.sz[j - 1] - s.expect(j, "z")) <= 1e-15
+                assert abs(obs.sx[j - 1] - expected[j, "x"]) <= 1e-15
+                assert abs(obs.sy[j - 1] - expected[j, "y"]) <= 1e-15
+                assert abs(obs.sz[j - 1] - expected[j, "z"]) <= 1e-15
             assert abs(obs.norm - s.norm()) <= 1e-15
             assert np.array_equal(obs.q, 0.5 - obs.sz)
             assert obs.t == 1.25
@@ -163,12 +177,14 @@ class TestObservables:
         for name in ("sx", "sy", "sz", "q"):
             assert getattr(obs, name).shape == (k, L)
         assert obs.norm.shape == (k,) and obs.t is t
+        spins = dense_spins(L)
         for i in range(k):
             s = StateVector(L, amp[i])
+            expected = expectations(amp[i], spins)
             for j in range(1, L + 1):
-                assert abs(obs.sx[i, j - 1] - s.expect(j, "x")) <= 1e-15
-                assert abs(obs.sy[i, j - 1] - s.expect(j, "y")) <= 1e-15
-                assert abs(obs.sz[i, j - 1] - s.expect(j, "z")) <= 1e-15
+                assert abs(obs.sx[i, j - 1] - expected[j, "x"]) <= 1e-15
+                assert abs(obs.sy[i, j - 1] - expected[j, "y"]) <= 1e-15
+                assert abs(obs.sz[i, j - 1] - expected[j, "z"]) <= 1e-15
             assert abs(obs.norm[i] - s.norm()) <= 1e-15
         assert np.array_equal(obs.q, 0.5 - obs.sz)
 
@@ -210,8 +226,7 @@ class TestInnerProductFidelity:
         a = StateVector(2, amp)
         b = StateVector(2, amp * np.exp(0.7j))
         assert fidelity(a, b) == pytest.approx(1.0, abs=1e-12)
-        assert inner_product(a, b) == pytest.approx(np.exp(0.7j), abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            inner_product(new_basis_state(1, [0]), new_basis_state(2, [0, 0]))
+        with pytest.raises(ValueError, match="qubit counts differ"):
+            fidelity(new_basis_state(1, [0]), new_basis_state(2, [0, 0]))
