@@ -17,15 +17,12 @@ from .experiments import (
 )
 from .propagator import (
     ElementaryOperation,
-    KernelCounters,
     PulseSequence,
     SpinModel,
     StepPlan,
     Trajectory,
     auto_substeps,
-    counters,
     evolve_eo,
-    global_half_pi_rotation,
     run_sequence,
     symmetrized_step,
 )

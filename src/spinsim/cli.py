@@ -2,13 +2,16 @@
 
 Subcommands: grover, run, selftest, dump-profile. Exit codes: 0 success,
 1 usage/parse error, 2 numerical self-check failure or an unmet ``--tol``,
-3 I/O error.
+3 I/O error (a closed stdout among them). Every failure is one line on stderr
+and its exit code, never a traceback: the commands raise, and ``main`` alone
+turns an error into its line and its code.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -36,6 +39,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("grover", help="run a database-search preset")
+    p.set_defaults(func=_cmd_grover)
     p.add_argument("--hardware", choices=("ideal", "nmr"), required=True)
     p.add_argument("--item", type=int, choices=(0, 1, 2, 3), required=True)
     p.add_argument("--init", choices=("12", "21"), default="12",
@@ -52,34 +56,28 @@ def _build_parser() -> _Parser:
                    f"|psi_2m - psi_m| / 3, is under TOL (at most {MAX_DOUBLINGS} times; exit 2 if not)")
 
     p = sub.add_parser("run", help="execute a sequence from a config file")
+    p.set_defaults(func=_cmd_run)
     p.add_argument("--config", required=True)
     p.add_argument("--sequence", help="sequence name (default from the [run] section)")
     p.add_argument("--out", help="trajectory CSV path")
     p.add_argument("--compare-uniform", action="store_true",
                    help="report fidelity with the uniform superposition")
 
-    sub.add_parser("selftest", help="run the oracle cross-checks")
+    sub.add_parser("selftest", help="run the oracle cross-checks").set_defaults(func=_cmd_selftest)
 
     p = sub.add_parser("dump-profile", help="write a hardware profile as config text")
+    p.set_defaults(func=_cmd_dump_profile)
     p.add_argument("kind", choices=("ideal", "nmr"))
     p.add_argument("--out", help="output path (default stdout)")
     return parser
 
 
-def _usage_error(message: str) -> int:
-    print(f"spinsim: error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _cmd_grover(args) -> int:
-    try:
-        steps = parse_count(args.steps, "--steps", auto=True)
-    except ConfigError as err:
-        return _usage_error(str(err))
+    steps = parse_count(args.steps, "--steps", auto=True)
     if args.sample_every is not None and args.sample_every < 1:
-        return _usage_error(f"--sample-every must be a positive integer, got {args.sample_every}")
+        raise ValueError(f"--sample-every must be a positive integer, got {args.sample_every}")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
-        return _usage_error(f"--tol must be a finite number >= 0, got {args.tol!r}")
+        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     report = run_grover(
         args.hardware,
         args.item,
@@ -89,59 +87,43 @@ def _cmd_grover(args) -> int:
         rotating_frame=args.rotating_frame,
         tol=args.tol,
     )
-    code = _print_and_write(report, args.out)
-    if code == EXIT_OK and not report.converged:
-        worst = max(report.estimates)
-        print(f"spinsim: convergence failure: an error estimate is {worst:.3e} (>= {args.tol:g}) "
-              f"after {MAX_DOUBLINGS} doublings", file=sys.stderr)
-        return EXIT_SELFCHECK
-    return code
+    _print_and_write(report, args.out)
+    if report.converged:
+        return EXIT_OK
+    worst = max(report.estimates)
+    print(f"spinsim: convergence failure: an error estimate is {worst:.3e} (>= {args.tol:g}) "
+          f"after {MAX_DOUBLINGS} doublings", file=sys.stderr)
+    return EXIT_SELFCHECK
 
 
 def _cmd_run(args) -> int:
-    try:
-        with open(args.config) as fh:
-            text = fh.read()
-    except OSError as err:
-        print(f"spinsim: error: cannot read {args.config}: {err}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        cfg = parse_config(text)
-        seq_name = args.sequence or cfg.run.sequence
-        if not seq_name:
-            raise ConfigError(None, "no sequence given (use --sequence or a [run] section)")
-        seq = cfg.resolve_sequence(seq_name)
-    except ConfigError as err:
-        print(f"spinsim: config error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    with open(args.config, encoding="utf-8") as fh:
+        cfg = parse_config(fh.read())
+    seq_name = args.sequence or cfg.run.sequence
+    if not seq_name:
+        raise ConfigError(None, "no sequence given (use --sequence or a [run] section)")
+    seq = cfg.resolve_sequence(seq_name)
     bits = cfg.run.state_bits or [0] * cfg.L
-    try:
-        report = run_report(f"sequence {seq_name}", new_basis_state(cfg.L, bits), seq,
-                            steps=cfg.run.steps, sample_every=cfg.run.sample_every)
-    except ValueError as err:  # a model the step planner cannot plan
-        return _usage_error(str(err))
+    report = run_report(f"sequence {seq_name}", new_basis_state(cfg.L, bits), seq,
+                        steps=cfg.run.steps, sample_every=cfg.run.sample_every)
     extra = []
     if args.compare_uniform:
         dim = 1 << cfg.L
         uniform = StateVector(cfg.L, np.full(dim, 1.0 / dim**0.5, dtype=complex))
         extra.append(f"  fidelity with uniform superposition = {fidelity(report.final_state, uniform):.9f}")
-    return _print_and_write(report, args.out, extra)
-
-
-def _print_and_write(report, path, extra_lines=()) -> int:
-    """Print a run report's lines and write its trajectory CSV to ``path``, if given."""
-    print("\n".join([*report.lines(), *extra_lines]))
-    if path:
-        try:
-            write_trajectory_csv(path, report.samples)
-        except OSError as err:
-            print(f"spinsim: error: cannot write {path}: {err}", file=sys.stderr)
-            return EXIT_IO
-        print(f"  trajectory written to {path}")
+    _print_and_write(report, args.out, extra)
     return EXIT_OK
 
 
-def _cmd_selftest() -> int:
+def _print_and_write(report, path, extra_lines=()) -> None:
+    """Print a run report's lines and write its trajectory CSV to ``path``, if given."""
+    print("\n".join([*report.lines(), *extra_lines]))
+    if path:
+        write_trajectory_csv(path, report.samples)
+        print(f"  trajectory written to {path}")
+
+
+def _cmd_selftest(args) -> int:
     checks = self_test(report_fn=print)
     return EXIT_OK if all(c.ok for c in checks) else EXIT_SELFCHECK
 
@@ -149,12 +131,8 @@ def _cmd_selftest() -> int:
 def _cmd_dump_profile(args) -> int:
     text = dump_profile(make_profile(args.kind))
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as err:
-            print(f"spinsim: error: cannot write {args.out}: {err}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.out, "w") as fh:
+            fh.write(text)
     else:
         print(text, end="")
     return EXIT_OK
@@ -162,13 +140,17 @@ def _cmd_dump_profile(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "grover":
-        return _cmd_grover(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "selftest":
-        return _cmd_selftest()
-    return _cmd_dump_profile(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's flush at exit
+        return code
+    except (OSError, ValueError) as err:
+        if isinstance(err, BrokenPipeError):  # the Python docs' note on SIGPIPE: leave nothing to flush at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"spinsim: {'config error' if isinstance(err, ConfigError) else 'error'}: {err}", file=sys.stderr)
+        return EXIT_IO if isinstance(err, OSError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 from .propagator import ElementaryOperation, PulseSequence, SpinModel
@@ -107,16 +108,21 @@ def _parse_qubit(token: str, L: int, line_no: int) -> int:
 
 
 def parse_count(value: str, name: str, line_no: int | None = None, auto: bool = False) -> int | str:
-    """Parse an integer >= 1 (or "auto", when ``auto`` is set) for the setting ``name``."""
+    """Parse an integer >= 1 (or "auto", when ``auto`` is set) for the setting ``name``.
+
+    A bad value raises ConfigError at ``line_no``; a value with no line, such
+    as a command-line option's, is not config text and raises ValueError.
+    """
     if auto and value == "auto":
         return "auto"
     alternative = "'auto' or " if auto else ""
+    error = ValueError if line_no is None else partial(ConfigError, line_no)
     try:
         n = int(value)
     except ValueError:
-        raise ConfigError(line_no, f"{name} must be {alternative}an integer, got {value!r}") from None
+        raise error(f"{name} must be {alternative}an integer, got {value!r}") from None
     if n < 1:
-        raise ConfigError(line_no, f"{name} must be {alternative}>= 1")
+        raise error(f"{name} must be {alternative}>= 1")
     return n
 
 

@@ -72,7 +72,7 @@ class RunReport:
 
     @property
     def substeps(self) -> int:
-        return sum(p.m for p in self.samples.plans)
+        return sum(p.m for p in self.samples.plans if p.tau > 0.0)  # a zero duration takes no substeps
 
     @property
     def converged(self) -> bool:

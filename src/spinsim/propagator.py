@@ -127,6 +127,9 @@ _MAX_PHASE_PER_STEP = 0.1
 #: Most doublings of an operation's substep count that a tolerance may ask for.
 MAX_DOUBLINGS = 10
 
+#: Largest substep count of a plan: substep numbers are held as int64.
+_MAX_SUBSTEPS = 2**63 - 1
+
 
 @dataclass
 class KernelCounters:
@@ -270,8 +273,8 @@ class StepPlan:
     tau: float
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"substep count must be >= 1, got {self.m}")
+        if not 1 <= self.m <= _MAX_SUBSTEPS:
+            raise ValueError(f"substep count must be in 1..2**63 - 1, got {self.m}")
 
     @property
     def delta(self) -> float:
@@ -556,9 +559,11 @@ def auto_substeps(eo: ElementaryOperation) -> StepPlan:
     if j_scale > 0.0:
         bounds.append(_MAX_PHASE_PER_STEP / j_scale)
     step = min(bounds)
-    if not (step > 0.0 and math.isfinite(eo.tau / step)):
-        raise ValueError(f"operation {eo.name!r} needs a substep count that is not finite: tau {eo.tau:g} / step bound {step:g}")
-    return StepPlan(max(1, math.ceil(eo.tau / step - 1e-9)), eo.tau)
+    count = eo.tau / step if step > 0.0 else math.inf
+    if not count <= _MAX_SUBSTEPS:
+        size = "over 2**63 - 1" if math.isfinite(count) else "not finite"
+        raise ValueError(f"operation {eo.name!r} needs a substep count that is {size}: tau {eo.tau:g} / step bound {step:g}")
+    return StepPlan(max(1, math.ceil(count - 1e-9)), eo.tau)
 
 
 def _segment_products(steps: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command-line interface tests: subcommands, exit codes, round trips."""
 
+import ast
 import math
 import os
 import re
@@ -16,6 +17,8 @@ from spinsim.cli import main
 from spinsim.experiments import run_grover
 
 PINNED = ["--sample-every", "1000000000"]  # one sample per operation, as in the pinned report
+# two zero-duration operations at a fixed plan of 50 substeps each
+IDLE_CONFIG = "L = 2\n[eo idle]\ntau_over_2pi = 0\n[sequence s]\neos = idle, idle\n[run]\nsequence = s\nsteps = 50\n"
 
 
 class TestGroverCommand:
@@ -55,7 +58,7 @@ class TestGroverCommand:
         code = main(["grover", "--hardware", "ideal", "--item", "0", "--tol", "0",
                      "--out", str(tmp_path / "no" / "dir" / "x.csv")])
         err = capsys.readouterr().err
-        assert code == 3 and err.count("\n") == 1 and "cannot write" in err
+        assert code == 3 and err.count("\n") == 1 and str(tmp_path / "no" / "dir" / "x.csv") in err
 
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as err:
@@ -147,6 +150,12 @@ class TestRunCommand:
         assert code == 0
         rows = out.read_text().splitlines()
         assert len(rows) == 2  # header + initial sample only
+
+    def test_zero_duration_operations_take_no_substeps(self, tmp_path, capsys):
+        cfg = tmp_path / "idle.cfg"
+        cfg.write_text(IDLE_CONFIG)
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert "  operations 2, substeps 0, samples 1" in capsys.readouterr().out.splitlines()
 
     def test_round_trip_matches_preset(self, tmp_path, capsys):
         # dump the nmr profile, rerun a search program from the config text,
@@ -257,14 +266,16 @@ class TestOtherCommands:
 
 
 class TestBadInput:
-    """Bad values exit 1 with a one-line message from a real ``spinsim`` process, never a traceback."""
+    """Bad values exit 1, and a closed stdout exits 3, with a one-line message from a real
+    ``spinsim`` process, never a traceback."""
 
     @staticmethod
-    def spinsim(*argv):
+    def spinsim(*argv, stdout=subprocess.PIPE):
         src = str(Path(spinsim.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, as a user's shell gives, is flushed at exit
         return subprocess.run([sys.executable, "-m", "spinsim.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+                              stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
 
     @staticmethod
     def assert_usage_error(proc, fragment):
@@ -314,6 +325,44 @@ class TestBadInput:
         self.assert_usage_error(self.spinsim("run", "--config", str(cfg), "--sequence", "s"),
                                 "operation 'A' needs a substep count that is not finite")
 
+    def test_steps_option_overflow(self):
+        proc = self.spinsim("grover", "--hardware", "ideal", "--item", "0", "--steps", "99999999999999999999999")
+        self.assert_usage_error(proc, "substep count must be in 1..2**63 - 1")
+
+    def test_steps_line_overflow(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("L = 1\n[eo A]\ntau_over_2pi = 1\nh0 z 1 = 1\nh0 x 1 = 1\n[sequence s]\neos = A\n"
+                       "[run]\nsequence = s\nsteps = 99999999999999999999999\n")
+        self.assert_usage_error(self.spinsim("run", "--config", str(cfg)), "substep count must be in 1..2**63 - 1")
+
+    def test_planned_count_overflow(self, tmp_path):
+        # 0.1 rad per substep of a 1e200 field over 2 pi is finite but does not fit in int64
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("L = 1\n[eo A]\ntau_over_2pi = 1\nh0 z 1 = 1e200\nh0 x 1 = 1\n[sequence s]\neos = A\n")
+        self.assert_usage_error(self.spinsim("run", "--config", str(cfg), "--sequence", "s"),
+                                "operation 'A' needs a substep count that is over 2**63 - 1")
+
+    def test_config_not_utf8(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfeL = 1\n")
+        self.assert_usage_error(self.spinsim("run", "--config", str(cfg)), "'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("command", re.search(r"Subcommands: ([^.]*)\.", cli.__doc__).group(1).split(", "))
+    def test_closed_stdout_exits_three(self, tmp_path, command):
+        cfg = tmp_path / "idle.cfg"
+        cfg.write_text(IDLE_CONFIG)
+        argv = {"grover": ["grover", "--hardware", "ideal", "--item", "0"], "run": ["run", "--config", str(cfg)],
+                "selftest": ["selftest"], "dump-profile": ["dump-profile", "nmr"]}[command]
+        r, w = os.pipe()
+        os.close(r)  # every write to stdout fails with a broken pipe
+        try:
+            proc = self.spinsim(*argv, stdout=w)
+        finally:
+            os.close(w)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("spinsim: error: ")
+
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_bad_tolerance(self, tol):
         proc = self.spinsim("grover", "--hardware", "ideal", "--item", "0", "--tol", tol)
@@ -324,3 +373,14 @@ class TestBadInput:
         proc = self.spinsim("converge", "--hardware", "nmr", "--item", "2", "--tol", "1e-4")
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr and "invalid choice: 'converge'" in proc.stderr
+
+
+def test_only_main_handles_errors():
+    # the commands raise and main alone turns an error into its line and exit code
+    tree = ast.parse(Path(cli.__file__).read_text())
+
+    def tries(node):
+        return {n.lineno for n in ast.walk(node) if isinstance(n, (ast.Try, getattr(ast, "TryStar", ast.Try)))}
+
+    main_def = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    assert tries(main_def) and tries(tree) == tries(main_def)

@@ -564,6 +564,15 @@ class TestStepPlans:
         with pytest.raises(ValueError):
             StepPlan(0, 1.0)
 
+    def test_plan_counts_fit_in_int64(self):
+        # substep numbers are int64 arrays, so a larger count is refused up front
+        assert StepPlan(2**63 - 1, 1.0).m == 2**63 - 1
+        with pytest.raises(ValueError, match=r"substep count must be in 1\.\.2\*\*63 - 1"):
+            StepPlan(2**63, 1.0)
+        m = SpinModel(1).set_static(1, "z", 1e200).set_static(1, "x", 1.0)
+        with pytest.raises(ValueError, match="operation 'a' needs a substep count that is over 2"):
+            auto_substeps(ElementaryOperation("a", m, TWO_PI))
+
     @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
     def test_operation_duration_must_be_finite_and_non_negative(self, tau):
         with pytest.raises(ValueError, match="duration"):
