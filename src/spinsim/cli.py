@@ -149,7 +149,8 @@ def main(argv=None) -> int:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        print(f"spinsim: {'config error' if isinstance(err, ConfigError) else 'error'}: {err}", file=sys.stderr)
+        message = f"{args.config}: {err}" if isinstance(err, UnicodeDecodeError) else err  # only run decodes a file
+        print(f"spinsim: {'config error' if isinstance(err, ConfigError) else 'error'}: {message}", file=sys.stderr)
         return EXIT_IO if isinstance(err, OSError) else EXIT_USAGE
 
 

@@ -132,7 +132,7 @@ def parse_config(text: str) -> ExperimentConfig:
     section = None  # None | ("eo" | "sequence", name, header line) | ("run",)
     model = tau = None  # parameters of the open [eo] section
     saw_l = False
-    headers = set()  # (kind, name) of every [eo] and [sequence] header so far
+    headers = set()  # (kind, name) of every [eo] and [sequence] header so far, and ("run",)
 
     def close_section():
         kind = section and section[0]
@@ -152,17 +152,18 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(line_no, "unterminated section header")
             head = line[1:-1].split()
             named = len(head) == 2 and head[0] in ("eo", "sequence")
-            if named and tuple(head) in headers:  # before the open section closes, which may be the first
-                raise ConfigError(line_no, f"duplicate {'EO' if head[0] == 'eo' else 'sequence'} name {head[1]!r}")
+            if tuple(head) in headers:  # before the open section closes, which may be the first
+                what = f"{'EO' if head[0] == 'eo' else 'sequence'} name {head[1]!r}" if named else "[run] section"
+                raise ConfigError(line_no, f"duplicate {what}")
             close_section()
             if named:
-                headers.add(tuple(head))
                 section = (head[0], head[1], line_no)
                 model, tau = SpinModel(cfg.L), None
             elif head == ["run"]:
                 section = ("run",)
             else:
                 raise ConfigError(line_no, f"unknown section {line!r}")
+            headers.add(tuple(head))
             continue
         if "=" not in line:
             raise ConfigError(line_no, f"expected 'key = value', got {line!r}")

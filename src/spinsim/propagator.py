@@ -73,8 +73,8 @@ chunk's step matrices in one batched pass, and a pairwise tree of batched
 matmuls multiplies the matrices between two samples into one piece. A
 sample, not a substep, costs one vector-matrix product, and a chunk's
 samples are read in one batched call. The pieces depend only on the
-operation, its plan and its sample stride, so run_sequence reuses them in a
-run without a tolerance. Larger registers are stepped in place, one substep
+operation, its plan and its sample stride, so run_sequence reuses them
+within a call. Larger registers are stepped in place, one substep
 at a time. The threshold rests on microseconds per substep, 512 substeps, in
 place and by matrices with one vector-matrix product per substep (2-core VM
 shared with other tenants, median of three runs of the best of seven):
@@ -92,6 +92,7 @@ amplitudes."""
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, field, fields
@@ -648,9 +649,10 @@ def evolve_eo(
     ``_matrix_pieces``, which depend only on the model, the plan and
     ``sample_at``. They are computed afresh unless ``pieces`` is a list: an
     empty one is filled with them, and a filled one, from an earlier call with
-    the same operation, plan and ``sample_at``, is replayed. A larger register
-    ignores ``pieces``: it builds each chunk's pass blocks in one pass,
-    applies each substep to the state and reads each sample as it is taken.
+    the same operation, plan and ``sample_at``, is replayed, as run_sequence
+    does for a recurring operation. A larger register ignores ``pieces``: it
+    builds each chunk's pass blocks in one pass, applies each substep to the
+    state and reads each sample as it is taken.
     """
     if eo.model.L != state.L:
         raise ValueError(f"operation has L={eo.model.L} but state has L={state.L}")
@@ -699,18 +701,18 @@ def run_sequence(
     sampled about 200 times (once per substep if it has fewer). ``plans``,
     if given, holds one plan per operation (default ``auto_substeps``).
 
-    Without a tolerance, an operation object that recurs at one plan hands
-    ``evolve_eo`` one ``pieces`` list: its first occurrence fills it, the next
-    ones replay it, and it is dropped after the last. Pieces are kept only
-    while all kept pieces hold at most _KEPT_ELEMENTS complex entries, counted
-    as one piece per sample and per chunk; past that, each occurrence of an
-    operation computes its own pieces afresh. With a tolerance ``tol``
-    (finite, >= 0) each operation runs from the state the ones before it
-    leave, at m and 2m substeps, each trial sampled and with fresh pieces. The
-    step is second order, so the 2m trial's error is about |psi_2m - psi_m| /
-    (2^2 - 1); m is doubled, at most MAX_DOUBLINGS times, until that is under
-    ``tol``, and the last 2m trial is the run. A zero-duration operation keeps
-    its plan, with an estimate of 0.
+    An operation object that occurs more than once in ``seq`` hands
+    ``evolve_eo`` one ``pieces`` list per plan, in plain runs and doubling
+    trials alike: its first run at a plan fills it, later ones replay it, and
+    it lives until the call returns. A list is made only while all kept
+    pieces hold at most _KEPT_ELEMENTS complex entries, counted as one piece
+    per sample and per chunk; past that, the operation computes its pieces at
+    that plan afresh. With a tolerance ``tol`` (finite, >= 0) each operation
+    runs from the state the ones before it leave, at m and 2m substeps, each
+    trial sampled. The step is second order, so the 2m trial's error is about
+    |psi_2m - psi_m| / (2^2 - 1); m is doubled, at most MAX_DOUBLINGS times,
+    until that is under ``tol``, and the last 2m trial is the run. A
+    zero-duration operation keeps its plan, with an estimate of 0.
     """
     for eo in seq.eos:
         if eo.model.L != state.L:
@@ -722,32 +724,26 @@ def run_sequence(
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
     plans = list(plans) if plans is not None else [auto_substeps(eo) for eo in seq.eos]
-    keys = list(zip(map(id, seq.eos), plans))
-    last_use, kept, held = {key: i for i, key in enumerate(keys)}, {}, 0
+    recurs, kept, held = collections.Counter(map(id, seq.eos)), {}, 0
     estimates = None if tol is None else [0.0] * len(seq)
     out = state.copy()
     parts = [observables_of(out.amp[None], np.array([0.0]))]
     step, eo_index, t = [0], [0], 0.0
 
-    def sampled(plan):  # the substep numbers an operation run at ``plan`` is sampled at
+    def advance(psi, eo, plan):  # returns psi, its sampled substep numbers and samples
+        nonlocal held
         stride = sample_every or max(1, round(plan.m / 200))
-        return list(range(stride, plan.m, stride)) + [plan.m]
+        at = list(range(stride, plan.m, stride)) + [plan.m]
+        key, size = (id(eo), plan), (len(at) + -(-plan.m // _matrix_chunk(psi.dim))) * psi.dim**2
+        if recurs[id(eo)] > 1 and key not in kept and held + size <= _KEPT_ELEMENTS:
+            kept[key], held = [], held + size
+        return psi, at, evolve_eo(psi, eo, t, plan=plan, sample_at=at, pieces=kept.get(key))[1]
 
-    def advance(psi, eo, plan, pieces=None):  # returns psi, its sampled substep numbers and samples
-        at = sampled(plan)
-        return psi, at, evolve_eo(psi, eo, t, plan=plan, sample_at=at, pieces=pieces)[1]
-
-    for i, (eo, key) in enumerate(zip(seq.eos, keys)):
+    for i, eo in enumerate(seq.eos):
         if eo.tau == 0.0:
             continue
         if tol is None:
-            size = (len(sampled(plans[i])) + -(-plans[i].m // _matrix_chunk(out.dim))) * out.dim**2
-            if key not in kept and last_use[key] > i and held + size <= _KEPT_ELEMENTS:
-                kept[key], held = [], held + size
-            pieces = kept.get(key) if last_use[key] > i else kept.pop(key, None)
-            if pieces is not None and last_use[key] == i:
-                held -= size
-            out, at, samples = advance(out, eo, plans[i], pieces)
+            out, at, samples = advance(out, eo, plans[i])
         else:
             psi_m = advance(out.copy(), eo, plans[i])[0]
             for _ in range(MAX_DOUBLINGS):

@@ -345,7 +345,8 @@ class TestBadInput:
     def test_config_not_utf8(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"\xff\xfeL = 1\n")
-        self.assert_usage_error(self.spinsim("run", "--config", str(cfg)), "'utf-8' codec can't decode byte 0xff")
+        proc = self.spinsim("run", "--config", str(cfg))
+        self.assert_usage_error(proc, f"{cfg}: 'utf-8' codec can't decode byte 0xff")
 
     @pytest.mark.parametrize("command", re.search(r"Subcommands: ([^.]*)\.", cli.__doc__).group(1).split(", "))
     def test_closed_stdout_exits_three(self, tmp_path, command):

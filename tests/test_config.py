@@ -104,6 +104,7 @@ class TestParsing:
             ("[run]\nspeed = 3", 2, "unknown run directive"),
             ("[run]\nsteps = soon", 2, "integer"),
             ("[sequence s]\n[sequence s]\n[run]\nsequence = s\n", 2, "duplicate sequence name 's'"),
+            ("[run]\nsequence = s\n[run]  # merged, t would win\nsequence = t", 3, r"duplicate \[run\] section"),
             ("[sequence s]\n[run]\nsequence = s", 1, r"\[sequence s\] is missing an eos line"),
             ("[eo A]\ntau_over_2pi = 1\n[sequence s]  # no eos line", 3, "missing an eos line"),
         ],

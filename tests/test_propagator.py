@@ -906,6 +906,20 @@ class TestRunSequence:
             assert abs(s.norm() - before) < 1e-13
 
 
+def run_counting_built(*args, **kwargs):
+    """run_sequence(*args, **kwargs), its kernel counters and the rows passed to _StepProgram.step_matrices."""
+    built, step_matrices = [], propagator._StepProgram.step_matrices
+
+    def counted(prog, t_mid):
+        built.append(len(t_mid))
+        return step_matrices(prog, t_mid)
+
+    counters.reset()
+    with mock.patch.object(propagator._StepProgram, "step_matrices", counted):
+        out, traj = run_sequence(*args, **kwargs)
+    return out, traj, dict(vars(counters)), sum(built)
+
+
 class TestPieceReuse:
     """run_sequence replays the matrix-path pieces of a recurring operation object; nothing may show it."""
 
@@ -922,17 +936,8 @@ class TestPieceReuse:
         plans = [StepPlan(m, eo.tau) for m, eo in zip(ms, eos)]
         if not shared:
             eos = [copy.deepcopy(eo) for eo in eos]
-        built, step_matrices = [], propagator._StepProgram.step_matrices
-
-        def counted(prog, t_mid):
-            built.append(len(t_mid))
-            return step_matrices(prog, t_mid)
-
-        counters.reset()
-        with mock.patch.object(propagator._StepProgram, "step_matrices", counted), \
-                mock.patch.object(propagator, "_KEPT_ELEMENTS", kept):
-            out, traj = run_sequence(random_state(L, 160 + L), PulseSequence(eos), sample_every=4, plans=plans)
-        return out, traj, dict(vars(counters)), sum(built)
+        with mock.patch.object(propagator, "_KEPT_ELEMENTS", kept):
+            return run_counting_built(random_state(L, 160 + L), PulseSequence(eos), sample_every=4, plans=plans)
 
     @staticmethod
     def assert_same_run(run, ref):
@@ -954,10 +959,11 @@ class TestPieceReuse:
     @pytest.mark.parametrize("L", [2, 4])
     @pytest.mark.parametrize("pieces, built", [(14, 115), (8, 155), (5, 175)])
     def test_reuse_stays_within_the_memory_bound(self, L, pieces, built):
-        # a at m = 30 keeps 9 pieces (8 samples, 1 chunk) and b at m = 20 keeps
-        # 6, each of 2^L x 2^L entries, and a comes first. With room for 14, a
+        # a at m = 30 keeps 9 pieces (8 samples, 1 chunk), b at m = 20 keeps 6
+        # and a at m = 45 would keep 13, each of 2^L x 2^L entries, in the order
+        # they first run and until the call returns. With room for 14, a at 30
         # is kept and b is built at both of its occurrences; with room for 8,
-        # a is built at all three and b once; with room for 5, every
+        # a is built at all four and b once; with room for 5, every
         # occurrence builds its own, as private copies do (95 with room for 15)
         shared = self.run(L, shared=True, kept=pieces * 4**L)
         assert shared[3] == built
@@ -1007,6 +1013,21 @@ class TestToleranceRuns:
                 for name, per_substep in propagator._StepProgram(eo.model, 1.0).counts.items():
                     expected[name] += (2 * kept.m - first.m) * per_substep
         assert counts == expected
+
+    def test_doubling_trials_replay_the_pieces_of_a_recurring_operation(self):
+        a = ElementaryOperation("a", random_driven_model(2, 321), 0.9)
+        b = ElementaryOperation("b", random_driven_model(2, 421), 0.5)
+        idle = ElementaryOperation("idle", SpinModel(2), 0.0)
+        start = [StepPlan(3, a.tau), StepPlan(3, b.tau), StepPlan(1, 0.0), StepPlan(3, a.tau)]
+        seqs = [a, b, idle, a], [copy.deepcopy(eo) for eo in (a, b, idle, a)]
+        shared, private = (run_counting_built(random_state(2, 521), PulseSequence(eos), sample_every=3, plans=start,
+                                              tol=1.7e-3) for eos in seqs)
+        # a's trials run at m = 3, 6 and 12 at its first position and at 3 and 6
+        # at its second, which replays them; b's at 3 and 6. So 21 + 9 substeps
+        # are built, against 21 + 9 + 9 when every position holds its own copy
+        assert (shared[3], private[3]) == (30, 39)
+        TestPieceReuse.assert_same_run(shared, private)
+        assert (shared[1].plans, shared[1].estimates) == (private[1].plans, private[1].estimates)
 
     def test_tolerance_must_be_finite_and_non_negative(self):
         eo = ElementaryOperation("e", SpinModel(1).set_static(1, "x", 1.0), 0.1)
