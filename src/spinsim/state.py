@@ -158,26 +158,38 @@ def observables_of(amp: np.ndarray, t) -> Observables:
 
     The last axis of ``amp`` is the register and leading axes are a batch,
     which every field but ``t`` (stored as given) carries in front. Per
-    qubit, with c = <a0|a1> over the bit-split halves: <S^x> = Re c,
-    <S^y> = Im c and <S^z> = (<a0|a0> - <a1|a1>) / 2, in three dot products
-    over the last axis of each half, a strided view where the layout allows
-    one and a copy otherwise. The norm is sqrt(<a0|a0> +
-    <a1|a1>) of the last split.
+    qubit j, with c = <a0|a1> over the halves split on bit j: <S^x> = Re c
+    and <S^y> = Im c; <S^z> is the mean of +-1/2 over the populations.
+
+    With lo = L // 2 and hi = L - lo, the register is a (2^hi, 2^lo) grid
+    and ``tr`` its one transposed copy, in which bit j < lo of ``amp`` is
+    bit j + hi. Each qubit's halves so lie along a contiguous axis of at
+    least 2^lo entries of a strided view, of ``amp`` for j >= lo and of
+    ``tr`` for j < lo, and c is a row-wise ``vecdot`` summed over the rows;
+    no other copy is made. The row norms of the grid are the marginal of
+    the high bits and those of ``tr`` the marginal of the low bits; <S^z>
+    is a ``vecdot`` of each with a +-1/2 sign table, and the norm is the
+    square root of the first marginal's sum. Every reduction runs per row,
+    so a row of a batch is bitwise the call on that row alone.
     """
     lead, dim = amp.shape[:-1], amp.shape[-1]
     L = dim.bit_length() - 1
-    sx, sy, sz = np.empty(lead + (L,)), np.empty(lead + (L,)), np.empty(lead + (L,))
+    lo = L // 2
+    hi = L - lo
+    grid = amp.reshape(lead + (1 << hi, 1 << lo))
+    tr = np.swapaxes(grid, -1, -2).copy()
+    cross = []
     for j in range(L):
-        view = amp.reshape(lead + (dim >> (j + 1), 2, 1 << j))
-        a0 = view[..., 0, :].reshape(lead + (dim >> 1,))
-        a1 = view[..., 1, :].reshape(lead + (dim >> 1,))
-        c = np.vecdot(a0, a1)
-        n0 = np.vecdot(a0, a0).real
-        n1 = np.vecdot(a1, a1).real
-        sx[..., j] = c.real
-        sy[..., j] = c.imag
-        sz[..., j] = 0.5 * (n0 - n1)
-    return Observables(sx=sx, sy=sy, sz=sz, q=0.5 - sz, norm=np.sqrt(n0 + n1), t=t)
+        src, k = (amp, j) if j >= lo else (tr, j + hi)
+        view = src.reshape(lead + (dim >> (k + 1), 2, 1 << k))  # split on bit k
+        cross.append(np.vecdot(view[..., 0, :], view[..., 1, :]).sum(-1))
+    c = np.stack(cross, axis=-1)
+    signs = np.array([spin_z_values(hi, b + 1) for b in range(hi)])  # signs[b]: +-1/2 on bit b
+    high = np.vecdot(grid, grid).real
+    low = np.vecdot(tr, tr).real
+    sz = np.concatenate([np.vecdot(low[..., None, :], signs[:lo, : 1 << lo]),
+                         np.vecdot(high[..., None, :], signs)], axis=-1)
+    return Observables(sx=c.real, sy=c.imag, sz=sz, q=0.5 - sz, norm=np.sqrt(high.sum(-1)), t=t)
 
 
 def new_basis_state(L: int, bits) -> StateVector:

@@ -1,5 +1,6 @@
 """Tests for state-vector storage, basis conventions and observables."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,6 +33,34 @@ def dense_spins(L):
 def expectations(amp, spins):
     """<psi|S^a_j|psi> for every (j, a) in ``spins``, each by a dense matrix-vector product."""
     return {key: np.vdot(amp, op @ amp).real for key, op in spins.items()}
+
+
+PAULI_HALF = {"x": np.array([[0, 1], [1, 0]]) / 2,
+              "y": np.array([[0, -1j], [1j, 0]]) / 2,
+              "z": np.array([[1, 0], [0, -1]]) / 2}
+
+
+def reduced_expectations(amp):
+    """tr(rho_j S^a) per qubit j and axis a, and the norm, from each qubit's 2x2 reduced density matrix.
+
+    rho_j contracts the (2,)*L tensor of ``amp`` with its conjugate over every
+    axis but qubit j's, which is axis L - j (qubit 1 is the least significant bit).
+    """
+    L = amp.size.bit_length() - 1
+    psi = amp.reshape((2,) * L)
+    out = {}
+    for j in range(1, L + 1):
+        others = [ax for ax in range(L) if ax != L - j]
+        rho = np.tensordot(psi, psi.conj(), axes=(others, others))
+        for a, op in PAULI_HALF.items():
+            out[j, a] = np.trace(rho @ op).real
+    out["norm"] = np.sqrt(np.trace(rho).real)  # every qubit's rho has the squared norm as its trace
+    return out
+
+
+def random_registers(rng, shape):
+    amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return amp / np.linalg.norm(amp, axis=-1, keepdims=True)
 
 
 class TestBasisState:
@@ -187,6 +216,44 @@ class TestObservables:
                 assert abs(obs.sz[i, j - 1] - expected[j, "z"]) <= 1e-15
             assert abs(obs.norm[i] - s.norm()) <= 1e-15
         assert np.array_equal(obs.q, 0.5 - obs.sz)
+
+    @pytest.mark.parametrize("L", range(1, 13))
+    @pytest.mark.parametrize("lead", [(), (0,), (3,), (2, 3)])
+    def test_matches_reduced_density_matrices(self, L, lead):
+        # an oracle sharing no code with the kernel, past the sizes dense S^a_j reach and at odd L
+        amp = random_registers(np.random.default_rng(700 + L), lead + (1 << L,))
+        obs = observables_of(amp, 0.0)
+        for name in ("sx", "sy", "sz", "q"):
+            assert getattr(obs, name).shape == lead + (L,)
+        assert np.shape(obs.norm) == lead
+        for idx in np.ndindex(lead):
+            expected = reduced_expectations(amp[idx])
+            for j in range(1, L + 1):
+                assert abs(obs.sx[idx][j - 1] - expected[j, "x"]) <= 1e-15
+                assert abs(obs.sy[idx][j - 1] - expected[j, "y"]) <= 1e-15
+                assert abs(obs.sz[idx][j - 1] - expected[j, "z"]) <= 1e-15
+            assert abs(obs.norm[idx] - expected["norm"]) <= 1e-15
+        assert np.array_equal(obs.q, 0.5 - obs.sz)
+
+    @pytest.mark.parametrize("L", range(1, 12))
+    def test_batch_rows_are_bitwise_one_state_calls(self, L):
+        # the in-place path reads amp[None] and StateVector.observables reads amp: both must give the same bytes
+        amp = random_registers(np.random.default_rng(800 + L), (4, 1 << L))
+        obs = observables_of(amp, 0.0)
+        for i in range(len(amp)):
+            one = observables_of(amp[i], 0.0)
+            for name in ("sx", "sy", "sz", "q", "norm"):
+                assert np.array_equal(getattr(obs, name)[i], getattr(one, name))
+
+    def test_holds_one_transposed_copy(self):
+        amp = random_registers(np.random.default_rng(16), (1 << 16,))
+        tracemalloc.start()
+        try:
+            observables_of(amp, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * amp.nbytes
 
 
 class TestQubitValues:
