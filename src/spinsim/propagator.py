@@ -41,15 +41,35 @@ With couplings on z only (the NMR machine, a driven chain) a substep is a
 z multiply, one pass and a z multiply.
 
 A pass applies its per-qubit gates _GATE_BLOCK qubits at a time: each block
-is one matmul with the 16 x 16 matrix kron(g_lo+3, ..., g_lo) on a reshaped
-view of the register (fewer factors for the last block), alternating
-between the register and one scratch buffer. Milliseconds per pass of
-random per-qubit gates, one BLAS thread, median of five runs of the best of
-seven, on a 2-core VM shared with other tenants:
+is one matmul with a 16 x 16 Kronecker product on a reshaped view of the
+register (fewer factors for the last block), alternating between the
+register and one scratch buffer. Only the lowest block, kron(g_3, ..., g_0),
+is complex: it contracts the contiguous axis, where a real block would save
+nothing. Above it each gate splits as g = Z(u) R Z(v) with Z(w) =
+diag(e^{iw}, e^{-iw}) and R real (u + v = arg alpha and u - v = arg beta,
+mod pi). u and v are reduced mod pi/2: Z(pi/2) = i sigma_z puts its sigma_z
+into R and its i into a scalar that the lowest block takes. The blocks of R
+are real matmuls on the float64 view of the register, half the arithmetic
+of a complex block. The Z phases are diagonal, so they commute with the
+multipliers. Where they do not change over an operation (every pass of the
+benchmark's workloads: the quarter-turns, a drive on one uncoupled
+transverse axis) the multipliers beside a pass hold them as extra field,
+built once with the multiplier, and no vector is added. Where they vary
+(RF on a coupled axis or on z, RF on two uncoupled transverse axes) or no
+multiplier is beside the pass, they are a row scaling of the register
+viewed as (2^(L-4), 16), built one substep at a time. Milliseconds per
+block, by its lowest bit, one BLAS thread, median of five runs of the
+best of seven, on a 2-core VM shared with other tenants:
 
-    qubits per block     1      2      3      4      5
-    L=16              10.1    2.8    1.4    1.2    1.3
-    L=20               192     60     36     33     34
+    lowest bit        0      4      8     12     16
+    L=16 complex    0.24   0.34   0.33   0.30
+    L=16 real              0.10   0.15   0.17
+    L=20 complex    5.8    6.7    6.0    5.9    8.2
+    L=20 real              3.3    2.9    4.0    4.6
+
+A pass of random gates whose phases fold takes 0.66 ms at L=16 and 22 ms
+at L=20, against 1.74 and 40 ms with every block complex; a row scaling adds
+0.25 ms (0.09 ms of it the multiply) and 2.7 ms.
 
 The Hamiltonian carries an overall minus sign in front of both the coupling
 and field sums, so exp(-i*theta*H) multiplies amplitude n by the positive
@@ -93,7 +113,6 @@ amplitudes."""
 from __future__ import annotations
 
 import collections
-import itertools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -110,6 +129,8 @@ _INVERSE = {"Rx": "Rx+", "Rx+": "Rx", "Ry": "Ry+", "Ry+": "Ry"}
 _ORDER = ((2, 0.5), "Rx+", (1, 0.5), "Rx", "Ry+", (0, 1.0), "Ry", "Rx+", (1, 0.5), "Rx", (2, 0.5))
 #: Qubits per matmul of a global gate pass; see the module docstring.
 _GATE_BLOCK = 4
+#: Largest imaginary part of a real pass factor that _split drops as rounding.
+_ROUNDING = 1e-14
 
 #: Largest register stepped by batched step matrices; see the module docstring.
 _BATCH_MAX_DIM = 16
@@ -140,7 +161,8 @@ class KernelCounters:
     program runs on. A substep adds one diagonal sweep per coupling
     multiplier it applies, one global rotation per global pass (see the
     module docstring for both), and L gate kernel calls per pass (the
-    per-qubit gates, although one matmul covers a block of qubits). Per axis
+    per-qubit gates, although one matmul covers a block of qubits); a row
+    scaling is part of its pass, not a diagonal sweep. Per axis
     factor (z and y twice, x once) it adds one pair term per nonzero coupling
     and one field term per qubit with a static or RF field on that axis,
     whether a multiplier or a pass applies it. A chunk of n substeps adds n
@@ -323,51 +345,122 @@ def _axis_multiplier(L: int, coupling: np.ndarray, field: np.ndarray) -> np.ndar
     return mult
 
 
-def _gate_blocks(alpha, beta, L: int, group: int = _GATE_BLOCK) -> list:
-    """Kronecker blocks of per-qubit gates g_j = [[alpha_j, beta_j], [-conj(beta_j), conj(alpha_j)]].
+def _split(alpha, beta, u0, v0) -> tuple:
+    """Each gate g = [[alpha, beta], [-conj(beta), conj(alpha)]] as c Z(u) R Z(v), Z(w) = diag(e^{iw}, e^{-iw}).
+
+    Returns (c, R, u, v): R real with shape (..., 2, 2) and c in {1, i}. Where
+    g allows it (u = u0 and v = v0 mod pi/2, up to _ROUNDING) u and v are the
+    targets u0 and v0; elsewhere they are g's own phases, u +- v = arg alpha,
+    arg beta, reduced mod pi/2. Z(pi/2) = i sigma_z puts its sigma_z into R
+    and its i into c.
+    """
+    alpha, beta, u0, v0 = np.broadcast_arrays(alpha, beta, u0, v0)
+
+    def fit(u, v):  # g's real part R in the frame of Z(u), Z(v), up to c
+        p, q = alpha * np.exp(-1j * (u + v)), beta * np.exp(-1j * (u - v))
+        c = np.where(np.abs(p.real) + np.abs(q.real) >= np.abs(p.imag) + np.abs(q.imag), 1.0 + 0j, 1j)
+        return c, p * np.conj(c), q * np.conj(c)
+
+    c, p, q = fit(u0, v0)
+    fits = np.abs(p.imag) + np.abs(q.imag) <= _ROUNDING
+    if not fits.all():
+        a, b = np.angle(alpha), np.angle(beta)
+        own = 0.5 * np.array([a + b, a - b])
+        own -= 0.5 * np.pi * np.round(own / (0.5 * np.pi))
+        u0, v0 = np.where(fits, u0, own[0]), np.where(fits, v0, own[1])
+        c, p, q = fit(u0, v0)
+    p, q, s = p.real, q.real, (c * c).real  # s = -1 where c = i: R is then a reflection
+    return c, np.stack([np.stack([p, q], -1), np.stack([-s * q, s * p], -1)], -2), u0, v0
+
+
+def _kron(g: np.ndarray) -> np.ndarray:
+    """kron(g[..., n-1, :, :], ..., g[..., 0, :, :]) of per-qubit 2x2 matrices, so its row index counts their bits."""
+    blk = g[..., 0, :, :]
+    for q in range(1, g.shape[-3]):
+        size = 2 * blk.shape[-1]
+        blk = (g[..., q, :, None, :, None] * blk[..., None, :, None, :]).reshape(blk.shape[:-2] + (size, size))
+    return blk
+
+
+def _gate_blocks(alpha, beta, L: int, u0=0.0, v0=0.0) -> tuple:
+    """One pass of per-qubit gates g_j = [[alpha_j, beta_j], [-conj(beta_j), conj(alpha_j)]], as (blocks, before, after).
 
     ``alpha`` and ``beta`` broadcast to (..., L); leading axes (one per
-    substep) carry into every block. Block b is kron(g_hi-1, ..., g_lo) over
-    qubits lo = b * group up to hi, so its row index counts those bits.
+    substep) carry into every part. The gate of each qubit j >= _GATE_BLOCK
+    splits as c Z(u) R Z(v) (``_split``, targets ``u0`` and ``v0`` per such
+    qubit). Block 0 is the complex kron(g_3, ..., g_0) of the lowest qubits
+    times the product of the c; each further block is the real
+    kron(R_lo+3, ..., R_lo) of the next _GATE_BLOCK qubits (fewer for the last).
+    ``before`` and ``after`` are the phases v - v0 and u - u0 of those
+    qubits, or None where they are all 0. ``_global_gate`` so applies the
+    gates with Z(u0) and Z(v0) taken off, which the multipliers around the
+    pass hold; with the default targets 0 it applies the gates themselves.
     """
     shape = np.broadcast_shapes(np.shape(alpha), np.shape(beta), (L,))
-    g = np.empty(shape + (2, 2), dtype=np.complex128)
-    g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1] = alpha, beta, -np.conj(beta), np.conj(alpha)
-    blocks = []
-    for lo in range(0, L, group):
-        blk = g[..., lo, :, :]
-        for q in range(lo + 1, min(lo + group, L)):
-            size = 2 * blk.shape[-1]
-            blk = (g[..., q, :, None, :, None] * blk[..., None, :, None, :]).reshape(shape[:-1] + (size, size))
-        blocks.append(blk)
-    return blocks
+    alpha, beta, low = np.broadcast_to(alpha, shape), np.broadcast_to(beta, shape), min(L, _GATE_BLOCK)
+    g = np.empty(shape[:-1] + (low, 2, 2), dtype=np.complex128)
+    a, b = alpha[..., :low], beta[..., :low]
+    g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1] = a, b, -np.conj(b), np.conj(a)
+    if L == low:
+        return [_kron(g)], None, None
+    c, r, u, v = _split(alpha[..., low:], beta[..., low:], u0, v0)
+    blocks = [_kron(g) * np.prod(c, axis=-1)[..., None, None]]
+    blocks += [_kron(r[..., lo:lo + _GATE_BLOCK, :, :]) for lo in range(0, L - low, _GATE_BLOCK)]
+    before, after = v - v0, u - u0
+    return blocks, (before if before.any() else None), (after if after.any() else None)
 
 
-def _global_gate(amp: np.ndarray, blocks: list) -> None:
-    """Apply per-qubit gates to every register in ``amp``, in place.
+def _scale_rows(amp: np.ndarray, phases) -> None:
+    """Multiply every register in ``amp`` by (x)_j Z(phases_j) over the qubits above the lowest block, in place.
+
+    The register is viewed as (2^(L-4), 16) rows and the row scaling is a
+    product-form vector of 2^(L-4) entries (``_axis_multiplier``), built one
+    register at a time when ``phases`` has a leading axis over axis 0 of
+    ``amp``. None does nothing.
+    """
+    if phases is None:
+        return
+    if phases.ndim > 1:
+        for registers, row in zip(amp, phases):
+            _scale_rows(registers, row)
+        return
+    h = phases.size
+    rows = _axis_multiplier(h, np.zeros((h, h)), 2.0 * phases)
+    view = amp.reshape(amp.shape[:-1] + (rows.size, -1))
+    view *= rows[:, None]
+
+
+def _global_gate(amp: np.ndarray, blocks: list, before=None, after=None) -> None:
+    """Apply one pass of ``_gate_blocks`` to every register in ``amp``, in place.
 
     The last axis of ``amp`` is the register and leading axes are a batch.
-    ``blocks`` come from ``_gate_blocks``; a block with no leading axes acts
-    on every register, one with a leading axis of length n on the n
-    registers (or n stacks) along axis 0. Each block is one matmul on a
-    reshaped view, from the buffer holding the current result into the other
-    of ``amp`` and one scratch buffer, and the result is copied back into
-    ``amp`` only after an odd number of blocks.
+    A part with no leading axes acts on every register, one with a leading
+    axis of length n on the n registers (or n stacks) along axis 0. The
+    row scaling ``before`` comes first and ``after`` last. Each block is one
+    matmul on a reshaped view, from the buffer holding the current result
+    into the other of ``amp`` and one scratch buffer: block 0 contracts the
+    contiguous complex axis, and each real block acts on the float64 view,
+    whose real and imaginary parts it treats alike at half the arithmetic of
+    a complex block. The result is copied back into ``amp`` only after an
+    odd number of blocks.
     """
     if not amp.flags.c_contiguous:  # the reshapes below must be views
         raise ValueError("amplitude array must be C-contiguous")
+    _scale_rows(amp, before)
     src, dst, lo = amp, np.empty_like(amp), 0
     for blk in blocks:
         size, lead = blk.shape[-1], blk.shape[:-2]
         if lo == 0:
             np.matmul(src.reshape(lead + (-1, size)), blk.swapaxes(-1, -2), out=dst.reshape(lead + (-1, size)))
         else:
-            shape = lead + (-1, size, 1 << lo)
-            np.matmul(blk[..., None, :, :], src.reshape(shape), out=dst.reshape(shape))
+            shape = lead + (-1, size, 2 << lo)
+            np.matmul(blk[..., None, :, :], src.view(np.float64).reshape(shape),
+                      out=dst.view(np.float64).reshape(shape))
         lo += size.bit_length() - 1
         src, dst = dst, src
     if src is not amp:
         amp[...] = src
+    _scale_rows(amp, after)
 
 
 def global_half_pi_rotation(state: StateVector, axis: str, inverse: bool = False) -> StateVector:
@@ -378,8 +471,19 @@ def global_half_pi_rotation(state: StateVector, axis: str, inverse: bool = False
     """
     if axis not in ("x", "y"):
         raise ValueError(f"rotation axis must be 'x' or 'y', got {axis!r}")
-    _global_gate(state.amp, _gate_blocks(*_TURN[f"R{axis}+" if inverse else f"R{axis}"], state.L))
+    _global_gate(state.amp, *_gate_blocks(*_TURN[f"R{axis}+" if inverse else f"R{axis}"], state.L))
     return state
+
+
+@dataclass
+class _Pass:
+    """One global pass of a step program: its factors in application order and,
+    for the qubits above the lowest block, the phases u0 and v0 of its gates
+    that the multipliers after and before it hold (``_gate_blocks``)."""
+
+    factors: list
+    u0: np.ndarray | float = 0.0
+    v0: np.ndarray | float = 0.0
 
 
 class _StepProgram:
@@ -389,11 +493,13 @@ class _StepProgram:
     program and ``evolve_eo`` reuses one program for every substep, on the
     state itself or on a stack of step matrices. ``ops`` lists in
     application order the cached multiplier vector of each axis that has one
-    and the global passes between them, by the compile rule in the module
-    docstring. A pass is a list of quarter-turn keys and (axis, theta) field
-    factors diag(exp(i theta h_j/2), exp(-i theta h_j/2)), h_j being the part
-    of qubit j's field on that axis that no multiplier holds, kept per axis
-    in ``fields`` as (static, RF amplitude or None, frequency, phase).
+    and the global passes (``_Pass``) between them, by the compile rule in
+    the module docstring. A pass's factors are quarter-turn keys and (axis,
+    theta) field factors diag(exp(i theta h_j/2), exp(-i theta h_j/2)), h_j
+    being the part of qubit j's field on that axis that no multiplier holds,
+    kept per axis in ``fields`` as (static, RF amplitude or None, frequency,
+    phase). Each multiplier also holds, as extra field on the qubits above
+    the lowest block, the z phases of the passes beside it (``_fold``).
     """
 
     __slots__ = ("L", "dim", "fields", "ops", "counts")
@@ -411,7 +517,7 @@ class _StepProgram:
              model.rf_freq[:, a], model.rf_phase[:, a])
             for a in range(3)
         ]
-        mult: dict = {}
+        thetas: dict = {}
         self.ops, pending = [], []
 
         def push(factor):
@@ -424,7 +530,7 @@ class _StepProgram:
 
         def flush():
             if pending:
-                self.ops.append(pending.copy())
+                self.ops.append(_Pass(pending.copy()))
                 pending.clear()
 
         for item in _ORDER:
@@ -441,13 +547,16 @@ class _StepProgram:
                 field = None
             if multiplied[a]:
                 flush()
-                if a not in mult:  # an axis's share of delta is the same at each occurrence
-                    mult[a] = _axis_multiplier(L, theta * coupling[:, :, a], theta * static[:, a])
-                self.ops.append(mult[a])
+                thetas[a] = theta  # an axis's share of delta is the same at each occurrence
+                self.ops.append(a)  # the axis's multiplier, built below
                 if field:
                     push(field)
         flush()
-        passes = sum(isinstance(op, list) for op in self.ops)
+        extra = self._fold(delta)
+        mult = {a: _axis_multiplier(L, theta * coupling[:, :, a], theta * static[:, a] + extra.get(a, 0.0))
+                for a, theta in thetas.items()}
+        self.ops = [mult[op] if isinstance(op, int) else op for op in self.ops]
+        passes = sum(isinstance(op, _Pass) for op in self.ops)
         visits = np.array([1, 2, 2])  # of the x, y and z factors per substep
         self.counts = {
             "diagonal_sweeps": len(self.ops) - passes,
@@ -457,18 +566,58 @@ class _StepProgram:
             "field_terms": int(visits @ np.count_nonzero((static != 0.0) | (rf_amp != 0.0), axis=0)),
         }
 
+    def _fold(self, delta: float) -> dict:
+        """Set each pass's targets u0, v0; returns the extra field of each axis's multiplier.
+
+        Between two passes (or a pass and the end of the step) lies a gap of
+        multipliers. The phases Z(u) of the pass before a gap and Z(v) of the
+        pass after it, taken from their gates at the first two midpoints,
+        commute with the gap's multipliers, so the first gap an axis occurs in
+        sets its multiplier's share of their sum; a gap with no multiplier
+        holds nothing. Each pass then targets what its gaps hold. A pass whose
+        phases match those targets (mod pi/2) at a substep is a real pass;
+        elsewhere ``_gate_blocks`` puts the difference into row scalings.
+        """
+        low = min(self.L, _GATE_BLOCK)
+        if self.L == low:  # no qubit above the lowest block
+            return {}
+        held, prev, gap, high = {}, None, [], np.arange(self.L - low)
+        for op in self.ops:
+            if isinstance(op, _Pass):
+                alpha, beta = (np.broadcast_to(x, (2, self.L))[:, low:]
+                               for x in self.gates(op.factors, [0.5 * delta, 1.5 * delta]))
+                # per qubit, the midpoint whose gate fixes both phases better:
+                # a drive may be at a zero of its sine at the first
+                k = np.argmax(np.minimum(np.abs(alpha), np.abs(beta)), axis=0)
+                op.u0, op.v0 = _split(alpha[k, high], beta[k, high], 0.0, 0.0)[2:]
+        for op in self.ops + [None]:
+            if isinstance(op, int):
+                gap.append(op)
+                continue
+            need = (prev.u0 if prev else 0.0) + (op.v0 if op else 0.0)
+            for a in gap:
+                held.setdefault(a, need / len(gap))
+            total = sum(held[a] for a in gap)
+            if prev and not op:
+                prev.u0 = total
+            if op:
+                op.v0 = total - (prev.u0 if prev else 0.0)
+            prev, gap = op, []
+        return {a: np.concatenate([np.zeros(low), 2.0 * np.broadcast_to(phase, (self.L - low,))])
+                for a, phase in held.items()}
+
     def count(self, n: int) -> None:
         """Add n substeps to the kernel counters."""
         for name, per_substep in self.counts.items():
             setattr(counters, name, getattr(counters, name) + n * per_substep)
 
-    def pass_blocks(self, factors: list, t_mid, group: int = _GATE_BLOCK) -> list:
-        """Kronecker blocks of one pass at midpoint time(s) ``t_mid``.
+    def gates(self, factors: list, t_mid) -> tuple:
+        """(alpha, beta) of each qubit's gate of one pass at midpoint time(s) ``t_mid``.
 
         Every factor is in SU(2), so each qubit's gate is kept as its (alpha,
         beta) and composing is a few elementwise products over all qubits and
-        substeps at once. The blocks have no leading axis unless an RF field
-        makes them vary.
+        substeps at once. They have no leading axis unless an RF field makes
+        them vary.
         """
         t = np.asarray(t_mid)[..., None]
         alpha, beta = 1.0 + 0j, 0j
@@ -481,20 +630,31 @@ class _StepProgram:
                 static, amp, freq, phase = self.fields[axis]
                 e = np.exp(0.5j * theta * (static if amp is None else static + amp * np.sin(freq * t + phase)))
                 alpha, beta = e * alpha, e * beta
-        return _gate_blocks(alpha, beta, self.L, group)
+        return alpha, beta
 
-    def substep_blocks(self, t_mid) -> list:
-        """The blocks of every pass at each of the midpoint times, one list per substep."""
-        per_pass = (self.pass_blocks(op, t_mid) for op in self.ops if isinstance(op, list))
-        split = (zip(*b) if b[0].ndim > 2 else itertools.repeat(b) for b in per_pass)
-        return [blocks for _, *blocks in zip(t_mid, *split)]
+    def pass_parts(self, t_mid) -> list:
+        """The ``_gate_blocks`` of every pass at midpoint time(s) ``t_mid``."""
+        return [_gate_blocks(*self.gates(op.factors, t_mid), self.L, op.u0, op.v0)
+                for op in self.ops if isinstance(op, _Pass)]
 
-    def apply(self, amp: np.ndarray, blocks, ops=None) -> None:
-        """Run ``ops`` (all of them by default) on ``amp`` in place, the passes taking ``blocks`` in turn."""
-        blocks = iter(blocks)
+    def substep_parts(self, t_mid) -> list:
+        """The ``_gate_blocks`` of every pass at each of the midpoint times, one list per substep."""
+        parts = self.pass_parts(t_mid)
+
+        def at(part, i):
+            blocks, *rows = part
+            if blocks[0].ndim == 2:
+                return part
+            return [blk[i] for blk in blocks], *(w if w is None else w[i] for w in rows)
+
+        return [[at(part, i) for part in parts] for i in range(len(t_mid))]
+
+    def apply(self, amp: np.ndarray, parts, ops=None) -> None:
+        """Run ``ops`` (all of them by default) on ``amp`` in place, the passes taking ``parts`` in turn."""
+        parts = iter(parts)
         for op in self.ops if ops is None else ops:
-            if isinstance(op, list):
-                _global_gate(amp, next(blocks))
+            if isinstance(op, _Pass):
+                _global_gate(amp, *next(parts))
             else:
                 amp *= op
 
@@ -502,16 +662,20 @@ class _StepProgram:
         """Transposed step matrices at the given midpoint times, shape (n, dim, dim).
 
         Row k of entry i is the step at ``t_mid[i]`` applied to basis state
-        k, so a state advances by one substep as ``amp @ result[i]``. Each
-        pass is one block over the whole register; the stack starts as
-        diag(multipliers before the first pass) times its transposed block.
+        k, so a state advances by one substep as ``amp @ result[i]``. The
+        stack starts as diag(multipliers before the first pass), times the
+        transposed first pass when that is one block (L <= _GATE_BLOCK).
         """
-        blocks = [self.pass_blocks(op, t_mid, self.L) for op in self.ops if isinstance(op, list)]
-        first = next((k for k, op in enumerate(self.ops) if isinstance(op, list)), len(self.ops))
+        parts = self.pass_parts(t_mid)
+        first = next((k for k, op in enumerate(self.ops) if isinstance(op, _Pass)), len(self.ops))
         lead = np.prod([np.ones(self.dim)] + self.ops[:first], axis=0)
         steps = np.empty((len(t_mid), self.dim, self.dim), dtype=np.complex128)
-        np.multiply(lead[:, None], blocks[0][0].swapaxes(-1, -2) if blocks else np.eye(self.dim), out=steps)
-        self.apply(steps, blocks[1:], self.ops[first + 1:])
+        if parts and self.L <= _GATE_BLOCK:
+            np.multiply(lead[:, None], parts.pop(0)[0][0].swapaxes(-1, -2), out=steps)
+            first += 1
+        else:
+            steps[...] = np.diag(lead)
+        self.apply(steps, parts, self.ops[first:])
         return steps
 
 
@@ -526,7 +690,7 @@ def symmetrized_step(state: StateVector, model: SpinModel, delta: float, t: floa
         raise ValueError(f"model has L={model.L} but state has L={state.L}")
     prog = _StepProgram(model, delta)
     prog.count(1)
-    prog.apply(state.amp, prog.substep_blocks([t + 0.5 * delta])[0])
+    prog.apply(state.amp, prog.substep_parts([t + 0.5 * delta])[0])
     return state
 
 
@@ -679,8 +843,8 @@ def evolve_eo(
     for lo in range(0, plan.m, chunk):
         hi = min(lo + chunk, plan.m)
         prog.count(hi - lo)
-        for n, blocks in enumerate(prog.substep_blocks((np.arange(lo, hi) + 0.5) * delta), lo + 1):
-            prog.apply(state.amp, blocks)
+        for n, substep in enumerate(prog.substep_parts((np.arange(lo, hi) + 0.5) * delta), lo + 1):
+            prog.apply(state.amp, substep)
             if n in wanted:
                 parts.append(observables_of(state.amp[None], np.array([t0 + n * delta])))
     return state, _concatenate(parts, state.dim)

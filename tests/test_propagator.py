@@ -189,7 +189,11 @@ class TestGlobalRotation:
 
 
 class TestGlobalGate:
-    """The blocked global gate pass against the dense product of single-qubit embeddings."""
+    """The mixed global gate pass against the dense product of single-qubit embeddings.
+
+    Above the lowest four qubits each gate is split into real blocks and row
+    scalings (``_gate_blocks`` with the targets 0), so every case also runs
+    the real kernel and, for gates with phases, the row scalings."""
 
     GATES = {
         "Rx": ROT_X,
@@ -200,7 +204,7 @@ class TestGlobalGate:
     }
 
     @staticmethod
-    def blocks(g, L):
+    def parts(g, L):
         # every gate here is in SU(2), fixed by its first row
         return _gate_blocks(g[0, 0], g[0, 1], L)
 
@@ -223,7 +227,7 @@ class TestGlobalGate:
         for shape in shapes:
             amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             expected = self.oracle(g, L, amp)
-            _global_gate(amp, self.blocks(g, L))
+            _global_gate(amp, *self.parts(g, L))
             assert np.max(np.abs(amp - expected)) < 1e-13
 
     @pytest.mark.parametrize("L", range(1, 11))
@@ -239,7 +243,7 @@ class TestGlobalGate:
             for j in range(L):
                 g = np.array([[alpha[r, j], beta[r, j]], [-np.conj(beta[r, j]), np.conj(alpha[r, j])]])
                 expected[r] = embed_single(g, j + 1, L) @ expected[r]
-        _global_gate(amp, _gate_blocks(alpha, beta, L))
+        _global_gate(amp, *_gate_blocks(alpha, beta, L))
         assert np.max(np.abs(amp - expected)) < 1e-13
 
     @pytest.mark.parametrize("L", [3, 9])  # one block and three blocks
@@ -254,14 +258,145 @@ class TestGlobalGate:
         rng = np.random.default_rng(L)
         batch = rng.normal(size=(3, 1 << L)) + 1j * rng.normal(size=(3, 1 << L))
         before = batch.copy()
-        _global_gate(batch[1], self.blocks(ROT_X.conj().T, L))
+        _global_gate(batch[1], *self.parts(ROT_X.conj().T, L))
         assert np.array_equal(batch[[0, 2]], before[[0, 2]])
         assert np.max(np.abs(batch[1] - self.oracle(ROT_X.conj().T, L, before[1]))) < 1e-13
 
     def test_rejects_a_strided_operand(self):
         amp = np.zeros((4, 8), dtype=complex)
         with pytest.raises(ValueError, match="contiguous"):
-            _global_gate(amp[:, ::2], self.blocks(ROT_X, 3))
+            _global_gate(amp[:, ::2], *self.parts(ROT_X, 3))
+
+
+def quarter_turn_products(n):
+    """(alpha, beta) of every product of up to n of the quarter-turns in _TURN."""
+    products = [(1.0 + 0j, 0j)]
+    for k in range(n):
+        for alpha, beta in products[-4**k:]:  # the products of k turns
+            for a, b in propagator._TURN.values():
+                products.append((a * alpha - b * np.conj(beta), a * beta + b * np.conj(alpha)))
+    return np.array(products).T
+
+
+def z_phase(w):
+    """Z(w) = diag(e^{iw}, e^{-iw}) for each entry of w."""
+    zero = np.zeros_like(w)
+    return np.stack([np.stack([np.exp(1j * w), zero], -1), np.stack([zero, np.exp(-1j * w)], -1)], -2)
+
+
+class TestSplit:
+    """_split: every SU(2) gate is c Z(u) R Z(v), R real, c in {1, i}, on the targets where g allows."""
+
+    @staticmethod
+    def gates(alpha, beta):
+        return np.stack([np.stack([alpha, beta], -1), np.stack([-np.conj(beta), np.conj(alpha)], -1)], -2)
+
+    def assert_rebuilds(self, alpha, beta, u0=0.0, v0=0.0):
+        c, r, u, v = propagator._split(alpha, beta, u0, v0)
+        assert r.dtype == np.float64 and np.all((c == 1) | (c == 1j))
+        rebuilt = c[..., None, None] * z_phase(u) @ r @ z_phase(v)
+        assert np.max(np.abs(rebuilt - self.gates(alpha, beta))) < 1e-15
+        return u, v
+
+    def test_random_gates(self):
+        rng = np.random.default_rng(600)
+        q = rng.normal(size=(2, 500)) + 1j * rng.normal(size=(2, 500))
+        alpha, beta = q / np.linalg.norm(q, axis=0)
+        u, v = self.assert_rebuilds(alpha, beta)
+        # the targets 0 fit no random gate: u and v are its own phases, reduced mod pi/2
+        assert np.all(np.abs(np.concatenate([u, v])) <= np.pi / 4 + 1e-15)
+        # targets its own phases moved by quarter turns fit, and are kept
+        u0, v0 = u + rng.integers(-1, 2, u.size) * np.pi / 2, v + rng.integers(-1, 2, v.size) * np.pi / 2
+        assert all(np.array_equal(x, x0) for x, x0 in zip(self.assert_rebuilds(alpha, beta, u0, v0), (u0, v0)))
+
+    @pytest.mark.parametrize("zero", ["alpha", "beta"])
+    def test_diagonal_and_off_diagonal_gates(self, zero):
+        w = np.linspace(-4.0, 4.0, 41)
+        alpha, beta = (np.zeros(41), np.exp(1j * w)) if zero == "alpha" else (np.exp(1j * w), np.zeros(41))
+        self.assert_rebuilds(alpha, beta)
+        # the phase that alpha = 0 leaves free is u + v, beta = 0 leaves u - v:
+        # any target fits that matches the other one
+        u0 = np.full(41, 0.3)
+        v0 = u0 - w if zero == "alpha" else w - u0
+        u, v = self.assert_rebuilds(alpha, beta, u0, v0)
+        assert np.array_equal(u, u0) and np.array_equal(v, v0)
+
+    def test_every_product_of_quarter_turns(self):
+        alpha, beta = quarter_turn_products(4)
+        assert alpha.size == 1 + 4 + 16 + 64 + 256
+        self.assert_rebuilds(alpha, beta)
+        # one turn about x or y (or none) is u, v = +-pi/4 or 0 mod pi/2
+        u, v = self.assert_rebuilds(alpha[:5], beta[:5])
+        for w in (u, v):
+            assert np.allclose(np.cos(4 * w) ** 2, 1.0, atol=1e-15)
+
+
+class TestFoldedPasses:
+    """The z phases of the benchmark's passes fold into the multipliers: no vector and no visit is added."""
+
+    L = 8
+
+    @classmethod
+    def all_pairs(cls, rng):
+        model = SpinModel(cls.L)
+        for ax in "xyz":
+            for j in range(1, cls.L + 1):
+                for k in range(j + 1, cls.L + 1):
+                    model.set_coupling(j, k, ax, rng.uniform(-1, 1))
+                model.set_static(j, ax, rng.uniform(-1, 1))
+        return model
+
+    @classmethod
+    def chain(cls, rng, drive):
+        model = SpinModel(cls.L)
+        for j in range(1, cls.L + 1):
+            if j < cls.L:
+                model.set_coupling(j, j + 1, "z", rng.uniform(-0.05, 0.05))
+            model.set_static(j, "z", 1 + j / cls.L)
+            model.set_rf(j, drive, rng.uniform(0.05, 0.15), 1 + j / cls.L)
+        return model
+
+    @staticmethod
+    def row_scalings(prog, t_mid):
+        return sum(w is not None for substep in prog.substep_parts(t_mid) for _, *rows in substep for w in rows)
+
+    @pytest.mark.parametrize("name, vectors, counts", [
+        ("all pairs", 3, {"diagonal_sweeps": 5, "global_rotations": 4, "gate_kernel_calls": 32,
+                          "pair_terms": 140, "field_terms": 40}),
+        ("chain x", 1, {"diagonal_sweeps": 2, "global_rotations": 1, "gate_kernel_calls": 8,
+                        "pair_terms": 14, "field_terms": 24}),
+        ("chain y", 1, {"diagonal_sweeps": 2, "global_rotations": 1, "gate_kernel_calls": 8,
+                        "pair_terms": 14, "field_terms": 32}),
+    ])
+    def test_vectors_counts_and_no_row_scaling(self, name, vectors, counts):
+        rng = np.random.default_rng(700)
+        model = self.all_pairs(rng) if name == "all pairs" else self.chain(rng, name[-1])
+        prog = propagator._StepProgram(model, 0.01)
+        assert len({id(op) for op in prog.ops if isinstance(op, np.ndarray)}) == vectors
+        assert prog.counts == counts
+        assert self.row_scalings(prog, (np.arange(40) + 0.5) * 0.01) == 0
+
+    def test_a_drive_at_a_zero_of_its_sine_still_folds(self):
+        # the chain's x drive phased so that its field is 0 at the first
+        # midpoint, where its pass is the identity and fixes no phase
+        model = self.chain(np.random.default_rng(720), "x")
+        delta = 0.01
+        model.rf_phase[:, 0] = -model.rf_freq[:, 0] * delta / 2
+        prog = propagator._StepProgram(model, delta)
+        assert self.row_scalings(prog, (np.arange(40) + 0.5) * delta) == 0
+
+    def test_varying_phases_are_row_scalings_not_sweeps(self):
+        # RF on the coupled z axis: its factors sit in the one pass between the
+        # z multipliers with phases that vary, so every substep row-scales on
+        # both sides of it; the counters stay logical visits
+        model = SpinModel(self.L).set_coupling(1, 2, "z", 0.3)
+        for j in range(1, self.L + 1):
+            model.set_rf(j, "z", 0.3, 1.1 + 0.1 * j, 0.2)
+        prog = propagator._StepProgram(model, 0.01)
+        assert self.row_scalings(prog, (np.arange(40) + 0.5) * 0.01) == 80
+        counters.reset()
+        evolve_eo(random_state(self.L, 710), ElementaryOperation("e", model, 0.4), 0.0, plan=StepPlan(40, 0.4))
+        assert (counters.diagonal_sweeps, counters.global_rotations) == (80, 40)
 
 
 class TestSymmetrizedStep:
@@ -405,7 +540,7 @@ class TestStepLayouts:
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
-        L=st.integers(1, 4),
+        L=st.integers(1, 6),
         coupled=st.sets(st.sampled_from("xyz")),
         static=st.sets(st.sampled_from("xyz")),
         rf=st.sets(st.sampled_from("xyz")),
@@ -414,7 +549,9 @@ class TestStepLayouts:
     def test_folded_step_property(self, L, coupled, static, rf, seed):
         # any coupled axes and any static and RF fields: one step is the
         # symmetric product of dense axis factors, and evolve_eo gives the
-        # same state by step matrices and in place
+        # same state by step matrices and in place. At L = 5 and 6 a pass has
+        # a real block above the lowest four qubits, whose z phases either
+        # fold into the multipliers or become row scalings
         rng = np.random.default_rng(seed)
         model = SpinModel(L)
         for ax in coupled:
@@ -430,7 +567,8 @@ class TestStepLayouts:
         eo = ElementaryOperation("e", model, 0.5)
         psi0 = random_state(L, seed + 1)
         by_matrices, in_place = psi0.copy(), psi0.copy()
-        evolve_eo(by_matrices, eo, 0.0, plan=StepPlan(5, eo.tau))
+        with mock.patch.object(propagator, "_BATCH_MAX_DIM", 64):
+            evolve_eo(by_matrices, eo, 0.0, plan=StepPlan(5, eo.tau))
         with mock.patch.object(propagator, "_BATCH_MAX_DIM", 1):
             evolve_eo(in_place, eo, 0.0, plan=StepPlan(5, eo.tau))
         assert np.max(np.abs(by_matrices.amp - in_place.amp)) < 1e-12
