@@ -69,7 +69,7 @@ best of seven, on a 2-core VM shared with other tenants:
 
 A pass of random gates whose phases fold takes 0.66 ms at L=16 and 22 ms
 at L=20, against 1.74 and 40 ms with every block complex; a row scaling adds
-0.25 ms (0.09 ms of it the multiply) and 2.7 ms.
+0.14 ms (0.07 ms of it building its vector) and about 3 ms.
 
 The Hamiltonian carries an overall minus sign in front of both the coupling
 and field sums, so exp(-i*theta*H) multiplies amplitude n by the positive
@@ -90,9 +90,9 @@ axis is the register and whose leading axes are a batch. An instruction's
 drive clock starts at its own start, so the gates of a chunk of substeps
 are built at once. Registers of up to 16 amplitudes (L <= 4) then get the
 chunk's step matrices in one batched pass, and a pairwise tree of batched
-matmuls multiplies the matrices between two samples into one piece. A
-sample, not a substep, costs one vector-matrix product, and a chunk's
-samples are read in one batched call. The pieces depend only on the
+matmuls and a running product make each piece the product from the
+operation's start to a sample. A chunk's samples are one batched product
+of the start state with its pieces. The pieces depend only on the
 operation, its plan and its sample stride, so run_sequence reuses them
 within a call. Larger registers are stepped in place, one substep
 at a time. The threshold rests on microseconds per substep, 512 substeps, in
@@ -112,7 +112,6 @@ amplitudes."""
 
 from __future__ import annotations
 
-import collections
 import math
 from dataclasses import dataclass, field, fields
 
@@ -240,7 +239,7 @@ class SpinModel:
         ):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite entries in {name}")
-        if not np.allclose(self.coupling, np.transpose(self.coupling, (1, 0, 2)), atol=0.0):
+        if not np.array_equal(self.coupling, np.transpose(self.coupling, (1, 0, 2))):
             raise ValueError("coupling must be symmetric in (j, k)")
         if np.any(np.diagonal(self.coupling, axis1=0, axis2=1) != 0.0):
             raise ValueError("diagonal couplings must be zero")
@@ -414,20 +413,18 @@ def _scale_rows(amp: np.ndarray, phases) -> None:
     """Multiply every register in ``amp`` by (x)_j Z(phases_j) over the qubits above the lowest block, in place.
 
     The register is viewed as (2^(L-4), 16) rows and the row scaling is a
-    product-form vector of 2^(L-4) entries (``_axis_multiplier``), built one
-    register at a time when ``phases`` has a leading axis over axis 0 of
-    ``amp``. None does nothing.
+    product-form vector of 2^(L-4) entries, one outer product per qubit. A
+    leading axis of ``phases`` runs over axis 0 of ``amp`` and carries into
+    the vector. None does nothing.
     """
     if phases is None:
         return
-    if phases.ndim > 1:
-        for registers, row in zip(amp, phases):
-            _scale_rows(registers, row)
-        return
-    h = phases.size
-    rows = _axis_multiplier(h, np.zeros((h, h)), 2.0 * phases)
-    view = amp.reshape(amp.shape[:-1] + (rows.size, -1))
-    view *= rows[:, None]
+    lead, z = phases.shape[:-1], np.exp(1j * np.stack([phases, -phases], -1))  # Z(w) per qubit
+    rows = np.ones(lead + (1,), dtype=np.complex128)
+    for j in range(phases.shape[-1]):  # qubit j above the block is bit j of the row index
+        rows = (z[..., j, :, None] * rows[..., None, :]).reshape(lead + (-1,))
+    view = amp.reshape(amp.shape[:-1] + (rows.shape[-1], -1))
+    view *= rows.reshape(lead + (1,) * (amp.ndim - 1 - len(lead)) + (-1, 1))
 
 
 def _global_gate(amp: np.ndarray, blocks: list, before=None, after=None) -> None:
@@ -757,35 +754,31 @@ def _concatenate(parts: list, dim: int) -> Observables:
     return Observables(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(Observables)))
 
 
-def _matrix_chunk(dim: int) -> int:
-    """Substeps per chunk of step matrices of a register of ``dim`` amplitudes."""
-    return max(1, _BATCH_ELEMENTS // dim**2)
-
-
 def _matrix_pieces(model: SpinModel, plan: StepPlan, at: np.ndarray):
-    """Yield per chunk of substeps (step program, substep count, sampled substep numbers, pieces):
-    the pairwise-tree products of the chunk's step matrices cut at each sample and at its end."""
+    """Yield per chunk of substeps (step program, substep count, sampled substep numbers, pieces): the
+    products of the step matrices from the operation's start to each sample, and in the last chunk to
+    its end; a pairwise tree between the cuts of a chunk, then a running product across chunks."""
     prog = _StepProgram(model, plan.delta)
-    chunk = _matrix_chunk(prog.dim)
+    chunk, carry = max(1, _BATCH_ELEMENTS // prog.dim**2), np.eye(prog.dim)
     for lo in range(0, plan.m, chunk):
         hi = min(lo + chunk, plan.m)
         first, last = np.searchsorted(at, (lo, hi), side="right")
         ends = np.union1d(at[first:last] - lo, hi - lo)
         steps = prog.step_matrices((np.arange(lo, hi) + 0.5) * plan.delta)
-        yield prog, hi - lo, at[first:last], _segment_products(steps, np.diff(ends, prepend=0))
+        products = _segment_products(steps, np.diff(ends, prepend=0))
+        for k, segment in enumerate(products):
+            carry = products[k] = carry @ segment
+        yield prog, hi - lo, at[first:last], products if hi == plan.m else products[:last - first].copy()
 
 
 def _replay(amp: np.ndarray, pieces, t0: float, delta: float) -> list:
-    """Advance ``amp`` by each piece of ``_matrix_pieces`` and count its substeps; returns each chunk's samples."""
-    parts = []
+    """Advance ``amp`` by the pieces of ``_matrix_pieces`` and count their substeps; returns each chunk's samples."""
+    start, parts = amp.copy(), []
     for prog, n, at, products in pieces:
         prog.count(n)
-        sampled = np.empty((len(at), amp.size), dtype=np.complex128)
-        for k, piece in enumerate(products):
-            amp[:] = amp @ piece
-            if k < len(at):
-                sampled[k] = amp
-        parts.append(observables_of(sampled, t0 + at * delta))
+        states = start @ products
+        parts.append(observables_of(states[:len(at)], t0 + at * delta))
+    amp[:] = states[-1]
     return parts
 
 
@@ -810,11 +803,12 @@ def evolve_eo(
     ``eo.tau``.
 
     A register of up to 16 amplitudes ``_replay``s the pieces of
-    ``_matrix_pieces``, which depend only on the model, the plan and
-    ``sample_at``. They are computed afresh unless ``pieces`` is a list: an
-    empty one is filled with them, and a filled one, from an earlier call with
-    the same operation, plan and ``sample_at``, is replayed, as run_sequence
-    does for a recurring operation. A larger register ignores ``pieces``: it
+    ``_matrix_pieces`` (products from the operation's start to each sample),
+    which depend only on the model, the plan and ``sample_at``. They are
+    computed afresh unless ``pieces`` is a list: an empty one is filled with
+    them, and a filled one, from an earlier call with the same operation,
+    plan and ``sample_at``, is replayed, as run_sequence does for a
+    recurring operation. A larger register ignores ``pieces``: it
     builds each chunk's pass blocks in one pass, applies each substep to the
     state and reads each sample as it is taken.
     """
@@ -865,13 +859,13 @@ def run_sequence(
     sampled about 200 times (once per substep if it has fewer). ``plans``,
     if given, holds one plan per operation (default ``auto_substeps``).
 
-    An operation object that occurs more than once in ``seq`` hands
+    An operation object that occurs again later in ``seq`` hands
     ``evolve_eo`` one ``pieces`` list per plan, in plain runs and doubling
     trials alike: its first run at a plan fills it, later ones replay it, and
-    it lives until the call returns. A list is made only while all kept
-    pieces hold at most _KEPT_ELEMENTS complex entries, counted as one piece
-    per sample and per chunk; past that, the operation computes its pieces at
-    that plan afresh. With a tolerance ``tol`` (finite, >= 0) each operation
+    it is dropped after the object's last position. A list is made only
+    while all kept pieces, one per sample, hold at most _KEPT_ELEMENTS
+    complex entries; past that, the operation computes its pieces at that
+    plan afresh. With a tolerance ``tol`` (finite, >= 0) each operation
     runs from the state the ones before it leave, at m and 2m substeps, each
     trial sampled. The step is second order, so the 2m trial's error is about
     |psi_2m - psi_m| / (2^2 - 1); m is doubled, at most MAX_DOUBLINGS times,
@@ -888,22 +882,22 @@ def run_sequence(
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
     plans = list(plans) if plans is not None else [auto_substeps(eo) for eo in seq.eos]
-    recurs, kept, held = collections.Counter(map(id, seq.eos)), {}, 0
+    last, kept = {id(eo): i for i, eo in enumerate(seq.eos)}, {}  # kept: (id of an operation, plan) -> pieces
     estimates = None if tol is None else [0.0] * len(seq)
     out = state.copy()
     parts = [observables_of(out.amp[None], np.array([0.0]))]
     step, eo_index, t = [0], [0], 0.0
 
     def advance(psi, eo, plan):  # returns psi, its sampled substep numbers and samples
-        nonlocal held
         stride = sample_every or max(1, round(plan.m / 200))
         at = list(range(stride, plan.m, stride)) + [plan.m]
-        key, size = (id(eo), plan), (len(at) + -(-plan.m // _matrix_chunk(psi.dim))) * psi.dim**2
-        if recurs[id(eo)] > 1 and key not in kept and held + size <= _KEPT_ELEMENTS:
-            kept[key], held = [], held + size
+        key, held = (id(eo), plan), sum(p.size for pieces in kept.values() for *_, p in pieces)
+        if last[id(eo)] > i and key not in kept and held + len(at) * psi.dim**2 <= _KEPT_ELEMENTS:
+            kept[key] = []
         return psi, at, evolve_eo(psi, eo, t, plan=plan, sample_at=at, pieces=kept.get(key))[1]
 
     for i, eo in enumerate(seq.eos):
+        kept = {key: pieces for key, pieces in kept.items() if last[key[0]] >= i}
         if eo.tau == 0.0:
             continue
         if tol is None:

@@ -227,7 +227,9 @@ class TestOtherCommands:
         assert "every operation under tol 0.0001" in out
 
     def test_converge_report_is_pinned(self, capsys):
-        # the whole report of one NMR preset, its wall-time line left out
+        # the whole report of one NMR preset, its wall-time line left out.
+        # One substep integrates Ipi (operations 7 and 12) exactly, so their
+        # estimates are |psi_2 - psi_1| / 3 of rounding alone, about 1e-16
         expected = """
         grover search: hardware=nmr item=2 init=12
           operations 16, substeps 44160, samples 17
@@ -241,12 +243,12 @@ class TestOtherCommands:
           operation  4: m = 5028, error estimate = 1.634e-05
           operation  5: m = 5028, error estimate = 1.634e-05
           operation  6: m = 5028, error estimate = 1.634e-05
-          operation  7: m = 2, error estimate = 8.275e-17
+          operation  7: m = 2, error estimate = 8.874e-17
           operation  8: m = 5028, error estimate = 1.634e-05
           operation  9: m = 5028, error estimate = 1.634e-05
           operation 10: m = 1280, error estimate = 1.258e-06
           operation 11: m = 1280, error estimate = 1.255e-06
-          operation 12: m = 2, error estimate = 9.703e-17
+          operation 12: m = 2, error estimate = 9.878e-17
           operation 13: m = 5028, error estimate = 1.634e-05
           operation 14: m = 5028, error estimate = 1.634e-05
           operation 15: m = 1280, error estimate = 1.257e-06

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -1095,17 +1096,31 @@ class TestPieceReuse:
         self.assert_same_run(shared, private)
 
     @pytest.mark.parametrize("L", [2, 4])
-    @pytest.mark.parametrize("pieces, built", [(14, 115), (8, 155), (5, 175)])
+    @pytest.mark.parametrize("pieces, built", [(12, 115), (7, 155), (4, 175)])
     def test_reuse_stays_within_the_memory_bound(self, L, pieces, built):
-        # a at m = 30 keeps 9 pieces (8 samples, 1 chunk), b at m = 20 keeps 6
-        # and a at m = 45 would keep 13, each of 2^L x 2^L entries, in the order
-        # they first run and until the call returns. With room for 14, a at 30
-        # is kept and b is built at both of its occurrences; with room for 8,
-        # a is built at all four and b once; with room for 5, every
-        # occurrence builds its own, as private copies do (95 with room for 15)
+        # a at m = 30 keeps 8 pieces (one per sample), b at m = 20 keeps 5
+        # and a at m = 45 would keep 12, each of 2^L x 2^L entries, in the order
+        # they first run and until the object's last position. With room for
+        # 12, a at 30 is kept and b is built at both of its occurrences; with
+        # room for 7, a is built at all four and b once; with room for 4, every
+        # occurrence builds its own, as private copies do (95 with room for 13)
         shared = self.run(L, shared=True, kept=pieces * 4**L)
         assert shared[3] == built
         self.assert_same_run(shared, self.run(L, shared=False))
+
+    def test_pieces_are_dropped_after_their_last_use(self):
+        # a at m = 30 keeps 8 pieces and b at m = 20 keeps 5; with room for 8,
+        # a is kept for its second run and then dropped, so b is kept for its
+        # second run too: 50 substeps built, against 70 were a kept to the end
+        a = ElementaryOperation("a", random_driven_model(2, 142), 0.9)
+        b = ElementaryOperation("b", random_driven_model(2, 152), 0.5)
+        plans = [StepPlan(30, a.tau)] * 2 + [StepPlan(20, b.tau)] * 2
+        runs = []
+        for eos in ([a, a, b, b], [copy.deepcopy(eo) for eo in (a, a, b, b)]):
+            with mock.patch.object(propagator, "_KEPT_ELEMENTS", 8 * 4**2):
+                runs.append(run_counting_built(random_state(2, 162), PulseSequence(eos), sample_every=4, plans=plans))
+        assert (runs[0][3], runs[1][3]) == (50, 100)
+        self.assert_same_run(*runs)
 
     def test_pieces_do_not_outlive_a_call(self):
         model = random_driven_model(2, 170)
@@ -1206,3 +1221,52 @@ class TestDeterminism:
             results.append(s.amp)
         assert np.array_equal(results[0], results[1])
         assert np.array_equal(results[0], results[2])
+
+
+def _model_with(**entries):
+    """A two-qubit model with the given (array name, index, value) entries set directly, past the setters."""
+    m = SpinModel(2)
+    for name, (index, value) in entries.items():
+        getattr(m, name)[index] = value
+    return m
+
+
+#: (a call, the whole message of the ValueError it raises)
+BAD_ARGUMENTS = [
+    (lambda: run_sequence(new_basis_state(1, [0]), PulseSequence([]), sample_every=0),
+     "sample_every must be >= 1"),
+    (lambda: evolve_eo(new_basis_state(1, [0]), ElementaryOperation("e", SpinModel(2), 1.0), 0.0),
+     "operation has L=2 but state has L=1"),
+    (lambda: symmetrized_step(new_basis_state(1, [0]), SpinModel(2), 0.1, 0.0),
+     "model has L=2 but state has L=1"),
+    (lambda: symmetrized_step(new_basis_state(1, [0]), SpinModel(1), 0.0, 0.0), "step length must be > 0, got 0.0"),
+    (lambda: symmetrized_step(new_basis_state(1, [0]), SpinModel(1), -0.1, 0.0), "step length must be > 0, got -0.1"),
+    (lambda: SpinModel(0), "qubit count must be in 1..26, got 0"),
+    (lambda: SpinModel(27), "qubit count must be in 1..26, got 27"),
+    (lambda: SpinModel(2).set_static(3, "x", 1.0), "qubit index must be in 1..2, got 3"),
+    (lambda: SpinModel(2).set_coupling(0, 1, "z", 1.0), "qubit index must be in 1..2, got 0"),
+    (lambda: SpinModel(2).set_coupling(2, 2, "z", 1.0), "self-coupling is not allowed"),
+    (lambda: _model_with(rf_amp=((1, 0), math.nan)).validate(), "non-finite entries in rf_amp"),
+    (lambda: _model_with(rf_phase=((0, 2), math.inf)).validate(), "non-finite entries in rf_phase"),
+    (lambda: _model_with(coupling=((0, 0, 2), 1.0)).validate(), "diagonal couplings must be zero"),
+    (lambda: PulseSequence([ElementaryOperation("a", SpinModel(1), 1.0), ElementaryOperation("b", SpinModel(2), 1.0)]),
+     "all operations in a sequence must share one qubit count"),
+    (lambda: global_half_pi_rotation(new_basis_state(1, [0]), "z"), "rotation axis must be 'x' or 'y', got 'z'"),
+]
+
+
+class TestBadArguments:
+    """Every check of a bad argument raises ValueError with its own message."""
+
+    @pytest.mark.parametrize("call, message", BAD_ARGUMENTS, ids=[message for _, message in BAD_ARGUMENTS])
+    def test_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_coupling_must_be_exactly_symmetric(self):
+        # the multipliers read the lower triangle and the oracle the upper one,
+        # so a difference of 5e-6 (within np.allclose's default rtol) is refused
+        m = SpinModel(2)
+        m.coupling[0, 1, 2], m.coupling[1, 0, 2] = 1.0, 1.000005
+        with pytest.raises(ValueError, match="coupling must be symmetric"):
+            ElementaryOperation("e", m, 1.0)

@@ -1,5 +1,6 @@
 """Tests for state-vector storage, basis conventions and observables."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -98,6 +99,15 @@ class TestBasisState:
         # NaN compares False against the norm tolerance, so it needs its own check
         with pytest.raises(ValueError, match="finite"):
             StateVector(1, [bad, 0.0])
+
+    @pytest.mark.parametrize("amp, message", [
+        ([1.0, 0.0, 0.0], "amplitude array must have shape (2,), got (3,)"),
+        ([[1.0, 0.0]], "amplitude array must have shape (2,), got (1, 2)"),
+        ([0.5, 0.5], "state is not normalized: |amp| = 0.7071067811865476"),
+    ])
+    def test_bad_amplitude_arrays_rejected(self, amp, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StateVector(1, amp)
 
     def test_non_finite_norm_rejected(self):
         with np.errstate(over="ignore"):
