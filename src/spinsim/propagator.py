@@ -42,10 +42,9 @@ z multiply, one pass and a z multiply.
 
 A pass applies its per-qubit gates _GATE_BLOCK qubits at a time: each block
 is one matmul with a 16 x 16 Kronecker product on a reshaped view of the
-register (fewer factors for the last block), alternating between the
-register and one scratch buffer. Only the lowest block, kron(g_3, ..., g_0),
-is complex: it contracts the contiguous axis, where a real block would save
-nothing. Above it each gate splits as g = Z(u) R Z(v) with Z(w) =
+register (fewer factors for the last block). Only the lowest block,
+kron(g_3, ..., g_0), is complex: it contracts the contiguous axis, where a
+real block would save nothing. Above it each gate splits as g = Z(u) R Z(v) with Z(w) =
 diag(e^{iw}, e^{-iw}) and R real (u + v = arg alpha and u - v = arg beta,
 mod pi). u and v are reduced mod pi/2: Z(pi/2) = i sigma_z puts its sigma_z
 into R and its i into a scalar that the lowest block takes. The blocks of R
@@ -58,8 +57,9 @@ built once with the multiplier, and no vector is added. Where they vary
 (RF on a coupled axis or on z, RF on two uncoupled transverse axes) or no
 multiplier is beside the pass, they are a row scaling of the register
 viewed as (2^(L-4), 16), built one substep at a time. Milliseconds per
-block, by its lowest bit, one BLAS thread, median of five runs of the
-best of seven, on a 2-core VM shared with other tenants:
+block as one matmul over the whole register, by its lowest bit, one BLAS
+thread, median of five runs of the best of seven, on a 2-core VM shared
+with other tenants:
 
     lowest bit        0      4      8     12     16
     L=16 complex    0.24   0.34   0.33   0.30
@@ -67,9 +67,28 @@ best of seven, on a 2-core VM shared with other tenants:
     L=20 complex    5.8    6.7    6.0    5.9    8.2
     L=20 real              3.3    2.9    4.0    4.6
 
-A pass of random gates whose phases fold takes 0.66 ms at L=16 and 22 ms
-at L=20, against 1.74 and 40 ms with every block complex; a row scaling adds
-0.14 ms (0.07 ms of it building its vector) and about 3 ms.
+A register of at most _TILE = 2^16 amplitudes (L <= 16, 1 MiB) is one
+tile: each block is one matmul over the whole operand, alternating between
+the register and one scratch copy of it. A larger register never gets a
+register-sized scratch. The four blocks inside a tile (qubits 0-15) run one
+tile after another, alternating between the tile and one buffer of _TILE
+amplitudes, so a tile and its buffer sit in a 2 MiB L2 cache and, the
+count being even, each tile ends back in the register. Each block above
+the tile runs in place over column chunks of the float64 view, (-1, 16,
+2^(lo+1)) cut into one buffer's worth (2^13 floats wide for a 16 x 16
+block): each chunk is multiplied into the buffer and copied back while it
+is still in cache. One pass of folded x quarter-turns, milliseconds, against one
+matmul per block over the whole register and its scratch copy (best of
+three, median of five, range over three alternating rounds; at L = 16 both
+rows run the same code):
+
+    L                       16          18         20          22
+    whole register       0.96-1.57    5.4-6.7   28.6-36.4    147-164
+    tiles and chunks     0.79-1.15    4.1-5.5   18.5-26.5     94-125
+
+A pass of random gates whose phases fold takes 0.66 ms at L=16, against
+1.74 ms with every block complex; a row scaling adds 0.14 ms (0.07 ms of it
+building its vector) at L=16 and about 3 ms at L=20.
 
 The Hamiltonian carries an overall minus sign in front of both the coupling
 and field sums, so exp(-i*theta*H) multiplies amplitude n by the positive
@@ -128,6 +147,9 @@ _INVERSE = {"Rx": "Rx+", "Rx+": "Rx", "Ry": "Ry+", "Ry+": "Ry"}
 _ORDER = ((2, 0.5), "Rx+", (1, 0.5), "Rx", "Ry+", (0, 1.0), "Ry", "Rx+", (1, 0.5), "Rx", (2, 0.5))
 #: Qubits per matmul of a global gate pass; see the module docstring.
 _GATE_BLOCK = 4
+#: Amplitudes per tile of a global pass (1 MiB, so a tile and its buffer fit
+#: a 2 MiB L2 cache); see the module docstring.
+_TILE = 1 << 16
 #: Largest imaginary part of a real pass factor that _split drops as rounding.
 _ROUNDING = 1e-14
 
@@ -427,24 +449,15 @@ def _scale_rows(amp: np.ndarray, phases) -> None:
     view *= rows.reshape(lead + (1,) * (amp.ndim - 1 - len(lead)) + (-1, 1))
 
 
-def _global_gate(amp: np.ndarray, blocks: list, before=None, after=None) -> None:
-    """Apply one pass of ``_gate_blocks`` to every register in ``amp``, in place.
+def _alternate(src: np.ndarray, dst: np.ndarray, blocks: list) -> None:
+    """Apply ``blocks`` from bit 0 up to every register in ``src``, each one matmul from one buffer into the other.
 
-    The last axis of ``amp`` is the register and leading axes are a batch.
-    A part with no leading axes acts on every register, one with a leading
-    axis of length n on the n registers (or n stacks) along axis 0. The
-    row scaling ``before`` comes first and ``after`` last. Each block is one
-    matmul on a reshaped view, from the buffer holding the current result
-    into the other of ``amp`` and one scratch buffer: block 0 contracts the
-    contiguous complex axis, and each real block acts on the float64 view,
-    whose real and imaginary parts it treats alike at half the arithmetic of
-    a complex block. The result is copied back into ``amp`` only after an
-    odd number of blocks.
+    Block 0 contracts the contiguous complex axis, and each real block acts
+    on the float64 view, whose real and imaginary parts it treats alike at
+    half the arithmetic of a complex block. The result is copied back into
+    ``src`` only after an odd number of blocks.
     """
-    if not amp.flags.c_contiguous:  # the reshapes below must be views
-        raise ValueError("amplitude array must be C-contiguous")
-    _scale_rows(amp, before)
-    src, dst, lo = amp, np.empty_like(amp), 0
+    first, lo = src, 0
     for blk in blocks:
         size, lead = blk.shape[-1], blk.shape[:-2]
         if lo == 0:
@@ -455,8 +468,54 @@ def _global_gate(amp: np.ndarray, blocks: list, before=None, after=None) -> None
                       out=dst.view(np.float64).reshape(shape))
         lo += size.bit_length() - 1
         src, dst = dst, src
-    if src is not amp:
-        amp[...] = src
+    if src is not first:
+        first[...] = src
+
+
+def _tiled(amp: np.ndarray, blocks: list) -> None:
+    """Apply ``blocks`` to registers of more than _TILE amplitudes through one buffer of _TILE amplitudes.
+
+    The blocks inside a tile run one tile after another, alternating between
+    the tile and the buffer. Each block above them runs in place over column
+    chunks of the float64 view, one buffer's worth at a time: a chunk's
+    product goes into the buffer and is copied back while it is still in
+    cache.
+    """
+    lead, low, buf = blocks[0].shape[:-2], (_TILE.bit_length() - 1) // _GATE_BLOCK, np.empty(_TILE, np.complex128)
+    tiles = amp.reshape(lead + (-1, _TILE))
+    for i in np.ndindex(tiles.shape[:-1]):
+        _alternate(tiles[i], buf, [blk[i[:len(lead)]] for blk in blocks[:low]])
+    lo, flat = low * _GATE_BLOCK, buf.view(np.float64)
+    for blk in blocks[low:]:
+        size = blk.shape[-1]
+        width = min(2 << lo, flat.size // size)
+        out = flat[:size * width].reshape(size, width)
+        chunks = amp.view(np.float64).reshape(lead + (-1, size, (2 << lo) // width, width)).swapaxes(-3, -2)
+        for i in np.ndindex(chunks.shape[:-2]):
+            np.matmul(blk[i[:len(lead)]], chunks[i], out=out)
+            chunks[i] = out
+        lo += size.bit_length() - 1
+
+
+def _global_gate(amp: np.ndarray, blocks: list, before=None, after=None) -> None:
+    """Apply one pass of ``_gate_blocks`` to every register in ``amp``, in place.
+
+    The last axis of ``amp`` is the register and leading axes are a batch.
+    A part with no leading axes acts on every register, one with a leading
+    axis of length n on the n registers (or n stacks) along axis 0. The
+    row scaling ``before`` comes first and ``after`` last. A register of at
+    most _TILE amplitudes is one tile: each block is one matmul over the
+    whole operand, alternating between ``amp`` and one scratch copy of it
+    (``_alternate``). A larger register goes through one buffer of _TILE
+    amplitudes (``_tiled``) and never through a register-sized scratch.
+    """
+    if not amp.flags.c_contiguous:  # the reshapes below must be views
+        raise ValueError("amplitude array must be C-contiguous")
+    _scale_rows(amp, before)
+    if amp.shape[-1] <= _TILE:
+        _alternate(amp, np.empty_like(amp), blocks)
+    else:
+        _tiled(amp, blocks)
     _scale_rows(amp, after)
 
 

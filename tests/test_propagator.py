@@ -3,6 +3,7 @@
 import copy
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -267,6 +268,19 @@ class TestGlobalGate:
         amp = np.zeros((4, 8), dtype=complex)
         with pytest.raises(ValueError, match="contiguous"):
             _global_gate(amp[:, ::2], *self.parts(ROT_X, 3))
+
+
+class TestTiledGlobalGate(TestGlobalGate):
+    """Every ``TestGlobalGate`` case again with tiles of 16 amplitudes.
+
+    From L = 5 a register is many tiles, only the complex block runs inside
+    them, every real block runs in place over column chunks (several of them
+    from L = 5), and the last block may have fewer than four qubits. The GEMM
+    shapes differ from one tile's, so results agree with it to rounding."""
+
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(propagator, "_TILE", 1 << 4)
 
 
 def quarter_turn_products(n):
@@ -573,6 +587,84 @@ class TestStepLayouts:
         with mock.patch.object(propagator, "_BATCH_MAX_DIM", 1):
             evolve_eo(in_place, eo, 0.0, plan=StepPlan(5, eo.tau))
         assert np.max(np.abs(by_matrices.amp - in_place.amp)) < 1e-12
+
+
+def pairs_step_oracle(model, delta, t, amp):
+    """One symmetrized step over [t, t + delta], by code that shares no kernel with the propagator.
+
+    Each axis factor is a phase vector summed directly over the pairs and
+    fields of that axis at the midpoint, and each quarter-turn one 2x2 gate
+    per qubit, applied one qubit at a time. Returns the new amplitudes.
+    """
+    L, t_mid = model.L, t + delta / 2
+    s = [spin_z_values(L, j) for j in range(1, L + 1)]
+    amp = amp.copy()
+
+    def axis_phase(a, theta):  # exp(-i theta H_a) with H_a diagonal: the sign of H is minus
+        total = np.zeros(1 << L)
+        for j in range(L):
+            rf = model.rf_amp[j, a] * math.sin(model.rf_freq[j, a] * t_mid + model.rf_phase[j, a])
+            total += (model.static_field[j, a] + rf) * s[j]
+            for k in range(j + 1, L):
+                total += model.coupling[j, k, a] * s[j] * s[k]
+        amp[...] *= np.exp(1j * theta * total)
+
+    def turn(g):
+        for j in range(L):
+            view = amp.reshape(1 << (L - j - 1), 2, 1 << j)
+            view[...] = g @ view
+
+    rx, ry = ROT_X, ROT_Y
+    for factor in ((2, 0.5), rx.conj().T, (1, 0.5), rx, ry.conj().T, (0, 1.0), ry, rx.conj().T, (1, 0.5), rx, (2, 0.5)):
+        if isinstance(factor, tuple):
+            axis_phase(factor[0], factor[1] * delta)
+        else:
+            turn(factor)
+    return amp
+
+
+class TestAboveTheTile:
+    """Registers larger than one tile of ``_TILE`` amplitudes: the pass's tiles and column chunks."""
+
+    @pytest.mark.parametrize("L", range(1, 6))
+    def test_step_oracle_is_the_dense_symmetric_product(self, L):
+        # all pairs, static and RF fields on every axis, against exp of the
+        # per-axis parts of reference.hamiltonian
+        model = random_driven_model(L, 900 + L)
+        delta, t = 0.23, 1.4
+        t_mid = t + delta / 2
+        ez, ey = (TestStepLayouts.axis_factor(model, a, delta / 2, t_mid) for a in (2, 1))
+        product = ez @ ey @ TestStepLayouts.axis_factor(model, 0, delta, t_mid) @ ey @ ez
+        psi = random_state(L, 910 + L).amp
+        assert np.max(np.abs(pairs_step_oracle(model, delta, t, psi) - product @ psi)) < 1e-12
+
+    # static fields: every pass folds into real blocks, as in the benchmark's
+    # all-pairs step; RF on every axis: the passes also row-scale
+    @pytest.mark.parametrize("drive", [False, True], ids=["static", "driven"])
+    def test_all_pairs_step_at_L17_matches_the_oracle(self, drive):
+        L, delta, t = 17, 0.01, 0.3
+        model = random_driven_model(L, 920)
+        if not drive:
+            model.rf_amp[...] = 0.0
+        s = random_state(L, 930)
+        expected = pairs_step_oracle(model, delta, t, s.amp)
+        symmetrized_step(s, model, delta, t)
+        assert np.max(np.abs(s.amp - expected)) < 1e-12
+
+    @pytest.mark.parametrize("gate", ["Ry", "Rx"])  # real blocks only; row scalings on both sides
+    def test_a_pass_holds_one_tile_buffer(self, gate):
+        # L = 18 is four tiles (4 MiB); a register-sized scratch would peak at 4 MiB
+        L = 18
+        amp = random_state(L, 940).amp
+        parts = _gate_blocks(*propagator._TURN[gate], L)
+        assert (parts[1] is None) == (gate == "Ry")
+        tracemalloc.start()
+        try:
+            _global_gate(amp, *parts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * propagator._TILE * amp.itemsize
 
 
 class TestInstrumentation:
