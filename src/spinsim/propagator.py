@@ -67,20 +67,20 @@ with other tenants:
     L=20 complex    5.8    6.7    6.0    5.9    8.2
     L=20 real              3.3    2.9    4.0    4.6
 
-A register of at most _TILE = 2^16 amplitudes (L <= 16, 1 MiB) is one
-tile: each block is one matmul over the whole operand, alternating between
-the register and one scratch copy of it. A larger register never gets a
-register-sized scratch. The four blocks inside a tile (qubits 0-15) run one
-tile after another, alternating between the tile and one buffer of _TILE
-amplitudes, so a tile and its buffer sit in a 2 MiB L2 cache and, the
-count being even, each tile ends back in the register. Each block above
+A pass acts on one register through one buffer of min(2^L, _TILE)
+amplitudes, _TILE = 2^16 (1 MiB), and never through a register-sized
+scratch. A register of at most _TILE amplitudes (L <= 16) is one tile. The
+blocks inside a tile (up to qubit 15) run one tile after another, each one
+matmul alternating between the tile and the buffer, so a tile and its
+buffer sit in a 2 MiB L2 cache; a tile is copied back after an odd number
+of blocks, and above L = 16, with four blocks, never. Each block above
 the tile runs in place over column chunks of the float64 view, (-1, 16,
 2^(lo+1)) cut into one buffer's worth (2^13 floats wide for a 16 x 16
 block): each chunk is multiplied into the buffer and copied back while it
 is still in cache. One pass of folded x quarter-turns, milliseconds, against one
-matmul per block over the whole register and its scratch copy (best of
-three, median of five, range over three alternating rounds; at L = 16 both
-rows run the same code):
+matmul per block over the whole register and its scratch copy, the pass
+this one replaced (best of three, median of five, range over three
+alternating rounds; at L = 16 both rows ran the same code):
 
     L                       16          18         20          22
     whole register       0.96-1.57    5.4-6.7   28.6-36.4    147-164
@@ -104,17 +104,18 @@ its parameter table and duration, never by where it sits in the sequence.
 co-rotating frame, and the pulse-order sensitivity this simulator is built
 to expose would largely vanish.)
 
-Two operands, one step program. Every kernel acts on an array whose last
-axis is the register and whose leading axes are a batch. An instruction's
+Two operands, one step program. A pass and a multiplier act on one
+register; only step matrices and observables are batched. An instruction's
 drive clock starts at its own start, so the gates of a chunk of substeps
-are built at once. Registers of up to 16 amplitudes (L <= 4) then get the
-chunk's step matrices in one batched pass, and a pairwise tree of batched
-matmuls and a running product make each piece the product from the
-operation's start to a sample. A chunk's samples are one batched product
-of the start state with its pieces. The pieces depend only on the
-operation, its plan and its sample stride, so run_sequence reuses them
-within a call. Larger registers are stepped in place, one substep
-at a time. The threshold rests on microseconds per substep, 512 substeps, in
+are built at once. Registers of up to 16 amplitudes (L <= 4), where each
+pass is one complex block, then get the chunk's step matrices as one stack
+(one batched matmul per pass, each multiplier scaling every row), and a
+pairwise tree of batched matmuls and a running product make each piece the
+product from the operation's start to a sample. A chunk's samples are one
+batched product of the start state with its pieces. The pieces depend only
+on the operation, its plan and its sample stride, so run_sequence reuses
+them within a call. Larger registers are stepped in place, one substep at a
+time. The threshold, one block, rests on microseconds per substep, 512 substeps, in
 place and by matrices with one vector-matrix product per substep (2-core VM
 shared with other tenants, median of three runs of the best of seven):
 
@@ -132,6 +133,7 @@ amplitudes."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -153,8 +155,8 @@ _TILE = 1 << 16
 #: Largest imaginary part of a real pass factor that _split drops as rounding.
 _ROUNDING = 1e-14
 
-#: Largest register stepped by batched step matrices; see the module docstring.
-_BATCH_MAX_DIM = 16
+#: Largest register stepped by batched step matrices, one block; see the module docstring.
+_BATCH_MAX_DIM = 1 << _GATE_BLOCK
 #: Complex entries per chunk of step matrices, or of pass blocks in place
 #: (1 MiB), so memory does not grow with m.
 _BATCH_ELEMENTS = 1 << 16
@@ -317,6 +319,8 @@ class StepPlan:
     tau: float
 
     def __post_init__(self):
+        if not isinstance(self.m, numbers.Integral):
+            raise ValueError(f"substep count must be an integer, got {self.m!r}")
         if not 1 <= self.m <= _MAX_SUBSTEPS:
             raise ValueError(f"substep count must be in 1..2**63 - 1, got {self.m}")
 
@@ -432,90 +436,71 @@ def _gate_blocks(alpha, beta, L: int, u0=0.0, v0=0.0) -> tuple:
 
 
 def _scale_rows(amp: np.ndarray, phases) -> None:
-    """Multiply every register in ``amp`` by (x)_j Z(phases_j) over the qubits above the lowest block, in place.
+    """Multiply the register ``amp`` by (x)_j Z(phases_j) over the qubits above the lowest block, in place.
 
     The register is viewed as (2^(L-4), 16) rows and the row scaling is a
-    product-form vector of 2^(L-4) entries, one outer product per qubit. A
-    leading axis of ``phases`` runs over axis 0 of ``amp`` and carries into
-    the vector. None does nothing.
+    product-form vector of 2^(L-4) entries, one outer product per qubit.
+    None does nothing.
     """
     if phases is None:
         return
-    lead, z = phases.shape[:-1], np.exp(1j * np.stack([phases, -phases], -1))  # Z(w) per qubit
-    rows = np.ones(lead + (1,), dtype=np.complex128)
-    for j in range(phases.shape[-1]):  # qubit j above the block is bit j of the row index
-        rows = (z[..., j, :, None] * rows[..., None, :]).reshape(lead + (-1,))
-    view = amp.reshape(amp.shape[:-1] + (rows.shape[-1], -1))
-    view *= rows.reshape(lead + (1,) * (amp.ndim - 1 - len(lead)) + (-1, 1))
-
-
-def _alternate(src: np.ndarray, dst: np.ndarray, blocks: list) -> None:
-    """Apply ``blocks`` from bit 0 up to every register in ``src``, each one matmul from one buffer into the other.
-
-    Block 0 contracts the contiguous complex axis, and each real block acts
-    on the float64 view, whose real and imaginary parts it treats alike at
-    half the arithmetic of a complex block. The result is copied back into
-    ``src`` only after an odd number of blocks.
-    """
-    first, lo = src, 0
-    for blk in blocks:
-        size, lead = blk.shape[-1], blk.shape[:-2]
-        if lo == 0:
-            np.matmul(src.reshape(lead + (-1, size)), blk.swapaxes(-1, -2), out=dst.reshape(lead + (-1, size)))
-        else:
-            shape = lead + (-1, size, 2 << lo)
-            np.matmul(blk[..., None, :, :], src.view(np.float64).reshape(shape),
-                      out=dst.view(np.float64).reshape(shape))
-        lo += size.bit_length() - 1
-        src, dst = dst, src
-    if src is not first:
-        first[...] = src
+    z, rows = np.exp(1j * np.stack([phases, -phases], -1)), np.ones(1, dtype=np.complex128)  # Z(w) per qubit
+    for j in range(len(phases)):  # qubit j above the block is bit j of the row index
+        rows = (z[j, :, None] * rows[None, :]).reshape(-1)
+    view = amp.reshape(rows.size, -1)
+    view *= rows[:, None]
 
 
 def _tiled(amp: np.ndarray, blocks: list) -> None:
-    """Apply ``blocks`` to registers of more than _TILE amplitudes through one buffer of _TILE amplitudes.
+    """Apply ``blocks`` from bit 0 up to the register ``amp`` in place, through one buffer of at most _TILE amplitudes.
 
-    The blocks inside a tile run one tile after another, alternating between
-    the tile and the buffer. Each block above them runs in place over column
-    chunks of the float64 view, one buffer's worth at a time: a chunk's
-    product goes into the buffer and is copied back while it is still in
-    cache.
+    A register of at most _TILE amplitudes is one tile. The blocks inside a
+    tile run one tile after another, each one matmul from the tile or the
+    buffer into the other (block 0 on the contiguous complex axis, the real
+    blocks on the float64 view at half the arithmetic), and a tile is copied
+    back after an odd number of them. Each block above the tile runs in place
+    over column chunks of the float64 view, one buffer's worth at a time,
+    each chunk's product copied back while it is still in cache.
     """
-    lead, low, buf = blocks[0].shape[:-2], (_TILE.bit_length() - 1) // _GATE_BLOCK, np.empty(_TILE, np.complex128)
-    tiles = amp.reshape(lead + (-1, _TILE))
-    for i in np.ndindex(tiles.shape[:-1]):
-        _alternate(tiles[i], buf, [blk[i[:len(lead)]] for blk in blocks[:low]])
-    lo, flat = low * _GATE_BLOCK, buf.view(np.float64)
-    for blk in blocks[low:]:
+    buf = np.empty(min(amp.size, _TILE), dtype=np.complex128)
+    inner = math.ceil((buf.size.bit_length() - 1) / _GATE_BLOCK)
+    for tile in amp.reshape(-1, buf.size):
+        src, dst, lo = tile, buf, 0
+        for blk in blocks[:inner]:
+            size = blk.shape[-1]
+            if lo == 0:
+                np.matmul(src.reshape(-1, size), blk.T, out=dst.reshape(-1, size))
+            else:
+                shape = (-1, size, 2 << lo)
+                np.matmul(blk, src.view(np.float64).reshape(shape), out=dst.view(np.float64).reshape(shape))
+            lo += size.bit_length() - 1
+            src, dst = dst, src
+        if src is not tile:
+            tile[...] = src
+    lo, flat = inner * _GATE_BLOCK, buf.view(np.float64)
+    for blk in blocks[inner:]:
         size = blk.shape[-1]
         width = min(2 << lo, flat.size // size)
         out = flat[:size * width].reshape(size, width)
-        chunks = amp.view(np.float64).reshape(lead + (-1, size, (2 << lo) // width, width)).swapaxes(-3, -2)
-        for i in np.ndindex(chunks.shape[:-2]):
-            np.matmul(blk[i[:len(lead)]], chunks[i], out=out)
+        chunks = amp.view(np.float64).reshape(-1, size, (2 << lo) // width, width).swapaxes(1, 2)
+        for i in np.ndindex(chunks.shape[:2]):
+            np.matmul(blk, chunks[i], out=out)
             chunks[i] = out
         lo += size.bit_length() - 1
 
 
 def _global_gate(amp: np.ndarray, blocks: list, before=None, after=None) -> None:
-    """Apply one pass of ``_gate_blocks`` to every register in ``amp``, in place.
+    """Apply one pass of ``_gate_blocks``, with no leading axes, to the register ``amp`` in place.
 
-    The last axis of ``amp`` is the register and leading axes are a batch.
-    A part with no leading axes acts on every register, one with a leading
-    axis of length n on the n registers (or n stacks) along axis 0. The
-    row scaling ``before`` comes first and ``after`` last. A register of at
-    most _TILE amplitudes is one tile: each block is one matmul over the
-    whole operand, alternating between ``amp`` and one scratch copy of it
-    (``_alternate``). A larger register goes through one buffer of _TILE
-    amplitudes (``_tiled``) and never through a register-sized scratch.
+    ``amp`` is one C-contiguous register. The row scaling ``before`` comes
+    first and ``after`` last; between them ``_tiled`` applies the blocks
+    through one buffer of at most _TILE amplitudes, never a register-sized
+    scratch, and frees it before ``after`` builds its vector.
     """
-    if not amp.flags.c_contiguous:  # the reshapes below must be views
-        raise ValueError("amplitude array must be C-contiguous")
+    if amp.ndim != 1 or not amp.flags.c_contiguous:  # the reshapes in _tiled must be views
+        raise ValueError("amplitude array must be one C-contiguous register")
     _scale_rows(amp, before)
-    if amp.shape[-1] <= _TILE:
-        _alternate(amp, np.empty_like(amp), blocks)
-    else:
-        _tiled(amp, blocks)
+    _tiled(amp, blocks)
     _scale_rows(amp, after)
 
 
@@ -705,10 +690,10 @@ class _StepProgram:
 
         return [[at(part, i) for part in parts] for i in range(len(t_mid))]
 
-    def apply(self, amp: np.ndarray, parts, ops=None) -> None:
-        """Run ``ops`` (all of them by default) on ``amp`` in place, the passes taking ``parts`` in turn."""
+    def apply(self, amp: np.ndarray, parts) -> None:
+        """Run the step on the register ``amp`` in place, the passes taking ``parts`` in turn."""
         parts = iter(parts)
-        for op in self.ops if ops is None else ops:
+        for op in self.ops:
             if isinstance(op, _Pass):
                 _global_gate(amp, *next(parts))
             else:
@@ -718,20 +703,29 @@ class _StepProgram:
         """Transposed step matrices at the given midpoint times, shape (n, dim, dim).
 
         Row k of entry i is the step at ``t_mid[i]`` applied to basis state
-        k, so a state advances by one substep as ``amp @ result[i]``. The
-        stack starts as diag(multipliers before the first pass), times the
-        transposed first pass when that is one block (L <= _GATE_BLOCK).
+        k, so a state advances by one substep as ``amp @ result[i]``. Every
+        pass must be one block with no row scaling (L <= _GATE_BLOCK). The
+        stack starts as diag(multipliers before the first pass) times the
+        transposed first pass; each later pass is one matmul of the stack
+        with its transposed block, and each multiplier scales every row.
         """
         parts = self.pass_parts(t_mid)
+        if any(len(blocks) > 1 or before is not None or after is not None for blocks, before, after in parts):
+            raise ValueError(f"step matrices need passes of one block and no row scaling, got L={self.L}")
+        transposed = [blocks[0].swapaxes(-1, -2) for blocks, _, _ in parts]  # (n,) leading where RF varies
         first = next((k for k, op in enumerate(self.ops) if isinstance(op, _Pass)), len(self.ops))
         lead = np.prod([np.ones(self.dim)] + self.ops[:first], axis=0)
         steps = np.empty((len(t_mid), self.dim, self.dim), dtype=np.complex128)
-        if parts and self.L <= _GATE_BLOCK:
-            np.multiply(lead[:, None], parts.pop(0)[0][0].swapaxes(-1, -2), out=steps)
-            first += 1
+        if transposed:
+            np.multiply(lead[:, None], transposed.pop(0), out=steps)
         else:
             steps[...] = np.diag(lead)
-        self.apply(steps, parts, self.ops[first:])
+        for op in self.ops[first + 1:]:
+            if isinstance(op, _Pass):  # a block with no leading axis takes the stack as one (n dim, dim) matrix
+                blk = transposed.pop(0)
+                steps = np.matmul(steps.reshape(blk.shape[:-2] + (-1, self.dim)), blk).reshape(steps.shape)
+            else:
+                steps *= op
         return steps
 
 
@@ -934,6 +928,8 @@ def run_sequence(
     for eo in seq.eos:
         if eo.model.L != state.L:
             raise ValueError(f"operation {eo.name!r} has L={eo.model.L} but state has L={state.L}")
+    if sample_every is not None and not isinstance(sample_every, numbers.Integral):
+        raise ValueError(f"sample_every must be an integer, got {sample_every!r}")
     if sample_every is not None and sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     if plans is not None and len(plans) != len(seq):

@@ -223,28 +223,24 @@ class TestGlobalGate:
     @pytest.mark.parametrize("L", range(1, 11))  # 1 to 3 blocks, L a multiple of 4 or not
     def test_matches_dense_oracle(self, L, gate):
         g = self.GATES[gate]
-        dim = 1 << L
         rng = np.random.default_rng(L)
-        shapes = [(dim,), (3, dim)] + ([(2, dim, dim)] if L <= 6 else [])
-        for shape in shapes:
-            amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            expected = self.oracle(g, L, amp)
-            _global_gate(amp, *self.parts(g, L))
-            assert np.max(np.abs(amp - expected)) < 1e-13
+        amp = rng.normal(size=1 << L) + 1j * rng.normal(size=1 << L)
+        expected = self.oracle(g, L, amp)
+        _global_gate(amp, *self.parts(g, L))
+        assert np.max(np.abs(amp - expected)) < 1e-13
 
     @pytest.mark.parametrize("L", range(1, 11))
     def test_per_qubit_gates_with_one_set_per_register(self, L):
-        # random SU(2) gates, different on every qubit and for every register
-        # of a batch: block b must be kron(g_hi-1, ..., g_lo) in bit order
+        # random SU(2) gates, different on every qubit: block b must be
+        # kron(g_hi-1, ..., g_lo) in bit order
         rng = np.random.default_rng(500 + L)
-        q = rng.normal(size=(2, 3, L)) + 1j * rng.normal(size=(2, 3, L))
+        q = rng.normal(size=(2, L)) + 1j * rng.normal(size=(2, L))
         alpha, beta = q / np.linalg.norm(q, axis=0)
-        amp = rng.normal(size=(3, 1 << L)) + 1j * rng.normal(size=(3, 1 << L))
+        amp = rng.normal(size=1 << L) + 1j * rng.normal(size=1 << L)
         expected = amp.copy()
-        for r in range(3):
-            for j in range(L):
-                g = np.array([[alpha[r, j], beta[r, j]], [-np.conj(beta[r, j]), np.conj(alpha[r, j])]])
-                expected[r] = embed_single(g, j + 1, L) @ expected[r]
+        for j in range(L):
+            g = np.array([[alpha[j], beta[j]], [-np.conj(beta[j]), np.conj(alpha[j])]])
+            expected = embed_single(g, j + 1, L) @ expected
         _global_gate(amp, *_gate_blocks(alpha, beta, L))
         assert np.max(np.abs(amp - expected)) < 1e-13
 
@@ -268,6 +264,12 @@ class TestGlobalGate:
         amp = np.zeros((4, 8), dtype=complex)
         with pytest.raises(ValueError, match="contiguous"):
             _global_gate(amp[:, ::2], *self.parts(ROT_X, 3))
+
+    def test_rejects_a_batch_of_registers(self):
+        # a pass acts on one register; a contiguous (3, dim) batch is refused
+        amp = np.zeros((3, 8), dtype=complex)
+        with pytest.raises(ValueError, match="one C-contiguous register"):
+            _global_gate(amp, *self.parts(ROT_X, 3))
 
 
 class TestTiledGlobalGate(TestGlobalGate):
@@ -563,10 +565,10 @@ class TestStepLayouts:
     )
     def test_folded_step_property(self, L, coupled, static, rf, seed):
         # any coupled axes and any static and RF fields: one step is the
-        # symmetric product of dense axis factors, and evolve_eo gives the
-        # same state by step matrices and in place. At L = 5 and 6 a pass has
-        # a real block above the lowest four qubits, whose z phases either
-        # fold into the multipliers or become row scalings
+        # symmetric product of dense axis factors, and up to L = 4 evolve_eo
+        # gives the same state by step matrices and in place. At L = 5 and 6
+        # a pass has a real block above the lowest four qubits, whose z
+        # phases either fold into the multipliers or become row scalings
         rng = np.random.default_rng(seed)
         model = SpinModel(L)
         for ax in coupled:
@@ -579,11 +581,12 @@ class TestStepLayouts:
             for ax in rf:
                 model.set_rf(j, ax, rng.uniform(-0.5, 0.5), rng.uniform(0.3, 2.0), rng.uniform(0, TWO_PI))
         self.check_step(model, seed)
+        if L > 4:
+            return
         eo = ElementaryOperation("e", model, 0.5)
         psi0 = random_state(L, seed + 1)
         by_matrices, in_place = psi0.copy(), psi0.copy()
-        with mock.patch.object(propagator, "_BATCH_MAX_DIM", 64):
-            evolve_eo(by_matrices, eo, 0.0, plan=StepPlan(5, eo.tau))
+        evolve_eo(by_matrices, eo, 0.0, plan=StepPlan(5, eo.tau))
         with mock.patch.object(propagator, "_BATCH_MAX_DIM", 1):
             evolve_eo(in_place, eo, 0.0, plan=StepPlan(5, eo.tau))
         assert np.max(np.abs(by_matrices.amp - in_place.amp)) < 1e-12
@@ -804,6 +807,16 @@ class TestStepPlans:
         with pytest.raises(ValueError, match="operation 'a' needs a substep count that is over 2"):
             auto_substeps(ElementaryOperation("a", m, TWO_PI))
 
+    def test_numpy_integer_counts_are_counts(self):
+        # the integer checks take any integral type; a float that is whole is refused
+        assert StepPlan(np.int64(3), 1.0).m == 3
+        with pytest.raises(ValueError, match="substep count must be an integer"):
+            StepPlan(np.float64(3.0), 1.0)
+        eo = ElementaryOperation("e", SpinModel(1).set_static(1, "x", 1.0), 1.0)
+        _, traj = run_sequence(new_basis_state(1, [0]), PulseSequence([eo]), sample_every=np.int32(2),
+                               plans=[StepPlan(np.int64(4), 1.0)])
+        assert traj.step.tolist() == [0, 2, 4]
+
     @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
     def test_operation_duration_must_be_finite_and_non_negative(self, tau):
         with pytest.raises(ValueError, match="duration"):
@@ -958,6 +971,14 @@ class TestBatchedSteps:
         evolve_eo(chunked, eo, 0.0, plan=StepPlan(50, eo.tau))
         assert np.max(np.abs(whole.amp - chunked.amp)) < 1e-12
 
+    def test_a_threshold_above_one_block_is_refused(self, monkeypatch):
+        # at L = 5 a pass has a real block above the lowest four qubits, which
+        # a stack of step matrices does not apply
+        monkeypatch.setattr(propagator, "_BATCH_MAX_DIM", 32)
+        eo = ElementaryOperation("e", random_driven_model(5, 64), 0.1)
+        with pytest.raises(ValueError, match="step matrices need passes of one block and no row scaling, got L=5"):
+            evolve_eo(random_state(5, 65), eo, 0.0, plan=StepPlan(2, eo.tau))
+
     def test_zero_duration_returns_no_samples_and_leaves_the_state_untouched(self):
         s = random_state(3, 62)
         ref = s.amp.copy()
@@ -965,20 +986,20 @@ class TestBatchedSteps:
         _, samples = evolve_eo(s, eo, 0.0, plan=StepPlan(1, 0.0), sample_at=[1])
         assert samples.t.shape == (0,) and np.array_equal(s.amp, ref)
 
-    @pytest.mark.parametrize("L", [5])
+    @pytest.mark.parametrize("L", [4])
     def test_second_order_on_both_sides_of_the_threshold(self, monkeypatch, L):
-        # L=5 sits just above the threshold: the smallest register stepped in
-        # place. Stepped in place and, with the threshold raised, by
-        # matrices, the error drops 4x per doubling on both sides and the two
-        # agree. L=4, the largest register stepped by matrices at the default
-        # threshold, is in test_second_order_with_blocked_passes.
-        assert 2 ** (L - 1) == propagator._BATCH_MAX_DIM
+        # L=4 sits just below the threshold: the largest register stepped by
+        # matrices. Stepped in place (threshold 1) and by matrices (the
+        # default), the error drops 4x per doubling on both sides and the two
+        # agree. L=5, the smallest register stepped in place, is in
+        # test_second_order_with_blocked_passes.
+        assert 2**L == propagator._BATCH_MAX_DIM
         model = random_driven_model(L, 70 + L)
         tau = 0.6
         psi0 = random_state(L, 80 + L)
         exact = dense_propagator(model, 0.0, tau, tol=1e-8) @ psi0.amp
         errors = {}
-        for batch_max_dim in (propagator._BATCH_MAX_DIM, 2**L):
+        for batch_max_dim in (1, propagator._BATCH_MAX_DIM):
             monkeypatch.setattr(propagator, "_BATCH_MAX_DIM", batch_max_dim)
             for steps in (8, 16, 32):
                 s = psi0.copy()
@@ -1327,6 +1348,9 @@ def _model_with(**entries):
 BAD_ARGUMENTS = [
     (lambda: run_sequence(new_basis_state(1, [0]), PulseSequence([]), sample_every=0),
      "sample_every must be >= 1"),
+    (lambda: run_sequence(new_basis_state(1, [0]), PulseSequence([]), sample_every=2.5),
+     "sample_every must be an integer, got 2.5"),
+    (lambda: StepPlan(2.5, 1.0), "substep count must be an integer, got 2.5"),
     (lambda: evolve_eo(new_basis_state(1, [0]), ElementaryOperation("e", SpinModel(2), 1.0), 0.0),
      "operation has L=2 but state has L=1"),
     (lambda: symmetrized_step(new_basis_state(1, [0]), SpinModel(2), 0.1, 0.0),
