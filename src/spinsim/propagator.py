@@ -532,10 +532,12 @@ class _StepProgram:
 
     The only step implementation: ``symmetrized_step`` runs a one-step
     program and ``evolve_eo`` reuses one program for every substep, on the
-    state itself or on a stack of step matrices. ``ops`` lists in
-    application order the cached multiplier vector of each axis that has one
-    and the global passes (``_Pass``) between them, by the compile rule in
-    the module docstring. A pass's factors are quarter-turn keys and (axis,
+    state itself or on a stack of step matrices. By the compile rule in the
+    module docstring a step is the global passes ``passes`` (``_Pass``) and
+    the gaps ``gaps`` around them, one more gap than passes: in application
+    order gaps[0], passes[0], gaps[1], ..., passes[-1], gaps[-1]. A gap lists
+    the cached multiplier vectors of the axes met there; only the first and
+    the last may be empty. A pass's factors are quarter-turn keys and (axis,
     theta) field factors diag(exp(i theta h_j/2), exp(-i theta h_j/2)), h_j
     being the part of qubit j's field on that axis that no multiplier holds,
     kept per axis in ``fields`` as (static, RF amplitude or None, frequency,
@@ -543,7 +545,7 @@ class _StepProgram:
     the lowest block, the z phases of the passes beside it (``_fold``).
     """
 
-    __slots__ = ("L", "dim", "fields", "ops", "counts")
+    __slots__ = ("L", "dim", "fields", "passes", "gaps", "counts")
 
     def __init__(self, model: SpinModel, delta: float):
         L = self.L = model.L
@@ -559,7 +561,7 @@ class _StepProgram:
             for a in range(3)
         ]
         thetas: dict = {}
-        self.ops, pending = [], []
+        self.gaps, self.passes, pending = [[]], [], []
 
         def push(factor):
             if isinstance(factor, str) and pending and pending[-1] == _INVERSE[factor]:
@@ -571,7 +573,8 @@ class _StepProgram:
 
         def flush():
             if pending:
-                self.ops.append(_Pass(pending.copy()))
+                self.passes.append(_Pass(pending.copy()))
+                self.gaps.append([])
                 pending.clear()
 
         for item in _ORDER:
@@ -589,20 +592,19 @@ class _StepProgram:
             if multiplied[a]:
                 flush()
                 thetas[a] = theta  # an axis's share of delta is the same at each occurrence
-                self.ops.append(a)  # the axis's multiplier, built below
+                self.gaps[-1].append(a)  # the axis's multiplier, built below
                 if field:
                     push(field)
         flush()
         extra = self._fold(delta)
         mult = {a: _axis_multiplier(L, theta * coupling[:, :, a], theta * static[:, a] + extra.get(a, 0.0))
                 for a, theta in thetas.items()}
-        self.ops = [mult[op] if isinstance(op, int) else op for op in self.ops]
-        passes = sum(isinstance(op, _Pass) for op in self.ops)
+        self.gaps = [[mult[a] for a in gap] for gap in self.gaps]
         visits = np.array([1, 2, 2])  # of the x, y and z factors per substep
         self.counts = {
-            "diagonal_sweeps": len(self.ops) - passes,
-            "global_rotations": passes,
-            "gate_kernel_calls": passes * L,
+            "diagonal_sweeps": sum(map(len, self.gaps)),
+            "global_rotations": len(self.passes),
+            "gate_kernel_calls": len(self.passes) * L,
             "pair_terms": int(visits @ np.count_nonzero(coupling, axis=(0, 1))) // 2,  # symmetric
             "field_terms": int(visits @ np.count_nonzero((static != 0.0) | (rf_amp != 0.0), axis=0)),
         }
@@ -610,31 +612,27 @@ class _StepProgram:
     def _fold(self, delta: float) -> dict:
         """Set each pass's targets u0, v0; returns the extra field of each axis's multiplier.
 
-        Between two passes (or a pass and the end of the step) lies a gap of
-        multipliers. The phases Z(u) of the pass before a gap and Z(v) of the
-        pass after it, taken from their gates at the first two midpoints,
-        commute with the gap's multipliers, so the first gap an axis occurs in
-        sets its multiplier's share of their sum; a gap with no multiplier
-        holds nothing. Each pass then targets what its gaps hold. A pass whose
-        phases match those targets (mod pi/2) at a substep is a real pass;
-        elsewhere ``_gate_blocks`` puts the difference into row scalings.
+        The gaps still list axes here. The phases Z(u) of the pass before a
+        gap and Z(v) of the pass after it (none at either end of the step),
+        taken from their gates at the first two midpoints, commute with the
+        gap's multipliers, so the first gap an axis occurs in sets its
+        multiplier's share of their sum; an empty gap holds nothing. Each pass
+        then targets what its gaps hold. A pass whose phases match those
+        targets (mod pi/2) at a substep is a real pass; elsewhere
+        ``_gate_blocks`` puts the difference into row scalings.
         """
         low = min(self.L, _GATE_BLOCK)
         if self.L == low:  # no qubit above the lowest block
             return {}
-        held, prev, gap, high = {}, None, [], np.arange(self.L - low)
-        for op in self.ops:
-            if isinstance(op, _Pass):
-                alpha, beta = (np.broadcast_to(x, (2, self.L))[:, low:]
-                               for x in self.gates(op.factors, [0.5 * delta, 1.5 * delta]))
-                # per qubit, the midpoint whose gate fixes both phases better:
-                # a drive may be at a zero of its sine at the first
-                k = np.argmax(np.minimum(np.abs(alpha), np.abs(beta)), axis=0)
-                op.u0, op.v0 = _split(alpha[k, high], beta[k, high], 0.0, 0.0)[2:]
-        for op in self.ops + [None]:
-            if isinstance(op, int):
-                gap.append(op)
-                continue
+        held, high = {}, np.arange(self.L - low)
+        for op in self.passes:
+            alpha, beta = (np.broadcast_to(x, (2, self.L))[:, low:]
+                           for x in self.gates(op.factors, [0.5 * delta, 1.5 * delta]))
+            # per qubit, the midpoint whose gate fixes both phases better:
+            # a drive may be at a zero of its sine at the first
+            k = np.argmax(np.minimum(np.abs(alpha), np.abs(beta)), axis=0)
+            op.u0, op.v0 = _split(alpha[k, high], beta[k, high], 0.0, 0.0)[2:]
+        for prev, gap, op in zip([None] + self.passes, self.gaps, self.passes + [None]):
             need = (prev.u0 if prev else 0.0) + (op.v0 if op else 0.0)
             for a in gap:
                 held.setdefault(a, need / len(gap))
@@ -643,7 +641,6 @@ class _StepProgram:
                 prev.u0 = total
             if op:
                 op.v0 = total - (prev.u0 if prev else 0.0)
-            prev, gap = op, []
         return {a: np.concatenate([np.zeros(low), 2.0 * np.broadcast_to(phase, (self.L - low,))])
                 for a, phase in held.items()}
 
@@ -675,29 +672,23 @@ class _StepProgram:
 
     def pass_parts(self, t_mid) -> list:
         """The ``_gate_blocks`` of every pass at midpoint time(s) ``t_mid``."""
-        return [_gate_blocks(*self.gates(op.factors, t_mid), self.L, op.u0, op.v0)
-                for op in self.ops if isinstance(op, _Pass)]
+        return [_gate_blocks(*self.gates(op.factors, t_mid), self.L, op.u0, op.v0) for op in self.passes]
 
-    def substep_parts(self, t_mid) -> list:
-        """The ``_gate_blocks`` of every pass at each of the midpoint times, one list per substep."""
-        parts = self.pass_parts(t_mid)
+    def apply(self, amp: np.ndarray, parts: list, i: int) -> None:
+        """Run substep ``i`` of ``parts``, the ``pass_parts`` of a chunk, on the register ``amp`` in place.
 
-        def at(part, i):
-            blocks, *rows = part
-            if blocks[0].ndim == 2:
-                return part
-            return [blk[i] for blk in blocks], *(w if w is None else w[i] for w in rows)
-
-        return [[at(part, i) for part in parts] for i in range(len(t_mid))]
-
-    def apply(self, amp: np.ndarray, parts) -> None:
-        """Run the step on the register ``amp`` in place, the passes taking ``parts`` in turn."""
-        parts = iter(parts)
-        for op in self.ops:
-            if isinstance(op, _Pass):
-                _global_gate(amp, *next(parts))
-            else:
-                amp *= op
+        Each gap multiplies the register by its vectors, then the next pass
+        applies entry ``i`` of its part; a part whose blocks have no leading
+        axis serves every substep.
+        """
+        for gap, part in zip(self.gaps, parts + [None]):
+            for vec in gap:
+                amp *= vec
+            if part is not None:
+                blocks, *rows = part
+                if blocks[0].ndim == 3:
+                    blocks, rows = [blk[i] for blk in blocks], [w if w is None else w[i] for w in rows]
+                _global_gate(amp, blocks, *rows)
 
     def step_matrices(self, t_mid: np.ndarray) -> np.ndarray:
         """Transposed step matrices at the given midpoint times, shape (n, dim, dim).
@@ -713,19 +704,17 @@ class _StepProgram:
         if any(len(blocks) > 1 or before is not None or after is not None for blocks, before, after in parts):
             raise ValueError(f"step matrices need passes of one block and no row scaling, got L={self.L}")
         transposed = [blocks[0].swapaxes(-1, -2) for blocks, _, _ in parts]  # (n,) leading where RF varies
-        first = next((k for k, op in enumerate(self.ops) if isinstance(op, _Pass)), len(self.ops))
-        lead = np.prod([np.ones(self.dim)] + self.ops[:first], axis=0)
+        lead = np.prod([np.ones(self.dim)] + self.gaps[0], axis=0)
         steps = np.empty((len(t_mid), self.dim, self.dim), dtype=np.complex128)
         if transposed:
-            np.multiply(lead[:, None], transposed.pop(0), out=steps)
+            np.multiply(lead[:, None], transposed[0], out=steps)
         else:
             steps[...] = np.diag(lead)
-        for op in self.ops[first + 1:]:
-            if isinstance(op, _Pass):  # a block with no leading axis takes the stack as one (n dim, dim) matrix
-                blk = transposed.pop(0)
+        for gap, blk in zip(self.gaps[1:], transposed[1:] + [None]):
+            for vec in gap:
+                steps *= vec
+            if blk is not None:  # a block with no leading axis takes the stack as one (n dim, dim) matrix
                 steps = np.matmul(steps.reshape(blk.shape[:-2] + (-1, self.dim)), blk).reshape(steps.shape)
-            else:
-                steps *= op
         return steps
 
 
@@ -734,13 +723,18 @@ def symmetrized_step(state: StateVector, model: SpinModel, delta: float, t: floa
 
     All five factors share the midpoint time t + delta/2.
     """
+    if not math.isfinite(delta):
+        raise ValueError(f"step length must be finite, got {delta}")
     if delta <= 0:
         raise ValueError(f"step length must be > 0, got {delta}")
+    if not math.isfinite(t):
+        raise ValueError(f"step start time must be finite, got {t}")
     if model.L != state.L:
         raise ValueError(f"model has L={model.L} but state has L={state.L}")
+    model.validate()
     prog = _StepProgram(model, delta)
     prog.count(1)
-    prog.apply(state.amp, prog.substep_parts([t + 0.5 * delta])[0])
+    prog.apply(state.amp, prog.pass_parts([t + 0.5 * delta]), 0)
     return state
 
 
@@ -867,6 +861,8 @@ def evolve_eo(
     """
     if eo.model.L != state.L:
         raise ValueError(f"operation has L={eo.model.L} but state has L={state.L}")
+    if not math.isfinite(t0):
+        raise ValueError(f"operation start time must be finite, got {t0}")
     if plan is None:
         plan = auto_substeps(eo)
     if plan.tau != eo.tau:
@@ -890,8 +886,9 @@ def evolve_eo(
     for lo in range(0, plan.m, chunk):
         hi = min(lo + chunk, plan.m)
         prog.count(hi - lo)
-        for n, substep in enumerate(prog.substep_parts((np.arange(lo, hi) + 0.5) * delta), lo + 1):
-            prog.apply(state.amp, substep)
+        chunk_parts = prog.pass_parts((np.arange(lo, hi) + 0.5) * delta)
+        for i, n in enumerate(range(lo + 1, hi + 1)):
+            prog.apply(state.amp, chunk_parts, i)
             if n in wanted:
                 parts.append(observables_of(state.amp[None], np.array([t0 + n * delta])))
     return state, _concatenate(parts, state.dim)

@@ -143,8 +143,8 @@ def f_oracle_product(item: int) -> list:
 
 
 def conditional_phase_product() -> list:
-    """Conditional phase shift P = Y1 Xb1 Yb1 Y2 Xb2 Yb2 Ipi (equals -F0)."""
-    return ["Y1", "X1b", "Y1b", "Y2", "X2b", "Y2b", "Ipi"]
+    """Conditional phase shift P = Y1 Xb1 Yb1 Y2 Xb2 Yb2 Ipi, the product of F_0: P equals -F0, a global phase."""
+    return f_oracle_product(0)
 
 
 def shortened_search_product(item: int) -> list:

@@ -375,7 +375,8 @@ class TestFoldedPasses:
 
     @staticmethod
     def row_scalings(prog, t_mid):
-        return sum(w is not None for substep in prog.substep_parts(t_mid) for _, *rows in substep for w in rows)
+        # each row scaling counts once per substep, also one that does not vary
+        return len(t_mid) * sum(w is not None for _, *rows in prog.pass_parts(t_mid) for w in rows)
 
     @pytest.mark.parametrize("name, vectors, counts", [
         ("all pairs", 3, {"diagonal_sweeps": 5, "global_rotations": 4, "gate_kernel_calls": 32,
@@ -389,7 +390,7 @@ class TestFoldedPasses:
         rng = np.random.default_rng(700)
         model = self.all_pairs(rng) if name == "all pairs" else self.chain(rng, name[-1])
         prog = propagator._StepProgram(model, 0.01)
-        assert len({id(op) for op in prog.ops if isinstance(op, np.ndarray)}) == vectors
+        assert len({id(vec) for gap in prog.gaps for vec in gap}) == vectors
         assert prog.counts == counts
         assert self.row_scalings(prog, (np.arange(40) + 0.5) * 0.01) == 0
 
@@ -414,6 +415,20 @@ class TestFoldedPasses:
         counters.reset()
         evolve_eo(random_state(self.L, 710), ElementaryOperation("e", model, 0.4), 0.0, plan=StepPlan(40, 0.4))
         assert (counters.diagonal_sweeps, counters.global_rotations) == (80, 40)
+
+    @pytest.mark.parametrize("L", [5, 6, 17])
+    def test_a_chunk_steps_by_index_as_one_substep_at_a_time(self, L):
+        # drives on every coupled axis: the chunk's parts vary per substep and
+        # hold row scalings; indexing them gives the parts of each substep alone
+        prog = propagator._StepProgram(random_driven_model(L, 730 + L), 0.01)
+        t_mid = (np.arange(3) + 0.5) * 0.01
+        parts = prog.pass_parts(t_mid)
+        assert any(w is not None for _, *rows in parts for w in rows)
+        by_index, one_at_a_time = random_state(L, 740 + L).amp, random_state(L, 740 + L).amp
+        for i, t in enumerate(t_mid):
+            prog.apply(by_index, parts, i)
+            prog.apply(one_at_a_time, prog.pass_parts([t]), 0)
+        assert np.array_equal(by_index, one_at_a_time)
 
 
 class TestSymmetrizedStep:
@@ -554,6 +569,8 @@ class TestStepLayouts:
         self.check_step(model, 430)
         assert counters.global_rotations == passes
         assert counters.gate_kernel_calls == 3 * passes
+        prog = propagator._StepProgram(model, 0.23)
+        assert (len(prog.passes), len(prog.gaps)) == (passes, passes + 1)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
@@ -1357,6 +1374,13 @@ BAD_ARGUMENTS = [
      "model has L=2 but state has L=1"),
     (lambda: symmetrized_step(new_basis_state(1, [0]), SpinModel(1), 0.0, 0.0), "step length must be > 0, got 0.0"),
     (lambda: symmetrized_step(new_basis_state(1, [0]), SpinModel(1), -0.1, 0.0), "step length must be > 0, got -0.1"),
+    (lambda: symmetrized_step(new_basis_state(1, [0]), SpinModel(1), math.nan, 0.0), "step length must be finite, got nan"),
+    (lambda: symmetrized_step(new_basis_state(1, [0]), SpinModel(1), 0.1, math.inf),
+     "step start time must be finite, got inf"),
+    (lambda: symmetrized_step(new_basis_state(2, [0, 0]), _model_with(coupling=((0, 1, 2), 1.0)), 0.1, 0.0),
+     "coupling must be symmetric in (j, k)"),
+    (lambda: evolve_eo(new_basis_state(1, [0]), ElementaryOperation("e", SpinModel(1), 1.0), math.nan, sample_at=[1]),
+     "operation start time must be finite, got nan"),
     (lambda: SpinModel(0), "qubit count must be in 1..26, got 0"),
     (lambda: SpinModel(27), "qubit count must be in 1..26, got 27"),
     (lambda: SpinModel(2).set_static(3, "x", 1.0), "qubit index must be in 1..2, got 3"),
