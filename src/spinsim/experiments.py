@@ -118,8 +118,8 @@ def run_report(
     start = time.perf_counter()
     final, samples = run_sequence(state, seq, sample_every, plans, tol)
     wall = time.perf_counter() - start
-    obs = final.observables(t=seq.total_duration)
-    return RunReport(title, tuple(float(qj) for qj in obs.q), obs.norm, wall, samples, final, tol=tol)
+    q, norm = samples.obs.q[-1], samples.obs.norm[-1]  # the last sample is the final state
+    return RunReport(title, tuple(float(qj) for qj in q), float(norm), wall, samples, final, tol=tol)
 
 
 def run_grover(

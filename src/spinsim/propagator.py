@@ -1,134 +1,72 @@
 """Second-order symmetrized product-formula integrator.
 
-One time step of length delta applies five factors, right to left,
+Factor order. One step of length delta applies, right to left,
 
     exp(-i d Hz/2) exp(-i d Hy/2) exp(-i d Hx) exp(-i d Hy/2) exp(-i d Hz/2),
 
-with every sinusoidal field evaluated at the single midpoint time
-t + delta/2. Each per-axis Hamiltonian H_a collects the pair couplings and
-fields of that axis only. The z factor is diagonal in the computational
-basis; the y and x factors are diagonal after a global quarter-turn:
+with every sinusoidal field taken at the midpoint t + delta/2; H_a holds the
+couplings and fields of axis a only. The z factor is diagonal in the
+computational basis; the y and x factors are diagonal after a global
+quarter-turn,
 
     exp(-i d Hy) = Rx exp(-i d Hy-as-diagonal) Rx+,   Rx = exp(+i (pi/2) Sx)
     exp(-i d Hx) = Ry exp(-i d Hx-as-diagonal) Ry+,   Ry = exp(-i (pi/2) Sy)
 
-The rotation signs are pinned by Rx Sz Rx+ = Sy and Ry Sz Ry+ = Sx; they are
-asserted by the oracle cross-checks rather than trusted.
+with signs pinned by Rx Sz Rx+ = Sy and Ry Sz Ry+ = Sx, which the oracle
+cross-checks assert. In application order a step is z, Rx+, y, Rx, Ry+, x,
+Ry, Rx+, y, Rx, z.
 
-In application order a step is z, Rx+, y, Rx, Ry+, x, Ry, Rx+, y, Rx, z.
-The field part of an axis factor is diagonal and commutes with that axis's
-couplings: exp(-i d (J_a + h_a)) = exp(-i d J_a) (x)_j diag(e^{i d h_j/2},
-e^{-i d h_j/2}). So a step compiles into coupling multipliers (one cached
-vector per axis, independent of time) and global passes of per-qubit gates.
-A multiplier is doubled from unit phase factors (_axis_multiplier): all pairs
-coupled, 1.4 and 11 ms per axis at L = 16 and 20 against 4.0 and 54 ms for
-an exp over all 2^L entries (one thread, 2-core VM, medians of best-of-7).
-Walking the order above, quarter-turns and single-qubit field factors
-collect in a pending list; at an axis with a coupling the list is flushed
-as one pass and the axis's multiplier is applied, its field factor joining
-whichever side already has a pass. Static fields stay in a multiplier that
-exists anyway: a coupled axis's, and z's, which needs no rotation. Adjacent
-inverse turns cancel, adjacent field factors of one axis merge, and an
-empty list is no pass. Passes per substep, by coupled axes:
+Compile rule. The field part of an axis factor is diagonal and commutes
+with the axis's couplings, so a step compiles into coupling multipliers (one
+cached vector per coupled axis, independent of time) and global passes of
+per-qubit gates. Walking the order above, quarter-turns and field factors
+collect in a pending list; at a coupled axis the list is flushed as one pass
+and the axis's multiplier is applied, its field factor joining whichever
+side already has a pass. A static field stays in a multiplier that exists
+anyway: a coupled axis's, and z's, which needs no rotation. Adjacent inverse
+turns cancel, adjacent field factors of one axis merge, and an empty list is
+no pass. Passes per substep, by field and coupled axes (- for none):
 
-    coupled axes     none  x   y   z   xy  xz  yz  xyz
-    no field          0    2   2   0   4   2   2   4
-    static z          0    2   2   0   4   2   2   4
-    static x, y, z    1    2   3   1   4   2   3   4
-    RF on z           1    2   2   1   4   2   2   4
+    field / coupled    -   x   y   z   xy  xz  yz  xyz
+    none               0   2   2   0   4   2   2   4
+    static z           0   2   2   0   4   2   2   4
+    static xyz         1   2   3   1   4   2   3   4
+    z RF               1   2   2   1   4   2   2   4
 
-With couplings on z only (the NMR machine, a driven chain) a substep is a
-z multiply, one pass and a z multiply.
+Block split and phase folding. A pass applies its gates _GATE_BLOCK qubits
+at a time, each block one matmul with their Kronecker product on a reshaped
+view of the register. The lowest block, kron(g_3, ..., g_0), is complex: it
+contracts the contiguous axis. Above it each gate splits as g = Z(u) R Z(v),
+Z(w) = diag(e^{iw}, e^{-iw}), with R real, u + v = arg alpha and u - v =
+arg beta, both reduced mod pi/2: Z(pi/2) = i sigma_z puts its sigma_z into R
+and its i into a scalar that the lowest block takes. The blocks of R are
+real matmuls on the float64 view of the register. The Z phases are diagonal
+and commute with the multipliers: where they are constant over an
+operation, the multipliers beside the pass hold them as extra field; where
+they vary, or no multiplier is beside the pass, they are a row scaling of
+the register viewed as (2^(L-4), 16), built one substep at a time.
 
-A pass applies its per-qubit gates _GATE_BLOCK qubits at a time: each block
-is one matmul with a 16 x 16 Kronecker product on a reshaped view of the
-register (fewer factors for the last block). Only the lowest block,
-kron(g_3, ..., g_0), is complex: it contracts the contiguous axis, where a
-real block would save nothing. Above it each gate splits as g = Z(u) R Z(v) with Z(w) =
-diag(e^{iw}, e^{-iw}) and R real (u + v = arg alpha and u - v = arg beta,
-mod pi). u and v are reduced mod pi/2: Z(pi/2) = i sigma_z puts its sigma_z
-into R and its i into a scalar that the lowest block takes. The blocks of R
-are real matmuls on the float64 view of the register, half the arithmetic
-of a complex block. The Z phases are diagonal, so they commute with the
-multipliers. Where they do not change over an operation (every pass of the
-benchmark's workloads: the quarter-turns, a drive on one uncoupled
-transverse axis) the multipliers beside a pass hold them as extra field,
-built once with the multiplier, and no vector is added. Where they vary
-(RF on a coupled axis or on z, RF on two uncoupled transverse axes) or no
-multiplier is beside the pass, they are a row scaling of the register
-viewed as (2^(L-4), 16), built one substep at a time. Milliseconds per
-block as one matmul over the whole register, by its lowest bit, one BLAS
-thread, median of five runs of the best of seven, on a 2-core VM shared
-with other tenants:
+Tiles and column chunks. A pass acts on one register through one buffer of
+min(2^L, _TILE) amplitudes and never through a register-sized scratch. The
+blocks inside a tile run one tile after another, each one matmul from the
+tile or the buffer into the other, so a tile and its buffer stay in cache.
+Each block above the tile runs in place over column chunks of the float64
+view, one buffer's worth at a time, each copied back while still in cache.
 
-    lowest bit        0      4      8     12     16
-    L=16 complex    0.24   0.34   0.33   0.30
-    L=16 real              0.10   0.15   0.17
-    L=20 complex    5.8    6.7    6.0    5.9    8.2
-    L=20 real              3.3    2.9    4.0    4.6
+Operands. A pass and a multiplier act on one register; only step matrices
+and observables are batched. Step matrices are for registers of one block,
+L <= 4: per chunk of substeps, a stack of step matrices and their products
+from the operation's start to each sample (pieces), which run_sequence
+reuses within a call. Larger registers are stepped in place, one substep at
+a time. Both operands give the same kernel counts.
 
-A pass acts on one register through one buffer of min(2^L, _TILE)
-amplitudes, _TILE = 2^16 (1 MiB), and never through a register-sized
-scratch. A register of at most _TILE amplitudes (L <= 16) is one tile. The
-blocks inside a tile (up to qubit 15) run one tile after another, each one
-matmul alternating between the tile and the buffer, so a tile and its
-buffer sit in a 2 MiB L2 cache; a tile is copied back after an odd number
-of blocks, and above L = 16, with four blocks, never. Each block above
-the tile runs in place over column chunks of the float64 view, (-1, 16,
-2^(lo+1)) cut into one buffer's worth (2^13 floats wide for a 16 x 16
-block): each chunk is multiplied into the buffer and copied back while it
-is still in cache. One pass of folded x quarter-turns, milliseconds, against one
-matmul per block over the whole register and its scratch copy, the pass
-this one replaced (best of three, median of five, range over three
-alternating rounds; at L = 16 both rows ran the same code):
-
-    L                       16          18         20          22
-    whole register       0.96-1.57    5.4-6.7   28.6-36.4    147-164
-    tiles and chunks     0.79-1.15    4.1-5.5   18.5-26.5     94-125
-
-A pass of random gates whose phases fold takes 0.66 ms at L=16, against
-1.74 ms with every block complex; a row scaling adds 0.14 ms (0.07 ms of it
-building its vector) at L=16 and about 3 ms at L=20.
-
-The Hamiltonian carries an overall minus sign in front of both the coupling
-and field sums, so exp(-i*theta*H) multiplies amplitude n by the positive
-phase exp(+i*theta*(sum_pairs J*s_j*s_k + sum_j h_j(t)*s_j)) with
-s_j = +/- 1/2.
-
-Clock convention: a sequence advances one monotone global clock for
-bookkeeping (durations, trajectory timestamps), but the sinusoidal drive of
-each operation is referenced to that operation's own start, sin(f*u + phi)
-with u in [0, tau]. An instruction's action is therefore fully determined by
-its parameter table and duration, never by where it sits in the sequence.
-(A drive phase referenced to absolute time would instead be invisible in the
-co-rotating frame, and the pulse-order sensitivity this simulator is built
-to expose would largely vanish.)
-
-Two operands, one step program. A pass and a multiplier act on one
-register; only step matrices and observables are batched. An instruction's
-drive clock starts at its own start, so the gates of a chunk of substeps
-are built at once. Registers of up to 16 amplitudes (L <= 4), where each
-pass is one complex block, then get the chunk's step matrices as one stack
-(one batched matmul per pass, each multiplier scaling every row), and a
-pairwise tree of batched matmuls and a running product make each piece the
-product from the operation's start to a sample. A chunk's samples are one
-batched product of the start state with its pieces. The pieces depend only
-on the operation, its plan and its sample stride, so run_sequence reuses
-them within a call. Larger registers are stepped in place, one substep at a
-time. The threshold, one block, rests on microseconds per substep, 512 substeps, in
-place and by matrices with one vector-matrix product per substep (2-core VM
-shared with other tenants, median of three runs of the best of seven):
-
-    L    driven chain      all pairs, 4 passes
-    2     4.7    1.8        15.6    4.1
-    3     5.2    3.6        18.5    8.5
-    4     6.5    7.6        26.0   22.0
-    5    10.3   19.6        37.9   72.7
-    6    11.8   61.9        41.1  313
-
-Matrices win by 1.4x or more up to L = 3 and lose by 1.9x or more from
-L = 5; at L = 4 they split, 1.2x either way, and the threshold is 16
-amplitudes."""
+Signs and clock. The Hamiltonian carries an overall minus sign on both the
+coupling and the field sums, so exp(-i theta H) multiplies amplitude n by
+exp(+i theta (sum_pairs J s_j s_k + sum_j h_j(t) s_j)), s_j = +-1/2. A
+sequence advances one monotone global clock for bookkeeping, but each
+operation's drive is sin(f u + phi) with u in [0, tau] from its own start,
+so an instruction is its parameter table and duration, wherever it sits.
+"""
 
 from __future__ import annotations
 
@@ -178,19 +116,14 @@ _MAX_SUBSTEPS = 2**63 - 1
 
 @dataclass
 class KernelCounters:
-    """Instrumentation for the operation-count invariants of one run.
+    """Operation counts of one run, each a logical per-substep visit.
 
-    Every count is a logical per-substep visit, whichever operand the step
-    program runs on. A substep adds one diagonal sweep per coupling
-    multiplier it applies, one global rotation per global pass (see the
-    module docstring for both), and L gate kernel calls per pass (the
-    per-qubit gates, although one matmul covers a block of qubits); a row
-    scaling is part of its pass, not a diagonal sweep. Per axis
-    factor (z and y twice, x once) it adds one pair term per nonzero coupling
-    and one field term per qubit with a static or RF field on that axis,
-    whether a multiplier or a pass applies it. A chunk of n substeps adds n
-    times these, also when its pieces are replayed, so the counts are the
-    same on both sides of the register-size threshold, with or without reuse.
+    A substep adds one diagonal sweep per multiplier it applies, one global
+    rotation per pass and L gate kernel calls per pass (a row scaling is part
+    of its pass). Per axis factor (z and y twice, x once) it adds one pair
+    term per nonzero coupling and one field term per qubit with a field on
+    that axis. A chunk of n substeps adds n times these, also when replayed,
+    so the counts do not depend on the operand or on reuse.
     """
 
     diagonal_sweeps: int = 0
@@ -454,13 +387,8 @@ def _scale_rows(amp: np.ndarray, phases) -> None:
 def _tiled(amp: np.ndarray, blocks: list) -> None:
     """Apply ``blocks`` from bit 0 up to the register ``amp`` in place, through one buffer of at most _TILE amplitudes.
 
-    A register of at most _TILE amplitudes is one tile. The blocks inside a
-    tile run one tile after another, each one matmul from the tile or the
-    buffer into the other (block 0 on the contiguous complex axis, the real
-    blocks on the float64 view at half the arithmetic), and a tile is copied
-    back after an odd number of them. Each block above the tile runs in place
-    over column chunks of the float64 view, one buffer's worth at a time,
-    each chunk's product copied back while it is still in cache.
+    Tiles and column chunks as in the module docstring; a tile is copied
+    back from the buffer after an odd number of blocks.
     """
     buf = np.empty(min(amp.size, _TILE), dtype=np.complex128)
     inner = math.ceil((buf.size.bit_length() - 1) / _GATE_BLOCK)
@@ -492,10 +420,8 @@ def _tiled(amp: np.ndarray, blocks: list) -> None:
 def _global_gate(amp: np.ndarray, blocks: list, before=None, after=None) -> None:
     """Apply one pass of ``_gate_blocks``, with no leading axes, to the register ``amp`` in place.
 
-    ``amp`` is one C-contiguous register. The row scaling ``before`` comes
-    first and ``after`` last; between them ``_tiled`` applies the blocks
-    through one buffer of at most _TILE amplitudes, never a register-sized
-    scratch, and frees it before ``after`` builds its vector.
+    Row scaling ``before``, then ``_tiled``, then row scaling ``after``.
+    Raises ValueError unless ``amp`` is one C-contiguous register.
     """
     if amp.ndim != 1 or not amp.flags.c_contiguous:  # the reshapes in _tiled must be views
         raise ValueError("amplitude array must be one C-contiguous register")
@@ -527,27 +453,36 @@ class _Pass:
     v0: np.ndarray | float = 0.0
 
 
-class _StepProgram:
-    """All five factors of one step, compiled for a fixed substep length.
+def _scales(model: SpinModel) -> tuple:
+    """The strongest field, max |h0| + |h1|, and the strongest coupling, max |J|; inf where the sum overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(model.static_field) + np.abs(model.rf_amp))), float(np.max(np.abs(model.coupling)))
 
-    The only step implementation: ``symmetrized_step`` runs a one-step
-    program and ``evolve_eo`` reuses one program for every substep, on the
-    state itself or on a stack of step matrices. By the compile rule in the
-    module docstring a step is the global passes ``passes`` (``_Pass``) and
-    the gaps ``gaps`` around them, one more gap than passes: in application
-    order gaps[0], passes[0], gaps[1], ..., passes[-1], gaps[-1]. A gap lists
-    the cached multiplier vectors of the axes met there; only the first and
-    the last may be empty. A pass's factors are quarter-turn keys and (axis,
+
+def _check_substep(model: SpinModel, delta: float, what: str = "a substep") -> None:
+    """Raise ValueError unless a substep of length ``delta`` advances every phase of ``model`` by a finite amount."""
+    h_scale, j_scale = _scales(model)
+    if not math.isfinite(delta * max(h_scale, j_scale)):
+        raise ValueError(f"{what} of length {delta:g} advances a phase that is not finite: "
+                         f"field scale {h_scale:g}, coupling scale {j_scale:g}")
+
+
+class _StepProgram:
+    """One step compiled for a fixed substep length by the compile rule of the module docstring.
+
+    Every step runs through one. In application order a step is gaps[0],
+    passes[0], gaps[1], ..., passes[-1], gaps[-1]: ``passes`` are ``_Pass``es
+    and a gap lists the multiplier vectors met there, only the first and the
+    last possibly empty. A pass's factors are quarter-turn keys and (axis,
     theta) field factors diag(exp(i theta h_j/2), exp(-i theta h_j/2)), h_j
-    being the part of qubit j's field on that axis that no multiplier holds,
-    kept per axis in ``fields`` as (static, RF amplitude or None, frequency,
-    phase). Each multiplier also holds, as extra field on the qubits above
-    the lowest block, the z phases of the passes beside it (``_fold``).
+    the field that no multiplier holds, kept per axis in ``fields`` as
+    (static, RF amplitude or None, frequency, phase).
     """
 
     __slots__ = ("L", "dim", "fields", "passes", "gaps", "counts")
 
     def __init__(self, model: SpinModel, delta: float):
+        _check_substep(model, delta)
         L = self.L = model.L
         self.dim = 1 << L
         coupling, static, rf_amp = model.coupling, model.static_field, model.rf_amp
@@ -760,11 +695,9 @@ def auto_substeps(eo: ElementaryOperation) -> StepPlan:
     freqs = np.abs(model.rf_freq[(model.rf_freq != 0.0) & (model.rf_amp != 0.0)])
     if freqs.size:
         bounds.append(2.0 * math.pi / float(freqs.max()) / _RF_SAMPLES_PER_PERIOD)
-    with np.errstate(over="ignore"):  # an infinite scale is reported below
-        h_scale = float(np.max(np.abs(model.static_field) + np.abs(model.rf_amp)))
+    h_scale, j_scale = _scales(model)  # an infinite scale is reported below
     if h_scale > 0.0:
         bounds.append(_MAX_PHASE_PER_STEP / h_scale)
-    j_scale = float(np.max(np.abs(model.coupling)))
     if j_scale > 0.0:
         bounds.append(_MAX_PHASE_PER_STEP / j_scale)
     step = min(bounds)
@@ -846,18 +779,14 @@ def evolve_eo(
     leading axis over the substep numbers n in ``sample_at``, each taken
     right after substep n at time t0 + n * delta. ``sample_at`` is any
     iterable of integers increasing strictly within 1..m; a zero duration
-    takes no substeps and returns no samples. ``plan`` must be for
-    ``eo.tau``.
+    takes no substeps and returns no samples. Raises ValueError for an L or
+    a plan (for another duration) that does not match, a bad ``sample_at``, a
+    non-finite ``t0``, or a substep that advances a phase that is not finite.
 
-    A register of up to 16 amplitudes ``_replay``s the pieces of
-    ``_matrix_pieces`` (products from the operation's start to each sample),
-    which depend only on the model, the plan and ``sample_at``. They are
-    computed afresh unless ``pieces`` is a list: an empty one is filled with
-    them, and a filled one, from an earlier call with the same operation,
-    plan and ``sample_at``, is replayed, as run_sequence does for a
-    recurring operation. A larger register ignores ``pieces``: it
-    builds each chunk's pass blocks in one pass, applies each substep to the
-    state and reads each sample as it is taken.
+    On step matrices (module docstring) an empty ``pieces`` list is filled
+    with the operation's pieces and a filled one, from an earlier call with
+    the same operation, plan and ``sample_at``, is replayed; a register
+    stepped in place ignores ``pieces``.
     """
     if eo.model.L != state.L:
         raise ValueError(f"operation has L={eo.model.L} but state has L={state.L}")
@@ -905,22 +834,19 @@ def run_sequence(
 
     The input state is not modified. Observables are recorded at the initial
     point, after every ``sample_every``-th substep, at each operation boundary
-    and at the final point. When ``sample_every`` is None each operation is
-    sampled about 200 times (once per substep if it has fewer). ``plans``,
-    if given, holds one plan per operation (default ``auto_substeps``).
+    and at the final point; with ``sample_every`` None, about 200 times per
+    operation. ``plans`` holds one plan per operation (default
+    ``auto_substeps``). An operation object that recurs in ``seq`` replays its
+    pieces per plan until its last position, while all kept pieces hold at
+    most _KEPT_ELEMENTS complex entries. Raises ValueError before any
+    operation runs for a bad argument or a substep that advances a phase
+    that is not finite.
 
-    An operation object that occurs again later in ``seq`` hands
-    ``evolve_eo`` one ``pieces`` list per plan, in plain runs and doubling
-    trials alike: its first run at a plan fills it, later ones replay it, and
-    it is dropped after the object's last position. A list is made only
-    while all kept pieces, one per sample, hold at most _KEPT_ELEMENTS
-    complex entries; past that, the operation computes its pieces at that
-    plan afresh. With a tolerance ``tol`` (finite, >= 0) each operation
-    runs from the state the ones before it leave, at m and 2m substeps, each
-    trial sampled. The step is second order, so the 2m trial's error is about
-    |psi_2m - psi_m| / (2^2 - 1); m is doubled, at most MAX_DOUBLINGS times,
-    until that is under ``tol``, and the last 2m trial is the run. A
-    zero-duration operation keeps its plan, with an estimate of 0.
+    With a tolerance ``tol`` (finite, >= 0) each operation runs from the
+    state the ones before it leave at m and 2m substeps, and m is doubled, at
+    most MAX_DOUBLINGS times, until the 2m trial's estimated error
+    |psi_2m - psi_m| / (2^2 - 1) is under ``tol``; the last 2m trial is the
+    run. A zero-duration operation keeps its plan, with an estimate of 0.
     """
     for eo in seq.eos:
         if eo.model.L != state.L:
@@ -934,6 +860,9 @@ def run_sequence(
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
     plans = list(plans) if plans is not None else [auto_substeps(eo) for eo in seq.eos]
+    for eo, plan in zip(seq.eos, plans):  # before any operation runs
+        if eo.tau > 0.0:
+            _check_substep(eo.model, plan.delta, f"operation {eo.name!r}: a substep")
     last, kept = {id(eo): i for i, eo in enumerate(seq.eos)}, {}  # kept: (id of an operation, plan) -> pieces
     estimates = None if tol is None else [0.0] * len(seq)
     out = state.copy()

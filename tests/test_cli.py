@@ -1,9 +1,11 @@
 """Command-line interface tests: subcommands, exit codes, round trips."""
 
+import argparse
 import ast
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -15,6 +17,7 @@ import spinsim
 from spinsim import cli
 from spinsim.cli import main
 from spinsim.experiments import run_grover
+from spinsim.propagator import KernelCounters, counters
 
 PINNED = ["--sample-every", "1000000000"]  # one sample per operation, as in the pinned report
 # two zero-duration operations at a fixed plan of 50 substeps each
@@ -327,6 +330,19 @@ class TestBadInput:
         self.assert_usage_error(self.spinsim("run", "--config", str(cfg), "--sequence", "s"),
                                 "operation 'A' needs a substep count that is not finite")
 
+    @pytest.mark.parametrize("L", [2, 5])  # step matrices and in place
+    def test_fixed_plan_phase_overflow(self, tmp_path, capsys, L):
+        # one substep of a 1e308 field over 2 pi * 10 advances a phase that is not finite
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"L = {L}\n[eo A]\ntau_over_2pi = 10\nh0 z 1 = 1e308\nh0 x 2 = 1\n[sequence s]\neos = A\n"
+                       "[run]\nsequence = s\nsteps = 1\n")
+        message = "operation 'A': a substep of length 62.8319 advances a phase that is not finite"
+        self.assert_usage_error(self.spinsim("run", "--config", str(cfg)), message)
+        counters.reset()
+        assert main(["run", "--config", str(cfg)]) == 1  # in process, where a warning is an error
+        assert message in capsys.readouterr().err
+        assert vars(counters) == vars(KernelCounters())
+
     def test_steps_option_overflow(self):
         proc = self.spinsim("grover", "--hardware", "ideal", "--item", "0", "--steps", "99999999999999999999999")
         self.assert_usage_error(proc, "substep count must be in 1..2**63 - 1")
@@ -376,6 +392,21 @@ class TestBadInput:
         proc = self.spinsim("converge", "--hardware", "nmr", "--item", "2", "--tol", "1e-4")
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr and "invalid choice: 'converge'" in proc.stderr
+
+
+def test_readme_commands_parse():
+    # every command of README's "Command line" block parses, and every option it names exists
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line\n")[1].split("\n## ")[0]
+    commands = [line for line in section.split("```sh\n")[1].split("```")[0].splitlines() if line.startswith("spinsim ")]
+    parser = cli._build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {s for p in sub.choices.values() for a in p._actions for s in a.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+    assert len(commands) >= 7 and len(named) >= 8
+    assert named <= options
 
 
 def test_only_main_handles_errors():

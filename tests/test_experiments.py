@@ -79,6 +79,20 @@ class TestRunReports:
         with pytest.raises(ValueError):
             run_grover("quantum", 0)
 
+    @pytest.mark.parametrize("run", [
+        lambda: run_grover("nmr", 2, "21"),
+        lambda: run_grover("nmr", 1, "12", rotating_frame=True),
+        lambda: run_grover("ideal", 3, "21", rotating_frame=True, tol=1e-6),
+        lambda: run_report("empty", StateVector(2, [0.6, 0.8j, 0, 0]), PulseSequence([])),
+        lambda: run_report("chain", StateVector(5, np.eye(32)[3]), PulseSequence([ElementaryOperation(
+            "e", SpinModel(5).set_coupling(1, 2, "z", 0.7).set_rf(3, "x", 0.4, 1.1), 2.0)]), tol=1e-3),
+    ], ids=["nmr", "rotating frame", "tolerance", "empty sequence", "L=5 in place"])
+    def test_readouts_are_the_final_state(self, run):
+        # the report reads its readouts from the last sample, which is the final state
+        report = run()
+        obs = report.final_state.observables()
+        assert report.q == tuple(float(q) for q in obs.q) and report.norm == float(obs.norm)
+
 
 class TestTrajectoryCsv(object):
     def test_schema_and_determinism(self, tmp_path):

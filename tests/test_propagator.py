@@ -497,11 +497,21 @@ class TestSymmetrizedStep:
 # - y and yz: Rx+ before the first Cy and Rx after the second: 2; a static
 #   x field puts Rx Ry+ x Ry Rx+ between the two Cy: 3.
 # - xy and xyz: a pass before each of Cy, Cx, Cy and one after: 4.
-PASSES_BY_COUPLED_AXES = {  # coupled axes: passes with no field, static z, static xyz, z RF
-    "-": (0, 0, 1, 1), "x": (2, 2, 2, 2), "y": (2, 2, 3, 2), "z": (0, 0, 1, 1),
-    "xy": (4, 4, 4, 4), "xz": (2, 2, 2, 2), "yz": (2, 2, 3, 2), "xyz": (4, 4, 4, 4),
-}
-FIELD_CASES = ("none", "static z", "static xyz", "z RF")
+def passes_table():
+    """(coupled axes, field, passes) of each cell of the passes-per-substep table in the module docstring."""
+    lines = propagator.__doc__.splitlines()
+    head = next(i for i, line in enumerate(lines) if line.split()[:3] == ["field", "/", "coupled"])
+    axes, cases = lines[head].split()[3:], []
+    for line in lines[head + 1:lines.index("", head)]:
+        words = line.split()
+        field, cells = " ".join(words[:-len(axes)]), words[-len(axes):]
+        cases += [(ax, field, int(n)) for ax, n in zip(axes, cells)]
+    return cases
+
+
+PASSES_TABLE = passes_table()
+assert {(c, f) for c, f, _ in PASSES_TABLE} == {(c, f) for c in ("-", "x", "y", "z", "xy", "xz", "yz", "xyz")
+                                                 for f in ("none", "static z", "static xyz", "z RF")}
 
 
 class TestStepLayouts:
@@ -550,11 +560,7 @@ class TestStepLayouts:
         self.check_step(model, 410)
         assert counters.global_rotations == passes
 
-    @pytest.mark.parametrize("coupled, field, passes", [
-        (coupled, field, passes)
-        for coupled, row in PASSES_BY_COUPLED_AXES.items()
-        for field, passes in zip(FIELD_CASES, row)
-    ])
+    @pytest.mark.parametrize("coupled, field, passes", sorted(PASSES_TABLE))
     def test_passes_per_substep_by_coupled_axes(self, coupled, field, passes):
         rng = np.random.default_rng(420)
         model = SpinModel(3)
@@ -1392,6 +1398,14 @@ BAD_ARGUMENTS = [
     (lambda: PulseSequence([ElementaryOperation("a", SpinModel(1), 1.0), ElementaryOperation("b", SpinModel(2), 1.0)]),
      "all operations in a sequence must share one qubit count"),
     (lambda: global_half_pi_rotation(new_basis_state(1, [0]), "z"), "rotation axis must be 'x' or 'y', got 'z'"),
+    (lambda: symmetrized_step(new_basis_state(2, [0, 0]), SpinModel(2).set_static(1, "z", 1e308), 10.0, 0.0),
+     "a substep of length 10 advances a phase that is not finite: field scale 1e+308, coupling scale 0"),
+    (lambda: evolve_eo(new_basis_state(5, [0] * 5), ElementaryOperation("e", SpinModel(5).set_coupling(
+        1, 2, "x", 1e308), 2.0), 0.0, StepPlan(1, 2.0)),
+     "a substep of length 2 advances a phase that is not finite: field scale 0, coupling scale 1e+308"),
+    (lambda: run_sequence(new_basis_state(2, [0, 0]), PulseSequence([ElementaryOperation(
+        "e", SpinModel(2).set_static(1, "z", 1e308).set_rf(1, "z", 1e308, 1.0), 1.0)]), plans=[StepPlan(4, 1.0)]),
+     "operation 'e': a substep of length 0.25 advances a phase that is not finite: field scale inf, coupling scale 0"),
 ]
 
 
@@ -1402,6 +1416,16 @@ class TestBadArguments:
     def test_message(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+
+    def test_phase_overflow_is_refused_before_any_substep(self):
+        # the second operation's one substep overflows, so the first one does not run either
+        good = ElementaryOperation("good", SpinModel(2).set_static(1, "x", 1.0), 1.0)
+        bad = ElementaryOperation("bad", SpinModel(2).set_static(1, "z", 1e308), 10.0)
+        counters.reset()
+        with pytest.raises(ValueError, match="^operation 'bad': a substep of length 10 advances a phase"):
+            run_sequence(new_basis_state(2, [0, 0]), PulseSequence([good, bad]),
+                         plans=[StepPlan(4, 1.0), StepPlan(1, 10.0)])
+        assert vars(counters) == vars(propagator.KernelCounters())
 
     def test_coupling_must_be_exactly_symmetric(self):
         # the multipliers read the lower triangle and the oracle the upper one,
