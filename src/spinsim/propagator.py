@@ -60,6 +60,16 @@ from the operation's start to each sample (pieces), which run_sequence
 reuses within a call. Larger registers are stepped in place, one substep at
 a time. Both operands give the same kernel counts.
 
+The period rule decides how much of an operation the step matrices cover. A
+drive's clock starts at its operation's start, so when every drive with a
+nonzero amplitude has one |frequency| f, k = f tau / 2 pi is an integer to
+within a few ulps and m is a multiple of k, the step matrices repeat every
+p = m / k substeps. The products are then built over one period, as the
+prefixes P_r to each sampled residue r in 1..p, and sample n = q p + r gets
+U^q P_r with U = P_p; the kernel counters still count m substeps. Otherwise,
+or where the residue pieces would pass _KEPT_ELEMENTS, k = 1 and the period
+is the whole operation. auto_substeps rounds m up to a multiple of k.
+
 Signs and clock. The Hamiltonian carries an overall minus sign on both the
 coupling and the field sums, so exp(-i theta H) multiplies amplitude n by
 exp(+i theta (sum_pairs J s_j s_k + sum_j h_j(t) s_j)), s_j = +-1/2. A
@@ -459,12 +469,32 @@ def _scales(model: SpinModel) -> tuple:
         return float(np.max(np.abs(model.static_field) + np.abs(model.rf_amp))), float(np.max(np.abs(model.coupling)))
 
 
-def _check_substep(model: SpinModel, delta: float, what: str = "a substep") -> None:
-    """Raise ValueError unless a substep of length ``delta`` advances every phase of ``model`` by a finite amount."""
+def _frequencies(model: SpinModel) -> list:
+    """The distinct |frequency| of the drives with a nonzero amplitude, in increasing order."""
+    # not np.unique: its first call imports numpy.ma, about 1 MB resident
+    return sorted(set(np.abs(model.rf_freq[model.rf_amp != 0.0]).tolist()))
+
+
+def _check_phases(model: SpinModel, delta: float, end: float, where: str = "") -> None:
+    """Raise ValueError unless a substep of length ``delta`` advances every phase of ``model`` by a finite
+    amount and every drive phase f u stays finite for |u| <= ``end``; ``where`` prefixes the message."""
     h_scale, j_scale = _scales(model)
     if not math.isfinite(delta * max(h_scale, j_scale)):
-        raise ValueError(f"{what} of length {delta:g} advances a phase that is not finite: "
+        raise ValueError(f"{where}a substep of length {delta:g} advances a phase that is not finite: "
                          f"field scale {h_scale:g}, coupling scale {j_scale:g}")
+    freqs = _frequencies(model)
+    if freqs and not math.isfinite(end * freqs[-1]):
+        raise ValueError(f"{where}a drive of frequency {freqs[-1]:g} reaches a phase that is not finite "
+                         f"within time {end:g}")
+
+
+def _periods(model: SpinModel, tau: float) -> int:
+    """The number k of whole drive periods in an operation of duration ``tau``, by the period rule of the
+    module docstring; 1 where the rule does not hold. ``tau`` times each frequency must be finite."""
+    freqs = _frequencies(model)
+    turns = freqs[0] * tau / (2.0 * math.pi) if len(freqs) == 1 else 0.0
+    k = round(turns)
+    return k if k > 1 and abs(turns - k) <= 4 * math.ulp(turns) else 1
 
 
 class _StepProgram:
@@ -482,7 +512,6 @@ class _StepProgram:
     __slots__ = ("L", "dim", "fields", "passes", "gaps", "counts")
 
     def __init__(self, model: SpinModel, delta: float):
-        _check_substep(model, delta)
         L = self.L = model.L
         self.dim = 1 << L
         coupling, static, rf_amp = model.coupling, model.static_field, model.rf_amp
@@ -667,6 +696,7 @@ def symmetrized_step(state: StateVector, model: SpinModel, delta: float, t: floa
     if model.L != state.L:
         raise ValueError(f"model has L={model.L} but state has L={state.L}")
     model.validate()
+    _check_phases(model, delta, abs(t) + delta)
     prog = _StepProgram(model, delta)
     prog.count(1)
     prog.apply(state.amp, prog.pass_parts([t + 0.5 * delta]), 0)
@@ -679,7 +709,9 @@ def auto_substeps(eo: ElementaryOperation) -> StepPlan:
     A constant Hamiltonian confined to a single axis is integrated exactly by
     one step. Otherwise the substep length is capped at 1/64 of the period of
     the fastest RF drive with a nonzero amplitude, and at the times over which
-    the strongest field and the strongest coupling each advance a phase by 0.1 rad.
+    the strongest field and the strongest coupling each advance a phase by 0.1
+    rad; m then rounds up to a multiple of the operation's whole drive periods
+    (the period rule of the module docstring).
     """
     model = eo.model
     if eo.tau == 0.0:
@@ -702,10 +734,13 @@ def auto_substeps(eo: ElementaryOperation) -> StepPlan:
         bounds.append(_MAX_PHASE_PER_STEP / j_scale)
     step = min(bounds)
     count = eo.tau / step if step > 0.0 else math.inf
+    if math.isfinite(count):  # a finite count bounds tau times the drive frequency
+        k = _periods(model, eo.tau)
+        count = k * max(1, math.ceil(count / k - 1e-9))
     if not count <= _MAX_SUBSTEPS:
         size = "over 2**63 - 1" if math.isfinite(count) else "not finite"
         raise ValueError(f"operation {eo.name!r} needs a substep count that is {size}: tau {eo.tau:g} / step bound {step:g}")
-    return StepPlan(max(1, math.ceil(count - 1e-9)), eo.tau)
+    return StepPlan(count, eo.tau)
 
 
 def _segment_products(steps: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -735,20 +770,45 @@ def _concatenate(parts: list, dim: int) -> Observables:
 
 
 def _matrix_pieces(model: SpinModel, plan: StepPlan, at: np.ndarray):
-    """Yield per chunk of substeps (step program, substep count, sampled substep numbers, pieces): the
-    products of the step matrices from the operation's start to each sample, and in the last chunk to
-    its end; a pairwise tree between the cuts of a chunk, then a running product across chunks."""
+    """Yield per chunk (step program, substep count, sampled substep numbers, pieces): the products of
+    the step matrices from the operation's start to each sample, and in the last chunk to its end.
+
+    Over one drive period (the period rule of the module docstring) a pairwise tree between the cuts
+    of a chunk of substeps, then a running product across chunks, gives the prefixes. With k = 1 they
+    are the pieces, one chunk of substeps at a time; otherwise each chunk of samples is lifted by one
+    batched matmul with the powers U^q of its distinct q.
+    """
     prog = _StepProgram(model, plan.delta)
-    chunk, carry = max(1, _BATCH_ELEMENTS // prog.dim**2), np.eye(prog.dim)
-    for lo in range(0, plan.m, chunk):
-        hi = min(lo + chunk, plan.m)
-        first, last = np.searchsorted(at, (lo, hi), side="right")
-        ends = np.union1d(at[first:last] - lo, hi - lo)
+    chunk, dim, k = max(1, _BATCH_ELEMENTS // prog.dim**2), prog.dim, _periods(model, plan.tau)
+    if plan.m % k:
+        k = 1
+    ends = at if at.size and at[-1] == plan.m else np.append(at, plan.m)
+    q, r = np.divmod(ends - 1, plan.m // k)
+    cuts, index = np.unique(r + 1, return_inverse=True)  # the residues 1..p; the end's is p
+    if k == 1 or cuts.size * dim**2 > _KEPT_ELEMENTS:
+        k, cuts = 1, at
+    p, carry, prefixes = plan.m // k, np.eye(dim), []
+    for lo in range(0, p, chunk):
+        hi = min(lo + chunk, p)
+        first, last = np.searchsorted(cuts, (lo, hi), side="right")
         steps = prog.step_matrices((np.arange(lo, hi) + 0.5) * plan.delta)
-        products = _segment_products(steps, np.diff(ends, prepend=0))
-        for k, segment in enumerate(products):
-            carry = products[k] = carry @ segment
-        yield prog, hi - lo, at[first:last], products if hi == plan.m else products[:last - first].copy()
+        products = _segment_products(steps, np.diff(np.union1d(cuts[first:last] - lo, hi - lo), prepend=0))
+        for j, segment in enumerate(products):
+            carry = products[j] = carry @ segment
+        piece = products if hi == p else products[:last - first].copy()
+        if k == 1:
+            yield prog, hi - lo, at[first:last], piece
+        else:
+            prefixes.append(piece)
+    if k == 1:
+        return
+    prefixes = np.concatenate(prefixes)
+    for lo in range(0, ends.size, chunk):
+        hi = min(lo + chunk, ends.size)
+        qs, inverse = np.unique(q[lo:hi], return_inverse=True)
+        lift = np.stack([np.linalg.matrix_power(carry, int(power)) for power in qs])  # carry is U
+        n = int(ends[hi - 1] - (ends[lo - 1] if lo else 0))
+        yield prog, n, at[lo:hi], lift[inverse] @ prefixes[index[lo:hi]]
 
 
 def _replay(amp: np.ndarray, pieces, t0: float, delta: float) -> list:
@@ -781,7 +841,8 @@ def evolve_eo(
     iterable of integers increasing strictly within 1..m; a zero duration
     takes no substeps and returns no samples. Raises ValueError for an L or
     a plan (for another duration) that does not match, a bad ``sample_at``, a
-    non-finite ``t0``, or a substep that advances a phase that is not finite.
+    non-finite ``t0``, a substep that advances a phase that is not finite, or
+    a drive whose phase over the operation is not finite.
 
     On step matrices (module docstring) an empty ``pieces`` list is filled
     with the operation's pieces and a filled one, from an earlier call with
@@ -801,6 +862,7 @@ def evolve_eo(
         raise ValueError(f"sample_at must be strictly increasing substep numbers in 1..{plan.m}")
     if eo.tau == 0.0:
         return state, _concatenate([], state.dim)
+    _check_phases(eo.model, plan.delta, eo.tau)
     at = np.array(at, dtype=np.int64)
     if state.dim <= _BATCH_MAX_DIM:
         fresh = _matrix_pieces(eo.model, plan, at)  # computes nothing until it is read
@@ -839,8 +901,8 @@ def run_sequence(
     ``auto_substeps``). An operation object that recurs in ``seq`` replays its
     pieces per plan until its last position, while all kept pieces hold at
     most _KEPT_ELEMENTS complex entries. Raises ValueError before any
-    operation runs for a bad argument or a substep that advances a phase
-    that is not finite.
+    operation runs for a bad argument, a substep that advances a phase that
+    is not finite, or a drive whose phase over its operation is not finite.
 
     With a tolerance ``tol`` (finite, >= 0) each operation runs from the
     state the ones before it leave at m and 2m substeps, and m is doubled, at
@@ -859,10 +921,14 @@ def run_sequence(
         raise ValueError(f"got {len(plans)} plans for a sequence of {len(seq)} operations")
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
-    plans = list(plans) if plans is not None else [auto_substeps(eo) for eo in seq.eos]
+    if plans is None:  # each distinct operation object is planned once
+        planned = {id(eo): eo for eo in seq.eos}
+        planned = {key: auto_substeps(eo) for key, eo in planned.items()}
+        plans = [planned[id(eo)] for eo in seq.eos]
+    plans = list(plans)
     for eo, plan in zip(seq.eos, plans):  # before any operation runs
         if eo.tau > 0.0:
-            _check_substep(eo.model, plan.delta, f"operation {eo.name!r}: a substep")
+            _check_phases(eo.model, plan.delta, eo.tau, f"operation {eo.name!r}: ")
     last, kept = {id(eo): i for i, eo in enumerate(seq.eos)}, {}  # kept: (id of an operation, plan) -> pieces
     estimates = None if tol is None else [0.0] * len(seq)
     out = state.copy()

@@ -232,31 +232,33 @@ class TestOtherCommands:
     def test_converge_report_is_pinned(self, capsys):
         # the whole report of one NMR preset, its wall-time line left out.
         # One substep integrates Ipi (operations 7 and 12) exactly, so their
-        # estimates are |psi_2 - psi_1| / 3 of rounding alone, about 1e-16
+        # estimates are |psi_2 - psi_1| / 3 of rounding alone, about 1e-16.
+        # X2, X2b, Y2 and Y2b (operations 4-6, 8, 9, 13, 14) last 10 periods of
+        # their drive, so their plan is a multiple of 10: 2 x 2,520
         expected = """
         grover search: hardware=nmr item=2 init=12
-          operations 16, substeps 44160, samples 17
+          operations 16, substeps 44244, samples 17
           final Q1 = 0.035825   Q2 = 0.838009
-          norm deviation = 1.472e-11
+          norm deviation = 1.976e-11
           reference: Q1 = 0.037  Q2 = 0.836
           deviation dQ1 = 0.0012  dQ2 = 0.0020  [ok, tol 0.03]
           operation  1: m = 1280, error estimate = 1.257e-06
           operation  2: m = 1280, error estimate = 1.257e-06
           operation  3: m = 1280, error estimate = 1.257e-06
-          operation  4: m = 5028, error estimate = 1.634e-05
-          operation  5: m = 5028, error estimate = 1.634e-05
-          operation  6: m = 5028, error estimate = 1.634e-05
-          operation  7: m = 2, error estimate = 8.874e-17
-          operation  8: m = 5028, error estimate = 1.634e-05
-          operation  9: m = 5028, error estimate = 1.634e-05
+          operation  4: m = 5040, error estimate = 1.626e-05
+          operation  5: m = 5040, error estimate = 1.626e-05
+          operation  6: m = 5040, error estimate = 1.626e-05
+          operation  7: m = 2, error estimate = 7.401e-17
+          operation  8: m = 5040, error estimate = 1.626e-05
+          operation  9: m = 5040, error estimate = 1.626e-05
           operation 10: m = 1280, error estimate = 1.258e-06
           operation 11: m = 1280, error estimate = 1.255e-06
           operation 12: m = 2, error estimate = 9.878e-17
-          operation 13: m = 5028, error estimate = 1.634e-05
-          operation 14: m = 5028, error estimate = 1.634e-05
+          operation 13: m = 5040, error estimate = 1.626e-05
+          operation 14: m = 5040, error estimate = 1.626e-05
           operation 15: m = 1280, error estimate = 1.257e-06
           operation 16: m = 1280, error estimate = 1.259e-06
-          error estimate = 1.232e-04 (sum); every operation under tol 0.0001
+          error estimate = 1.226e-04 (sum); every operation under tol 0.0001
         """
         code = main(["grover", "--hardware", "nmr", "--item", "2", "--init", "12", "--tol", "1e-4", *PINNED])
         out = capsys.readouterr().out.splitlines()
@@ -337,6 +339,19 @@ class TestBadInput:
         cfg.write_text(f"L = {L}\n[eo A]\ntau_over_2pi = 10\nh0 z 1 = 1e308\nh0 x 2 = 1\n[sequence s]\neos = A\n"
                        "[run]\nsequence = s\nsteps = 1\n")
         message = "operation 'A': a substep of length 62.8319 advances a phase that is not finite"
+        self.assert_usage_error(self.spinsim("run", "--config", str(cfg)), message)
+        counters.reset()
+        assert main(["run", "--config", str(cfg)]) == 1  # in process, where a warning is an error
+        assert message in capsys.readouterr().err
+        assert vars(counters) == vars(KernelCounters())
+
+    @pytest.mark.parametrize("L", [2, 5])  # step matrices and in place
+    def test_fixed_plan_drive_phase_overflow(self, tmp_path, capsys, L):
+        # each substep of a 1e308 drive frequency is finite, but its phase over 2 pi * 10 is not
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"L = {L}\n[eo A]\ntau_over_2pi = 10\nh1 z 1 = 1\nf z 1 = 1e308\nh0 x 2 = 1\n"
+                       "[sequence s]\neos = A\n[run]\nsequence = s\nsteps = 1\n")
+        message = "operation 'A': a drive of frequency 1e+308 reaches a phase that is not finite within time 62.8319"
         self.assert_usage_error(self.spinsim("run", "--config", str(cfg)), message)
         counters.reset()
         assert main(["run", "--config", str(cfg)]) == 1  # in process, where a warning is an error

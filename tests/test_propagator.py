@@ -1,5 +1,6 @@
 """Integrator tests: factor algebra, step plans, convergence, instrumentation."""
 
+import contextlib
 import copy
 import math
 import re
@@ -726,19 +727,27 @@ class TestInstrumentation:
             assert dict(vars(counters)) == {k: steps * v for k, v in one.items()}
 
     def test_nmr_program_counts(self):
-        # the search for item 2 in the swapped "21" order, 22,080 substeps at
-        # the auto plan: the counts are per logical substep, however the step
-        # matrices between two samples are multiplied together
+        # the search for item 2 in the swapped "21" order at the auto plan:
+        # 7 X1-family operations of 640 substeps, 4 X2/X2b and 3 Y2/Y2b of
+        # 2,520 (10 drive periods) and 2 Ipi of 1, 22,122 substeps. The counts
+        # are per logical substep, however the step matrices between two
+        # samples are multiplied together and one drive period is lifted to
+        # the others. Per substep a rotation has 2 sweeps (z), 1 pass of 2 gate
+        # kernels and 2 pair terms; field terms are 8 for an X (z and y fields,
+        # z and y visited twice) and 6 for a Y (x visited once); Ipi has 2
+        # sweeps, no pass, 2 pair terms and 4 field terms
         counters.reset()
         prog = grover_program(2, make_profile("nmr"), "21")
         _, traj = run_sequence(new_basis_state(2, [0, 0]), prog.seq)
         assert len(traj) == 2859
+        planned = {"X1": 640, "X1b": 640, "Y1b": 640, "X2": 2520, "Y2b": 2520, "Ipi": 1}
+        assert [p.m for p in traj.plans] == [planned[eo.name] for eo in prog.seq.eos]
         assert dict(vars(counters)) == {
-            "diagonal_sweeps": 44160,
-            "global_rotations": 22078,
-            "gate_kernel_calls": 44156,
-            "pair_terms": 44160,
-            "field_terms": 157708,
+            "diagonal_sweeps": 44244,
+            "global_rotations": 22120,
+            "gate_kernel_calls": 44240,
+            "pair_terms": 44244,
+            "field_terms": 158008,
         }
 
     @pytest.mark.parametrize("active, passes", [
@@ -1111,6 +1120,107 @@ class TestSampledMatrixPath:
         self.check(random_two_spin_model(130), random_state(2, 131), m, at, tau=0.001 * m)
 
 
+def one_frequency_model(L, seed, f):
+    """Random pairs and static fields on all three axes, and RF drives on about half of the (qubit, axis)
+    places (qubit 1 on x always), each at frequency +f or -f with a phase of its own."""
+    rng = np.random.default_rng(seed)
+    m = SpinModel(L)
+    for ax in "xyz":
+        for j in range(1, L + 1):
+            m.set_static(j, ax, rng.uniform(-1, 1))
+            if (ax, j) == ("x", 1) or rng.random() < 0.5:
+                m.set_rf(j, ax, rng.uniform(-0.5, 0.5), f * rng.choice([-1.0, 1.0]), rng.uniform(0, TWO_PI))
+            for k in range(j + 1, L + 1):
+                m.set_coupling(j, k, ax, rng.uniform(-1, 1))
+    return m
+
+
+class TestPeriodicDrives:
+    """With one drive frequency and k whole periods in an operation, the matrix path builds the step
+    matrices of one period and lifts its prefixes by powers of the period's product; it must give what
+    the build over the whole operation (k = 1) gives."""
+
+    @staticmethod
+    def evolve(model, tau, m, at, whole=False):
+        """(final amplitudes, samples, pieces, kernel counts, step matrices built) of evolve_eo at m
+        substeps; with ``whole`` the period rule is switched off, so the period is the whole operation."""
+        built, step_matrices, pieces, s = [], propagator._StepProgram.step_matrices, [], random_state(model.L, 7)
+
+        def counted(prog, t_mid):
+            built.append(len(t_mid))
+            return step_matrices(prog, t_mid)
+
+        counters.reset()
+        with mock.patch.object(propagator._StepProgram, "step_matrices", counted), (
+                mock.patch.object(propagator, "_periods", lambda *_: 1) if whole else contextlib.nullcontext()):
+            samples = evolve_eo(s, ElementaryOperation("e", model, tau), 0.3, StepPlan(m, tau), at, pieces=pieces)[1]
+        return s.amp, samples, np.concatenate([p for *_, p in pieces]), dict(vars(counters)), sum(built)
+
+    @staticmethod
+    def difference(run, ref):
+        """The largest difference of amplitudes, samples and pieces; the kernel counts must be equal."""
+        assert run[3] == ref[3]
+        return max([np.max(np.abs(run[0] - ref[0])), np.max(np.abs(run[2] - ref[2]))]
+                   + [np.max(np.abs(getattr(run[1], n) - getattr(ref[1], n)), initial=0.0)
+                      for n in ("sx", "sy", "sz", "q", "norm", "t")])
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(L=st.integers(1, 4), k=st.integers(2, 6), p=st.integers(1, 40), stride=st.integers(1, 40),
+           seed=st.integers(0, 999))
+    def test_matches_the_whole_operation_build(self, L, k, p, stride, seed):
+        f = 0.4 + seed / 500
+        model, tau, m = one_frequency_model(L, seed, f), TWO_PI * k / f, k * p
+        at = list(range(stride, m, stride)) + [m]
+        assert propagator._periods(model, tau) == k
+        periodic, whole = self.evolve(model, tau, m, at), self.evolve(model, tau, m, at, whole=True)
+        assert (periodic[4], whole[4]) == (p, m)  # one period of step matrices against all of them
+        assert self.difference(periodic, whole) < 1e-13
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    @pytest.mark.parametrize("at", [list(range(1, 49)), [1, 15, 16, 17, 32, 33, 47, 48], [16, 17, 31]],
+                             ids=["every substep", "period edges", "end not sampled"])
+    def test_samples_on_and_around_period_edges(self, L, at):
+        # 3 periods of 16 substeps
+        model, tau = one_frequency_model(L, 40 + L, 0.9), TWO_PI * 3 / 0.9
+        periodic, whole = self.evolve(model, tau, 48, at), self.evolve(model, tau, 48, at, whole=True)
+        assert (periodic[4], whole[4]) == (16, 48)
+        assert self.difference(periodic, whole) < 1e-13
+        # every kernel counter counts the 48 logical substeps, the lifted ones too
+        per_substep = propagator._StepProgram(model, 1.0).counts
+        assert periodic[3] == {name: 48 * n for name, n in per_substep.items()}
+
+    @pytest.mark.parametrize("case", ["two frequencies", "plan not a multiple of k", "z only", "pieces over the bound"])
+    def test_other_operations_build_the_whole_operation(self, case):
+        # the rule fails, so the build is the k = 1 build, bit for bit
+        model, tau, m, at = one_frequency_model(2, 50, 0.8), TWO_PI * 4 / 0.8, 4 * 25, list(range(1, 101))
+        kept = propagator._KEPT_ELEMENTS
+        if case == "two frequencies":
+            model.set_rf(2, "z", 0.3, 0.8 * math.sqrt(2))
+        elif case == "plan not a multiple of k":
+            m, at = 4 * 25 + 2, list(range(1, 103))
+        elif case == "z only":  # fields and couplings on z, no drive
+            model = SpinModel(2).set_coupling(1, 2, "z", 0.7).set_static(2, "z", 0.4)
+        else:  # 25 residue pieces of 4 x 4 entries
+            kept = 25 * 16 - 1
+        with mock.patch.object(propagator, "_KEPT_ELEMENTS", kept):
+            periodic, whole = self.evolve(model, tau, m, at), self.evolve(model, tau, m, at, whole=True)
+        assert (periodic[4], whole[4]) == (m, m)
+        assert self.difference(periodic, whole) == 0.0
+
+    def test_auto_plans_round_up_to_whole_periods(self):
+        nmr = make_profile("nmr")
+        # X1: 64 substeps per period of f = 1 over 10 periods; X2: the 0.1 rad
+        # bound of the z field 1 over 2 pi 40 is 2,514 substeps, rounded up to
+        # a multiple of its 10 periods of f = 0.25
+        for names, m in ((("X1", "X1b", "Y1", "Y1b"), 640), (("X2", "X2b", "Y2", "Y2b"), 2520)):
+            for eo in map(nmr.eo, names):
+                assert (propagator._periods(eo.model, eo.tau), auto_substeps(eo).m) == (10, m)
+        # over 2 pi 40.3, f = 0.25 makes 10.075 periods: the phase bound alone
+        model, tau = nmr.eo("X2").model, TWO_PI * 40.3
+        assert propagator._periods(model, tau) == 1
+        assert auto_substeps(ElementaryOperation("X2", model, tau)).m == math.ceil(tau / 0.1) == 2533
+
+
 class TestRunSequence:
     def test_empty_sequence(self):
         s = random_state(2, 14)
@@ -1154,6 +1264,14 @@ class TestRunSequence:
         assert list(traj.eo_index) == [0] * (1 + len(per_eo)) + [2] * len(per_eo)
         assert traj.obs.sx.shape == (len(traj), 1) and traj.obs.t.shape == (len(traj),)
         assert traj.obs.t[-1] == pytest.approx(2 * eo.tau)
+
+    def test_each_distinct_operation_object_is_planned_once(self):
+        # an NMR search program holds 16 positions of 5-7 distinct instructions
+        seq = grover_program(2, make_profile("nmr"), "12").seq
+        with mock.patch.object(propagator, "auto_substeps", wraps=propagator.auto_substeps) as planner:
+            traj = run_sequence(new_basis_state(2, [0, 0]), seq, sample_every=10**9)[1]
+        assert planner.call_count == len({id(eo) for eo in seq.eos}) < len(seq)
+        assert traj.plans == [auto_substeps(eo) for eo in seq.eos]
 
     @pytest.mark.parametrize("n_plans", [1, 3])
     def test_plans_must_match_the_sequence(self, n_plans):
@@ -1406,6 +1524,14 @@ BAD_ARGUMENTS = [
     (lambda: run_sequence(new_basis_state(2, [0, 0]), PulseSequence([ElementaryOperation(
         "e", SpinModel(2).set_static(1, "z", 1e308).set_rf(1, "z", 1e308, 1.0), 1.0)]), plans=[StepPlan(4, 1.0)]),
      "operation 'e': a substep of length 0.25 advances a phase that is not finite: field scale inf, coupling scale 0"),
+    (lambda: symmetrized_step(new_basis_state(1, [0]), SpinModel(1).set_rf(1, "x", 1.0, 1e308), 0.5, -10.0),
+     "a drive of frequency 1e+308 reaches a phase that is not finite within time 10.5"),
+    (lambda: evolve_eo(new_basis_state(5, [0] * 5), ElementaryOperation("e", SpinModel(5).set_rf(
+        2, "y", 1.0, -1e308), 2.0), 0.0, StepPlan(1, 2.0)),
+     "a drive of frequency 1e+308 reaches a phase that is not finite within time 2"),
+    (lambda: run_sequence(new_basis_state(2, [0, 0]), PulseSequence([ElementaryOperation(
+        "e", SpinModel(2).set_rf(1, "z", 1.0, 2.0).set_rf(2, "x", 1.0, 1e308), 2.0)]), plans=[StepPlan(4, 2.0)]),
+     "operation 'e': a drive of frequency 1e+308 reaches a phase that is not finite within time 2"),
 ]
 
 
@@ -1423,6 +1549,16 @@ class TestBadArguments:
         bad = ElementaryOperation("bad", SpinModel(2).set_static(1, "z", 1e308), 10.0)
         counters.reset()
         with pytest.raises(ValueError, match="^operation 'bad': a substep of length 10 advances a phase"):
+            run_sequence(new_basis_state(2, [0, 0]), PulseSequence([good, bad]),
+                         plans=[StepPlan(4, 1.0), StepPlan(1, 10.0)])
+        assert vars(counters) == vars(propagator.KernelCounters())
+
+    def test_drive_phase_overflow_is_refused_before_any_substep(self):
+        # the second operation's drive phase overflows over its duration, though each substep is finite
+        good = ElementaryOperation("good", SpinModel(2).set_static(1, "x", 1.0), 1.0)
+        bad = ElementaryOperation("bad", SpinModel(2).set_rf(1, "z", 1.0, 1e308).set_static(2, "x", 1.0), 10.0)
+        counters.reset()
+        with pytest.raises(ValueError, match="^operation 'bad': a drive of frequency 1e\\+308 reaches a phase"):
             run_sequence(new_basis_state(2, [0, 0]), PulseSequence([good, bad]),
                          plans=[StepPlan(4, 1.0), StepPlan(1, 10.0)])
         assert vars(counters) == vars(propagator.KernelCounters())
