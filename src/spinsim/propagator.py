@@ -18,8 +18,8 @@ Ry, Rx+, y, Rx, z.
 
 Compile rule. The field part of an axis factor is diagonal and commutes
 with the axis's couplings, so a step compiles into coupling multipliers (one
-cached vector per coupled axis, independent of time) and global passes of
-per-qubit gates. Walking the order above, quarter-turns and field factors
+cached diagonal phase per coupled axis, independent of time) and global
+passes of per-qubit gates. Walking the order above, quarter-turns and field factors
 collect in a pending list; at a coupled axis the list is flushed as one pass
 and the axis's multiplier is applied, its field factor joining whichever
 side already has a pass. A static field stays in a multiplier that exists
@@ -52,6 +52,17 @@ blocks inside a tile run one tile after another, each one matmul from the
 tile or the buffer into the other, so a tile and its buffer stay in cache.
 Each block above the tile runs in place over column chunks of the float64
 view, one buffer's worth at a time, each copied back while still in cache.
+
+Factored multipliers. Up to one tile a multiplier is one vector. Above it,
+with lo = log2 _TILE, amplitude n = h 2^lo + l sits at l in tile h, and
+its phase sum_{j<k} J_jk s_j s_k + sum_j h_j s_j splits into three parts:
+the pairs and fields of the low qubits (a function of l), those of the
+high qubits (of h), and the cross pairs, which are a field c_k(h) =
+sum_{j high} J_jk s_j(h) on each low qubit k. So a multiplier is a table of
+one tile for the low part and, per tile, the product form of its cross
+fields on the tile viewed as (2^(lo - lo/2), 2^(lo/2)): a row factor, which
+also holds the high part, and a column factor. It is applied tile by tile,
+three multiplies each, and nothing of 2^L entries is built.
 
 Operands. A pass and a multiplier act on one register; only step matrices
 and observables are batched. Step matrices are for registers of one block,
@@ -86,7 +97,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .state import MAX_QUBITS, Observables, StateVector, check_axis, observables_of
+from .state import MAX_QUBITS, Observables, StateVector, check_axis, observables_of, spin_z_values
 
 #: The quarter-turns Rx = exp(+i (pi/2) Sx), Ry = exp(-i (pi/2) Sy) and their
 #: inverses, each as (alpha, beta) of g = [[alpha, beta], [-conj(beta), conj(alpha)]].
@@ -297,6 +308,8 @@ def _axis_multiplier(L: int, coupling: np.ndarray, field: np.ndarray) -> np.ndar
     + sum_{k<j} J_jk s_k. E_j doubles likewise by e^{+-i J_jk/4} in one
     scratch, built conjugated, up to the last coupled bit and is broadcast
     over the rest; exp is taken of scalars only. ``coupling`` must be symmetric.
+    ``_multiplier`` calls it for at most one tile of qubits, so the scratch
+    holds at most _TILE / 2 entries.
     """
     mult, scratch = np.empty(1 << L, dtype=np.complex128), np.empty(1 << (L - 1), dtype=np.complex128)
     mult[0] = 1.0
@@ -311,6 +324,42 @@ def _axis_multiplier(L: int, coupling: np.ndarray, field: np.ndarray) -> np.ndar
         np.multiply(low, e, out=mult[1 << j:2 << j].reshape(-1, e.size))
         low *= np.conjugate(e, out=e)
     return mult
+
+
+def _multiplier(L: int, coupling: np.ndarray, field: np.ndarray) -> tuple:
+    """The ``_axis_multiplier`` of L qubits as (table, rows, cols), factored as in the module docstring.
+
+    Up to one tile, (the flat multiplier, None, None). Above it, with lo =
+    log2 _TILE, the table of the low lo qubits and, per tile h, the row
+    factor rows[h] (which holds the high qubits' multiplier) and the column
+    factor cols[h] of the cross fields c_k(h) = sum_{j high} J_jk s_j(h).
+    """
+    lo = min(L, _TILE.bit_length() - 1)
+    table = _axis_multiplier(lo, coupling[:lo, :lo], field[:lo])
+    if lo == L:
+        return table, None, None
+    high, half = _axis_multiplier(L - lo, coupling[lo:, lo:], field[lo:]), lo // 2
+    cross = _spins(L - lo) @ coupling[lo:, :lo]  # (2^(L-lo), lo): c_k(h)
+    rows = high[:, None] * np.exp(1j * (cross[:, half:] @ _spins(lo - half).T))
+    return table, rows, np.exp(1j * (cross[:, :half] @ _spins(half).T))
+
+
+def _spins(n: int) -> np.ndarray:
+    """The spin values s_j = +-1/2 of the n qubits of every basis index, shape (2^n, n)."""
+    return np.stack([spin_z_values(n, j) for j in range(1, n + 1)], axis=-1)
+
+
+def _multiply(amp: np.ndarray, mult: tuple) -> None:
+    """Multiply the register ``amp`` by the multiplier ``mult`` of ``_multiplier`` in place, one tile at a time."""
+    table, rows, cols = mult
+    if rows is None:
+        amp *= table
+        return
+    for tile, row, col in zip(amp.reshape(len(rows), table.size), rows, cols):
+        tile *= table
+        view = tile.reshape(row.size, col.size)
+        view *= row[:, None]
+        view *= col
 
 
 def _split(alpha, beta, u0, v0) -> tuple:
@@ -502,10 +551,10 @@ class _StepProgram:
 
     Every step runs through one. In application order a step is gaps[0],
     passes[0], gaps[1], ..., passes[-1], gaps[-1]: ``passes`` are ``_Pass``es
-    and a gap lists the multiplier vectors met there, only the first and the
-    last possibly empty. A pass's factors are quarter-turn keys and (axis,
-    theta) field factors diag(exp(i theta h_j/2), exp(-i theta h_j/2)), h_j
-    the field that no multiplier holds, kept per axis in ``fields`` as
+    and a gap lists the multipliers (``_multiplier``) met there, only the
+    first and the last possibly empty. A pass's factors are quarter-turn keys
+    and (axis, theta) field factors diag(exp(i theta h_j/2), exp(-i theta
+    h_j/2)), h_j the field that no multiplier holds, kept per axis in ``fields`` as
     (static, RF amplitude or None, frequency, phase).
     """
 
@@ -561,7 +610,7 @@ class _StepProgram:
                     push(field)
         flush()
         extra = self._fold(delta)
-        mult = {a: _axis_multiplier(L, theta * coupling[:, :, a], theta * static[:, a] + extra.get(a, 0.0))
+        mult = {a: _multiplier(L, theta * coupling[:, :, a], theta * static[:, a] + extra.get(a, 0.0))
                 for a, theta in thetas.items()}
         self.gaps = [[mult[a] for a in gap] for gap in self.gaps]
         visits = np.array([1, 2, 2])  # of the x, y and z factors per substep
@@ -646,8 +695,8 @@ class _StepProgram:
         axis serves every substep.
         """
         for gap, part in zip(self.gaps, parts + [None]):
-            for vec in gap:
-                amp *= vec
+            for mult in gap:
+                _multiply(amp, mult)
             if part is not None:
                 blocks, *rows = part
                 if blocks[0].ndim == 3:
@@ -668,15 +717,15 @@ class _StepProgram:
         if any(len(blocks) > 1 or before is not None or after is not None for blocks, before, after in parts):
             raise ValueError(f"step matrices need passes of one block and no row scaling, got L={self.L}")
         transposed = [blocks[0].swapaxes(-1, -2) for blocks, _, _ in parts]  # (n,) leading where RF varies
-        lead = np.prod([np.ones(self.dim)] + self.gaps[0], axis=0)
+        lead = np.prod([np.ones(self.dim)] + [table for table, *_ in self.gaps[0]], axis=0)
         steps = np.empty((len(t_mid), self.dim, self.dim), dtype=np.complex128)
         if transposed:
             np.multiply(lead[:, None], transposed[0], out=steps)
         else:
             steps[...] = np.diag(lead)
         for gap, blk in zip(self.gaps[1:], transposed[1:] + [None]):
-            for vec in gap:
-                steps *= vec
+            for table, *_ in gap:
+                steps *= table
             if blk is not None:  # a block with no leading axis takes the stack as one (n dim, dim) matrix
                 steps = np.matmul(steps.reshape(blk.shape[:-2] + (-1, self.dim)), blk).reshape(steps.shape)
         return steps
@@ -769,6 +818,14 @@ def _concatenate(parts: list, dim: int) -> Observables:
     return Observables(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(Observables)))
 
 
+def _distinct(values: np.ndarray) -> tuple:
+    """The sorted distinct entries of ``values`` and the index of each entry among them, as
+    np.unique gives them; np.unique is not used because its first call imports numpy.ma."""
+    ordered = np.sort(values)
+    distinct = ordered[np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))]
+    return distinct, np.searchsorted(distinct, values)
+
+
 def _matrix_pieces(model: SpinModel, plan: StepPlan, at: np.ndarray):
     """Yield per chunk (step program, substep count, sampled substep numbers, pieces): the products of
     the step matrices from the operation's start to each sample, and in the last chunk to its end.
@@ -784,7 +841,7 @@ def _matrix_pieces(model: SpinModel, plan: StepPlan, at: np.ndarray):
         k = 1
     ends = at if at.size and at[-1] == plan.m else np.append(at, plan.m)
     q, r = np.divmod(ends - 1, plan.m // k)
-    cuts, index = np.unique(r + 1, return_inverse=True)  # the residues 1..p; the end's is p
+    cuts, index = _distinct(r + 1)  # the residues 1..p; the end's is p
     if k == 1 or cuts.size * dim**2 > _KEPT_ELEMENTS:
         k, cuts = 1, at
     p, carry, prefixes = plan.m // k, np.eye(dim), []
@@ -792,7 +849,8 @@ def _matrix_pieces(model: SpinModel, plan: StepPlan, at: np.ndarray):
         hi = min(lo + chunk, p)
         first, last = np.searchsorted(cuts, (lo, hi), side="right")
         steps = prog.step_matrices((np.arange(lo, hi) + 0.5) * plan.delta)
-        products = _segment_products(steps, np.diff(np.union1d(cuts[first:last] - lo, hi - lo), prepend=0))
+        inner = cuts[first:np.searchsorted(cuts, hi)]  # the cuts before hi, which ends the last segment
+        products = _segment_products(steps, np.diff(np.append(inner, hi), prepend=lo))
         for j, segment in enumerate(products):
             carry = products[j] = carry @ segment
         piece = products if hi == p else products[:last - first].copy()
@@ -805,7 +863,7 @@ def _matrix_pieces(model: SpinModel, plan: StepPlan, at: np.ndarray):
     prefixes = np.concatenate(prefixes)
     for lo in range(0, ends.size, chunk):
         hi = min(lo + chunk, ends.size)
-        qs, inverse = np.unique(q[lo:hi], return_inverse=True)
+        qs, inverse = _distinct(q[lo:hi])
         lift = np.stack([np.linalg.matrix_power(carry, int(power)) for power in qs])  # carry is U
         n = int(ends[hi - 1] - (ends[lo - 1] if lo else 0))
         yield prog, n, at[lo:hi], lift[inverse] @ prefixes[index[lo:hi]]

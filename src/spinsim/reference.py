@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .propagator import SpinModel
+from .state import spin_z_values
 
 _SQ2 = math.sqrt(2.0)
 # offset of the two-point Gauss-Legendre nodes from a slice midpoint, per dt
@@ -204,6 +205,46 @@ def _hamiltonian_parts(model: SpinModel):
             else:
                 rf.append((f, phi, -h1 * spins[j][a]))
     return const, rf
+
+
+def pairs_step_oracle(model: SpinModel, delta: float, t: float, amp: np.ndarray) -> np.ndarray:
+    """One symmetrized product-formula step over [t, t + delta], returned as new amplitudes.
+
+    The step is exp(-i d Hz/2) exp(-i d Hy/2) exp(-i d Hx) exp(-i d Hy/2)
+    exp(-i d Hz/2) at the midpoint t + delta/2, with the y and x factors
+    carried to z form by the quarter turns X = exp(+i (pi/2) Sx) and Yb =
+    exp(-i (pi/2) Sy). Each z-form factor is a phase vector summed directly
+    over the pairs and fields of its axis, and each quarter turn is one 2x2
+    gate per qubit, applied one qubit at a time; no kernel of the integrator
+    is used.
+    """
+    L, t_mid = model.L, t + delta / 2
+    s = [spin_z_values(L, j) for j in range(1, L + 1)]
+    amp = amp.copy()
+
+    def axis_sum(a):  # sum_j s_j (h_j(t_mid) + sum_{k>j} J_jk s_k): -H_a as a diagonal
+        total = np.zeros(1 << L)
+        for j in range(L):
+            rf = model.rf_amp[j, a] * math.sin(model.rf_freq[j, a] * t_mid + model.rf_phase[j, a])
+            local = np.full(1 << L, model.static_field[j, a] + rf)
+            for k in range(j + 1, L):
+                local += model.coupling[j, k, a] * s[k]
+            total += local * s[j]
+        return total
+
+    def turn(g):
+        for j in range(L):
+            view = amp.reshape(1 << (L - j - 1), 2, 1 << j)
+            up, down = view[:, 0].copy(), view[:, 1].copy()
+            view[:, 0], view[:, 1] = g[0, 0] * up + g[0, 1] * down, g[1, 0] * up + g[1, 1] * down
+
+    sums, rx, ry = [axis_sum(a) for a in range(3)], _SINGLE["X"], _SINGLE["Yb"]
+    for factor in ((2, 0.5), rx.conj().T, (1, 0.5), rx, ry.conj().T, (0, 1.0), ry, rx.conj().T, (1, 0.5), rx, (2, 0.5)):
+        if isinstance(factor, tuple):  # exp(-i theta H_a) with H_a diagonal
+            amp *= np.exp(1j * factor[1] * delta * sums[factor[0]])
+        else:
+            turn(factor)
+    return amp
 
 
 def _closest_unitary(mat: np.ndarray) -> np.ndarray:

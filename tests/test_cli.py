@@ -102,6 +102,20 @@ class TestGroverCommand:
         assert err.value.code == 0
         assert listed.split(",") == [name.strip() for name in documented.split(",")]
 
+    def test_an_nmr_program_does_not_import_numpy_ma(self):
+        # np.unique and np.union1d import numpy.ma on first use, about 1.6 MB resident
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            from spinsim import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["grover", "--hardware", "nmr", "--item", "1"]) == 0
+            assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+        """)
+        src = str(Path(spinsim.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestRunCommand:
     def test_uniform_preparation_from_config(self, tmp_path, capsys):

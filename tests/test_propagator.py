@@ -27,7 +27,7 @@ from spinsim.propagator import (
 from spinsim import propagator
 from spinsim.propagator import _axis_multiplier, _gate_blocks, _global_gate
 from spinsim.pulses import grover_program, make_profile
-from spinsim.reference import dense_propagator, embed_single, hamiltonian
+from spinsim.reference import dense_propagator, embed_single, hamiltonian, pairs_step_oracle
 from spinsim.state import StateVector, fidelity, new_basis_state, spin_z_values
 
 TWO_PI = 2.0 * math.pi
@@ -175,6 +175,41 @@ class TestAxisPhase:
         upper = np.triu(rng.uniform(-2, 2, (L, L)), 1)
         got = _axis_multiplier(L, upper + upper.T, rng.uniform(-2, 2, L))
         assert np.max(np.abs(np.abs(got) - 1.0)) <= 1e-14
+
+
+class TestFactoredMultiplier:
+    """``_multiplier`` above one tile, applied by ``_multiply``, against the flat ``_axis_multiplier``."""
+
+    @staticmethod
+    def couplings(L, rng, kind):
+        upper = np.triu(rng.uniform(-2, 2, (L, L)), 1)
+        if kind == "sparse":  # a chain and one far pair: at L = 18 the last qubit couples to no low qubit
+            upper = np.where(np.eye(L, k=1) > 0, upper, 0.0)
+            upper[2, 16] = 0.61
+        if kind in ("fields", "zero"):
+            upper[...] = 0.0
+        field = np.zeros(L) if kind == "zero" else rng.uniform(-2, 2, L)
+        return upper + upper.T, field
+
+    @pytest.mark.parametrize("kind", ["all pairs", "sparse", "fields", "zero"])
+    @pytest.mark.parametrize("L", [17, 18])
+    def test_matches_the_flat_multiplier(self, L, kind):
+        coupling, field = self.couplings(L, np.random.default_rng(1000 + L), kind)
+        mult = propagator._multiplier(L, coupling, field)
+        table, rows, cols = mult
+        assert table.size == propagator._TILE and rows.shape == cols.shape == (1 << (L - 16), 256)
+        got = np.ones(1 << L, dtype=np.complex128)
+        propagator._multiply(got, mult)
+        if kind == "zero":
+            assert np.array_equal(got, np.ones(1 << L))
+        assert np.max(np.abs(got - _axis_multiplier(L, coupling, field))) < 1e-13
+
+    @pytest.mark.parametrize("L", [1, 9, 16])
+    def test_up_to_one_tile_it_is_the_flat_multiplier(self, L):
+        coupling, field = self.couplings(L, np.random.default_rng(1100 + L), "all pairs")
+        table, rows, cols = propagator._multiplier(L, coupling, field)
+        assert rows is None and cols is None
+        assert np.array_equal(table, _axis_multiplier(L, coupling, field))
 
 
 class TestGlobalRotation:
@@ -616,40 +651,6 @@ class TestStepLayouts:
         assert np.max(np.abs(by_matrices.amp - in_place.amp)) < 1e-12
 
 
-def pairs_step_oracle(model, delta, t, amp):
-    """One symmetrized step over [t, t + delta], by code that shares no kernel with the propagator.
-
-    Each axis factor is a phase vector summed directly over the pairs and
-    fields of that axis at the midpoint, and each quarter-turn one 2x2 gate
-    per qubit, applied one qubit at a time. Returns the new amplitudes.
-    """
-    L, t_mid = model.L, t + delta / 2
-    s = [spin_z_values(L, j) for j in range(1, L + 1)]
-    amp = amp.copy()
-
-    def axis_phase(a, theta):  # exp(-i theta H_a) with H_a diagonal: the sign of H is minus
-        total = np.zeros(1 << L)
-        for j in range(L):
-            rf = model.rf_amp[j, a] * math.sin(model.rf_freq[j, a] * t_mid + model.rf_phase[j, a])
-            total += (model.static_field[j, a] + rf) * s[j]
-            for k in range(j + 1, L):
-                total += model.coupling[j, k, a] * s[j] * s[k]
-        amp[...] *= np.exp(1j * theta * total)
-
-    def turn(g):
-        for j in range(L):
-            view = amp.reshape(1 << (L - j - 1), 2, 1 << j)
-            view[...] = g @ view
-
-    rx, ry = ROT_X, ROT_Y
-    for factor in ((2, 0.5), rx.conj().T, (1, 0.5), rx, ry.conj().T, (0, 1.0), ry, rx.conj().T, (1, 0.5), rx, (2, 0.5)):
-        if isinstance(factor, tuple):
-            axis_phase(factor[0], factor[1] * delta)
-        else:
-            turn(factor)
-    return amp
-
-
 class TestAboveTheTile:
     """Registers larger than one tile of ``_TILE`` amplitudes: the pass's tiles and column chunks."""
 
@@ -668,8 +669,9 @@ class TestAboveTheTile:
     # static fields: every pass folds into real blocks, as in the benchmark's
     # all-pairs step; RF on every axis: the passes also row-scale
     @pytest.mark.parametrize("drive", [False, True], ids=["static", "driven"])
-    def test_all_pairs_step_at_L17_matches_the_oracle(self, drive):
-        L, delta, t = 17, 0.01, 0.3
+    @pytest.mark.parametrize("L", [17, 18])
+    def test_all_pairs_step_above_the_tile_matches_the_oracle(self, L, drive):
+        delta, t = 0.01, 0.3
         model = random_driven_model(L, 920)
         if not drive:
             model.rf_amp[...] = 0.0
@@ -692,6 +694,22 @@ class TestAboveTheTile:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * propagator._TILE * amp.itemsize
+
+    def test_an_all_pairs_step_holds_no_register_sized_multiplier(self):
+        # L = 18 is four tiles (4 MiB); flat multipliers would hold 12 MiB and
+        # their scratch 2 MiB. The step holds a one-tile table per coupled
+        # axis, the pass's one-tile buffer and factors of 2^(L-8) entries
+        L = 18
+        model = random_driven_model(L, 950)
+        model.rf_amp[...] = 0.0
+        s = random_state(L, 960)
+        tracemalloc.start()
+        try:
+            symmetrized_step(s, model, 0.01, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (3 + 1) * propagator._TILE * s.amp.itemsize  # 4.4 MiB
 
 
 class TestInstrumentation:
