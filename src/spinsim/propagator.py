@@ -24,8 +24,9 @@ collect in a pending list; at a coupled axis the list is flushed as one pass
 and the axis's multiplier is applied, its field factor joining whichever
 side already has a pass. A static field stays in a multiplier that exists
 anyway: a coupled axis's, and z's, which needs no rotation. Adjacent inverse
-turns cancel, adjacent field factors of one axis merge, and an empty list is
-no pass. Passes per substep, by field and coupled axes (- for none):
+turns cancel, adjacent field factors or multipliers of one axis merge (so a
+gap holds at most one multiplier), and an empty list is no pass. Passes per
+substep, by field and coupled axes (- for none):
 
     field / coupled    -   x   y   z   xy  xz  yz  xyz
     none               0   2   2   0   4   2   2   4
@@ -537,6 +538,17 @@ def _check_phases(model: SpinModel, delta: float, end: float, where: str = "") -
                          f"within time {end:g}")
 
 
+def _check_operation(eo: ElementaryOperation, plan: StepPlan, L: int, where: str = "") -> None:
+    """Raise ValueError unless ``eo`` acts on L qubits, ``plan`` is for its duration and, if that is not 0,
+    ``_check_phases`` passes for its substeps; ``where`` prefixes the message."""
+    if eo.model.L != L:
+        raise ValueError(f"{where}operation has L={eo.model.L} but state has L={L}")
+    if plan.tau != eo.tau:
+        raise ValueError(f"{where}plan is for a duration of {plan.tau}, but the operation lasts {eo.tau}")
+    if eo.tau > 0.0:
+        _check_phases(eo.model, plan.delta, eo.tau, where)
+
+
 def _periods(model: SpinModel, tau: float) -> int:
     """The number k of whole drive periods in an operation of duration ``tau``, by the period rule of the
     module docstring; 1 where the rule does not hold. ``tau`` times each frequency must be finite."""
@@ -551,8 +563,8 @@ class _StepProgram:
 
     Every step runs through one. In application order a step is gaps[0],
     passes[0], gaps[1], ..., passes[-1], gaps[-1]: ``passes`` are ``_Pass``es
-    and a gap lists the multipliers (``_multiplier``) met there, only the
-    first and the last possibly empty. A pass's factors are quarter-turn keys
+    and a gap is the multiplier (``_multiplier``) met there or None, only the
+    first and the last possibly None. A pass's factors are quarter-turn keys
     and (axis, theta) field factors diag(exp(i theta h_j/2), exp(-i theta
     h_j/2)), h_j the field that no multiplier holds, kept per axis in ``fields`` as
     (static, RF amplitude or None, frequency, phase).
@@ -574,7 +586,7 @@ class _StepProgram:
             for a in range(3)
         ]
         thetas: dict = {}
-        self.gaps, self.passes, pending = [[]], [], []
+        self.gaps, self.passes, pending = [None], [], []
 
         def push(factor):
             if isinstance(factor, str) and pending and pending[-1] == _INVERSE[factor]:
@@ -587,7 +599,7 @@ class _StepProgram:
         def flush():
             if pending:
                 self.passes.append(_Pass(pending.copy()))
-                self.gaps.append([])
+                self.gaps.append(None)
                 pending.clear()
 
         for item in _ORDER:
@@ -604,18 +616,19 @@ class _StepProgram:
                 field = None
             if multiplied[a]:
                 flush()
-                thetas[a] = theta  # an axis's share of delta is the same at each occurrence
-                self.gaps[-1].append(a)  # the axis's multiplier, built below
+                # the axis's multiplier, built below; met again in one gap, it merges
+                thetas[a] = theta + (thetas[a] if self.gaps[-1] == a else 0.0)
+                self.gaps[-1] = a
                 if field:
                     push(field)
         flush()
         extra = self._fold(delta)
         mult = {a: _multiplier(L, theta * coupling[:, :, a], theta * static[:, a] + extra.get(a, 0.0))
                 for a, theta in thetas.items()}
-        self.gaps = [[mult[a] for a in gap] for gap in self.gaps]
+        self.gaps = [mult.get(a) for a in self.gaps]
         visits = np.array([1, 2, 2])  # of the x, y and z factors per substep
         self.counts = {
-            "diagonal_sweeps": sum(map(len, self.gaps)),
+            "diagonal_sweeps": len(self.gaps) - self.gaps.count(None),
             "global_rotations": len(self.passes),
             "gate_kernel_calls": len(self.passes) * L,
             "pair_terms": int(visits @ np.count_nonzero(coupling, axis=(0, 1))) // 2,  # symmetric
@@ -625,11 +638,11 @@ class _StepProgram:
     def _fold(self, delta: float) -> dict:
         """Set each pass's targets u0, v0; returns the extra field of each axis's multiplier.
 
-        The gaps still list axes here. The phases Z(u) of the pass before a
+        The gaps still hold axes here. The phases Z(u) of the pass before a
         gap and Z(v) of the pass after it (none at either end of the step),
         taken from their gates at the first two midpoints, commute with the
-        gap's multipliers, so the first gap an axis occurs in sets its
-        multiplier's share of their sum; an empty gap holds nothing. Each pass
+        gap's multiplier, so the first gap an axis occurs in sets its
+        multiplier to hold their sum; a gap of None holds nothing. Each pass
         then targets what its gaps hold. A pass whose phases match those
         targets (mod pi/2) at a substep is a real pass; elsewhere
         ``_gate_blocks`` puts the difference into row scalings.
@@ -645,11 +658,9 @@ class _StepProgram:
             # a drive may be at a zero of its sine at the first
             k = np.argmax(np.minimum(np.abs(alpha), np.abs(beta)), axis=0)
             op.u0, op.v0 = _split(alpha[k, high], beta[k, high], 0.0, 0.0)[2:]
-        for prev, gap, op in zip([None] + self.passes, self.gaps, self.passes + [None]):
+        for prev, a, op in zip([None] + self.passes, self.gaps, self.passes + [None]):
             need = (prev.u0 if prev else 0.0) + (op.v0 if op else 0.0)
-            for a in gap:
-                held.setdefault(a, need / len(gap))
-            total = sum(held[a] for a in gap)
+            total = 0.0 if a is None else held.setdefault(a, need)
             if prev and not op:
                 prev.u0 = total
             if op:
@@ -690,12 +701,12 @@ class _StepProgram:
     def apply(self, amp: np.ndarray, parts: list, i: int) -> None:
         """Run substep ``i`` of ``parts``, the ``pass_parts`` of a chunk, on the register ``amp`` in place.
 
-        Each gap multiplies the register by its vectors, then the next pass
+        Each gap multiplies the register by its multiplier, then the next pass
         applies entry ``i`` of its part; a part whose blocks have no leading
         axis serves every substep.
         """
-        for gap, part in zip(self.gaps, parts + [None]):
-            for mult in gap:
+        for mult, part in zip(self.gaps, parts + [None]):
+            if mult is not None:
                 _multiply(amp, mult)
             if part is not None:
                 blocks, *rows = part
@@ -709,7 +720,7 @@ class _StepProgram:
         Row k of entry i is the step at ``t_mid[i]`` applied to basis state
         k, so a state advances by one substep as ``amp @ result[i]``. Every
         pass must be one block with no row scaling (L <= _GATE_BLOCK). The
-        stack starts as diag(multipliers before the first pass) times the
+        stack starts as diag(the multiplier before the first pass) times the
         transposed first pass; each later pass is one matmul of the stack
         with its transposed block, and each multiplier scales every row.
         """
@@ -717,15 +728,15 @@ class _StepProgram:
         if any(len(blocks) > 1 or before is not None or after is not None for blocks, before, after in parts):
             raise ValueError(f"step matrices need passes of one block and no row scaling, got L={self.L}")
         transposed = [blocks[0].swapaxes(-1, -2) for blocks, _, _ in parts]  # (n,) leading where RF varies
-        lead = np.prod([np.ones(self.dim)] + [table for table, *_ in self.gaps[0]], axis=0)
+        lead = np.ones(self.dim) if self.gaps[0] is None else self.gaps[0][0]
         steps = np.empty((len(t_mid), self.dim, self.dim), dtype=np.complex128)
         if transposed:
             np.multiply(lead[:, None], transposed[0], out=steps)
         else:
             steps[...] = np.diag(lead)
-        for gap, blk in zip(self.gaps[1:], transposed[1:] + [None]):
-            for table, *_ in gap:
-                steps *= table
+        for mult, blk in zip(self.gaps[1:], transposed[1:] + [None]):
+            if mult is not None:
+                steps *= mult[0]
             if blk is not None:  # a block with no leading axis takes the stack as one (n dim, dim) matrix
                 steps = np.matmul(steps.reshape(blk.shape[:-2] + (-1, self.dim)), blk).reshape(steps.shape)
         return steps
@@ -907,20 +918,16 @@ def evolve_eo(
     the same operation, plan and ``sample_at``, is replayed; a register
     stepped in place ignores ``pieces``.
     """
-    if eo.model.L != state.L:
-        raise ValueError(f"operation has L={eo.model.L} but state has L={state.L}")
     if not math.isfinite(t0):
         raise ValueError(f"operation start time must be finite, got {t0}")
     if plan is None:
         plan = auto_substeps(eo)
-    if plan.tau != eo.tau:
-        raise ValueError(f"plan is for a duration of {plan.tau}, but the operation lasts {eo.tau}")
+    _check_operation(eo, plan, state.L)
     at = list(sample_at)
     if at != sorted({int(n) for n in at if 1 <= n <= plan.m}):  # a fractional n differs from int(n)
         raise ValueError(f"sample_at must be strictly increasing substep numbers in 1..{plan.m}")
     if eo.tau == 0.0:
         return state, _concatenate([], state.dim)
-    _check_phases(eo.model, plan.delta, eo.tau)
     at = np.array(at, dtype=np.int64)
     if state.dim <= _BATCH_MAX_DIM:
         fresh = _matrix_pieces(eo.model, plan, at)  # computes nothing until it is read
@@ -968,9 +975,6 @@ def run_sequence(
     |psi_2m - psi_m| / (2^2 - 1) is under ``tol``; the last 2m trial is the
     run. A zero-duration operation keeps its plan, with an estimate of 0.
     """
-    for eo in seq.eos:
-        if eo.model.L != state.L:
-            raise ValueError(f"operation {eo.name!r} has L={eo.model.L} but state has L={state.L}")
     if sample_every is not None and not isinstance(sample_every, numbers.Integral):
         raise ValueError(f"sample_every must be an integer, got {sample_every!r}")
     if sample_every is not None and sample_every < 1:
@@ -985,8 +989,7 @@ def run_sequence(
         plans = [planned[id(eo)] for eo in seq.eos]
     plans = list(plans)
     for eo, plan in zip(seq.eos, plans):  # before any operation runs
-        if eo.tau > 0.0:
-            _check_phases(eo.model, plan.delta, eo.tau, f"operation {eo.name!r}: ")
+        _check_operation(eo, plan, state.L, f"operation {eo.name!r}: ")
     last, kept = {id(eo): i for i, eo in enumerate(seq.eos)}, {}  # kept: (id of an operation, plan) -> pieces
     estimates = None if tol is None else [0.0] * len(seq)
     out = state.copy()

@@ -267,7 +267,7 @@ class TestOtherCommands:
           operation  9: m = 5040, error estimate = 1.626e-05
           operation 10: m = 1280, error estimate = 1.258e-06
           operation 11: m = 1280, error estimate = 1.255e-06
-          operation 12: m = 2, error estimate = 9.878e-17
+          operation 12: m = 2, error estimate = 8.171e-17
           operation 13: m = 5040, error estimate = 1.626e-05
           operation 14: m = 5040, error estimate = 1.626e-05
           operation 15: m = 1280, error estimate = 1.257e-06

@@ -426,7 +426,7 @@ class TestFoldedPasses:
         rng = np.random.default_rng(700)
         model = self.all_pairs(rng) if name == "all pairs" else self.chain(rng, name[-1])
         prog = propagator._StepProgram(model, 0.01)
-        assert len({id(vec) for gap in prog.gaps for vec in gap}) == vectors
+        assert len({id(mult) for mult in prog.gaps if mult is not None}) == vectors
         assert prog.counts == counts
         assert self.row_scalings(prog, (np.arange(40) + 0.5) * 0.01) == 0
 
@@ -651,6 +651,79 @@ class TestStepLayouts:
         assert np.max(np.abs(by_matrices.amp - in_place.amp)) < 1e-12
 
 
+class TestMergedMultipliers:
+    """Adjacent multipliers of one axis merge: a gap holds at most one, and a z-only step is one multiply."""
+
+    @staticmethod
+    def model(L, axis, seed):
+        # all pairs on one axis; the z-only model also has static z fields.
+        # Either is a constant Hamiltonian on one axis, which one step
+        # integrates exactly
+        rng = np.random.default_rng(seed)
+        model = SpinModel(L)
+        for j in range(1, L + 1):
+            for k in range(j + 1, L + 1):
+                model.set_coupling(j, k, axis, rng.uniform(-1, 1))
+            if axis == "z":
+                model.set_static(j, "z", rng.uniform(-1, 1))
+        return model
+
+    @pytest.mark.parametrize("axis, gaps", [("z", 1), ("y", 3)])
+    def test_step_matrices_match_the_dense_propagator(self, axis, gaps):
+        # z: the two z multipliers meet in the step's one gap; y: Rx, Ry+,
+        # Ry, Rx+ cancel between the two y multipliers, so they share the
+        # middle gap of Rx+ | Cy | Rx
+        model, delta = self.model(3, axis, 960), 0.37
+        prog = propagator._StepProgram(model, delta)
+        assert len(prog.gaps) == gaps and prog.counts["diagonal_sweeps"] == 1
+        steps = prog.step_matrices(np.array([0.5 * delta]))
+        assert np.max(np.abs(steps[0].T - dense_propagator(model, 0.0, delta))) < 1e-12
+
+    @pytest.mark.parametrize("axis", ["z", "y"])
+    def test_in_place_run_matches_the_dense_propagator(self, axis):
+        L, tau = 6, 0.9
+        model = self.model(L, axis, 970)
+        s = random_state(L, 980)
+        expected = dense_propagator(model, 0.0, tau) @ s.amp
+        evolve_eo(s, ElementaryOperation("e", model, tau), 0.0, plan=StepPlan(4, tau))
+        assert np.max(np.abs(s.amp - expected)) < 1e-12
+
+    @pytest.mark.parametrize("L", [3, 6])  # step matrices, in place
+    def test_a_z_only_step_is_one_sweep_per_substep(self, L):
+        eo = ElementaryOperation("e", self.model(L, "z", 990), 0.9)
+        counters.reset()
+        evolve_eo(random_state(L, 991), eo, 0.0, plan=StepPlan(7, eo.tau))
+        assert (counters.diagonal_sweeps, counters.global_rotations) == (7, 0)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        L=st.integers(1, 6),
+        coupled=st.sets(st.sampled_from("xyz")),
+        static=st.sets(st.sampled_from("xyz")),
+        rf=st.sets(st.sampled_from("xyz")),
+    )
+    def test_gap_layout_property(self, L, coupled, static, rf):
+        # any layout: each gap is one multiplier or None; the interior gaps,
+        # between two passes, are never None; the two end gaps are both the
+        # z multiplier, where z has one, or both None. One multiplier per
+        # multiplied axis, however many gaps it occupies
+        model = SpinModel(L)
+        for ax in coupled:
+            model.coupling[..., "xyz".index(ax)] = 0.3 * (1 - np.eye(L))
+        for ax in static:
+            model.static_field[:, "xyz".index(ax)] = 0.7
+        for ax in rf:
+            model.rf_amp[:, "xyz".index(ax)], model.rf_freq[:, "xyz".index(ax)] = 0.2, 1.3
+        prog = propagator._StepProgram(model, 0.23)
+        multiplied = {ax for ax in coupled if L > 1} | ({"z"} & static)  # one qubit has no pairs
+        mults = [gap for gap in prog.gaps if gap is not None]
+        assert all(len(mult) == 3 and isinstance(mult[0], np.ndarray) for mult in mults)
+        assert None not in prog.gaps[1:-1]
+        assert prog.gaps[0] is prog.gaps[-1] and (prog.gaps[0] is not None) == ("z" in multiplied)
+        assert len({id(mult) for mult in mults}) == len(multiplied)
+        assert prog.counts["diagonal_sweeps"] == len(mults)
+
+
 class TestAboveTheTile:
     """Registers larger than one tile of ``_TILE`` amplitudes: the pass's tiles and column chunks."""
 
@@ -752,8 +825,9 @@ class TestInstrumentation:
         # samples are multiplied together and one drive period is lifted to
         # the others. Per substep a rotation has 2 sweeps (z), 1 pass of 2 gate
         # kernels and 2 pair terms; field terms are 8 for an X (z and y fields,
-        # z and y visited twice) and 6 for a Y (x visited once); Ipi has 2
-        # sweeps, no pass, 2 pair terms and 4 field terms
+        # z and y visited twice) and 6 for a Y (x visited once); Ipi has 1
+        # sweep (its two z multipliers merge), no pass, 2 pair terms and 4
+        # field terms
         counters.reset()
         prog = grover_program(2, make_profile("nmr"), "21")
         _, traj = run_sequence(new_basis_state(2, [0, 0]), prog.seq)
@@ -761,7 +835,7 @@ class TestInstrumentation:
         planned = {"X1": 640, "X1b": 640, "Y1b": 640, "X2": 2520, "Y2b": 2520, "Ipi": 1}
         assert [p.m for p in traj.plans] == [planned[eo.name] for eo in prog.seq.eos]
         assert dict(vars(counters)) == {
-            "diagonal_sweeps": 44244,
+            "diagonal_sweeps": 44242,
             "global_rotations": 22120,
             "gate_kernel_calls": 44240,
             "pair_terms": 44244,
@@ -769,17 +843,18 @@ class TestInstrumentation:
         }
 
     @pytest.mark.parametrize("active, passes", [
-        ("y", 2),  # Rx+ | Cy | Rx, Ry+, Ry, Rx+ cancel | Cy | Rx
+        ("y", 2),  # Rx+ | Cy, as Rx, Ry+, Ry, Rx+ cancel between its halves | Rx
         ("x", 2),  # Rx+, Rx cancel, Ry+ | Cx | Ry, Rx+, Rx cancel
-        ("z", 0),  # every turn cancels between the two z multipliers
+        ("z", 0),  # every turn cancels, so the two z multipliers merge
     ])
     def test_global_passes_per_step_by_active_axes(self, active, passes):
         m = SpinModel(3).set_coupling(1, 3, active, 0.7).set_static(2, "z", 0.4)
         counters.reset()
         symmetrized_step(random_state(3, 9), m, 0.1, 0.0)
-        # one multiply per occurrence of the coupled axis plus the two of z,
-        # which holds the static z field: y twice, x once, z (already counted)
-        assert counters.diagonal_sweeps == {"y": 4, "x": 3, "z": 2}[active]
+        # one multiply per gap of the coupled axis plus one per gap of z,
+        # which holds the static z field: y 1 + 2 (its two halves merged),
+        # x 1 + 2, and z 1 (every turn cancels, so both halves share a gap)
+        assert counters.diagonal_sweeps == {"y": 3, "x": 3, "z": 1}[active]
         assert counters.global_rotations == passes
         assert counters.gate_kernel_calls == 3 * passes
 
@@ -788,8 +863,9 @@ class TestInstrumentation:
         s = random_state(2, 8)
         counters.reset()
         symmetrized_step(s, m, 0.5, 0.0)
-        # only the two z multipliers: x and y have no multiplier and no pass
-        assert counters.diagonal_sweeps == 2
+        # one z multiplier, the two of the step merged: x and y have no
+        # multiplier and no pass
+        assert counters.diagonal_sweeps == 1
         assert counters.global_rotations == 0
 
 
@@ -1521,6 +1597,10 @@ BAD_ARGUMENTS = [
      "step start time must be finite, got inf"),
     (lambda: symmetrized_step(new_basis_state(2, [0, 0]), _model_with(coupling=((0, 1, 2), 1.0)), 0.1, 0.0),
      "coupling must be symmetric in (j, k)"),
+    (lambda: run_sequence(new_basis_state(1, [0]), PulseSequence([ElementaryOperation("e", SpinModel(2), 1.0)])),
+     "operation 'e': operation has L=2 but state has L=1"),
+    (lambda: evolve_eo(new_basis_state(1, [0]), ElementaryOperation("e", SpinModel(1), 1.0), 0.0, StepPlan(2, 2.0)),
+     "plan is for a duration of 2.0, but the operation lasts 1.0"),
     (lambda: evolve_eo(new_basis_state(1, [0]), ElementaryOperation("e", SpinModel(1), 1.0), math.nan, sample_at=[1]),
      "operation start time must be finite, got nan"),
     (lambda: SpinModel(0), "qubit count must be in 1..26, got 0"),
@@ -1579,6 +1659,15 @@ class TestBadArguments:
         with pytest.raises(ValueError, match="^operation 'bad': a drive of frequency 1e\\+308 reaches a phase"):
             run_sequence(new_basis_state(2, [0, 0]), PulseSequence([good, bad]),
                          plans=[StepPlan(4, 1.0), StepPlan(1, 10.0)])
+        assert vars(counters) == vars(propagator.KernelCounters())
+
+    def test_plan_for_another_duration_is_refused_before_any_substep(self):
+        # the second operation's plan is for the first one's duration
+        a = ElementaryOperation("a", SpinModel(2).set_static(1, "x", 1.0), 1.0)
+        b = ElementaryOperation("b", SpinModel(2).set_static(1, "x", 1.0), 2.0)
+        counters.reset()
+        with pytest.raises(ValueError, match="^operation 'b': plan is for a duration of 1.0, but the operation lasts 2.0$"):
+            run_sequence(new_basis_state(2, [0, 0]), PulseSequence([a, b]), plans=[StepPlan(50, 1.0)] * 2)
         assert vars(counters) == vars(propagator.KernelCounters())
 
     def test_coupling_must_be_exactly_symmetric(self):
