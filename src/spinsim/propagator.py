@@ -92,6 +92,7 @@ so an instruction is its parameter table and duration, wherever it sits.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -216,11 +217,11 @@ class SpinModel:
             (self.rf_freq, "rf_freq"),
             (self.rf_phase, "rf_phase"),
         ):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"non-finite entries in {name}")
         if not np.array_equal(self.coupling, np.transpose(self.coupling, (1, 0, 2))):
             raise ValueError("coupling must be symmetric in (j, k)")
-        if np.any(np.diagonal(self.coupling, axis1=0, axis2=1) != 0.0):
+        if self.coupling.diagonal().any():
             raise ValueError("diagonal couplings must be zero")
 
 
@@ -525,28 +526,41 @@ def _frequencies(model: SpinModel) -> list:
     return sorted(set(np.abs(model.rf_freq[model.rf_amp != 0.0]).tolist()))
 
 
-def _check_phases(model: SpinModel, delta: float, end: float, where: str = "") -> None:
-    """Raise ValueError unless a substep of length ``delta`` advances every phase of ``model`` by a finite
-    amount and every drive phase f u stays finite for |u| <= ``end``; ``where`` prefixes the message."""
-    h_scale, j_scale = _scales(model)
-    if not math.isfinite(delta * max(h_scale, j_scale)):
-        raise ValueError(f"{where}a substep of length {delta:g} advances a phase that is not finite: "
-                         f"field scale {h_scale:g}, coupling scale {j_scale:g}")
-    freqs = _frequencies(model)
-    if freqs and not math.isfinite(end * freqs[-1]):
-        raise ValueError(f"{where}a drive of frequency {freqs[-1]:g} reaches a phase that is not finite "
-                         f"within time {end:g}")
+def _check_run(model: SpinModel, L: int, delta: float, end: float, clock, where: str = "") -> None:
+    """The run check: raise ValueError, its message prefixed by ``where``, unless ``model`` may run on L qubits.
+
+    In this order: ``model`` acts on L qubits; ``model.validate()`` passes
+    (finite entries, symmetric couplings, a zero diagonal); a substep of
+    length ``delta`` (0: none) advances every phase by a finite amount; every
+    drive phase f u stays finite for |u| <= ``end``; and every (start, end)
+    time pair of ``clock`` ends at a finite time, so every time a run reports
+    is finite.
+    """
+    try:
+        if model.L != L:
+            raise ValueError(f"model has L={model.L} but state has L={L}")
+        model.validate()
+        h_scale, j_scale = _scales(model)
+        if delta and not math.isfinite(delta * max(h_scale, j_scale)):
+            raise ValueError(f"a substep of length {delta:g} advances a phase that is not finite: "
+                             f"field scale {h_scale:g}, coupling scale {j_scale:g}")
+        freqs = _frequencies(model)
+        if freqs and not math.isfinite(end * freqs[-1]):
+            raise ValueError(f"a drive of frequency {freqs[-1]:g} reaches a phase that is not finite "
+                             f"within time {end:g}")
+        for start, stop in clock:  # a start that is not finite gives a stop that is not
+            if not math.isfinite(stop):
+                raise ValueError(f"the clock must be finite, got {start:g} to {stop:g}")
+    except ValueError as err:
+        raise ValueError(where + str(err)) from None
 
 
-def _check_operation(eo: ElementaryOperation, plan: StepPlan, L: int, where: str = "") -> None:
-    """Raise ValueError unless ``eo`` acts on L qubits, ``plan`` is for its duration and, if that is not 0,
-    ``_check_phases`` passes for its substeps; ``where`` prefixes the message."""
-    if eo.model.L != L:
-        raise ValueError(f"{where}operation has L={eo.model.L} but state has L={L}")
+def _check_operation(eo: ElementaryOperation, plan: StepPlan, L: int, starts, where: str = "") -> None:
+    """Raise ValueError unless ``plan`` is for the duration of ``eo`` and ``_check_run`` passes for ``eo``
+    run at ``plan`` from each time of ``starts``; ``where`` prefixes the message."""
     if plan.tau != eo.tau:
         raise ValueError(f"{where}plan is for a duration of {plan.tau}, but the operation lasts {eo.tau}")
-    if eo.tau > 0.0:
-        _check_phases(eo.model, plan.delta, eo.tau, where)
+    _check_run(eo.model, L, plan.delta, eo.tau, [(t, t + plan.m * plan.delta) for t in starts], where)
 
 
 def _periods(model: SpinModel, tau: float) -> int:
@@ -745,7 +759,9 @@ class _StepProgram:
 def symmetrized_step(state: StateVector, model: SpinModel, delta: float, t: float) -> StateVector:
     """Advance the state by one product-formula step over [t, t+delta].
 
-    All five factors share the midpoint time t + delta/2.
+    All five factors share the midpoint time t + delta/2. Raises ValueError
+    unless delta is finite and > 0 and t is finite, and, before the substep,
+    where the run check (``_check_run``) refuses ``model`` over [t, t+delta].
     """
     if not math.isfinite(delta):
         raise ValueError(f"step length must be finite, got {delta}")
@@ -753,10 +769,7 @@ def symmetrized_step(state: StateVector, model: SpinModel, delta: float, t: floa
         raise ValueError(f"step length must be > 0, got {delta}")
     if not math.isfinite(t):
         raise ValueError(f"step start time must be finite, got {t}")
-    if model.L != state.L:
-        raise ValueError(f"model has L={model.L} but state has L={state.L}")
-    model.validate()
-    _check_phases(model, delta, abs(t) + delta)
+    _check_run(model, state.L, delta, abs(t) + delta, [(t, t + delta)])
     prog = _StepProgram(model, delta)
     prog.count(1)
     prog.apply(state.amp, prog.pass_parts([t + 0.5 * delta]), 0)
@@ -776,17 +789,13 @@ def auto_substeps(eo: ElementaryOperation) -> StepPlan:
     model = eo.model
     if eo.tau == 0.0:
         return StepPlan(1, 0.0)
-    active = [
-        a
-        for a in range(3)
-        if np.any(model.coupling[:, :, a]) or np.any(model.static_field[:, a]) or np.any(model.rf_amp[:, a])
-    ]
-    if len(active) <= 1 and not np.any(model.rf_amp):
+    active = np.any(model.coupling, axis=(0, 1)) | np.any(model.static_field, axis=0)  # a drive never takes this path
+    if np.count_nonzero(active) <= 1 and not np.any(model.rf_amp):
         return StepPlan(1, eo.tau)
     bounds = []
-    freqs = np.abs(model.rf_freq[(model.rf_freq != 0.0) & (model.rf_amp != 0.0)])
-    if freqs.size:
-        bounds.append(2.0 * math.pi / float(freqs.max()) / _RF_SAMPLES_PER_PERIOD)
+    freqs = _frequencies(model)
+    if freqs and freqs[-1] != 0.0:
+        bounds.append(2.0 * math.pi / freqs[-1] / _RF_SAMPLES_PER_PERIOD)
     h_scale, j_scale = _scales(model)  # an infinite scale is reported below
     if h_scale > 0.0:
         bounds.append(_MAX_PHASE_PER_STEP / h_scale)
@@ -908,21 +917,20 @@ def evolve_eo(
     leading axis over the substep numbers n in ``sample_at``, each taken
     right after substep n at time t0 + n * delta. ``sample_at`` is any
     iterable of integers increasing strictly within 1..m; a zero duration
-    takes no substeps and returns no samples. Raises ValueError for an L or
-    a plan (for another duration) that does not match, a bad ``sample_at``, a
-    non-finite ``t0``, a substep that advances a phase that is not finite, or
-    a drive whose phase over the operation is not finite.
+    takes no substeps and returns no samples. Raises ValueError before the
+    first substep for a plan for another duration, a bad ``sample_at``, or a
+    run that the run check (``_check_run``) refuses: an L that does not
+    match, a model that fails ``validate``, a phase that is not finite, or a
+    ``t0`` or sample time that is not finite.
 
     On step matrices (module docstring) an empty ``pieces`` list is filled
     with the operation's pieces and a filled one, from an earlier call with
     the same operation, plan and ``sample_at``, is replayed; a register
     stepped in place ignores ``pieces``.
     """
-    if not math.isfinite(t0):
-        raise ValueError(f"operation start time must be finite, got {t0}")
     if plan is None:
         plan = auto_substeps(eo)
-    _check_operation(eo, plan, state.L)
+    _check_operation(eo, plan, state.L, [t0])
     at = list(sample_at)
     if at != sorted({int(n) for n in at if 1 <= n <= plan.m}):  # a fractional n differs from int(n)
         raise ValueError(f"sample_at must be strictly increasing substep numbers in 1..{plan.m}")
@@ -965,9 +973,10 @@ def run_sequence(
     operation. ``plans`` holds one plan per operation (default
     ``auto_substeps``). An operation object that recurs in ``seq`` replays its
     pieces per plan until its last position, while all kept pieces hold at
-    most _KEPT_ELEMENTS complex entries. Raises ValueError before any
-    operation runs for a bad argument, a substep that advances a phase that
-    is not finite, or a drive whose phase over its operation is not finite.
+    most _KEPT_ELEMENTS complex entries. Raises ValueError before the first
+    substep for a bad argument or a run that the run check (``_check_run``)
+    refuses; it runs once per distinct operation object and plan, over the
+    clock of each of its positions, and its message names the operation.
 
     With a tolerance ``tol`` (finite, >= 0) each operation runs from the
     state the ones before it leave at m and 2m substeps, and m is doubled, at
@@ -983,18 +992,21 @@ def run_sequence(
         raise ValueError(f"got {len(plans)} plans for a sequence of {len(seq)} operations")
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    ops = {id(eo): eo for eo in seq.eos}
     if plans is None:  # each distinct operation object is planned once
-        planned = {id(eo): eo for eo in seq.eos}
-        planned = {key: auto_substeps(eo) for key, eo in planned.items()}
+        planned = {key: auto_substeps(eo) for key, eo in ops.items()}
         plans = [planned[id(eo)] for eo in seq.eos]
     plans = list(plans)
-    for eo, plan in zip(seq.eos, plans):  # before any operation runs
-        _check_operation(eo, plan, state.L, f"operation {eo.name!r}: ")
+    starts, runs = list(itertools.accumulate((eo.tau for eo in seq.eos), initial=0.0)), {}
+    for eo, plan, start in zip(seq.eos, plans, starts):  # runs: (id of an operation, plan) -> its starts
+        runs.setdefault((id(eo), plan), []).append(start)
+    for (key, plan), times in runs.items():  # before any operation runs
+        _check_operation(ops[key], plan, state.L, times, f"operation {ops[key].name!r}: ")
     last, kept = {id(eo): i for i, eo in enumerate(seq.eos)}, {}  # kept: (id of an operation, plan) -> pieces
     estimates = None if tol is None else [0.0] * len(seq)
     out = state.copy()
     parts = [observables_of(out.amp[None], np.array([0.0]))]
-    step, eo_index, t = [0], [0], 0.0
+    step, eo_index = [0], [0]
 
     def advance(psi, eo, plan):  # returns psi, its sampled substep numbers and samples
         stride = sample_every or max(1, round(plan.m / 200))
@@ -1002,7 +1014,7 @@ def run_sequence(
         key, held = (id(eo), plan), sum(p.size for pieces in kept.values() for *_, p in pieces)
         if last[id(eo)] > i and key not in kept and held + len(at) * psi.dim**2 <= _KEPT_ELEMENTS:
             kept[key] = []
-        return psi, at, evolve_eo(psi, eo, t, plan=plan, sample_at=at, pieces=kept.get(key))[1]
+        return psi, at, evolve_eo(psi, eo, starts[i], plan=plan, sample_at=at, pieces=kept.get(key))[1]
 
     for i, eo in enumerate(seq.eos):
         kept = {key: pieces for key, pieces in kept.items() if last[key[0]] >= i}
@@ -1023,5 +1035,4 @@ def run_sequence(
         parts.append(samples)
         step += [step[-1] + n for n in at]  # step[-1] ended the previous operation
         eo_index += [i] * len(at)
-        t += eo.tau
     return out, Trajectory(np.array(step), np.array(eo_index), _concatenate(parts, out.dim), plans, estimates)

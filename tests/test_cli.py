@@ -372,6 +372,19 @@ class TestBadInput:
         assert message in capsys.readouterr().err
         assert vars(counters) == vars(KernelCounters())
 
+    def test_clock_overflow(self, tmp_path, capsys):
+        # each operation lasts 2 pi * 1e307; the third position's start and the second's end pass the largest float
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("L = 1\n[eo A]\ntau_over_2pi = 1e307\nh0 z 1 = 1e-300\n"
+                       "[sequence s]\neos = A, A, A\n[run]\nsequence = s\nsteps = 1\n")
+        message = "operation 'A': the clock must be finite, got 1.25664e+308 to inf"
+        self.assert_usage_error(self.spinsim("run", "--config", str(cfg), "--out", str(tmp_path / "t.csv")), message)
+        assert not (tmp_path / "t.csv").exists()
+        counters.reset()
+        assert main(["run", "--config", str(cfg)]) == 1  # in process, where a warning is an error
+        assert message in capsys.readouterr().err
+        assert vars(counters) == vars(KernelCounters())
+
     def test_steps_option_overflow(self):
         proc = self.spinsim("grover", "--hardware", "ideal", "--item", "0", "--steps", "99999999999999999999999")
         self.assert_usage_error(proc, "substep count must be in 1..2**63 - 1")

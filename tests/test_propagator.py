@@ -68,6 +68,21 @@ def random_driven_model(L, seed):
     return m
 
 
+def layout_model(L, coupled, static, rf, rng):
+    """All pairs coupled on the ``coupled`` axes, static fields and RF drives on theirs, random values from ``rng``."""
+    m = SpinModel(L)
+    for ax in coupled:
+        for j in range(1, L + 1):
+            for k in range(j + 1, L + 1):
+                m.set_coupling(j, k, ax, rng.uniform(-1, 1))
+    for j in range(1, L + 1):
+        for ax in static:
+            m.set_static(j, ax, rng.uniform(-1, 1))
+        for ax in rf:
+            m.set_rf(j, ax, rng.uniform(-0.5, 0.5), rng.uniform(0.3, 2.0), rng.uniform(0, TWO_PI))
+    return m
+
+
 def z_step(s, m, theta, t):
     """One step of a z-only model over [t - theta/2, t + theta/2]: the diagonal factor at t."""
     return symmetrized_step(s, m, theta, t - 0.5 * theta)
@@ -628,17 +643,7 @@ class TestStepLayouts:
         # gives the same state by step matrices and in place. At L = 5 and 6
         # a pass has a real block above the lowest four qubits, whose z
         # phases either fold into the multipliers or become row scalings
-        rng = np.random.default_rng(seed)
-        model = SpinModel(L)
-        for ax in coupled:
-            for j in range(1, L + 1):
-                for k in range(j + 1, L + 1):
-                    model.set_coupling(j, k, ax, rng.uniform(-1, 1))
-        for j in range(1, L + 1):
-            for ax in static:
-                model.set_static(j, ax, rng.uniform(-1, 1))
-            for ax in rf:
-                model.set_rf(j, ax, rng.uniform(-0.5, 0.5), rng.uniform(0.3, 2.0), rng.uniform(0, TWO_PI))
+        model = layout_model(L, coupled, static, rf, np.random.default_rng(seed))
         self.check_step(model, seed)
         if L > 4:
             return
@@ -1367,6 +1372,24 @@ class TestRunSequence:
         assert planner.call_count == len({id(eo) for eo in seq.eos}) < len(seq)
         assert traj.plans == [auto_substeps(eo) for eo in seq.eos]
 
+    @pytest.mark.parametrize("item", range(4))
+    @pytest.mark.parametrize("init", ["12", "21"])
+    def test_each_distinct_run_is_checked_once_before_the_first_substep(self, item, init):
+        # 16 positions of 5-7 distinct instructions: the pre-check runs once
+        # per instruction, then each evolve_eo checks its own run
+        seq, counts = grover_program(item, make_profile("nmr"), init).seq, []
+
+        def evolve(*args, **kwargs):
+            counts.append(checked.call_count)
+            return evolve_eo(*args, **kwargs)
+
+        with mock.patch.object(propagator, "_check_run", wraps=propagator._check_run) as checked, \
+                mock.patch.object(propagator, "evolve_eo", side_effect=evolve):
+            run_sequence(new_basis_state(2, [0, 0]), seq, sample_every=10**9)
+        distinct = len({id(eo) for eo in seq.eos})
+        assert 5 <= distinct <= 7 and len(seq) == 16
+        assert counts[0] == distinct and checked.call_count == distinct + len(seq)
+
     @pytest.mark.parametrize("n_plans", [1, 3])
     def test_plans_must_match_the_sequence(self, n_plans):
         eo = ElementaryOperation("e", SpinModel(1).set_static(1, "x", 1.0), 0.1)
@@ -1586,8 +1609,8 @@ BAD_ARGUMENTS = [
     (lambda: run_sequence(new_basis_state(1, [0]), PulseSequence([]), sample_every=2.5),
      "sample_every must be an integer, got 2.5"),
     (lambda: StepPlan(2.5, 1.0), "substep count must be an integer, got 2.5"),
-    (lambda: evolve_eo(new_basis_state(1, [0]), ElementaryOperation("e", SpinModel(2), 1.0), 0.0),
-     "operation has L=2 but state has L=1"),
+    (lambda: evolve_eo(new_basis_state(1, [0]), ElementaryOperation("e", SpinModel(3), 1.0), 0.0),
+     "model has L=3 but state has L=1"),
     (lambda: symmetrized_step(new_basis_state(1, [0]), SpinModel(2), 0.1, 0.0),
      "model has L=2 but state has L=1"),
     (lambda: symmetrized_step(new_basis_state(1, [0]), SpinModel(1), 0.0, 0.0), "step length must be > 0, got 0.0"),
@@ -1598,11 +1621,11 @@ BAD_ARGUMENTS = [
     (lambda: symmetrized_step(new_basis_state(2, [0, 0]), _model_with(coupling=((0, 1, 2), 1.0)), 0.1, 0.0),
      "coupling must be symmetric in (j, k)"),
     (lambda: run_sequence(new_basis_state(1, [0]), PulseSequence([ElementaryOperation("e", SpinModel(2), 1.0)])),
-     "operation 'e': operation has L=2 but state has L=1"),
+     "operation 'e': model has L=2 but state has L=1"),
     (lambda: evolve_eo(new_basis_state(1, [0]), ElementaryOperation("e", SpinModel(1), 1.0), 0.0, StepPlan(2, 2.0)),
      "plan is for a duration of 2.0, but the operation lasts 1.0"),
     (lambda: evolve_eo(new_basis_state(1, [0]), ElementaryOperation("e", SpinModel(1), 1.0), math.nan, sample_at=[1]),
-     "operation start time must be finite, got nan"),
+     "the clock must be finite, got nan to nan"),
     (lambda: SpinModel(0), "qubit count must be in 1..26, got 0"),
     (lambda: SpinModel(27), "qubit count must be in 1..26, got 27"),
     (lambda: SpinModel(2).set_static(3, "x", 1.0), "qubit index must be in 1..2, got 3"),
@@ -1630,6 +1653,13 @@ BAD_ARGUMENTS = [
     (lambda: run_sequence(new_basis_state(2, [0, 0]), PulseSequence([ElementaryOperation(
         "e", SpinModel(2).set_rf(1, "z", 1.0, 2.0).set_rf(2, "x", 1.0, 1e308), 2.0)]), plans=[StepPlan(4, 2.0)]),
      "operation 'e': a drive of frequency 1e+308 reaches a phase that is not finite within time 2"),
+    (lambda: run_sequence(new_basis_state(1, [0]), PulseSequence([ElementaryOperation(
+        name, SpinModel(1).set_static(1, "z", 1e-300), 1.7e308) for name in "abc"]), plans=[StepPlan(1, 1.7e308)] * 3),
+     "operation 'b': the clock must be finite, got 1.7e+308 to inf"),
+    (lambda: evolve_eo(new_basis_state(1, [0]), ElementaryOperation("e", SpinModel(1), 1.7e308), 1.7e308),
+     "the clock must be finite, got 1.7e+308 to inf"),
+    (lambda: symmetrized_step(new_basis_state(1, [0]), SpinModel(1), 1e308, 1e308),
+     "the clock must be finite, got 1e+308 to inf"),
 ]
 
 
@@ -1668,6 +1698,77 @@ class TestBadArguments:
         counters.reset()
         with pytest.raises(ValueError, match="^operation 'b': plan is for a duration of 1.0, but the operation lasts 2.0$"):
             run_sequence(new_basis_state(2, [0, 0]), PulseSequence([a, b]), plans=[StepPlan(50, 1.0)] * 2)
+        assert vars(counters) == vars(propagator.KernelCounters())
+
+    def test_clock_overflow_is_refused_before_any_substep(self):
+        # the second position ends past the largest float, the third starts there
+        eo = ElementaryOperation("a", SpinModel(1).set_static(1, "z", 1e-300), 1.7e308)
+        counters.reset()
+        message = "the clock must be finite, got 1.7e\\+308 to inf$"
+        with pytest.raises(ValueError, match=f"^operation 'a': {message}"):
+            run_sequence(new_basis_state(1, [0]), PulseSequence([eo] * 3), plans=[StepPlan(1, eo.tau)] * 3)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            evolve_eo(new_basis_state(1, [0]), eo, 1.7e308, sample_at=[1])
+        assert vars(counters) == vars(propagator.KernelCounters())
+
+    @pytest.mark.parametrize("L", [2, 5])  # step matrices, in place
+    @pytest.mark.parametrize("defect, message", [
+        (lambda m: m.rf_phase.__setitem__((0, 0), math.nan), "non-finite entries in rf_phase"),
+        (lambda m: m.coupling.__setitem__((0, 1, 2), 3.0), "coupling must be symmetric in (j, k)"),
+        (lambda m: m.coupling.__setitem__((1, 1, 0), 0.5), "diagonal couplings must be zero"),
+    ], ids=["nan-phase", "one-sided", "diagonal"])
+    def test_model_changed_after_its_operation_was_built(self, L, defect, message):
+        # each entry point refuses the model with one message before any substep
+        eo = ElementaryOperation("e", random_driven_model(L, 1100), 0.5)
+        defect(eo.model)
+        counters.reset()
+        for call in (lambda: symmetrized_step(random_state(L, 1101), eo.model, 0.1, 0.0),
+                     lambda: evolve_eo(random_state(L, 1101), eo, 0.0)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+        with pytest.raises(ValueError, match=f"^operation 'e': {re.escape(message)}$"):
+            run_sequence(random_state(L, 1101), PulseSequence([eo]))
+        assert vars(counters) == vars(propagator.KernelCounters())
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        L=st.integers(1, 5),
+        coupled=st.sets(st.sampled_from("xyz")),
+        static=st.sets(st.sampled_from("xyz")),
+        rf=st.sets(st.sampled_from("xyz")),
+        defect=st.sampled_from(["nan", "one-sided", "huge"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_check_everywhere(self, L, coupled, static, rf, defect, seed):
+        # a valid model, one defect injected after its operation was built:
+        # one substep of length tau over [0, tau] is refused by all three
+        # entry points with one text, before any substep
+        rng, tau = np.random.default_rng(seed), 2.0
+        model = layout_model(L, coupled, static, rf, rng)
+        eo = ElementaryOperation("e", model, tau)
+        j, k, a = (int(x) for x in rng.integers(0, (L, L, 3)))
+        name = ["coupling", "static_field", "rf_amp", "rf_freq", "rf_phase"][rng.integers(5)]
+        if defect == "nan":
+            getattr(model, name)[(j, k, a) if name == "coupling" else (j, a)] = math.nan
+        elif defect == "one-sided":  # j == k sets a diagonal entry
+            model.coupling[j, k, a] += 1.0
+        elif name == "coupling" and j != k:  # a huge value, here a symmetric pair
+            model.coupling[j, k, a] = model.coupling[k, j, a] = 1e308
+        elif name == "rf_freq":  # of a drive with an amplitude
+            model.rf_amp[j, a], model.rf_freq[j, a] = 0.5, 1e308
+        else:
+            model.static_field[j, a] = 1e308
+        messages = []
+        counters.reset()
+        for call in (lambda: symmetrized_step(random_state(L, seed % 1000), model, tau, 0.0),
+                     lambda: evolve_eo(random_state(L, seed % 1000), eo, 0.0, StepPlan(1, tau)),
+                     lambda: run_sequence(random_state(L, seed % 1000), PulseSequence([eo]), plans=[StepPlan(1, tau)])):
+            with pytest.raises(ValueError) as refused:
+                call()
+            messages.append(str(refused.value))
+        assert messages[1] == messages[0] and messages[2] == "operation 'e': " + messages[0]
+        assert re.match("non-finite entries in |coupling must be symmetric|diagonal couplings|a substep of|a drive of",
+                        messages[0])
         assert vars(counters) == vars(propagator.KernelCounters())
 
     def test_coupling_must_be_exactly_symmetric(self):
