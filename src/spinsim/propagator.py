@@ -68,9 +68,12 @@ three multiplies each, and nothing of 2^L entries is built.
 Operands. A pass and a multiplier act on one register; only step matrices
 and observables are batched. Step matrices are for registers of one block,
 L <= 4: per chunk of substeps, a stack of step matrices and their products
-from the operation's start to each sample (pieces), which run_sequence
-reuses within a call. Larger registers are stepped in place, one substep at
-a time. Both operands give the same kernel counts.
+from the operation's start to each sample (pieces). An operation cannot
+change once built, so it keeps its pieces per (plan, sampled substeps) for
+every later run of it, up to _KEPT_ELEMENTS complex entries; pieces that do
+not fit are built for their run alone. Larger registers are stepped in
+place, one substep at a time. Both operands, and a replay, give the same
+kernel counts.
 
 The period rule decides how much of an operation the step matrices cover. A
 drive's clock starts at its operation's start, so when every drive with a
@@ -92,6 +95,7 @@ so an instruction is its parameter table and duration, wherever it sits.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import numbers
@@ -121,8 +125,8 @@ _BATCH_MAX_DIM = 1 << _GATE_BLOCK
 #: Complex entries per chunk of step matrices, or of pass blocks in place
 #: (1 MiB), so memory does not grow with m.
 _BATCH_ELEMENTS = 1 << 16
-#: Most complex entries of matrix-path pieces that run_sequence keeps for
-#: reuse at once (16 MiB); an operation whose pieces do not fit streams its own.
+#: Most complex entries of matrix-path pieces that one operation keeps for its
+#: later runs (16 MiB); pieces that do not fit are built for their run alone.
 _KEPT_ELEMENTS = 16 * _BATCH_ELEMENTS
 
 #: auto_substeps: substeps per period of the fastest RF drive, and the
@@ -160,6 +164,9 @@ class KernelCounters:
 
 
 counters = KernelCounters()
+
+#: The parameter arrays of a SpinModel.
+_ARRAYS = ("coupling", "static_field", "rf_amp", "rf_freq", "rf_phase")
 
 
 class SpinModel:
@@ -210,14 +217,8 @@ class SpinModel:
         return self
 
     def validate(self) -> None:
-        for arr, name in (
-            (self.coupling, "coupling"),
-            (self.static_field, "static_field"),
-            (self.rf_amp, "rf_amp"),
-            (self.rf_freq, "rf_freq"),
-            (self.rf_phase, "rf_phase"),
-        ):
-            if not np.isfinite(arr).all():
+        for name in _ARRAYS:
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"non-finite entries in {name}")
         if not np.array_equal(self.coupling, np.transpose(self.coupling, (1, 0, 2))):
             raise ValueError("coupling must be symmetric in (j, k)")
@@ -226,17 +227,44 @@ class SpinModel:
 
 
 @dataclass
+class _Derived:
+    """What is derived from one operation: its auto plan, and its matrix-path pieces per (plan, sampled
+    substeps as int64 bytes) with the complex entries they hold."""
+
+    plan: StepPlan | None = None
+    pieces: dict = field(default_factory=dict)
+    entries: int = 0
+
+
+@dataclass(frozen=True, eq=False)
 class ElementaryOperation:
-    """One hardware instruction: a model held constant for a duration tau."""
+    """One hardware instruction: a model held constant for a duration tau.
+
+    Immutable: ``model`` is a copy of the model given, with read-only
+    arrays, validated once here; the model given stays writable and editing
+    it changes nothing here. What is derived from the operation is derived
+    once: ``auto_substeps`` keeps its plan and ``evolve_eo`` its matrix-path
+    pieces. A copy, deep or shallow, is built anew and derives its own.
+    """
 
     name: str
     model: SpinModel
     tau: float
+    _derived: _Derived = field(default_factory=_Derived, init=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau >= 0):
             raise ValueError(f"duration must be finite and >= 0, got {self.tau}")
-        self.model.validate()
+        model = copy.copy(self.model)
+        for name in _ARRAYS:
+            arr = getattr(model, name).copy()
+            arr.flags.writeable = False
+            setattr(model, name, arr)
+        model.validate()
+        object.__setattr__(self, "model", model)
+
+    def __reduce__(self):
+        return ElementaryOperation, (self.name, self.model, self.tau)
 
 
 @dataclass
@@ -526,20 +554,23 @@ def _frequencies(model: SpinModel) -> list:
     return sorted(set(np.abs(model.rf_freq[model.rf_amp != 0.0]).tolist()))
 
 
-def _check_run(model: SpinModel, L: int, delta: float, end: float, clock, where: str = "") -> None:
+def _check_run(model: SpinModel, L: int, delta: float, end: float, clock, where: str = "",
+               validate: bool = False) -> None:
     """The run check: raise ValueError, its message prefixed by ``where``, unless ``model`` may run on L qubits.
 
-    In this order: ``model`` acts on L qubits; ``model.validate()`` passes
-    (finite entries, symmetric couplings, a zero diagonal); a substep of
-    length ``delta`` (0: none) advances every phase by a finite amount; every
-    drive phase f u stays finite for |u| <= ``end``; and every (start, end)
-    time pair of ``clock`` ends at a finite time, so every time a run reports
-    is finite.
+    In this order: ``model`` acts on L qubits; with ``validate`` (a bare
+    model: an operation's was validated when it was built and cannot
+    change), ``model.validate()`` passes (finite entries, symmetric
+    couplings, a zero diagonal); a substep of length ``delta`` (0: none)
+    advances every phase by a finite amount; every drive phase f u stays
+    finite for |u| <= ``end``; and every (start, end) time pair of ``clock``
+    ends at a finite time, so every time a run reports is finite.
     """
     try:
         if model.L != L:
             raise ValueError(f"model has L={model.L} but state has L={L}")
-        model.validate()
+        if validate:
+            model.validate()
         h_scale, j_scale = _scales(model)
         if delta and not math.isfinite(delta * max(h_scale, j_scale)):
             raise ValueError(f"a substep of length {delta:g} advances a phase that is not finite: "
@@ -769,7 +800,7 @@ def symmetrized_step(state: StateVector, model: SpinModel, delta: float, t: floa
         raise ValueError(f"step length must be > 0, got {delta}")
     if not math.isfinite(t):
         raise ValueError(f"step start time must be finite, got {t}")
-    _check_run(model, state.L, delta, abs(t) + delta, [(t, t + delta)])
+    _check_run(model, state.L, delta, abs(t) + delta, [(t, t + delta)], validate=True)
     prog = _StepProgram(model, delta)
     prog.count(1)
     prog.apply(state.amp, prog.pass_parts([t + 0.5 * delta]), 0)
@@ -784,8 +815,17 @@ def auto_substeps(eo: ElementaryOperation) -> StepPlan:
     the fastest RF drive with a nonzero amplitude, and at the times over which
     the strongest field and the strongest coupling each advance a phase by 0.1
     rad; m then rounds up to a multiple of the operation's whole drive periods
-    (the period rule of the module docstring).
+    (the period rule of the module docstring). The plan is made once per
+    operation and kept on it.
     """
+    derived = eo._derived
+    if derived.plan is None:
+        derived.plan = _auto_plan(eo)
+    return derived.plan
+
+
+def _auto_plan(eo: ElementaryOperation) -> StepPlan:
+    """The plan of ``auto_substeps``, made anew."""
     model = eo.model
     if eo.tau == 0.0:
         return StepPlan(1, 0.0)
@@ -900,15 +940,23 @@ def _replay(amp: np.ndarray, pieces, t0: float, delta: float) -> list:
     return parts
 
 
-def evolve_eo(
-    state: StateVector,
-    eo: ElementaryOperation,
-    t0: float,
-    plan: StepPlan | None = None,
-    sample_at=(),
-    *,
-    pieces: list | None = None,
-) -> tuple:
+def _sample_numbers(sample_at, m: int) -> np.ndarray:
+    """The substep numbers of ``sample_at`` as int64; raises ValueError unless they are integers (or
+    floats of integral value) that increase strictly within 1..m."""
+    values = np.array(list(sample_at))
+    kind = values.dtype.kind
+    if kind == "f":  # integral and under 2**63 in size, so the cast is exact
+        whole = ((values == np.trunc(values)) & (np.abs(values) < 2.0**63)).all()
+    else:  # unsigned values past _MAX_SUBSTEPS would wrap
+        whole = kind in "bi" or (kind == "u" and (values <= _MAX_SUBSTEPS).all())
+    at = values.astype(np.int64) if whole and values.ndim == 1 else None
+    if at is None or (at.size and not ((at[1:] > at[:-1]).all() and at[0] >= 1 and at[-1] <= m)):
+        raise ValueError(f"sample_at must be strictly increasing substep numbers in 1..{m}")
+    return at
+
+
+def evolve_eo(state: StateVector, eo: ElementaryOperation, t0: float, plan: StepPlan | None = None,
+              sample_at=()) -> tuple:
     """Run one operation starting at global time t0; returns (state, samples).
 
     The state is evolved in place through plan.m symmetrized steps. Sinusoid
@@ -916,33 +964,33 @@ def evolve_eo(
     state does not depend on t0. ``samples`` is one ``Observables`` with a
     leading axis over the substep numbers n in ``sample_at``, each taken
     right after substep n at time t0 + n * delta. ``sample_at`` is any
-    iterable of integers increasing strictly within 1..m; a zero duration
-    takes no substeps and returns no samples. Raises ValueError before the
-    first substep for a plan for another duration, a bad ``sample_at``, or a
-    run that the run check (``_check_run``) refuses: an L that does not
-    match, a model that fails ``validate``, a phase that is not finite, or a
-    ``t0`` or sample time that is not finite.
+    iterable of integers, or floats of integral value, increasing strictly
+    within 1..m; a zero duration takes no substeps and returns no samples.
+    Raises ValueError before the first substep for a plan for another
+    duration, a bad ``sample_at``, or a run that the run check
+    (``_check_run``) refuses: an L that does not match, a phase that is not
+    finite, or a ``t0`` or sample time that is not finite.
 
-    On step matrices (module docstring) an empty ``pieces`` list is filled
-    with the operation's pieces and a filled one, from an earlier call with
-    the same operation, plan and ``sample_at``, is replayed; a register
-    stepped in place ignores ``pieces``.
+    On step matrices (module docstring) the operation's pieces for ``plan``
+    and ``sample_at`` are built on its first such run and replayed on every
+    later one, while the operation's kept pieces hold at most _KEPT_ELEMENTS
+    complex entries; pieces that would pass that are built for this run alone.
     """
     if plan is None:
         plan = auto_substeps(eo)
     _check_operation(eo, plan, state.L, [t0])
-    at = list(sample_at)
-    if at != sorted({int(n) for n in at if 1 <= n <= plan.m}):  # a fractional n differs from int(n)
-        raise ValueError(f"sample_at must be strictly increasing substep numbers in 1..{plan.m}")
+    at = _sample_numbers(sample_at, plan.m)
     if eo.tau == 0.0:
         return state, _concatenate([], state.dim)
-    at = np.array(at, dtype=np.int64)
     if state.dim <= _BATCH_MAX_DIM:
-        fresh = _matrix_pieces(eo.model, plan, at)  # computes nothing until it is read
+        derived, key = eo._derived, (plan, at.tobytes())
+        pieces = derived.pieces.get(key)
         if pieces is None:
-            pieces = fresh
-        elif not pieces:
-            pieces += fresh
+            pieces = _matrix_pieces(eo.model, plan, at)  # computes nothing until it is read
+            entries = (at.size + (not at.size or at[-1] != plan.m)) * state.dim**2  # per sample, and the end's
+            if derived.entries + entries <= _KEPT_ELEMENTS:
+                pieces = derived.pieces[key] = list(pieces)
+                derived.entries += entries
         return state, _concatenate(_replay(state.amp, pieces, t0, plan.delta), state.dim)
     delta, prog = plan.delta, _StepProgram(eo.model, plan.delta)
     wanted, parts = set(at.tolist()), []
@@ -971,12 +1019,12 @@ def run_sequence(
     point, after every ``sample_every``-th substep, at each operation boundary
     and at the final point; with ``sample_every`` None, about 200 times per
     operation. ``plans`` holds one plan per operation (default
-    ``auto_substeps``). An operation object that recurs in ``seq`` replays its
-    pieces per plan until its last position, while all kept pieces hold at
-    most _KEPT_ELEMENTS complex entries. Raises ValueError before the first
-    substep for a bad argument or a run that the run check (``_check_run``)
-    refuses; it runs once per distinct operation object and plan, over the
-    clock of each of its positions, and its message names the operation.
+    ``auto_substeps``). Each operation runs through ``evolve_eo``, so one that
+    recurs, in ``seq`` or in a later call, replays the pieces it keeps.
+    Raises ValueError before the first substep for a bad argument or a run
+    that the run check (``_check_run``) refuses; it runs once per distinct
+    operation object and plan, over the clock of each of its positions, and
+    its message names the operation.
 
     With a tolerance ``tol`` (finite, >= 0) each operation runs from the
     state the ones before it leave at m and 2m substeps, and m is doubled, at
@@ -1002,7 +1050,6 @@ def run_sequence(
         runs.setdefault((id(eo), plan), []).append(start)
     for (key, plan), times in runs.items():  # before any operation runs
         _check_operation(ops[key], plan, state.L, times, f"operation {ops[key].name!r}: ")
-    last, kept = {id(eo): i for i, eo in enumerate(seq.eos)}, {}  # kept: (id of an operation, plan) -> pieces
     estimates = None if tol is None else [0.0] * len(seq)
     out = state.copy()
     parts = [observables_of(out.amp[None], np.array([0.0]))]
@@ -1011,13 +1058,9 @@ def run_sequence(
     def advance(psi, eo, plan):  # returns psi, its sampled substep numbers and samples
         stride = sample_every or max(1, round(plan.m / 200))
         at = list(range(stride, plan.m, stride)) + [plan.m]
-        key, held = (id(eo), plan), sum(p.size for pieces in kept.values() for *_, p in pieces)
-        if last[id(eo)] > i and key not in kept and held + len(at) * psi.dim**2 <= _KEPT_ELEMENTS:
-            kept[key] = []
-        return psi, at, evolve_eo(psi, eo, starts[i], plan=plan, sample_at=at, pieces=kept.get(key))[1]
+        return psi, at, evolve_eo(psi, eo, starts[i], plan=plan, sample_at=at)[1]
 
     for i, eo in enumerate(seq.eos):
-        kept = {key: pieces for key, pieces in kept.items() if last[key[0]] >= i}
         if eo.tau == 0.0:
             continue
         if tol is None:

@@ -24,8 +24,10 @@ most error-prone convention in exactly one place.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .propagator import ElementaryOperation, PulseSequence, SpinModel
 
@@ -62,12 +64,18 @@ _COUPLING_Z = -1e-6
 _IPI_TAU_OVER_2PI = 50e4
 
 
-@dataclass
+@dataclass(frozen=True)
 class HardwareProfile:
-    """Named map of the nine elementary operations for one hardware kind."""
+    """Named map of the nine elementary operations for one hardware kind.
+
+    Read-only: ``eos`` is a read-only copy of the map given.
+    """
 
     kind: str
     eos: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "eos", MappingProxyType(dict(self.eos)))
 
     def eo(self, name: str) -> ElementaryOperation:
         try:
@@ -83,8 +91,14 @@ def _nmr_background(model: SpinModel) -> SpinModel:
     return model
 
 
+@functools.cache
 def make_profile(kind: str) -> HardwareProfile:
-    """Build the complete instruction table for 'ideal' or 'nmr' hardware."""
+    """The complete instruction table for 'ideal' or 'nmr' hardware.
+
+    Built on the first call for a kind and returned by every later one:
+    profiles and operations are read-only, so every caller can share one,
+    and with it the plans and step-matrix pieces its operations keep.
+    """
     eos = {}
     if kind == "ideal":
         for name, (j, axis, sign) in _IDEAL_ROTATIONS.items():

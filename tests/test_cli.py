@@ -10,14 +10,16 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import spinsim
-from spinsim import cli
+from spinsim import cli, propagator
 from spinsim.cli import main
 from spinsim.experiments import run_grover
 from spinsim.propagator import KernelCounters, counters
+from spinsim.pulses import grover_program, make_profile
 
 PINNED = ["--sample-every", "1000000000"]  # one sample per operation, as in the pinned report
 # two zero-duration operations at a fixed plan of 50 substeps each
@@ -115,6 +117,36 @@ class TestGroverCommand:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestSharedProfile:
+    """The 8 NMR search programs share one profile, whose instructions keep their step-matrix pieces."""
+
+    PROGRAMS = [(init, item) for init in ("12", "21") for item in range(4)]
+
+    def run_all(self, tmp_path, fresh):
+        """Each program's CSV bytes and kernel counts through ``main``, and how many step-matrix pieces
+        were built; with ``fresh`` each program runs against a newly built profile."""
+        runs = []
+        with mock.patch.object(propagator, "_matrix_pieces", wraps=propagator._matrix_pieces) as built:
+            for init, item in self.PROGRAMS:
+                if fresh:
+                    make_profile.cache_clear()
+                path = tmp_path / f"{init}-{item}-{fresh}.csv"
+                counters.reset()
+                assert main(["grover", "--hardware", "nmr", "--item", str(item), "--init", init,
+                             "--out", str(path)]) == 0
+                runs.append((path.read_bytes(), dict(vars(counters))))
+        return runs, built.call_count
+
+    def test_programs_match_runs_on_fresh_profiles(self, tmp_path):
+        (shared, shared_builds), (fresh, fresh_builds) = self.run_all(tmp_path, False), self.run_all(tmp_path, True)
+        assert shared == fresh
+        # one build per instruction the programs use (7 of the 9: neither Y1 nor Y2
+        # occurs), against one per instruction of each program on fresh profiles
+        programs = [grover_program(item, make_profile("nmr"), init).seq for init, item in self.PROGRAMS]
+        assert shared_builds == len({eo.name for seq in programs for eo in seq}) == 7
+        assert fresh_builds == sum(len({eo.name for eo in seq}) for seq in programs) == 48
 
 
 class TestRunCommand:

@@ -1,5 +1,6 @@
 """Config format tests: parsing, errors with line numbers, dump round cycle."""
 
+import copy
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from spinsim.config import ConfigError, dump_profile, parse_config
 from spinsim.propagator import ElementaryOperation
-from spinsim.pulses import EO_NAMES, make_profile
+from spinsim.pulses import EO_NAMES, HardwareProfile, make_profile
 
 SAMPLE = """
 # a two-qubit toy setup
@@ -152,18 +153,21 @@ class TestDump:
     )
     def test_edited_profiles_reparse_bitwise(self, kind, edits):
         # either bundled profile, with no edits or with random couplings,
-        # fields, drives and durations written over it
-        profile = make_profile(kind)
+        # fields, drives and durations written over copies of its models
+        # (the profile's own are read-only) and built into a new profile
+        bundled = make_profile(kind)
+        models = {name: copy.deepcopy(eo.model) for name, eo in bundled.eos.items()}
+        taus = {name: eo.tau for name, eo in bundled.eos.items()}
         for name, what, axis, j, (a, b, c) in edits:
-            eo = profile.eos[name]
             if what == "J":
-                eo.model.set_coupling(1, 2, axis, a)
+                models[name].set_coupling(1, 2, axis, a)
             elif what == "h0":
-                eo.model.set_static(j, axis, a)
+                models[name].set_static(j, axis, a)
             elif what == "rf":
-                eo.model.set_rf(j, axis, a, b, c)
+                models[name].set_rf(j, axis, a, b, c)
             else:
-                profile.eos[name] = ElementaryOperation(name, eo.model, 2.0 * math.pi * abs(a))
+                taus[name] = 2.0 * math.pi * abs(a)
+        profile = HardwareProfile(kind, {name: ElementaryOperation(name, models[name], taus[name]) for name in models})
         cfg = parse_config(dump_profile(profile))
         for name in EO_NAMES:
             a, b = profile.eos[name], cfg.eos[name]

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -1009,6 +1010,27 @@ class TestEvolveEo:
         with pytest.raises(ValueError, match="sample_at"):
             evolve_eo(random_state(2, 15), eo, 0.0, plan=StepPlan(4, 0.4), sample_at=sample_at)
 
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(values=st.lists(st.one_of(st.integers(-2, 9), st.booleans(), st.floats(-2, 9, width=16),
+                                     st.sampled_from([math.nan, math.inf, -math.inf, 2.0**63, 2**63, 2**64])),
+                           max_size=5),
+           m=st.integers(1, 8))
+    def test_sample_check_refuses_what_the_set_rule_refuses(self, values, m):
+        # the rule in Python: values that increase strictly within 1..m, each equal to its int()
+        accepted = values == sorted({int(n) for n in values if 1 <= n <= m})
+        try:
+            at = propagator._sample_numbers(iter(values), m)
+        except ValueError as err:
+            assert not accepted and str(err) == f"sample_at must be strictly increasing substep numbers in 1..{m}"
+        else:
+            assert accepted and at.dtype == np.int64 and at.tolist() == values
+
+    @pytest.mark.parametrize("sample_at", [[2.0], np.array([2.0, 4.0]), np.array([2], dtype=np.uint64), [True]])
+    def test_sample_at_takes_integral_numbers_of_any_type(self, sample_at):
+        eo = ElementaryOperation("e", random_two_spin_model(14), 0.4)
+        samples = evolve_eo(random_state(2, 15), eo, 0.0, plan=StepPlan(4, 0.4), sample_at=sample_at)[1]
+        assert samples.t == pytest.approx(0.1 * np.array(sample_at, dtype=float))
+
     def test_sample_at_takes_any_iterable(self):
         # an iterator is read once, not consumed by the check and then rejected
         eo = ElementaryOperation("e", random_two_spin_model(14), 1.0)
@@ -1243,17 +1265,26 @@ class TestPeriodicDrives:
     def evolve(model, tau, m, at, whole=False):
         """(final amplitudes, samples, pieces, kernel counts, step matrices built) of evolve_eo at m
         substeps; with ``whole`` the period rule is switched off, so the period is the whole operation."""
-        built, step_matrices, pieces, s = [], propagator._StepProgram.step_matrices, [], random_state(model.L, 7)
+        built, step_matrices, s = [], propagator._StepProgram.step_matrices, random_state(model.L, 7)
+        replay, pieces = propagator._replay, []
 
         def counted(prog, t_mid):
             built.append(len(t_mid))
             return step_matrices(prog, t_mid)
 
+        def recorded(amp, chunks, t0, delta):  # the pieces replayed, kept or not
+            chunks = list(chunks)
+            pieces.extend(p for *_, p in chunks)
+            return replay(amp, chunks, t0, delta)
+
         counters.reset()
-        with mock.patch.object(propagator._StepProgram, "step_matrices", counted), (
+        with mock.patch.object(propagator._StepProgram, "step_matrices", counted), \
+                mock.patch.object(propagator, "_replay", recorded), (
                 mock.patch.object(propagator, "_periods", lambda *_: 1) if whole else contextlib.nullcontext()):
-            samples = evolve_eo(s, ElementaryOperation("e", model, tau), 0.3, StepPlan(m, tau), at, pieces=pieces)[1]
-        return s.amp, samples, np.concatenate([p for *_, p in pieces]), dict(vars(counters)), sum(built)
+            eo = ElementaryOperation("e", model, tau)
+            samples = evolve_eo(s, eo, 0.3, StepPlan(m, tau), at)[1]
+        assert kept_entries(eo) in (0, sum(p.size for p in pieces))  # the operation counts what it keeps
+        return s.amp, samples, np.concatenate(pieces), dict(vars(counters)), sum(built)
 
     @staticmethod
     def difference(run, ref):
@@ -1430,14 +1461,21 @@ def run_counting_built(*args, **kwargs):
     return out, traj, dict(vars(counters)), sum(built)
 
 
+def kept_entries(eo):
+    """The complex entries of the matrix-path pieces that ``eo`` keeps; the operation's own count must agree."""
+    entries = sum(p.size for pieces in eo._derived.pieces.values() for *_, p in pieces)
+    assert eo._derived.entries == entries
+    return entries
+
+
 class TestPieceReuse:
-    """run_sequence replays the matrix-path pieces of a recurring operation object; nothing may show it."""
+    """An operation keeps its matrix-path pieces per (plan, sampled substeps) and replays them at every
+    later run, in one call or the next; nothing may show it."""
 
     @staticmethod
     def run(L, shared, kept=propagator._KEPT_ELEMENTS):
-        """One sequence in which two operation objects recur, one of them at two plans, sampled with a stride.
-
-        ``kept`` bounds the complex entries of the pieces kept for reuse."""
+        """One sequence in which two operation objects recur, one of them at two plans, sampled with a
+        stride, and its operations. ``kept`` bounds the complex entries of the pieces one operation keeps."""
         a = ElementaryOperation("a", random_driven_model(L, 140 + L), 0.9)
         b = ElementaryOperation("b", random_driven_model(L, 150 + L), 0.5)
         idle = ElementaryOperation("idle", SpinModel(L), 0.0)
@@ -1447,11 +1485,12 @@ class TestPieceReuse:
         if not shared:
             eos = [copy.deepcopy(eo) for eo in eos]
         with mock.patch.object(propagator, "_KEPT_ELEMENTS", kept):
-            return run_counting_built(random_state(L, 160 + L), PulseSequence(eos), sample_every=4, plans=plans)
+            run = run_counting_built(random_state(L, 160 + L), PulseSequence(eos), sample_every=4, plans=plans)
+        return (*run, eos)
 
     @staticmethod
     def assert_same_run(run, ref):
-        (out, traj, counts, _), (ref_out, ref_traj, ref_counts, _) = run, ref
+        (out, traj, counts, *_), (ref_out, ref_traj, ref_counts, *_) = run, ref
         assert np.array_equal(out.amp, ref_out.amp)
         assert np.array_equal(traj.step, ref_traj.step) and np.array_equal(traj.eo_index, ref_traj.eo_index)
         for name in ("sx", "sy", "sz", "q", "norm", "t"):
@@ -1467,43 +1506,58 @@ class TestPieceReuse:
         self.assert_same_run(shared, private)
 
     @pytest.mark.parametrize("L", [2, 4])
-    @pytest.mark.parametrize("pieces, built", [(12, 115), (7, 155), (4, 175)])
+    @pytest.mark.parametrize("pieces, built", [(12, 95), (7, 155), (4, 175)])
     def test_reuse_stays_within_the_memory_bound(self, L, pieces, built):
         # a at m = 30 keeps 8 pieces (one per sample), b at m = 20 keeps 5
-        # and a at m = 45 would keep 12, each of 2^L x 2^L entries, in the order
-        # they first run and until the object's last position. With room for
-        # 12, a at 30 is kept and b is built at both of its occurrences; with
-        # room for 7, a is built at all four and b once; with room for 4, every
-        # occurrence builds its own, as private copies do (95 with room for 13)
+        # and a at m = 45 would keep 12, each of 2^L x 2^L entries, within a
+        # bound per operation. With room for 12, a at 30 and b are kept, and a
+        # at 45 (8 + 12 pieces) is built for its one run; with room for 7, a
+        # is built at all four positions and b once; with room for 4, every
+        # position builds its own, as private copies do
         shared = self.run(L, shared=True, kept=pieces * 4**L)
         assert shared[3] == built
+        assert all(kept_entries(eo) <= pieces * 4**L for eo in shared[4])
         self.assert_same_run(shared, self.run(L, shared=False))
 
-    def test_pieces_are_dropped_after_their_last_use(self):
-        # a at m = 30 keeps 8 pieces and b at m = 20 keeps 5; with room for 8,
-        # a is kept for its second run and then dropped, so b is kept for its
-        # second run too: 50 substeps built, against 70 were a kept to the end
-        a = ElementaryOperation("a", random_driven_model(2, 142), 0.9)
-        b = ElementaryOperation("b", random_driven_model(2, 152), 0.5)
-        plans = [StepPlan(30, a.tau)] * 2 + [StepPlan(20, b.tau)] * 2
-        runs = []
-        for eos in ([a, a, b, b], [copy.deepcopy(eo) for eo in (a, a, b, b)]):
-            with mock.patch.object(propagator, "_KEPT_ELEMENTS", 8 * 4**2):
-                runs.append(run_counting_built(random_state(2, 162), PulseSequence(eos), sample_every=4, plans=plans))
-        assert (runs[0][3], runs[1][3]) == (50, 100)
-        self.assert_same_run(*runs)
+    def test_pieces_outlive_a_call(self):
+        # a second call on the same operations replays what the first one built, and builds nothing
+        first = self.run(2, shared=True)
+        again = run_counting_built(random_state(2, 162), PulseSequence(first[4]), sample_every=4, plans=first[1].plans)
+        assert again[3] == 0
+        self.assert_same_run(again, first)
 
-    def test_pieces_do_not_outlive_a_call(self):
+    def test_edits_to_the_source_model_never_reach_the_operation(self):
         model = random_driven_model(2, 170)
         eo = ElementaryOperation("e", model, 0.8)
         psi0, plans = random_state(2, 171), [StepPlan(40, 0.8)] * 2
         before = run_sequence(psi0, PulseSequence([eo, eo]), sample_every=3, plans=plans)[0]
-        model.static_field[0, 2] += 0.5
+        model.static_field[0, 2] += 0.5  # the model given stays writable
         again = run_sequence(psi0, PulseSequence([eo, eo]), sample_every=3, plans=plans)[0]
-        fresh = ElementaryOperation("e", copy.deepcopy(model), 0.8)
-        expected = run_sequence(psi0, PulseSequence([fresh, fresh]), sample_every=3, plans=plans)[0]
-        assert np.array_equal(again.amp, expected.amp)
-        assert not np.allclose(again.amp, before.amp)
+        assert np.array_equal(again.amp, before.amp)
+        edited = ElementaryOperation("e", model, 0.8)
+        assert not np.allclose(run_sequence(psi0, PulseSequence([edited] * 2), sample_every=3, plans=plans)[0].amp,
+                               before.amp)
+        # the operation's own model is read-only, and so is the operation
+        for write in (lambda: eo.model.set_static(1, "z", 0.5), lambda: eo.model.coupling.__setitem__((0, 1, 0), 1.0)):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            eo.model = model
+
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy, copy.copy])
+    def test_a_copy_derives_its_own(self, duplicate):
+        eo = ElementaryOperation("a", random_driven_model(2, 142), 0.9)
+        run = lambda op: run_counting_built(random_state(2, 1), PulseSequence([op]), sample_every=4,
+                                            plans=[StepPlan(30, op.tau)])
+        first = run(eo)
+        auto_substeps(eo)
+        dup = duplicate(eo)
+        assert (dup.name, dup.tau) == (eo.name, eo.tau) and dup.model is not eo.model
+        assert not dup._derived.pieces and dup._derived.plan is None
+        assert all(not getattr(dup.model, name).flags.writeable for name in propagator._ARRAYS)
+        again = run(dup)
+        assert (first[3], again[3]) == (30, 30)  # the copy builds its own pieces
+        self.assert_same_run(again, first)
 
 
 class TestToleranceRuns:
@@ -1552,6 +1606,23 @@ class TestToleranceRuns:
         assert (shared[3], private[3]) == (30, 39)
         TestPieceReuse.assert_same_run(shared, private)
         assert (shared[1].plans, shared[1].estimates) == (private[1].plans, private[1].estimates)
+
+    @pytest.mark.parametrize("pieces", [1, 3, 7])
+    def test_doubling_trials_keep_within_the_memory_bound(self, pieces):
+        # a's trials at m = 3, 6 and 12, sampled every third substep, would
+        # keep 1, 2 and 4 pieces: an operation keeps the trials that fit, in
+        # the order they first run
+        a = ElementaryOperation("a", random_driven_model(2, 321), 0.9)
+        b = ElementaryOperation("b", random_driven_model(2, 421), 0.5)
+        start = [StepPlan(3, a.tau), StepPlan(3, b.tau), StepPlan(3, a.tau)]
+        with mock.patch.object(propagator, "_KEPT_ELEMENTS", pieces * 16):
+            shared = run_counting_built(random_state(2, 521), PulseSequence([a, b, a]), sample_every=3, plans=start,
+                                        tol=1.7e-3)
+        assert kept_entries(a) <= pieces * 16 and kept_entries(b) <= pieces * 16
+        assert kept_entries(a) == pieces * 16
+        private = run_counting_built(random_state(2, 521), PulseSequence([copy.deepcopy(eo) for eo in (a, b, a)]),
+                                     sample_every=3, plans=start, tol=1.7e-3)
+        TestPieceReuse.assert_same_run(shared, private)
 
     def test_tolerance_must_be_finite_and_non_negative(self):
         eo = ElementaryOperation("e", SpinModel(1).set_static(1, "x", 1.0), 0.1)
@@ -1718,17 +1789,21 @@ class TestBadArguments:
         (lambda m: m.coupling.__setitem__((1, 1, 0), 0.5), "diagonal couplings must be zero"),
     ], ids=["nan-phase", "one-sided", "diagonal"])
     def test_model_changed_after_its_operation_was_built(self, L, defect, message):
-        # each entry point refuses the model with one message before any substep
-        eo = ElementaryOperation("e", random_driven_model(L, 1100), 0.5)
-        defect(eo.model)
+        # the operation holds a validated copy, so the defect never reaches it;
+        # the changed model is refused with one message, before any substep,
+        # by symmetrized_step and by building an operation of it
+        model = random_driven_model(L, 1100)
+        eo = ElementaryOperation("e", model, 0.5)
+        defect(model)
         counters.reset()
-        for call in (lambda: symmetrized_step(random_state(L, 1101), eo.model, 0.1, 0.0),
-                     lambda: evolve_eo(random_state(L, 1101), eo, 0.0)):
+        for call in (lambda: symmetrized_step(random_state(L, 1101), model, 0.1, 0.0),
+                     lambda: ElementaryOperation("e", model, 0.5)):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call()
-        with pytest.raises(ValueError, match=f"^operation 'e': {re.escape(message)}$"):
-            run_sequence(random_state(L, 1101), PulseSequence([eo]))
         assert vars(counters) == vars(propagator.KernelCounters())
+        pristine = ElementaryOperation("e", random_driven_model(L, 1100), 0.5)
+        runs = [evolve_eo(random_state(L, 1101), op, 0.0, StepPlan(3, 0.5), [1, 3])[1] for op in (eo, pristine)]
+        assert all(np.array_equal(getattr(runs[0], n), getattr(runs[1], n)) for n in ("sx", "sy", "sz", "q"))
 
     @settings(derandomize=True, deadline=None, max_examples=80)
     @given(
@@ -1740,12 +1815,12 @@ class TestBadArguments:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_one_check_everywhere(self, L, coupled, static, rf, defect, seed):
-        # a valid model, one defect injected after its operation was built:
-        # one substep of length tau over [0, tau] is refused by all three
-        # entry points with one text, before any substep
+        # a valid model with one defect injected: one substep of length tau
+        # over [0, tau] is refused with one text, before any substep, by
+        # symmetrized_step and, for a model that fails validate, by building
+        # its operation, else by evolve_eo and run_sequence on that operation
         rng, tau = np.random.default_rng(seed), 2.0
         model = layout_model(L, coupled, static, rf, rng)
-        eo = ElementaryOperation("e", model, tau)
         j, k, a = (int(x) for x in rng.integers(0, (L, L, 3)))
         name = ["coupling", "static_field", "rf_amp", "rf_freq", "rf_phase"][rng.integers(5)]
         if defect == "nan":
@@ -1758,17 +1833,23 @@ class TestBadArguments:
             model.rf_amp[j, a], model.rf_freq[j, a] = 0.5, 1e308
         else:
             model.static_field[j, a] = 1e308
-        messages = []
         counters.reset()
-        for call in (lambda: symmetrized_step(random_state(L, seed % 1000), model, tau, 0.0),
-                     lambda: evolve_eo(random_state(L, seed % 1000), eo, 0.0, StepPlan(1, tau)),
-                     lambda: run_sequence(random_state(L, seed % 1000), PulseSequence([eo]), plans=[StepPlan(1, tau)])):
-            with pytest.raises(ValueError) as refused:
-                call()
-            messages.append(str(refused.value))
-        assert messages[1] == messages[0] and messages[2] == "operation 'e': " + messages[0]
+        with pytest.raises(ValueError) as refused:
+            symmetrized_step(random_state(L, seed % 1000), model, tau, 0.0)
+        message = str(refused.value)
+        try:
+            eo = ElementaryOperation("e", model, tau)
+        except ValueError as err:  # validate refuses a NaN or a one-sided coupling
+            assert defect != "huge" and str(err) == message
+        else:  # a huge value is refused by the checks that depend on the run
+            assert defect == "huge"
+            for call, where in ((lambda: evolve_eo(random_state(L, seed % 1000), eo, 0.0, StepPlan(1, tau)), ""),
+                                (lambda: run_sequence(random_state(L, seed % 1000), PulseSequence([eo]),
+                                                      plans=[StepPlan(1, tau)]), "operation 'e': ")):
+                with pytest.raises(ValueError, match=f"^{re.escape(where + message)}$"):
+                    call()
         assert re.match("non-finite entries in |coupling must be symmetric|diagonal couplings|a substep of|a drive of",
-                        messages[0])
+                        message)
         assert vars(counters) == vars(propagator.KernelCounters())
 
     def test_coupling_must_be_exactly_symmetric(self):

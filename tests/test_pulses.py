@@ -1,9 +1,16 @@
 """Pulse-library tests: instruction tables, sequence algebra, search endpoints."""
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import spinsim
 
 from spinsim.propagator import PulseSequence, auto_substeps, run_sequence
 from spinsim.pulses import (
@@ -44,6 +51,23 @@ class TestProfiles:
     def test_instruction_set_complete(self, ideal, nmr):
         for profile in (ideal, nmr):
             assert set(profile.eos) == set(EO_NAMES)
+
+    def test_one_read_only_profile_per_kind(self):
+        nmr = make_profile("nmr")
+        assert make_profile("nmr") is nmr and make_profile("ideal") is not nmr
+        with pytest.raises(TypeError):
+            nmr.eos["X1"] = nmr.eos["X1b"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            nmr.eos = {}
+        with pytest.raises(ValueError, match="read-only"):
+            nmr.eo("X1").model.set_static(1, "z", 2.0)
+
+    def test_no_profile_is_built_at_import(self):
+        script = "import spinsim.cli; from spinsim.pulses import make_profile; print(make_profile.cache_info().currsize)"
+        src = str(Path(spinsim.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
     def test_ideal_rotations_single_static_field(self, ideal):
         for name in EO_NAMES:
