@@ -10,6 +10,7 @@ turns an error into its line and its code.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -34,6 +35,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # one parser per process; parse_args leaves it as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="spinsim", description="Driven spin-1/2 register simulator.")
     sub = parser.add_subparsers(dest="command", required=True)

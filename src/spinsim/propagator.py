@@ -100,6 +100,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -226,11 +227,38 @@ class SpinModel:
             raise ValueError("diagonal couplings must be zero")
 
 
+class _Facts(NamedTuple):
+    """What the run check, the planner and the period rule read of a model held for a duration tau:
+    the strongest field, max |h0| + |h1|, and the strongest coupling, max |J| (inf where the sum
+    overflows); the largest |frequency| of a drive with a nonzero amplitude (None for no drive); and
+    the number k of whole drive periods in tau by the period rule of the module docstring (1 where
+    the rule does not hold)."""
+
+    h_scale: float
+    j_scale: float
+    top: float | None
+    k: int
+
+
+def _facts(model: SpinModel, tau: float) -> _Facts:
+    """The ``_Facts`` of ``model``, which must pass ``validate``, held for a finite duration ``tau``."""
+    with np.errstate(over="ignore"):
+        h_scale, j_scale = np.max(np.abs(model.static_field) + np.abs(model.rf_amp)), np.max(np.abs(model.coupling))
+    # not np.unique: its first call imports numpy.ma, about 1 MB resident
+    freqs = sorted(set(np.abs(model.rf_freq[model.rf_amp != 0.0]).tolist()))
+    turns = freqs[0] * tau / (2.0 * math.pi) if len(freqs) == 1 else 0.0
+    k = round(turns) if math.isfinite(turns) else 1
+    k = k if k > 1 and abs(turns - k) <= 4 * math.ulp(turns) else 1
+    return _Facts(float(h_scale), float(j_scale), freqs[-1] if freqs else None, k)
+
+
 @dataclass
 class _Derived:
-    """What is derived from one operation: its auto plan, and its matrix-path pieces per (plan, sampled
-    substeps as int64 bytes) with the complex entries they hold."""
+    """What is derived from one operation: the ``_Facts`` of its model and duration, its auto plan,
+    and its matrix-path pieces per (plan, sampled substeps as int64 bytes) with the complex entries
+    they hold."""
 
+    facts: _Facts
     plan: StepPlan | None = None
     pieces: dict = field(default_factory=dict)
     entries: int = 0
@@ -243,14 +271,15 @@ class ElementaryOperation:
     Immutable: ``model`` is a copy of the model given, with read-only
     arrays, validated once here; the model given stays writable and editing
     it changes nothing here. What is derived from the operation is derived
-    once: ``auto_substeps`` keeps its plan and ``evolve_eo`` its matrix-path
-    pieces. A copy, deep or shallow, is built anew and derives its own.
+    once: its ``_Facts`` here, its plan by ``auto_substeps`` and its
+    matrix-path pieces by ``evolve_eo``. A copy, deep or shallow, is built
+    anew and derives its own.
     """
 
     name: str
     model: SpinModel
     tau: float
-    _derived: _Derived = field(default_factory=_Derived, init=False, repr=False)
+    _derived: _Derived = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau >= 0):
@@ -262,6 +291,7 @@ class ElementaryOperation:
             setattr(model, name, arr)
         model.validate()
         object.__setattr__(self, "model", model)
+        object.__setattr__(self, "_derived", _Derived(_facts(model, self.tau)))
 
     def __reduce__(self):
         return ElementaryOperation, (self.name, self.model, self.tau)
@@ -542,65 +572,32 @@ class _Pass:
     v0: np.ndarray | float = 0.0
 
 
-def _scales(model: SpinModel) -> tuple:
-    """The strongest field, max |h0| + |h1|, and the strongest coupling, max |J|; inf where the sum overflows."""
-    with np.errstate(over="ignore"):
-        return float(np.max(np.abs(model.static_field) + np.abs(model.rf_amp))), float(np.max(np.abs(model.coupling)))
+def _check_run(facts: _Facts, delta: float, end: float, start: float, stop: float, where: str = "") -> None:
+    """The run check: raise ValueError, its message prefixed by ``where``, unless a model of these
+    ``facts`` may run from time ``start`` to ``stop``.
 
-
-def _frequencies(model: SpinModel) -> list:
-    """The distinct |frequency| of the drives with a nonzero amplitude, in increasing order."""
-    # not np.unique: its first call imports numpy.ma, about 1 MB resident
-    return sorted(set(np.abs(model.rf_freq[model.rf_amp != 0.0]).tolist()))
-
-
-def _check_run(model: SpinModel, L: int, delta: float, end: float, clock, where: str = "",
-               validate: bool = False) -> None:
-    """The run check: raise ValueError, its message prefixed by ``where``, unless ``model`` may run on L qubits.
-
-    In this order: ``model`` acts on L qubits; with ``validate`` (a bare
-    model: an operation's was validated when it was built and cannot
-    change), ``model.validate()`` passes (finite entries, symmetric
-    couplings, a zero diagonal); a substep of length ``delta`` (0: none)
-    advances every phase by a finite amount; every drive phase f u stays
-    finite for |u| <= ``end``; and every (start, end) time pair of ``clock``
-    ends at a finite time, so every time a run reports is finite.
+    In this order: a substep of length ``delta`` (0: none) advances every
+    phase by a finite amount; every drive phase f u stays finite for |u| <=
+    ``end``; and ``stop`` is finite, so every time a run reports is finite.
     """
-    try:
-        if model.L != L:
-            raise ValueError(f"model has L={model.L} but state has L={L}")
-        if validate:
-            model.validate()
-        h_scale, j_scale = _scales(model)
-        if delta and not math.isfinite(delta * max(h_scale, j_scale)):
-            raise ValueError(f"a substep of length {delta:g} advances a phase that is not finite: "
-                             f"field scale {h_scale:g}, coupling scale {j_scale:g}")
-        freqs = _frequencies(model)
-        if freqs and not math.isfinite(end * freqs[-1]):
-            raise ValueError(f"a drive of frequency {freqs[-1]:g} reaches a phase that is not finite "
-                             f"within time {end:g}")
-        for start, stop in clock:  # a start that is not finite gives a stop that is not
-            if not math.isfinite(stop):
-                raise ValueError(f"the clock must be finite, got {start:g} to {stop:g}")
-    except ValueError as err:
-        raise ValueError(where + str(err)) from None
+    if delta and not math.isfinite(delta * max(facts.h_scale, facts.j_scale)):
+        raise ValueError(f"{where}a substep of length {delta:g} advances a phase that is not finite: "
+                         f"field scale {facts.h_scale:g}, coupling scale {facts.j_scale:g}")
+    if facts.top is not None and not math.isfinite(end * facts.top):
+        raise ValueError(f"{where}a drive of frequency {facts.top:g} reaches a phase that is not finite "
+                         f"within time {end:g}")
+    if not math.isfinite(stop):  # a start that is not finite gives a stop that is not
+        raise ValueError(f"{where}the clock must be finite, got {start:g} to {stop:g}")
 
 
-def _check_operation(eo: ElementaryOperation, plan: StepPlan, L: int, starts, where: str = "") -> None:
-    """Raise ValueError unless ``plan`` is for the duration of ``eo`` and ``_check_run`` passes for ``eo``
-    run at ``plan`` from each time of ``starts``; ``where`` prefixes the message."""
+def _check_operation(eo: ElementaryOperation, plan: StepPlan, L: int, start: float, where: str = "") -> None:
+    """Raise ValueError unless ``plan`` is for the duration of ``eo``, ``eo`` acts on L qubits and
+    ``_check_run`` passes for ``eo`` run at ``plan`` from time ``start``; ``where`` prefixes the message."""
     if plan.tau != eo.tau:
         raise ValueError(f"{where}plan is for a duration of {plan.tau}, but the operation lasts {eo.tau}")
-    _check_run(eo.model, L, plan.delta, eo.tau, [(t, t + plan.m * plan.delta) for t in starts], where)
-
-
-def _periods(model: SpinModel, tau: float) -> int:
-    """The number k of whole drive periods in an operation of duration ``tau``, by the period rule of the
-    module docstring; 1 where the rule does not hold. ``tau`` times each frequency must be finite."""
-    freqs = _frequencies(model)
-    turns = freqs[0] * tau / (2.0 * math.pi) if len(freqs) == 1 else 0.0
-    k = round(turns)
-    return k if k > 1 and abs(turns - k) <= 4 * math.ulp(turns) else 1
+    if eo.model.L != L:
+        raise ValueError(f"{where}model has L={eo.model.L} but state has L={L}")
+    _check_run(eo._derived.facts, plan.delta, eo.tau, start, start + plan.m * plan.delta, where)
 
 
 class _StepProgram:
@@ -792,7 +789,8 @@ def symmetrized_step(state: StateVector, model: SpinModel, delta: float, t: floa
 
     All five factors share the midpoint time t + delta/2. Raises ValueError
     unless delta is finite and > 0 and t is finite, and, before the substep,
-    where the run check (``_check_run``) refuses ``model`` over [t, t+delta].
+    unless ``model`` acts on the state's L qubits, passes ``validate`` and
+    passes the run check (``_check_run``) over [t, t+delta].
     """
     if not math.isfinite(delta):
         raise ValueError(f"step length must be finite, got {delta}")
@@ -800,7 +798,10 @@ def symmetrized_step(state: StateVector, model: SpinModel, delta: float, t: floa
         raise ValueError(f"step length must be > 0, got {delta}")
     if not math.isfinite(t):
         raise ValueError(f"step start time must be finite, got {t}")
-    _check_run(model, state.L, delta, abs(t) + delta, [(t, t + delta)], validate=True)
+    if model.L != state.L:
+        raise ValueError(f"model has L={model.L} but state has L={state.L}")
+    model.validate()
+    _check_run(_facts(model, delta), delta, abs(t) + delta, t, t + delta)
     prog = _StepProgram(model, delta)
     prog.count(1)
     prog.apply(state.amp, prog.pass_parts([t + 0.5 * delta]), 0)
@@ -826,25 +827,22 @@ def auto_substeps(eo: ElementaryOperation) -> StepPlan:
 
 def _auto_plan(eo: ElementaryOperation) -> StepPlan:
     """The plan of ``auto_substeps``, made anew."""
-    model = eo.model
+    model, (h_scale, j_scale, top, k) = eo.model, eo._derived.facts  # an infinite scale is reported below
     if eo.tau == 0.0:
         return StepPlan(1, 0.0)
     active = np.any(model.coupling, axis=(0, 1)) | np.any(model.static_field, axis=0)  # a drive never takes this path
     if np.count_nonzero(active) <= 1 and not np.any(model.rf_amp):
         return StepPlan(1, eo.tau)
     bounds = []
-    freqs = _frequencies(model)
-    if freqs and freqs[-1] != 0.0:
-        bounds.append(2.0 * math.pi / freqs[-1] / _RF_SAMPLES_PER_PERIOD)
-    h_scale, j_scale = _scales(model)  # an infinite scale is reported below
+    if top:
+        bounds.append(2.0 * math.pi / top / _RF_SAMPLES_PER_PERIOD)
     if h_scale > 0.0:
         bounds.append(_MAX_PHASE_PER_STEP / h_scale)
     if j_scale > 0.0:
         bounds.append(_MAX_PHASE_PER_STEP / j_scale)
     step = min(bounds)
     count = eo.tau / step if step > 0.0 else math.inf
-    if math.isfinite(count):  # a finite count bounds tau times the drive frequency
-        k = _periods(model, eo.tau)
+    if math.isfinite(count):
         count = k * max(1, math.ceil(count / k - 1e-9))
     if not count <= _MAX_SUBSTEPS:
         size = "over 2**63 - 1" if math.isfinite(count) else "not finite"
@@ -886,7 +884,7 @@ def _distinct(values: np.ndarray) -> tuple:
     return distinct, np.searchsorted(distinct, values)
 
 
-def _matrix_pieces(model: SpinModel, plan: StepPlan, at: np.ndarray):
+def _matrix_pieces(eo: ElementaryOperation, plan: StepPlan, at: np.ndarray):
     """Yield per chunk (step program, substep count, sampled substep numbers, pieces): the products of
     the step matrices from the operation's start to each sample, and in the last chunk to its end.
 
@@ -895,8 +893,8 @@ def _matrix_pieces(model: SpinModel, plan: StepPlan, at: np.ndarray):
     are the pieces, one chunk of substeps at a time; otherwise each chunk of samples is lifted by one
     batched matmul with the powers U^q of its distinct q.
     """
-    prog = _StepProgram(model, plan.delta)
-    chunk, dim, k = max(1, _BATCH_ELEMENTS // prog.dim**2), prog.dim, _periods(model, plan.tau)
+    prog = _StepProgram(eo.model, plan.delta)
+    chunk, dim, k = max(1, _BATCH_ELEMENTS // prog.dim**2), prog.dim, eo._derived.facts.k
     if plan.m % k:
         k = 1
     ends = at if at.size and at[-1] == plan.m else np.append(at, plan.m)
@@ -967,9 +965,9 @@ def evolve_eo(state: StateVector, eo: ElementaryOperation, t0: float, plan: Step
     iterable of integers, or floats of integral value, increasing strictly
     within 1..m; a zero duration takes no substeps and returns no samples.
     Raises ValueError before the first substep for a plan for another
-    duration, a bad ``sample_at``, or a run that the run check
-    (``_check_run``) refuses: an L that does not match, a phase that is not
-    finite, or a ``t0`` or sample time that is not finite.
+    duration, an L that does not match, a bad ``sample_at``, or a run that
+    the run check (``_check_run``) refuses: a phase that is not finite, or a
+    ``t0`` or sample time that is not finite.
 
     On step matrices (module docstring) the operation's pieces for ``plan``
     and ``sample_at`` are built on its first such run and replayed on every
@@ -978,7 +976,7 @@ def evolve_eo(state: StateVector, eo: ElementaryOperation, t0: float, plan: Step
     """
     if plan is None:
         plan = auto_substeps(eo)
-    _check_operation(eo, plan, state.L, [t0])
+    _check_operation(eo, plan, state.L, t0)
     at = _sample_numbers(sample_at, plan.m)
     if eo.tau == 0.0:
         return state, _concatenate([], state.dim)
@@ -986,7 +984,7 @@ def evolve_eo(state: StateVector, eo: ElementaryOperation, t0: float, plan: Step
         derived, key = eo._derived, (plan, at.tobytes())
         pieces = derived.pieces.get(key)
         if pieces is None:
-            pieces = _matrix_pieces(eo.model, plan, at)  # computes nothing until it is read
+            pieces = _matrix_pieces(eo, plan, at)  # computes nothing until it is read
             entries = (at.size + (not at.size or at[-1] != plan.m)) * state.dim**2  # per sample, and the end's
             if derived.entries + entries <= _KEPT_ELEMENTS:
                 pieces = derived.pieces[key] = list(pieces)
@@ -1022,9 +1020,8 @@ def run_sequence(
     ``auto_substeps``). Each operation runs through ``evolve_eo``, so one that
     recurs, in ``seq`` or in a later call, replays the pieces it keeps.
     Raises ValueError before the first substep for a bad argument or a run
-    that the run check (``_check_run``) refuses; it runs once per distinct
-    operation object and plan, over the clock of each of its positions, and
-    its message names the operation.
+    that the run check (``_check_run``) refuses; it runs once per position,
+    and its message names the operation.
 
     With a tolerance ``tol`` (finite, >= 0) each operation runs from the
     state the ones before it leave at m and 2m substeps, and m is doubled, at
@@ -1040,16 +1037,10 @@ def run_sequence(
         raise ValueError(f"got {len(plans)} plans for a sequence of {len(seq)} operations")
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
-    ops = {id(eo): eo for eo in seq.eos}
-    if plans is None:  # each distinct operation object is planned once
-        planned = {key: auto_substeps(eo) for key, eo in ops.items()}
-        plans = [planned[id(eo)] for eo in seq.eos]
-    plans = list(plans)
-    starts, runs = list(itertools.accumulate((eo.tau for eo in seq.eos), initial=0.0)), {}
-    for eo, plan, start in zip(seq.eos, plans, starts):  # runs: (id of an operation, plan) -> its starts
-        runs.setdefault((id(eo), plan), []).append(start)
-    for (key, plan), times in runs.items():  # before any operation runs
-        _check_operation(ops[key], plan, state.L, times, f"operation {ops[key].name!r}: ")
+    plans = [auto_substeps(eo) for eo in seq.eos] if plans is None else list(plans)
+    starts = list(itertools.accumulate((eo.tau for eo in seq.eos), initial=0.0))
+    for eo, plan, start in zip(seq.eos, plans, starts):  # before any operation runs
+        _check_operation(eo, plan, state.L, start, f"operation {eo.name!r}: ")
     estimates = None if tol is None else [0.0] * len(seq)
     out = state.copy()
     parts = [observables_of(out.amp[None], np.array([0.0]))]

@@ -1,5 +1,6 @@
 import pytest
 
+from spinsim.experiments import self_test
 from spinsim.pulses import make_profile
 
 
@@ -10,3 +11,9 @@ def fresh_profiles():
     make_profile.cache_clear()
     yield
     make_profile.cache_clear()
+
+
+@pytest.fixture(scope="session")
+def self_test_checks():
+    """The ``self_test`` checks, run once per session, by name."""
+    return {check.name: check for check in self_test()}

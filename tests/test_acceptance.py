@@ -15,7 +15,6 @@ import pytest
 from spinsim.experiments import (
     Q_TOLERANCE,
     REFERENCE_Q,
-    _check_conjugation,
     run_grover,
 )
 from spinsim.propagator import (
@@ -194,7 +193,7 @@ class TestAcceptance:
             + ")"
         )
 
-    def test_5_oracle_identities(self):
+    def test_5_oracle_identities(self, self_test_checks):
         # search iteration pattern, exact
         for item in range(4):
             report = grover_iterate_check(item)
@@ -211,9 +210,9 @@ class TestAcceptance:
             worst_short = max(worst_short, 1.0 - col_fid)
             assert phase == pytest.approx(-1.0 if item in (1, 2) else 1.0, abs=1e-12)
         assert worst_short < 1e-12
-        # conjugation identity on 100 random models
-        conj = _check_conjugation(n_models=100)
-        assert conj.ok, conj.detail
+        # conjugation identity on 100 random models, as self_test runs it
+        conj = self_test_checks["conjugation identity"]
+        assert conj.ok and " over 100 two-qubit " in conj.detail, conj.detail
         print(
             f"\nACCEPTANCE 5 oracle identities: PASS (iterations 1,4,7,10; shortening "
             f"1-fid {worst_short:.1e}; {conj.detail})"

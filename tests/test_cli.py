@@ -70,6 +70,19 @@ class TestGroverCommand:
             main(["grover", "--hardware", "warp", "--item", "0"])
         assert err.value.code == 1
 
+    def test_one_parser_serves_every_call(self, capsys):
+        # two calls build one parser, and a usage error after a good call still exits 1 with its line
+        cli._build_parser.cache_clear()
+        assert main(["dump-profile", "ideal"]) == main(["dump-profile", "ideal"]) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(["grover", "--hardware", "warp", "--item", "0"])
+        assert err.value.code == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("spinsim grover: error: argument --hardware: invalid choice: 'warp'")
+
     @pytest.mark.parametrize("hardware, exit_code", [("ideal", 0), ("nmr", 2)])
     def test_tol_starts_doubling_from_steps(self, capsys, hardware, exit_code):
         # --steps sets the first trial plan, so each operation ends at m = 7 * 2^k,
@@ -147,6 +160,13 @@ class TestSharedProfile:
         programs = [grover_program(item, make_profile("nmr"), init).seq for init, item in self.PROGRAMS]
         assert shared_builds == len({eo.name for seq in programs for eo in seq}) == 7
         assert fresh_builds == sum(len({eo.name for eo in seq}) for seq in programs) == 48
+
+    def test_facts_are_derived_once_per_instruction(self, tmp_path):
+        # the programs build one profile of 9 instructions, each of which derives its
+        # scales, top frequency and period count when it is built and never in a run
+        with mock.patch.object(propagator, "_facts", wraps=propagator._facts) as derived:
+            self.run_all(tmp_path, False)
+        assert derived.call_count == len(make_profile("nmr").eos) == 9
 
 
 class TestRunCommand:

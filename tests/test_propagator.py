@@ -1,8 +1,8 @@
 """Integrator tests: factor algebra, step plans, convergence, instrumentation."""
 
-import contextlib
 import copy
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -1196,6 +1196,27 @@ class TestBatchedSteps:
             assert 3.3 < a / b < 4.7
 
 
+class TestSmallTileRuns:
+    """The dense-oracle run tests again with tiles of 16 amplitudes, as ``TestTiledGlobalGate`` has them.
+
+    At L = 5 and 6 every pass then runs over several tiles and column chunks
+    and every multiplier is factored, so the above-tile code is checked end
+    to end against the exact solution."""
+
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(propagator, "_TILE", 1 << 4)
+
+    @pytest.mark.parametrize("L", [5, 6])
+    def test_second_order_with_blocked_passes(self, L):
+        assert propagator._multiplier(L, np.zeros((L, L)), np.zeros(L))[1] is not None  # factored
+        TestBatchedSteps().test_second_order_with_blocked_passes(L)
+
+    @pytest.mark.parametrize("axis", ["z", "y"])
+    def test_in_place_run_matches_the_dense_propagator(self, axis):
+        TestMergedMultipliers().test_in_place_run_matches_the_dense_propagator(axis)
+
+
 class TestSampledMatrixPath:
     """Between two samples the matrix path multiplies the step matrices by a
     pairwise tree, and each sample is one vector-matrix product; it must give
@@ -1264,7 +1285,8 @@ class TestPeriodicDrives:
     @staticmethod
     def evolve(model, tau, m, at, whole=False):
         """(final amplitudes, samples, pieces, kernel counts, step matrices built) of evolve_eo at m
-        substeps; with ``whole`` the period rule is switched off, so the period is the whole operation."""
+        substeps; with ``whole`` the operation's period count is set to 1, so the period is the whole
+        operation."""
         built, step_matrices, s = [], propagator._StepProgram.step_matrices, random_state(model.L, 7)
         replay, pieces = propagator._replay, []
 
@@ -1279,9 +1301,10 @@ class TestPeriodicDrives:
 
         counters.reset()
         with mock.patch.object(propagator._StepProgram, "step_matrices", counted), \
-                mock.patch.object(propagator, "_replay", recorded), (
-                mock.patch.object(propagator, "_periods", lambda *_: 1) if whole else contextlib.nullcontext()):
+                mock.patch.object(propagator, "_replay", recorded):
             eo = ElementaryOperation("e", model, tau)
+            if whole:
+                eo._derived.facts = eo._derived.facts._replace(k=1)
             samples = evolve_eo(s, eo, 0.3, StepPlan(m, tau), at)[1]
         assert kept_entries(eo) in (0, sum(p.size for p in pieces))  # the operation counts what it keeps
         return s.amp, samples, np.concatenate(pieces), dict(vars(counters)), sum(built)
@@ -1301,7 +1324,7 @@ class TestPeriodicDrives:
         f = 0.4 + seed / 500
         model, tau, m = one_frequency_model(L, seed, f), TWO_PI * k / f, k * p
         at = list(range(stride, m, stride)) + [m]
-        assert propagator._periods(model, tau) == k
+        assert ElementaryOperation("e", model, tau)._derived.facts.k == k
         periodic, whole = self.evolve(model, tau, m, at), self.evolve(model, tau, m, at, whole=True)
         assert (periodic[4], whole[4]) == (p, m)  # one period of step matrices against all of them
         assert self.difference(periodic, whole) < 1e-13
@@ -1344,11 +1367,11 @@ class TestPeriodicDrives:
         # a multiple of its 10 periods of f = 0.25
         for names, m in ((("X1", "X1b", "Y1", "Y1b"), 640), (("X2", "X2b", "Y2", "Y2b"), 2520)):
             for eo in map(nmr.eo, names):
-                assert (propagator._periods(eo.model, eo.tau), auto_substeps(eo).m) == (10, m)
+                assert (eo._derived.facts.k, auto_substeps(eo).m) == (10, m)
         # over 2 pi 40.3, f = 0.25 makes 10.075 periods: the phase bound alone
-        model, tau = nmr.eo("X2").model, TWO_PI * 40.3
-        assert propagator._periods(model, tau) == 1
-        assert auto_substeps(ElementaryOperation("X2", model, tau)).m == math.ceil(tau / 0.1) == 2533
+        eo = ElementaryOperation("X2", nmr.eo("X2").model, TWO_PI * 40.3)
+        assert eo._derived.facts.k == 1
+        assert auto_substeps(eo).m == math.ceil(eo.tau / 0.1) == 2533
 
 
 class TestRunSequence:
@@ -1396,9 +1419,10 @@ class TestRunSequence:
         assert traj.obs.t[-1] == pytest.approx(2 * eo.tau)
 
     def test_each_distinct_operation_object_is_planned_once(self):
-        # an NMR search program holds 16 positions of 5-7 distinct instructions
+        # an NMR search program holds 16 positions of 5-7 distinct instructions;
+        # each keeps the plan made on its first position
         seq = grover_program(2, make_profile("nmr"), "12").seq
-        with mock.patch.object(propagator, "auto_substeps", wraps=propagator.auto_substeps) as planner:
+        with mock.patch.object(propagator, "_auto_plan", wraps=propagator._auto_plan) as planner:
             traj = run_sequence(new_basis_state(2, [0, 0]), seq, sample_every=10**9)[1]
         assert planner.call_count == len({id(eo) for eo in seq.eos}) < len(seq)
         assert traj.plans == [auto_substeps(eo) for eo in seq.eos]
@@ -1406,20 +1430,22 @@ class TestRunSequence:
     @pytest.mark.parametrize("item", range(4))
     @pytest.mark.parametrize("init", ["12", "21"])
     def test_each_distinct_run_is_checked_once_before_the_first_substep(self, item, init):
-        # 16 positions of 5-7 distinct instructions: the pre-check runs once
-        # per instruction, then each evolve_eo checks its own run
+        # 16 positions of 5-7 distinct instructions: the pre-check checks
+        # every position, then each evolve_eo checks its own run
         seq, counts = grover_program(item, make_profile("nmr"), init).seq, []
 
         def evolve(*args, **kwargs):
             counts.append(checked.call_count)
             return evolve_eo(*args, **kwargs)
 
-        with mock.patch.object(propagator, "_check_run", wraps=propagator._check_run) as checked, \
+        with mock.patch.object(propagator, "_check_operation", wraps=propagator._check_operation) as checked, \
                 mock.patch.object(propagator, "evolve_eo", side_effect=evolve):
-            run_sequence(new_basis_state(2, [0, 0]), seq, sample_every=10**9)
-        distinct = len({id(eo) for eo in seq.eos})
-        assert 5 <= distinct <= 7 and len(seq) == 16
-        assert counts[0] == distinct and checked.call_count == distinct + len(seq)
+            traj = run_sequence(new_basis_state(2, [0, 0]), seq, sample_every=10**9)[1]
+        assert 5 <= len({id(eo) for eo in seq.eos}) <= 7 and len(seq) == 16
+        assert counts[0] == len(seq) and checked.call_count == 2 * len(seq)
+        starts = itertools.accumulate((eo.tau for eo in seq.eos), initial=0.0)
+        prechecked = [c.args[:4] for c in checked.call_args_list[:len(seq)]]  # (operation, plan, L, start)
+        assert prechecked == list(zip(seq.eos, traj.plans, [2] * len(seq), starts))
 
     @pytest.mark.parametrize("n_plans", [1, 3])
     def test_plans_must_match_the_sequence(self, n_plans):
