@@ -9,7 +9,7 @@ decoherence in the model.
 
 from spinsim import REFERENCE_Q, run_grover
 
-print("running 8 pulse-level simulations (a few seconds each)...\n")
+print("running 8 pulse-level simulations...\n")
 
 rows = {}
 for init in ("12", "21"):

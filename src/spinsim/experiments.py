@@ -7,14 +7,13 @@ values next to them and flag any entry deviating by more than Q_TOLERANCE.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .propagator import StepPlan, Trajectory, evolve_eo, run_sequence
-from .pulses import grover_program, make_profile
+from .pulses import TWO_PI, grover_program, make_profile
 from .reference import (
     dense_propagator,
     global_phase_between,
@@ -23,8 +22,6 @@ from .reference import (
     matrix_of_sequence,
 )
 from .state import StateVector, new_basis_state
-
-TWO_PI = 2.0 * math.pi
 
 #: Tolerance for flagging deviations from the reference endpoints.
 Q_TOLERANCE = 0.03

@@ -68,12 +68,13 @@ three multiplies each, and nothing of 2^L entries is built.
 Operands. A pass and a multiplier act on one register; only step matrices
 and observables are batched. Step matrices are for registers of one block,
 L <= 4: per chunk of substeps, a stack of step matrices and their products
-from the operation's start to each sample (pieces). An operation cannot
-change once built, so it keeps its pieces per (plan, sampled substeps) for
-every later run of it, up to _KEPT_ELEMENTS complex entries; pieces that do
-not fit are built for their run alone. Larger registers are stepped in
-place, one substep at a time. Both operands, and a replay, give the same
-kernel counts.
+from the operation's start to each sample (pieces); a run samples after
+every k-th substep and the last (``sample_every`` k), or not at all. An
+operation cannot change once built, so it keeps its pieces per (plan,
+sample_every) for every later run of it, up to _KEPT_ELEMENTS complex
+entries; pieces that do not fit are built for their run alone. Larger
+registers are stepped in place, one substep at a time. Both operands, and
+a replay, give the same kernel counts.
 
 The period rule decides how much of an operation the step matrices cover. A
 drive's clock starts at its operation's start, so when every drive with a
@@ -244,8 +245,7 @@ def _facts(model: SpinModel, tau: float) -> _Facts:
     """The ``_Facts`` of ``model``, which must pass ``validate``, held for a finite duration ``tau``."""
     with np.errstate(over="ignore"):
         h_scale, j_scale = np.max(np.abs(model.static_field) + np.abs(model.rf_amp)), np.max(np.abs(model.coupling))
-    # not np.unique: its first call imports numpy.ma, about 1 MB resident
-    freqs = sorted(set(np.abs(model.rf_freq[model.rf_amp != 0.0]).tolist()))
+    freqs = _distinct(np.abs(model.rf_freq[model.rf_amp != 0.0]))[0].tolist()
     turns = freqs[0] * tau / (2.0 * math.pi) if len(freqs) == 1 else 0.0
     k = round(turns) if math.isfinite(turns) else 1
     k = k if k > 1 and abs(turns - k) <= 4 * math.ulp(turns) else 1
@@ -255,8 +255,7 @@ def _facts(model: SpinModel, tau: float) -> _Facts:
 @dataclass
 class _Derived:
     """What is derived from one operation: the ``_Facts`` of its model and duration, its auto plan,
-    and its matrix-path pieces per (plan, sampled substeps as int64 bytes) with the complex entries
-    they hold."""
+    and its matrix-path pieces per (plan, sample_every) with the complex entries they hold."""
 
     facts: _Facts
     plan: StepPlan | None = None
@@ -880,13 +879,28 @@ def _distinct(values: np.ndarray) -> tuple:
     """The sorted distinct entries of ``values`` and the index of each entry among them, as
     np.unique gives them; np.unique is not used because its first call imports numpy.ma."""
     ordered = np.sort(values)
-    distinct = ordered[np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))]
+    distinct = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
     return distinct, np.searchsorted(distinct, values)
 
 
-def _matrix_pieces(eo: ElementaryOperation, plan: StepPlan, at: np.ndarray):
-    """Yield per chunk (step program, substep count, sampled substep numbers, pieces): the products of
-    the step matrices from the operation's start to each sample, and in the last chunk to its end.
+def _check_stride(sample_every) -> None:
+    """Raise ValueError unless ``sample_every`` is None or an integer >= 1."""
+    if sample_every is not None and not isinstance(sample_every, numbers.Integral):
+        raise ValueError(f"sample_every must be an integer, got {sample_every!r}")
+    if sample_every is not None and sample_every < 1:
+        raise ValueError("sample_every must be >= 1")
+
+
+def _grid(m: int, sample_every: int | None) -> np.ndarray:
+    """The substeps sampled in m: every ``sample_every``-th one and the last, as int64; none for None."""
+    if sample_every is None:
+        return np.empty(0, dtype=np.int64)
+    return np.append(np.arange(sample_every, m, sample_every, dtype=np.int64), m)
+
+
+def _matrix_pieces(eo: ElementaryOperation, plan: StepPlan, sample_every: int | None):
+    """Yield per chunk (step program, substep count, pieces): the products of the step matrices from
+    the operation's start to each sample of ``_grid``, in order, or to its end alone for None.
 
     Over one drive period (the period rule of the module docstring) a pairwise tree between the cuts
     of a chunk of substeps, then a running product across chunks, gives the prefixes. With k = 1 they
@@ -897,11 +911,11 @@ def _matrix_pieces(eo: ElementaryOperation, plan: StepPlan, at: np.ndarray):
     chunk, dim, k = max(1, _BATCH_ELEMENTS // prog.dim**2), prog.dim, eo._derived.facts.k
     if plan.m % k:
         k = 1
-    ends = at if at.size and at[-1] == plan.m else np.append(at, plan.m)
+    ends = _grid(plan.m, sample_every or plan.m)
     q, r = np.divmod(ends - 1, plan.m // k)
     cuts, index = _distinct(r + 1)  # the residues 1..p; the end's is p
     if k == 1 or cuts.size * dim**2 > _KEPT_ELEMENTS:
-        k, cuts = 1, at
+        k, cuts = 1, ends
     p, carry, prefixes = plan.m // k, np.eye(dim), []
     for lo in range(0, p, chunk):
         hi = min(lo + chunk, p)
@@ -913,7 +927,7 @@ def _matrix_pieces(eo: ElementaryOperation, plan: StepPlan, at: np.ndarray):
             carry = products[j] = carry @ segment
         piece = products if hi == p else products[:last - first].copy()
         if k == 1:
-            yield prog, hi - lo, at[first:last], piece
+            yield prog, hi - lo, piece
         else:
             prefixes.append(piece)
     if k == 1:
@@ -924,74 +938,62 @@ def _matrix_pieces(eo: ElementaryOperation, plan: StepPlan, at: np.ndarray):
         qs, inverse = _distinct(q[lo:hi])
         lift = np.stack([np.linalg.matrix_power(carry, int(power)) for power in qs])  # carry is U
         n = int(ends[hi - 1] - (ends[lo - 1] if lo else 0))
-        yield prog, n, at[lo:hi], lift[inverse] @ prefixes[index[lo:hi]]
+        yield prog, n, lift[inverse] @ prefixes[index[lo:hi]]
 
 
-def _replay(amp: np.ndarray, pieces, t0: float, delta: float) -> list:
-    """Advance ``amp`` by the pieces of ``_matrix_pieces`` and count their substeps; returns each chunk's samples."""
-    start, parts = amp.copy(), []
-    for prog, n, at, products in pieces:
+def _replay(amp: np.ndarray, pieces, t: np.ndarray) -> Observables:
+    """Advance ``amp`` by the pieces of ``_matrix_pieces`` and count their substeps; returns the
+    observables of the first len(``t``) states they reach, the samples, at times ``t``."""
+    start, states = amp.copy(), []
+    for prog, n, products in pieces:
         prog.count(n)
-        states = start @ products
-        parts.append(observables_of(states[:len(at)], t0 + at * delta))
+        states.append(start @ products)
+    states = np.concatenate(states)
     amp[:] = states[-1]
-    return parts
-
-
-def _sample_numbers(sample_at, m: int) -> np.ndarray:
-    """The substep numbers of ``sample_at`` as int64; raises ValueError unless they are integers (or
-    floats of integral value) that increase strictly within 1..m."""
-    values = np.array(list(sample_at))
-    kind = values.dtype.kind
-    if kind == "f":  # integral and under 2**63 in size, so the cast is exact
-        whole = ((values == np.trunc(values)) & (np.abs(values) < 2.0**63)).all()
-    else:  # unsigned values past _MAX_SUBSTEPS would wrap
-        whole = kind in "bi" or (kind == "u" and (values <= _MAX_SUBSTEPS).all())
-    at = values.astype(np.int64) if whole and values.ndim == 1 else None
-    if at is None or (at.size and not ((at[1:] > at[:-1]).all() and at[0] >= 1 and at[-1] <= m)):
-        raise ValueError(f"sample_at must be strictly increasing substep numbers in 1..{m}")
-    return at
+    return observables_of(states[:len(t)], t)
 
 
 def evolve_eo(state: StateVector, eo: ElementaryOperation, t0: float, plan: StepPlan | None = None,
-              sample_at=()) -> tuple:
+              sample_every: int | None = None) -> tuple:
     """Run one operation starting at global time t0; returns (state, samples).
 
     The state is evolved in place through plan.m symmetrized steps. Sinusoid
     arguments use the operation-local midpoint times (n + 1/2) * delta, so the
     state does not depend on t0. ``samples`` is one ``Observables`` with a
-    leading axis over the substep numbers n in ``sample_at``, each taken
-    right after substep n at time t0 + n * delta. ``sample_at`` is any
-    iterable of integers, or floats of integral value, increasing strictly
-    within 1..m; a zero duration takes no substeps and returns no samples.
-    Raises ValueError before the first substep for a plan for another
-    duration, an L that does not match, a bad ``sample_at``, or a run that
-    the run check (``_check_run``) refuses: a phase that is not finite, or a
-    ``t0`` or sample time that is not finite.
+    leading axis over the sampled substeps n, each taken right after substep
+    n at time t0 + n * delta: with an integer ``sample_every`` k, n = k, 2k,
+    ... below m, and m; with None, no samples (``run_sequence`` reads its
+    None as about 200 samples). A zero duration takes no substeps and
+    returns no samples. Raises ValueError before the first substep for a
+    plan for another duration, an L that does not match, a ``sample_every``
+    that is not an integer >= 1, or a run that the run check (``_check_run``)
+    refuses: a phase that is not finite, or a ``t0`` or sample time that is
+    not finite.
 
     On step matrices (module docstring) the operation's pieces for ``plan``
-    and ``sample_at`` are built on its first such run and replayed on every
-    later one, while the operation's kept pieces hold at most _KEPT_ELEMENTS
-    complex entries; pieces that would pass that are built for this run alone.
+    and ``sample_every`` are built on its first such run and replayed on
+    every later one, while the operation's kept pieces hold at most
+    _KEPT_ELEMENTS complex entries; pieces that would pass that are built for
+    this run alone.
     """
     if plan is None:
         plan = auto_substeps(eo)
     _check_operation(eo, plan, state.L, t0)
-    at = _sample_numbers(sample_at, plan.m)
+    _check_stride(sample_every)
     if eo.tau == 0.0:
         return state, _concatenate([], state.dim)
+    delta, at = plan.delta, _grid(plan.m, sample_every)
     if state.dim <= _BATCH_MAX_DIM:
-        derived, key = eo._derived, (plan, at.tobytes())
+        derived, key = eo._derived, (plan, sample_every)
         pieces = derived.pieces.get(key)
         if pieces is None:
-            pieces = _matrix_pieces(eo, plan, at)  # computes nothing until it is read
-            entries = (at.size + (not at.size or at[-1] != plan.m)) * state.dim**2  # per sample, and the end's
+            pieces = _matrix_pieces(eo, plan, sample_every)  # computes nothing until it is read
+            entries = max(1, at.size) * state.dim**2  # per sample, or the end's alone
             if derived.entries + entries <= _KEPT_ELEMENTS:
                 pieces = derived.pieces[key] = list(pieces)
                 derived.entries += entries
-        return state, _concatenate(_replay(state.amp, pieces, t0, plan.delta), state.dim)
-    delta, prog = plan.delta, _StepProgram(eo.model, plan.delta)
-    wanted, parts = set(at.tolist()), []
+        return state, _replay(state.amp, pieces, t0 + at * delta)
+    prog, parts, sampled = _StepProgram(eo.model, delta), [], 0
     chunk = max(1, _BATCH_ELEMENTS // (256 * state.L))  # pass blocks: at most 4 passes of 64 entries per qubit
     for lo in range(0, plan.m, chunk):
         hi = min(lo + chunk, plan.m)
@@ -999,8 +1001,9 @@ def evolve_eo(state: StateVector, eo: ElementaryOperation, t0: float, plan: Step
         chunk_parts = prog.pass_parts((np.arange(lo, hi) + 0.5) * delta)
         for i, n in enumerate(range(lo + 1, hi + 1)):
             prog.apply(state.amp, chunk_parts, i)
-            if n in wanted:
+            if sampled < at.size and n == at[sampled]:
                 parts.append(observables_of(state.amp[None], np.array([t0 + n * delta])))
+                sampled += 1
     return state, _concatenate(parts, state.dim)
 
 
@@ -1029,10 +1032,7 @@ def run_sequence(
     |psi_2m - psi_m| / (2^2 - 1) is under ``tol``; the last 2m trial is the
     run. A zero-duration operation keeps its plan, with an estimate of 0.
     """
-    if sample_every is not None and not isinstance(sample_every, numbers.Integral):
-        raise ValueError(f"sample_every must be an integer, got {sample_every!r}")
-    if sample_every is not None and sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
+    _check_stride(sample_every)
     if plans is not None and len(plans) != len(seq):
         raise ValueError(f"got {len(plans)} plans for a sequence of {len(seq)} operations")
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
@@ -1048,8 +1048,7 @@ def run_sequence(
 
     def advance(psi, eo, plan):  # returns psi, its sampled substep numbers and samples
         stride = sample_every or max(1, round(plan.m / 200))
-        at = list(range(stride, plan.m, stride)) + [plan.m]
-        return psi, at, evolve_eo(psi, eo, starts[i], plan=plan, sample_at=at)[1]
+        return psi, _grid(plan.m, stride), evolve_eo(psi, eo, starts[i], plan=plan, sample_every=stride)[1]
 
     for i, eo in enumerate(seq.eos):
         if eo.tau == 0.0:
@@ -1067,6 +1066,6 @@ def run_sequence(
                 psi_m = psi_2m
             out = psi_2m
         parts.append(samples)
-        step += [step[-1] + n for n in at]  # step[-1] ended the previous operation
+        step += (step[-1] + at).tolist()  # step[-1] ended the previous operation
         eo_index += [i] * len(at)
     return out, Trajectory(np.array(step), np.array(eo_index), _concatenate(parts, out.dim), plans, estimates)

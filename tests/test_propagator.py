@@ -991,8 +991,8 @@ class TestEvolveEo:
         eo = ElementaryOperation("rf", m, 1.6)
         a = random_state(2, 13)
         b = a.copy()
-        _, sa = evolve_eo(a, eo, 0.0, plan=StepPlan(64, eo.tau), sample_at=[64])
-        _, sb = evolve_eo(b, eo, 1234.5, plan=StepPlan(64, eo.tau), sample_at=[64])
+        _, sa = evolve_eo(a, eo, 0.0, plan=StepPlan(64, eo.tau), sample_every=64)
+        _, sb = evolve_eo(b, eo, 1234.5, plan=StepPlan(64, eo.tau), sample_every=64)
         assert np.array_equal(a.amp, b.amp)
         assert sa.t == pytest.approx([1.6]) and sb.t == pytest.approx([1236.1])
 
@@ -1004,49 +1004,42 @@ class TestEvolveEo:
             evolve_eo(s, eo, 0.0, plan=StepPlan(4, 2.0))
         assert np.array_equal(s.amp, ref)
 
-    @pytest.mark.parametrize("sample_at", [[0], [5], [-1], [2, 2], [3, 1], [1, 4, 5], [1.5, 3]])
-    def test_sample_at_must_increase_within_the_plan(self, sample_at):
-        eo = ElementaryOperation("e", random_two_spin_model(14), 0.4)
-        with pytest.raises(ValueError, match="sample_at"):
-            evolve_eo(random_state(2, 15), eo, 0.0, plan=StepPlan(4, 0.4), sample_at=sample_at)
-
-    @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(values=st.lists(st.one_of(st.integers(-2, 9), st.booleans(), st.floats(-2, 9, width=16),
-                                     st.sampled_from([math.nan, math.inf, -math.inf, 2.0**63, 2**63, 2**64])),
-                           max_size=5),
-           m=st.integers(1, 8))
-    def test_sample_check_refuses_what_the_set_rule_refuses(self, values, m):
-        # the rule in Python: values that increase strictly within 1..m, each equal to its int()
-        accepted = values == sorted({int(n) for n in values if 1 <= n <= m})
-        try:
-            at = propagator._sample_numbers(iter(values), m)
-        except ValueError as err:
-            assert not accepted and str(err) == f"sample_at must be strictly increasing substep numbers in 1..{m}"
-        else:
-            assert accepted and at.dtype == np.int64 and at.tolist() == values
-
-    @pytest.mark.parametrize("sample_at", [[2.0], np.array([2.0, 4.0]), np.array([2], dtype=np.uint64), [True]])
-    def test_sample_at_takes_integral_numbers_of_any_type(self, sample_at):
-        eo = ElementaryOperation("e", random_two_spin_model(14), 0.4)
-        samples = evolve_eo(random_state(2, 15), eo, 0.0, plan=StepPlan(4, 0.4), sample_at=sample_at)[1]
-        assert samples.t == pytest.approx(0.1 * np.array(sample_at, dtype=float))
-
-    def test_sample_at_takes_any_iterable(self):
-        # an iterator is read once, not consumed by the check and then rejected
-        eo = ElementaryOperation("e", random_two_spin_model(14), 1.0)
-        _, from_iter = evolve_eo(random_state(2, 15), eo, 0.0, plan=StepPlan(10, 1.0), sample_at=iter([2, 5, 10]))
-        _, from_list = evolve_eo(random_state(2, 15), eo, 0.0, plan=StepPlan(10, 1.0), sample_at=[2, 5, 10])
-        assert from_iter.t == pytest.approx([0.2, 0.5, 1.0])
-        assert np.array_equal(from_iter.q, from_list.q)
+    def test_samples_land_on_every_kth_substep_and_the_last(self, monkeypatch):
+        # after substeps k, 2k, ... below m and after m, on step matrices and
+        # in place, each the sample of every substep there; None takes none.
+        # A stride that is not an integer >= 1 is refused with one text by
+        # evolve_eo and by run_sequence, before the first substep
+        eo, plan = ElementaryOperation("e", random_driven_model(2, 14), 1.0), StepPlan(10, 1.0)
+        grids = [(3, [3, 6, 9, 10]), (5, [5, 10]), (10, [10]), (11, [10]), (None, [])]
+        for batch_max_dim in (propagator._BATCH_MAX_DIM, 1):  # 1: in place at L = 2
+            monkeypatch.setattr(propagator, "_BATCH_MAX_DIM", batch_max_dim)
+            every_substep = evolve_eo(random_state(2, 15), eo, 0.5, plan, sample_every=1)[1]
+            assert np.allclose(every_substep.t, 0.5 + 0.1 * np.arange(1, 11))
+            for every, at in grids:
+                samples = evolve_eo(random_state(2, 15), eo, 0.5, plan, sample_every=every)[1]
+                rows = np.array(at, dtype=int) - 1
+                assert samples.t.shape == (len(at),) and np.array_equal(samples.t, every_substep.t[rows])
+                assert np.max(np.abs(samples.q - every_substep.q[rows]), initial=0.0) < 1e-12
+        psi = random_state(2, 15)
+        ref = psi.amp.copy()
+        for every, message in [(0, "sample_every must be >= 1"), (-1, "sample_every must be >= 1"),
+                               (2.5, "sample_every must be an integer, got 2.5"),
+                               ("2", "sample_every must be an integer, got '2'")]:
+            counters.reset()
+            for call in (lambda: evolve_eo(psi, eo, 0.0, plan, sample_every=every),
+                         lambda: run_sequence(psi, PulseSequence([eo]), sample_every=every)):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    call()
+            assert np.array_equal(psi.amp, ref) and vars(counters) == vars(propagator.KernelCounters())
 
     @pytest.mark.parametrize("L", [3, 6])  # batched and in place
     def test_sample_equals_the_instruction_cut_to_n_substeps(self, L):
         model = random_driven_model(L, 16 + L)
         m, delta, t0 = 32, 0.03, 2.5
         psi0 = random_state(L, 17 + L)
-        at = [1, 5, 17, 31, 32]
+        at = [5, 10, 15, 20, 25, 30, 32]
         _, samples = evolve_eo(psi0.copy(), ElementaryOperation("e", model, m * delta), t0,
-                               plan=StepPlan(m, m * delta), sample_at=at)
+                               plan=StepPlan(m, m * delta), sample_every=5)
         assert samples.t.shape == (len(at),) and samples.q.shape == (len(at), L)
         for i, n in enumerate(at):
             cut, _ = evolve_eo(psi0.copy(), ElementaryOperation("e", model, n * delta), t0,
@@ -1085,12 +1078,12 @@ class TestBatchedSteps:
     """Registers of up to 16 amplitudes step by batched step matrices; both paths must agree."""
 
     @staticmethod
-    def both_paths(monkeypatch, psi0, eo, m, sample_at=()):
+    def both_paths(monkeypatch, psi0, eo, m, sample_every=None):
         """(state, samples) of the batched path and of the in-place path, from t0 = 3.5."""
-        batched = evolve_eo(psi0.copy(), eo, 3.5, plan=StepPlan(m, eo.tau), sample_at=sample_at)
+        batched = evolve_eo(psi0.copy(), eo, 3.5, plan=StepPlan(m, eo.tau), sample_every=sample_every)
         with monkeypatch.context() as mp:
             mp.setattr(propagator, "_BATCH_MAX_DIM", 1)  # in place at every size
-            in_place = evolve_eo(psi0.copy(), eo, 3.5, plan=StepPlan(m, eo.tau), sample_at=sample_at)
+            in_place = evolve_eo(psi0.copy(), eo, 3.5, plan=StepPlan(m, eo.tau), sample_every=sample_every)
         return batched, in_place
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
@@ -1102,7 +1095,7 @@ class TestBatchedSteps:
         chunks = {propagator._BATCH_ELEMENTS // 4**L, propagator._BATCH_ELEMENTS // (256 * L)}
         for m in (1, 3, 293):  # at L=4, 293 is one full chunk of 256 plus 37
             eo = ElementaryOperation("e", model, 0.02 * m)
-            (batched, seen), (reference, seen_ref) = self.both_paths(monkeypatch, psi0, eo, m, range(1, m + 1))
+            (batched, seen), (reference, seen_ref) = self.both_paths(monkeypatch, psi0, eo, m, 1)
             assert np.max(np.abs(batched.amp - reference.amp)) < 1e-12
             assert seen.t.shape == seen_ref.t.shape == (m,)
             for name in ("sx", "sy", "sz", "norm", "t"):
@@ -1136,7 +1129,7 @@ class TestBatchedSteps:
         s = random_state(3, 62)
         ref = s.amp.copy()
         eo = ElementaryOperation("idle", random_driven_model(3, 63), 0.0)
-        _, samples = evolve_eo(s, eo, 0.0, plan=StepPlan(1, 0.0), sample_at=[1])
+        _, samples = evolve_eo(s, eo, 0.0, plan=StepPlan(1, 0.0), sample_every=1)
         assert samples.t.shape == (0,) and np.array_equal(s.amp, ref)
 
     @pytest.mark.parametrize("L", [4])
@@ -1223,11 +1216,12 @@ class TestSampledMatrixPath:
     what symmetrized_step gives one substep at a time."""
 
     @staticmethod
-    def check(model, psi0, m, at, tau=None):
-        tau = 0.03 * m if tau is None else tau
+    def check(model, psi0, m, every):
+        tau = 0.03 * m
         t0, delta = 2.5, tau / m
         s, samples = evolve_eo(psi0.copy(), ElementaryOperation("e", model, tau), t0,
-                               plan=StepPlan(m, tau), sample_at=at)
+                               plan=StepPlan(m, tau), sample_every=every)
+        at = [n for n in range(1, m + 1) if every and (n % every == 0 or n == m)]
         ref, rows = psi0.copy(), {}
         for n in range(m):
             symmetrized_step(ref, model, delta, n * delta)
@@ -1242,24 +1236,26 @@ class TestSampledMatrixPath:
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(
         L=st.integers(1, 4),
-        m_at=st.integers(1, 40).flatmap(lambda m: st.tuples(st.just(m), st.sets(st.integers(1, m)))),
+        m=st.integers(1, 40),
+        every=st.none() | st.integers(1, 41),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_one_substep_at_a_time(self, L, m_at, seed):
-        m, at = m_at
-        self.check(random_driven_model(L, seed % 1000), random_state(L, seed), m, sorted(at))
+    def test_matches_one_substep_at_a_time(self, L, m, every, seed):
+        self.check(random_driven_model(L, seed % 1000), random_state(L, seed), m, every)
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
-    @pytest.mark.parametrize("at", [[], [1], [37], [1, 2, 9, 10, 31, 37], [3, 36]], ids=str)
-    def test_edge_samples(self, L, at):
-        # none, the first substep alone, the last alone, uneven gaps
-        self.check(random_driven_model(L, 110 + L), random_state(L, 120 + L), 37, at)
+    @pytest.mark.parametrize("strides", [[], [1], [37], [1, 2, 9, 10, 31, 37], [3, 36]], ids=str)
+    def test_edge_samples(self, L, strides):
+        # each stride of the list, at m = 37: every substep, the last alone,
+        # last gaps of 1 to 7; the empty list runs unsampled
+        for every in strides or [None]:
+            self.check(random_driven_model(L, 110 + L), random_state(L, 120 + L), 37, every)
 
-    def test_samples_on_both_sides_of_a_chunk_edge(self):
-        edge = propagator._BATCH_ELEMENTS // 4**2  # substeps per chunk of step matrices at L=2
-        m = edge + 7
-        at = [1, edge - 300, edge - 1, edge, edge + 1, edge + 4, m]
-        self.check(random_two_spin_model(130), random_state(2, 131), m, at, tau=0.001 * m)
+    def test_samples_on_both_sides_of_a_chunk_edge(self, monkeypatch):
+        monkeypatch.setattr(propagator, "_BATCH_ELEMENTS", 1 << 8)
+        edge = propagator._BATCH_ELEMENTS // 4**2  # 16 substeps per chunk of step matrices at L=2
+        for every in (1, 5, 15, 16, 17):  # samples before, on and after the edge
+            self.check(random_two_spin_model(130), random_state(2, 131), edge + 7, every)
 
 
 def one_frequency_model(L, seed, f):
@@ -1283,7 +1279,7 @@ class TestPeriodicDrives:
     the build over the whole operation (k = 1) gives."""
 
     @staticmethod
-    def evolve(model, tau, m, at, whole=False):
+    def evolve(model, tau, m, every, whole=False):
         """(final amplitudes, samples, pieces, kernel counts, step matrices built) of evolve_eo at m
         substeps; with ``whole`` the operation's period count is set to 1, so the period is the whole
         operation."""
@@ -1294,10 +1290,10 @@ class TestPeriodicDrives:
             built.append(len(t_mid))
             return step_matrices(prog, t_mid)
 
-        def recorded(amp, chunks, t0, delta):  # the pieces replayed, kept or not
+        def recorded(amp, chunks, t):  # the pieces replayed, kept or not
             chunks = list(chunks)
             pieces.extend(p for *_, p in chunks)
-            return replay(amp, chunks, t0, delta)
+            return replay(amp, chunks, t)
 
         counters.reset()
         with mock.patch.object(propagator._StepProgram, "step_matrices", counted), \
@@ -1305,7 +1301,7 @@ class TestPeriodicDrives:
             eo = ElementaryOperation("e", model, tau)
             if whole:
                 eo._derived.facts = eo._derived.facts._replace(k=1)
-            samples = evolve_eo(s, eo, 0.3, StepPlan(m, tau), at)[1]
+            samples = evolve_eo(s, eo, 0.3, StepPlan(m, tau), every)[1]
         assert kept_entries(eo) in (0, sum(p.size for p in pieces))  # the operation counts what it keeps
         return s.amp, samples, np.concatenate(pieces), dict(vars(counters)), sum(built)
 
@@ -1323,19 +1319,17 @@ class TestPeriodicDrives:
     def test_matches_the_whole_operation_build(self, L, k, p, stride, seed):
         f = 0.4 + seed / 500
         model, tau, m = one_frequency_model(L, seed, f), TWO_PI * k / f, k * p
-        at = list(range(stride, m, stride)) + [m]
         assert ElementaryOperation("e", model, tau)._derived.facts.k == k
-        periodic, whole = self.evolve(model, tau, m, at), self.evolve(model, tau, m, at, whole=True)
+        periodic, whole = self.evolve(model, tau, m, stride), self.evolve(model, tau, m, stride, whole=True)
         assert (periodic[4], whole[4]) == (p, m)  # one period of step matrices against all of them
         assert self.difference(periodic, whole) < 1e-13
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
-    @pytest.mark.parametrize("at", [list(range(1, 49)), [1, 15, 16, 17, 32, 33, 47, 48], [16, 17, 31]],
-                             ids=["every substep", "period edges", "end not sampled"])
-    def test_samples_on_and_around_period_edges(self, L, at):
+    @pytest.mark.parametrize("every", [1, 16, None], ids=["every substep", "period edges", "end not sampled"])
+    def test_samples_on_and_around_period_edges(self, L, every):
         # 3 periods of 16 substeps
         model, tau = one_frequency_model(L, 40 + L, 0.9), TWO_PI * 3 / 0.9
-        periodic, whole = self.evolve(model, tau, 48, at), self.evolve(model, tau, 48, at, whole=True)
+        periodic, whole = self.evolve(model, tau, 48, every), self.evolve(model, tau, 48, every, whole=True)
         assert (periodic[4], whole[4]) == (16, 48)
         assert self.difference(periodic, whole) < 1e-13
         # every kernel counter counts the 48 logical substeps, the lifted ones too
@@ -1345,18 +1339,18 @@ class TestPeriodicDrives:
     @pytest.mark.parametrize("case", ["two frequencies", "plan not a multiple of k", "z only", "pieces over the bound"])
     def test_other_operations_build_the_whole_operation(self, case):
         # the rule fails, so the build is the k = 1 build, bit for bit
-        model, tau, m, at = one_frequency_model(2, 50, 0.8), TWO_PI * 4 / 0.8, 4 * 25, list(range(1, 101))
+        model, tau, m = one_frequency_model(2, 50, 0.8), TWO_PI * 4 / 0.8, 4 * 25
         kept = propagator._KEPT_ELEMENTS
         if case == "two frequencies":
             model.set_rf(2, "z", 0.3, 0.8 * math.sqrt(2))
         elif case == "plan not a multiple of k":
-            m, at = 4 * 25 + 2, list(range(1, 103))
+            m = 4 * 25 + 2
         elif case == "z only":  # fields and couplings on z, no drive
             model = SpinModel(2).set_coupling(1, 2, "z", 0.7).set_static(2, "z", 0.4)
         else:  # 25 residue pieces of 4 x 4 entries
             kept = 25 * 16 - 1
         with mock.patch.object(propagator, "_KEPT_ELEMENTS", kept):
-            periodic, whole = self.evolve(model, tau, m, at), self.evolve(model, tau, m, at, whole=True)
+            periodic, whole = self.evolve(model, tau, m, 1), self.evolve(model, tau, m, 1, whole=True)
         assert (periodic[4], whole[4]) == (m, m)
         assert self.difference(periodic, whole) == 0.0
 
@@ -1495,7 +1489,7 @@ def kept_entries(eo):
 
 
 class TestPieceReuse:
-    """An operation keeps its matrix-path pieces per (plan, sampled substeps) and replays them at every
+    """An operation keeps its matrix-path pieces per (plan, sample_every) and replays them at every
     later run, in one call or the next; nothing may show it."""
 
     @staticmethod
@@ -1721,7 +1715,7 @@ BAD_ARGUMENTS = [
      "operation 'e': model has L=2 but state has L=1"),
     (lambda: evolve_eo(new_basis_state(1, [0]), ElementaryOperation("e", SpinModel(1), 1.0), 0.0, StepPlan(2, 2.0)),
      "plan is for a duration of 2.0, but the operation lasts 1.0"),
-    (lambda: evolve_eo(new_basis_state(1, [0]), ElementaryOperation("e", SpinModel(1), 1.0), math.nan, sample_at=[1]),
+    (lambda: evolve_eo(new_basis_state(1, [0]), ElementaryOperation("e", SpinModel(1), 1.0), math.nan, sample_every=1),
      "the clock must be finite, got nan to nan"),
     (lambda: SpinModel(0), "qubit count must be in 1..26, got 0"),
     (lambda: SpinModel(27), "qubit count must be in 1..26, got 27"),
@@ -1805,7 +1799,7 @@ class TestBadArguments:
         with pytest.raises(ValueError, match=f"^operation 'a': {message}"):
             run_sequence(new_basis_state(1, [0]), PulseSequence([eo] * 3), plans=[StepPlan(1, eo.tau)] * 3)
         with pytest.raises(ValueError, match=f"^{message}"):
-            evolve_eo(new_basis_state(1, [0]), eo, 1.7e308, sample_at=[1])
+            evolve_eo(new_basis_state(1, [0]), eo, 1.7e308, sample_every=1)
         assert vars(counters) == vars(propagator.KernelCounters())
 
     @pytest.mark.parametrize("L", [2, 5])  # step matrices, in place
@@ -1828,7 +1822,7 @@ class TestBadArguments:
                 call()
         assert vars(counters) == vars(propagator.KernelCounters())
         pristine = ElementaryOperation("e", random_driven_model(L, 1100), 0.5)
-        runs = [evolve_eo(random_state(L, 1101), op, 0.0, StepPlan(3, 0.5), [1, 3])[1] for op in (eo, pristine)]
+        runs = [evolve_eo(random_state(L, 1101), op, 0.0, StepPlan(3, 0.5), 2)[1] for op in (eo, pristine)]
         assert all(np.array_equal(getattr(runs[0], n), getattr(runs[1], n)) for n in ("sx", "sy", "sz", "q"))
 
     @settings(derandomize=True, deadline=None, max_examples=80)
