@@ -1004,6 +1004,17 @@ class TestEvolveEo:
             evolve_eo(s, eo, 0.0, plan=StepPlan(4, 2.0))
         assert np.array_equal(s.amp, ref)
 
+    @pytest.mark.parametrize("sample_at", [[0], [5], [-1], [2, 2], [3, 1], [1, 4, 5], [1.5, 3]])
+    def test_sample_at_must_increase_within_the_plan(self, sample_at):
+        # the substep lists once refused for order or range: samples are now
+        # a stride, so each list is refused as a stride, before the first substep
+        eo = ElementaryOperation("e", random_two_spin_model(14), 0.4)
+        psi = random_state(2, 15)
+        ref = psi.amp.copy()
+        with pytest.raises(ValueError, match=f"^sample_every must be an integer, got {re.escape(repr(sample_at))}$"):
+            evolve_eo(psi, eo, 0.0, plan=StepPlan(4, 0.4), sample_every=sample_at)
+        assert np.array_equal(psi.amp, ref)
+
     def test_samples_land_on_every_kth_substep_and_the_last(self, monkeypatch):
         # after substeps k, 2k, ... below m and after m, on step matrices and
         # in place, each the sample of every substep there; None takes none.
