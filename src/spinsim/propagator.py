@@ -73,8 +73,7 @@ every k-th substep and the last (``sample_every`` k), or not at all. An
 operation cannot change once built, so it keeps its pieces per (plan,
 sample_every) for every later run of it, up to _KEPT_ELEMENTS complex
 entries; pieces that do not fit are built for their run alone. Larger
-registers are stepped in place, one substep at a time. Both operands, and
-a replay, give the same kernel counts.
+registers are stepped in place, one substep at a time.
 
 The period rule decides how much of an operation the step matrices cover. A
 drive's clock starts at its operation's start, so when every drive with a
@@ -82,7 +81,7 @@ nonzero amplitude has one |frequency| f, k = f tau / 2 pi is an integer to
 within a few ulps and m is a multiple of k, the step matrices repeat every
 p = m / k substeps. The products are then built over one period, as the
 prefixes P_r to each sampled residue r in 1..p, and sample n = q p + r gets
-U^q P_r with U = P_p; the kernel counters still count m substeps. Otherwise,
+U^q P_r with U = P_p. Otherwise,
 or where the residue pieces would pass _KEPT_ELEMENTS, k = 1 and the period
 is the whole operation. auto_substeps rounds m up to a multiple of k.
 
@@ -151,8 +150,9 @@ class KernelCounters:
     rotation per pass and L gate kernel calls per pass (a row scaling is part
     of its pass). Per axis factor (z and y twice, x once) it adds one pair
     term per nonzero coupling and one field term per qubit with a field on
-    that axis. A chunk of n substeps adds n times these, also when replayed,
-    so the counts do not depend on the operand or on reuse.
+    that axis. These depend on the model alone. A run of m substeps adds m
+    times them once, before its first substep, whatever its operand and
+    however its step matrices are built, kept or lifted.
     """
 
     diagonal_sweeps: int = 0
@@ -166,6 +166,13 @@ class KernelCounters:
 
 
 counters = KernelCounters()
+
+
+def _count(per_substep: dict, n: int) -> None:
+    """Add n substeps of the per-substep kernel counts ``per_substep`` to ``counters``."""
+    for name, count in per_substep.items():
+        setattr(counters, name, getattr(counters, name) + n * count)
+
 
 #: The parameter arrays of a SpinModel.
 _ARRAYS = ("coupling", "static_field", "rf_amp", "rf_freq", "rf_phase")
@@ -254,13 +261,13 @@ def _facts(model: SpinModel, tau: float) -> _Facts:
 
 @dataclass
 class _Derived:
-    """What is derived from one operation: the ``_Facts`` of its model and duration, its auto plan,
-    and its matrix-path pieces per (plan, sample_every) with the complex entries they hold."""
+    """What is derived from one operation: the ``_Facts`` of its model and duration, its auto plan, its
+    per-substep kernel counts (the same at every plan) and its matrix-path pieces per (plan, sample_every)."""
 
     facts: _Facts
     plan: StepPlan | None = None
+    counts: dict | None = None
     pieces: dict = field(default_factory=dict)
-    entries: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,7 +380,8 @@ def _axis_multiplier(L: int, coupling: np.ndarray, field: np.ndarray) -> np.ndar
     mult, scratch = np.empty(1 << L, dtype=np.complex128), np.empty(1 << (L - 1), dtype=np.complex128)
     mult[0] = 1.0
     for j in range(L):
-        e = scratch[:1 << len(np.trim_zeros(coupling[j, :j], "b"))]
+        coupled = np.flatnonzero(coupling[j, :j])  # the lower bits that qubit j couples to
+        e = scratch[:2 << coupled[-1] if coupled.size else 1]
         e[0] = np.exp(-0.5j * field[j])
         for k in range(e.size.bit_length() - 1):
             quarter = np.exp(0.25j * coupling[j, k])
@@ -589,14 +597,19 @@ def _check_run(facts: _Facts, delta: float, end: float, start: float, stop: floa
         raise ValueError(f"{where}the clock must be finite, got {start:g} to {stop:g}")
 
 
-def _check_operation(eo: ElementaryOperation, plan: StepPlan, L: int, start: float, where: str = "") -> None:
-    """Raise ValueError unless ``plan`` is for the duration of ``eo``, ``eo`` acts on L qubits and
-    ``_check_run`` passes for ``eo`` run at ``plan`` from time ``start``; ``where`` prefixes the message."""
+def _check_operation(eo: ElementaryOperation, plan: StepPlan, L: int, start: float, sample_every,
+                     where: str = "") -> None:
+    """Raise ValueError unless ``plan`` is for the duration of ``eo``, ``eo`` acts on L qubits, ``_check_run``
+    passes for ``eo`` run at ``plan`` from time ``start`` and, for a nonzero duration, one array holds the
+    ``_grid`` of ``sample_every`` (passed by ``_check_stride``) in plan.m substeps; ``where`` prefixes the message."""
     if plan.tau != eo.tau:
         raise ValueError(f"{where}plan is for a duration of {plan.tau}, but the operation lasts {eo.tau}")
     if eo.model.L != L:
         raise ValueError(f"{where}model has L={eo.model.L} but state has L={L}")
     _check_run(eo._derived.facts, plan.delta, eo.tau, start, start + plan.m * plan.delta, where)
+    samples = (plan.m - 1) // sample_every + 1 if eo.tau and sample_every else 0
+    if samples * 8 > _MAX_SUBSTEPS:  # numpy counts an array's bytes in int64
+        raise ValueError(f"{where}sample_every {sample_every} takes {samples} samples, more than one array holds")
 
 
 class _StepProgram:
@@ -709,11 +722,6 @@ class _StepProgram:
         return {a: np.concatenate([np.zeros(low), 2.0 * np.broadcast_to(phase, (self.L - low,))])
                 for a, phase in held.items()}
 
-    def count(self, n: int) -> None:
-        """Add n substeps to the kernel counters."""
-        for name, per_substep in self.counts.items():
-            setattr(counters, name, getattr(counters, name) + n * per_substep)
-
     def gates(self, factors: list, t_mid) -> tuple:
         """(alpha, beta) of each qubit's gate of one pass at midpoint time(s) ``t_mid``.
 
@@ -802,7 +810,7 @@ def symmetrized_step(state: StateVector, model: SpinModel, delta: float, t: floa
     model.validate()
     _check_run(_facts(model, delta), delta, abs(t) + delta, t, t + delta)
     prog = _StepProgram(model, delta)
-    prog.count(1)
+    _count(prog.counts, 1)
     prog.apply(state.amp, prog.pass_parts([t + 0.5 * delta]), 0)
     return state
 
@@ -895,19 +903,19 @@ def _grid(m: int, sample_every: int | None) -> np.ndarray:
     """The substeps sampled in m: every ``sample_every``-th one and the last, as int64; none for None."""
     if sample_every is None:
         return np.empty(0, dtype=np.int64)
-    return np.append(np.arange(sample_every, m, sample_every, dtype=np.int64), m)
+    return np.append(np.arange(1, (m - 1) // sample_every + 1, dtype=np.int64) * sample_every, m)
 
 
-def _matrix_pieces(eo: ElementaryOperation, plan: StepPlan, sample_every: int | None):
-    """Yield per chunk (step program, substep count, pieces): the products of the step matrices from
-    the operation's start to each sample of ``_grid``, in order, or to its end alone for None.
+def _matrix_pieces(eo: ElementaryOperation, prog: _StepProgram, plan: StepPlan, sample_every: int | None):
+    """Yield per chunk the pieces of ``eo`` run at ``plan`` by its step program ``prog``: the products
+    of the step matrices from the operation's start to each sample of ``_grid``, in order, or to its
+    end alone for None.
 
     Over one drive period (the period rule of the module docstring) a pairwise tree between the cuts
     of a chunk of substeps, then a running product across chunks, gives the prefixes. With k = 1 they
     are the pieces, one chunk of substeps at a time; otherwise each chunk of samples is lifted by one
     batched matmul with the powers U^q of its distinct q.
     """
-    prog = _StepProgram(eo.model, plan.delta)
     chunk, dim, k = max(1, _BATCH_ELEMENTS // prog.dim**2), prog.dim, eo._derived.facts.k
     if plan.m % k:
         k = 1
@@ -927,7 +935,7 @@ def _matrix_pieces(eo: ElementaryOperation, plan: StepPlan, sample_every: int | 
             carry = products[j] = carry @ segment
         piece = products if hi == p else products[:last - first].copy()
         if k == 1:
-            yield prog, hi - lo, piece
+            yield piece
         else:
             prefixes.append(piece)
     if k == 1:
@@ -937,20 +945,7 @@ def _matrix_pieces(eo: ElementaryOperation, plan: StepPlan, sample_every: int | 
         hi = min(lo + chunk, ends.size)
         qs, inverse = _distinct(q[lo:hi])
         lift = np.stack([np.linalg.matrix_power(carry, int(power)) for power in qs])  # carry is U
-        n = int(ends[hi - 1] - (ends[lo - 1] if lo else 0))
-        yield prog, n, lift[inverse] @ prefixes[index[lo:hi]]
-
-
-def _replay(amp: np.ndarray, pieces, t: np.ndarray) -> Observables:
-    """Advance ``amp`` by the pieces of ``_matrix_pieces`` and count their substeps; returns the
-    observables of the first len(``t``) states they reach, the samples, at times ``t``."""
-    start, states = amp.copy(), []
-    for prog, n, products in pieces:
-        prog.count(n)
-        states.append(start @ products)
-    states = np.concatenate(states)
-    amp[:] = states[-1]
-    return observables_of(states[:len(t)], t)
+        yield lift[inverse] @ prefixes[index[lo:hi]]
 
 
 def evolve_eo(state: StateVector, eo: ElementaryOperation, t0: float, plan: StepPlan | None = None,
@@ -965,10 +960,10 @@ def evolve_eo(state: StateVector, eo: ElementaryOperation, t0: float, plan: Step
     ... below m, and m; with None, no samples (``run_sequence`` reads its
     None as about 200 samples). A zero duration takes no substeps and
     returns no samples. Raises ValueError before the first substep for a
-    plan for another duration, an L that does not match, a ``sample_every``
-    that is not an integer >= 1, or a run that the run check (``_check_run``)
-    refuses: a phase that is not finite, or a ``t0`` or sample time that is
-    not finite.
+    ``sample_every`` that is not an integer >= 1, a plan for another
+    duration, an L that does not match, a run that the run check
+    (``_check_run``) refuses (a phase that is not finite, or a ``t0`` or
+    sample time that is not finite), or more samples than one array holds.
 
     On step matrices (module docstring) the operation's pieces for ``plan``
     and ``sample_every`` are built on its first such run and replayed on
@@ -978,26 +973,30 @@ def evolve_eo(state: StateVector, eo: ElementaryOperation, t0: float, plan: Step
     """
     if plan is None:
         plan = auto_substeps(eo)
-    _check_operation(eo, plan, state.L, t0)
     _check_stride(sample_every)
+    _check_operation(eo, plan, state.L, t0, sample_every)
     if eo.tau == 0.0:
         return state, _concatenate([], state.dim)
-    delta, at = plan.delta, _grid(plan.m, sample_every)
-    if state.dim <= _BATCH_MAX_DIM:
-        derived, key = eo._derived, (plan, sample_every)
-        pieces = derived.pieces.get(key)
+    delta, at, derived = plan.delta, _grid(plan.m, sample_every), eo._derived
+    key = (plan, sample_every) if state.dim <= _BATCH_MAX_DIM else None  # None: in place, nothing kept
+    pieces = derived.pieces.get(key)
+    if pieces is None:  # this run steps by a program of its own, which gives the operation's counts
+        prog = _StepProgram(eo.model, delta)
+        derived.counts = prog.counts
+    _count(derived.counts, plan.m)
+    if key is not None:
         if pieces is None:
-            pieces = _matrix_pieces(eo, plan, sample_every)  # computes nothing until it is read
+            pieces = _matrix_pieces(eo, prog, plan, sample_every)  # computes nothing until it is read
             entries = max(1, at.size) * state.dim**2  # per sample, or the end's alone
-            if derived.entries + entries <= _KEPT_ELEMENTS:
+            if sum(p.size for kept in derived.pieces.values() for p in kept) + entries <= _KEPT_ELEMENTS:
                 pieces = derived.pieces[key] = list(pieces)
-                derived.entries += entries
-        return state, _replay(state.amp, pieces, t0 + at * delta)
-    prog, parts, sampled = _StepProgram(eo.model, delta), [], 0
+        states = np.concatenate([state.amp @ piece for piece in pieces])  # all read before the write below
+        state.amp[:] = states[-1]
+        return state, observables_of(states[:at.size], t0 + at * delta)
+    parts, sampled = [], 0
     chunk = max(1, _BATCH_ELEMENTS // (256 * state.L))  # pass blocks: at most 4 passes of 64 entries per qubit
     for lo in range(0, plan.m, chunk):
         hi = min(lo + chunk, plan.m)
-        prog.count(hi - lo)
         chunk_parts = prog.pass_parts((np.arange(lo, hi) + 0.5) * delta)
         for i, n in enumerate(range(lo + 1, hi + 1)):
             prog.apply(state.amp, chunk_parts, i)
@@ -1039,27 +1038,27 @@ def run_sequence(
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
     plans = [auto_substeps(eo) for eo in seq.eos] if plans is None else list(plans)
     starts = list(itertools.accumulate((eo.tau for eo in seq.eos), initial=0.0))
-    for eo, plan, start in zip(seq.eos, plans, starts):  # before any operation runs
-        _check_operation(eo, plan, state.L, start, f"operation {eo.name!r}: ")
+    for eo, plan, start in zip(seq.eos, plans, starts):  # before any operation runs; None's ~200 samples fit
+        _check_operation(eo, plan, state.L, start, sample_every, f"operation {eo.name!r}: ")
     estimates = None if tol is None else [0.0] * len(seq)
     out = state.copy()
     parts = [observables_of(out.amp[None], np.array([0.0]))]
     step, eo_index = [0], [0]
 
-    def advance(psi, eo, plan):  # returns psi, its sampled substep numbers and samples
-        stride = sample_every or max(1, round(plan.m / 200))
-        return psi, _grid(plan.m, stride), evolve_eo(psi, eo, starts[i], plan=plan, sample_every=stride)[1]
+    def advance(psi, eo, plan, start):  # returns psi, its sampled substep numbers and samples
+        every = sample_every or max(1, round(plan.m / 200))
+        return psi, _grid(plan.m, every), evolve_eo(psi, eo, start, plan=plan, sample_every=every)[1]
 
-    for i, eo in enumerate(seq.eos):
+    for i, (eo, start) in enumerate(zip(seq.eos, starts)):
         if eo.tau == 0.0:
             continue
         if tol is None:
-            out, at, samples = advance(out, eo, plans[i])
+            out, at, samples = advance(out, eo, plans[i], start)
         else:
-            psi_m = advance(out.copy(), eo, plans[i])[0]
+            psi_m = advance(out.copy(), eo, plans[i], start)[0]
             for _ in range(MAX_DOUBLINGS):
                 plans[i] = StepPlan(2 * plans[i].m, eo.tau)
-                psi_2m, at, samples = advance(out.copy(), eo, plans[i])
+                psi_2m, at, samples = advance(out.copy(), eo, plans[i], start)
                 estimates[i] = float(np.linalg.norm(psi_2m.amp - psi_m.amp)) / 3
                 if estimates[i] < tol:
                     break

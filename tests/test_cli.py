@@ -373,6 +373,11 @@ class TestBadInput:
         proc = self.spinsim("grover", "--hardware", "ideal", "--item", "0", "--sample-every", "0")
         self.assert_usage_error(proc, "--sample-every must be a positive integer")
 
+    def test_sample_grid_overflow(self):
+        # 2**62 samples, one after each substep, are more than one array holds
+        proc = self.spinsim("grover", "--hardware", "nmr", "--item", "1", "--steps", str(2**62), "--sample-every", "1")
+        self.assert_usage_error(proc, "sample_every 1 takes 4611686018427387904 samples, more than one array holds")
+
     def test_zero_steps(self):
         proc = self.spinsim("grover", "--hardware", "ideal", "--item", "0", "--steps", "0")
         self.assert_usage_error(proc, "--steps must be 'auto' or >= 1")

@@ -810,18 +810,34 @@ class TestInstrumentation:
         assert counters.pair_terms == 2 * pairs[2] + 2 * pairs[1] + pairs[0]
 
     @pytest.mark.parametrize("with_rf", [True, False])
-    def test_evolve_eo_counts_m_logical_steps(self, with_rf):
-        # the batched small-register path counts per-substep visits, as the
-        # in-place path does: m substeps are m times one step
+    def test_evolve_eo_counts_m_logical_steps(self, with_rf, monkeypatch):
+        # every run counts per-substep visits: m substeps are m times one
+        # step, on step matrices built and kept, replayed (which builds no
+        # step program), built over the kept budget for their run alone, and
+        # in place
         m = random_two_spin_model(4, with_rf=with_rf)
         counters.reset()
         symmetrized_step(random_state(2, 7), m, 0.1, 0.0)
         one = dict(vars(counters))
         for steps in (1, 7, 5000):
-            counters.reset()
-            evolve_eo(random_state(2, 7), ElementaryOperation("e", m, 0.1 * steps), 0.0,
-                      plan=StepPlan(steps, 0.1 * steps))
-            assert dict(vars(counters)) == {k: steps * v for k, v in one.items()}
+            plan = StepPlan(steps, 0.1 * steps)
+            eo, over, in_place = (ElementaryOperation("e", m, plan.tau) for _ in range(3))
+            runs = [(eo, {}, 1), (eo, {}, 0), (over, {"_KEPT_ELEMENTS": 0}, 1), (in_place, {"_BATCH_MAX_DIM": 1}, 1)]
+            for op, patches, programs in runs:
+                with monkeypatch.context() as mp:
+                    for name, value in patches.items():
+                        mp.setattr(propagator, name, value)
+                    built = mock.Mock(wraps=propagator._StepProgram)
+                    mp.setattr(propagator, "_StepProgram", built)
+                    counters.reset()
+                    evolve_eo(random_state(2, 7), op, 0.0, plan=plan)
+                assert dict(vars(counters)) == {k: steps * v for k, v in one.items()}
+                assert built.call_count == programs and op._derived.counts == one
+            assert list(eo._derived.pieces) == [(plan, None)] and not over._derived.pieces
+        # the per-substep counts of one operation are those of its model, at every plan
+        counts = eo._derived.counts
+        evolve_eo(random_state(2, 7), eo, 0.0, plan=StepPlan(3, eo.tau))
+        assert eo._derived.counts is not counts and eo._derived.counts == counts
 
     def test_nmr_program_counts(self):
         # the search for item 2 in the swapped "21" order at the auto plan:
@@ -1295,25 +1311,25 @@ class TestPeriodicDrives:
         substeps; with ``whole`` the operation's period count is set to 1, so the period is the whole
         operation."""
         built, step_matrices, s = [], propagator._StepProgram.step_matrices, random_state(model.L, 7)
-        replay, pieces = propagator._replay, []
+        matrix_pieces, pieces = propagator._matrix_pieces, []
 
         def counted(prog, t_mid):
             built.append(len(t_mid))
             return step_matrices(prog, t_mid)
 
-        def recorded(amp, chunks, t):  # the pieces replayed, kept or not
-            chunks = list(chunks)
-            pieces.extend(p for *_, p in chunks)
-            return replay(amp, chunks, t)
+        def recorded(*args):  # the pieces built, kept or not
+            for piece in matrix_pieces(*args):
+                pieces.append(piece)
+                yield piece
 
         counters.reset()
         with mock.patch.object(propagator._StepProgram, "step_matrices", counted), \
-                mock.patch.object(propagator, "_replay", recorded):
+                mock.patch.object(propagator, "_matrix_pieces", recorded):
             eo = ElementaryOperation("e", model, tau)
             if whole:
                 eo._derived.facts = eo._derived.facts._replace(k=1)
             samples = evolve_eo(s, eo, 0.3, StepPlan(m, tau), every)[1]
-        assert kept_entries(eo) in (0, sum(p.size for p in pieces))  # the operation counts what it keeps
+        assert kept_entries(eo) in (0, sum(p.size for p in pieces))  # the operation keeps all or none
         return s.amp, samples, np.concatenate(pieces), dict(vars(counters)), sum(built)
 
     @staticmethod
@@ -1493,10 +1509,8 @@ def run_counting_built(*args, **kwargs):
 
 
 def kept_entries(eo):
-    """The complex entries of the matrix-path pieces that ``eo`` keeps; the operation's own count must agree."""
-    entries = sum(p.size for pieces in eo._derived.pieces.values() for *_, p in pieces)
-    assert eo._derived.entries == entries
-    return entries
+    """The complex entries of the matrix-path pieces that ``eo`` keeps."""
+    return sum(p.size for pieces in eo._derived.pieces.values() for p in pieces)
 
 
 class TestPieceReuse:
@@ -1762,6 +1776,13 @@ BAD_ARGUMENTS = [
      "the clock must be finite, got 1.7e+308 to inf"),
     (lambda: symmetrized_step(new_basis_state(1, [0]), SpinModel(1), 1e308, 1e308),
      "the clock must be finite, got 1e+308 to inf"),
+    (lambda: evolve_eo(new_basis_state(1, [0]), ElementaryOperation("e", SpinModel(1), 1.0), 0.0, StepPlan(2**62, 1.0),
+                       sample_every=1),
+     "sample_every 1 takes 4611686018427387904 samples, more than one array holds"),
+    (lambda: run_sequence(new_basis_state(1, [0]), PulseSequence([ElementaryOperation(name, SpinModel(1), 1.0)
+                                                                   for name in "ab"]),
+                          sample_every=1, plans=[StepPlan(4, 1.0), StepPlan(2**63 - 1, 1.0)]),
+     "operation 'b': sample_every 1 takes 9223372036854775807 samples, more than one array holds"),
 ]
 
 
@@ -1770,8 +1791,10 @@ class TestBadArguments:
 
     @pytest.mark.parametrize("call, message", BAD_ARGUMENTS, ids=[message for _, message in BAD_ARGUMENTS])
     def test_message(self, call, message):
+        counters.reset()
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+        assert vars(counters) == vars(propagator.KernelCounters())  # refused before any substep
 
     def test_phase_overflow_is_refused_before_any_substep(self):
         # the second operation's one substep overflows, so the first one does not run either
