@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 
-from .propagator import ElementaryOperation, PulseSequence, SpinModel
-from .pulses import EO_NAMES, TWO_PI, HardwareProfile, grover_program
+from .propagator import TWO_PI, ElementaryOperation, PulseSequence, SpinModel
+from .pulses import EO_NAMES, HardwareProfile, grover_program
 from .state import MAX_QUBITS
 
 

@@ -104,7 +104,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .state import MAX_QUBITS, Observables, StateVector, check_axis, observables_of, spin_z_values
+from .state import MAX_QUBITS, CapacityError, Observables, StateVector, check_axis, observables_of, spin_z_values
 
 #: The quarter-turns Rx = exp(+i (pi/2) Sx), Ry = exp(-i (pi/2) Sy) and their
 #: inverses, each as (alpha, beta) of g = [[alpha, beta], [-conj(beta), conj(alpha)]].
@@ -140,6 +140,8 @@ MAX_DOUBLINGS = 10
 
 #: Largest substep count of a plan: substep numbers are held as int64.
 _MAX_SUBSTEPS = 2**63 - 1
+
+TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -190,7 +192,7 @@ class SpinModel:
 
     def __init__(self, L: int):
         if not 1 <= L <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {L}")
+            raise CapacityError(f"qubit count must be in 1..{MAX_QUBITS}, got {L}")
         self.L = int(L)
         self.coupling = np.zeros((L, L, 3))
         self.static_field = np.zeros((L, 3))
@@ -253,7 +255,7 @@ def _facts(model: SpinModel, tau: float) -> _Facts:
     with np.errstate(over="ignore"):
         h_scale, j_scale = np.max(np.abs(model.static_field) + np.abs(model.rf_amp)), np.max(np.abs(model.coupling))
     freqs = _distinct(np.abs(model.rf_freq[model.rf_amp != 0.0]))[0].tolist()
-    turns = freqs[0] * tau / (2.0 * math.pi) if len(freqs) == 1 else 0.0
+    turns = freqs[0] * tau / TWO_PI if len(freqs) == 1 else 0.0
     k = round(turns) if math.isfinite(turns) else 1
     k = k if k > 1 and abs(turns - k) <= 4 * math.ulp(turns) else 1
     return _Facts(float(h_scale), float(j_scale), freqs[-1] if freqs else None, k)
@@ -333,7 +335,7 @@ class PulseSequence:
 
 @dataclass(frozen=True)
 class StepPlan:
-    """Substep count for one operation; the substep length is derived."""
+    """Substep count m for one operation of duration tau; a run's substep length is the operation's tau / m."""
 
     m: int
     tau: float
@@ -343,10 +345,6 @@ class StepPlan:
             raise ValueError(f"substep count must be an integer, got {self.m!r}")
         if not 1 <= self.m <= _MAX_SUBSTEPS:
             raise ValueError(f"substep count must be in 1..2**63 - 1, got {self.m}")
-
-    @property
-    def delta(self) -> float:
-        return self.tau / self.m
 
 
 @dataclass
@@ -606,7 +604,8 @@ def _check_operation(eo: ElementaryOperation, plan: StepPlan, L: int, start: flo
         raise ValueError(f"{where}plan is for a duration of {plan.tau}, but the operation lasts {eo.tau}")
     if eo.model.L != L:
         raise ValueError(f"{where}model has L={eo.model.L} but state has L={L}")
-    _check_run(eo._derived.facts, plan.delta, eo.tau, start, start + plan.m * plan.delta, where)
+    delta = eo.tau / plan.m
+    _check_run(eo._derived.facts, delta, eo.tau, start, start + plan.m * delta, where)
     samples = (plan.m - 1) // sample_every + 1 if eo.tau and sample_every else 0
     if samples * 8 > _MAX_SUBSTEPS:  # numpy counts an array's bytes in int64
         raise ValueError(f"{where}sample_every {sample_every} takes {samples} samples, more than one array holds")
@@ -842,7 +841,7 @@ def _auto_plan(eo: ElementaryOperation) -> StepPlan:
         return StepPlan(1, eo.tau)
     bounds = []
     if top:
-        bounds.append(2.0 * math.pi / top / _RF_SAMPLES_PER_PERIOD)
+        bounds.append(TWO_PI / top / _RF_SAMPLES_PER_PERIOD)
     if h_scale > 0.0:
         bounds.append(_MAX_PHASE_PER_STEP / h_scale)
     if j_scale > 0.0:
@@ -928,7 +927,7 @@ def _matrix_pieces(eo: ElementaryOperation, prog: _StepProgram, plan: StepPlan, 
     for lo in range(0, p, chunk):
         hi = min(lo + chunk, p)
         first, last = np.searchsorted(cuts, (lo, hi), side="right")
-        steps = prog.step_matrices((np.arange(lo, hi) + 0.5) * plan.delta)
+        steps = prog.step_matrices((np.arange(lo, hi) + 0.5) * (eo.tau / plan.m))
         inner = cuts[first:np.searchsorted(cuts, hi)]  # the cuts before hi, which ends the last segment
         products = _segment_products(steps, np.diff(np.append(inner, hi), prepend=lo))
         for j, segment in enumerate(products):
@@ -952,13 +951,13 @@ def evolve_eo(state: StateVector, eo: ElementaryOperation, t0: float, plan: Step
               sample_every: int | None = None) -> tuple:
     """Run one operation starting at global time t0; returns (state, samples).
 
-    The state is evolved in place through plan.m symmetrized steps. Sinusoid
-    arguments use the operation-local midpoint times (n + 1/2) * delta, so the
-    state does not depend on t0. ``samples`` is one ``Observables`` with a
-    leading axis over the sampled substeps n, each taken right after substep
-    n at time t0 + n * delta: with an integer ``sample_every`` k, n = k, 2k,
-    ... below m, and m; with None, no samples (``run_sequence`` reads its
-    None as about 200 samples). A zero duration takes no substeps and
+    The state is evolved in place through plan.m symmetrized steps of length
+    delta = eo.tau / plan.m. Sinusoid arguments use the operation-local
+    midpoint times (n + 1/2) * delta, so the state does not depend on t0.
+    ``samples`` is one ``Observables`` with a leading axis over the sampled
+    substeps n, each taken right after substep n at time t0 + n * delta:
+    with an integer ``sample_every`` k, n = k, 2k, ... below m, and m; with
+    None, no samples (``run_sequence`` reads its None as about 200 samples). A zero duration takes no substeps and
     returns no samples. Raises ValueError before the first substep for a
     ``sample_every`` that is not an integer >= 1, a plan for another
     duration, an L that does not match, a run that the run check
@@ -977,7 +976,7 @@ def evolve_eo(state: StateVector, eo: ElementaryOperation, t0: float, plan: Step
     _check_operation(eo, plan, state.L, t0, sample_every)
     if eo.tau == 0.0:
         return state, _concatenate([], state.dim)
-    delta, at, derived = plan.delta, _grid(plan.m, sample_every), eo._derived
+    delta, at, derived = eo.tau / plan.m, _grid(plan.m, sample_every), eo._derived
     key = (plan, sample_every) if state.dim <= _BATCH_MAX_DIM else None  # None: in place, nothing kept
     pieces = derived.pieces.get(key)
     if pieces is None:  # this run steps by a program of its own, which gives the operation's counts

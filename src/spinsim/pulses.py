@@ -25,13 +25,10 @@ most error-prone convention in exactly one place.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .propagator import ElementaryOperation, PulseSequence, SpinModel
-
-TWO_PI = 2.0 * math.pi
+from .propagator import TWO_PI, ElementaryOperation, PulseSequence, SpinModel
 
 EO_NAMES = ("X1", "X1b", "X2", "X2b", "Y1", "Y1b", "Y2", "Y2b", "Ipi")
 
@@ -203,7 +200,5 @@ def grover_program(item: int, profile: HardwareProfile, init_order: str = "12") 
     if init_order not in INIT_ORDERS:
         raise ValueError(f"init_order must be one of {INIT_ORDERS}, got {init_order!r}")
     first, second = (1, 2) if init_order == "12" else (2, 1)
-    init = execution_order(wh_transform_product(first)) + execution_order(wh_transform_product(second))
-    body = execution_order(shortened_search_product(item))
-    seq = PulseSequence([profile.eo(n) for n in init + body])
-    return GroverProgram(item=item, profile=profile, init_order=init_order, seq=seq)
+    product = shortened_search_product(item) + wh_transform_product(second) + wh_transform_product(first)
+    return GroverProgram(item=item, profile=profile, init_order=init_order, seq=sequence_from_product(profile, product))

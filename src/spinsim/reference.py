@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .propagator import SpinModel
+from .propagator import TWO_PI, SpinModel
 from .state import spin_z_values
 
 _SQ2 = math.sqrt(2.0)
@@ -317,7 +317,7 @@ def dense_propagator(
     # commensurate with an RF period, coarse node grids can alias the drive to
     # zero and fake a converged doubling.
     f_max = max(abs(f) for f, _, _ in rf)
-    n = max(n_slices, math.ceil(16.0 * tau * f_max / (2.0 * math.pi)), 1)
+    n = max(n_slices, math.ceil(16.0 * tau * f_max / TWO_PI), 1)
     u_n = _slice_product(const, rf, t0, tau, n, chunk)
     residual = math.inf
     while n <= max_slices // 2:

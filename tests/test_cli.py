@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import contextlib
 import math
 import os
 import re
@@ -15,7 +16,7 @@ from unittest import mock
 import pytest
 
 import spinsim
-from spinsim import cli, propagator
+from spinsim import cli, experiments, propagator
 from spinsim.cli import main
 from spinsim.experiments import run_grover
 from spinsim.propagator import KernelCounters, counters
@@ -266,8 +267,15 @@ class TestRunCommand:
 
 
 class TestOtherCommands:
-    def test_selftest_passes(self, capsys):
-        assert main(["selftest"]) == 0
+    def test_selftest_passes(self, capsys, self_test_checks):
+        # the session's checks stand in for the five check functions; self_test prints them and
+        # _cmd_selftest turns them into the exit code (the closed-stdout test runs the real command)
+        names = ("_check_conjugation", "_check_convergence_order", "_check_shortening",
+                 "_check_iteration_pattern", "_check_ideal_eo_exactness")
+        with contextlib.ExitStack() as stack:
+            for name, check in zip(names, self_test_checks.values(), strict=True):
+                stack.enter_context(mock.patch.object(experiments, name, return_value=check))
+            assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 5
         assert "[FAIL]" not in out

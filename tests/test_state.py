@@ -83,10 +83,10 @@ class TestBasisState:
         assert np.sum(np.abs(s.amp) ** 2) == 1.0
 
     def test_capacity_bounds(self):
-        with pytest.raises(CapacityError):
-            new_basis_state(0, [])
-        with pytest.raises(CapacityError):
-            new_basis_state(27, [0] * 27)
+        for build in (lambda: new_basis_state(0, []), lambda: new_basis_state(27, [0] * 27),
+                      lambda: SpinModel(0), lambda: SpinModel(27)):
+            with pytest.raises(CapacityError):
+                build()
 
     def test_wrong_bits(self):
         with pytest.raises(ValueError):
