@@ -126,7 +126,9 @@ def _print_and_write(report, path, extra_lines=()) -> None:
 
 
 def _cmd_selftest(args) -> int:
-    checks = self_test(report_fn=print)
+    checks = self_test()
+    for c in checks:
+        print(f"[{'PASS' if c.ok else 'FAIL'}] {c.name}: {c.detail}")
     return EXIT_OK if all(c.ok for c in checks) else EXIT_SELFCHECK
 
 

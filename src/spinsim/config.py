@@ -225,7 +225,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _exact_tau_over_2pi(tau: float) -> float:
-    """Value t with TWO_PI * t == tau bitwise, when one exists within 2 ulp."""
+    """Value t with TWO_PI * t == tau bitwise, when one exists within 1 ulp of tau / TWO_PI; else
+    tau / TWO_PI, whose TWO_PI * t is within one ulp of tau."""
     t = tau / TWO_PI
     for cand in (t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf)):
         if TWO_PI * cand == tau:
@@ -236,8 +237,10 @@ def _exact_tau_over_2pi(tau: float) -> float:
 def dump_profile(profile: HardwareProfile) -> str:
     """Render a hardware profile and its search programs as config text.
 
-    Re-parsing the output reconstructs every duration and parameter bitwise,
-    so a dumped-and-rerun experiment matches the preset path exactly.
+    Re-parsing the output reconstructs every parameter bitwise, and every
+    duration that is TWO_PI times a float, as every built-in and parsed one
+    is, so a dumped-and-rerun experiment matches the preset path exactly. Any
+    other duration comes back within one ulp.
     """
     lines = [f"# spinsim hardware profile: {profile.kind}", f"L = {profile.eos[EO_NAMES[0]].model.L}", ""]
     for name in EO_NAMES:

@@ -303,16 +303,12 @@ def _check_ideal_eo_exactness() -> CheckResult:
     )
 
 
-def self_test(report_fn=None) -> list:
+def self_test() -> list:
     """Run the oracle cross-checks; returns one CheckResult per check."""
-    checks = [
+    return [
         _check_conjugation(),
         _check_convergence_order(),
         _check_shortening(),
         _check_iteration_pattern(),
         _check_ideal_eo_exactness(),
     ]
-    if report_fn is not None:
-        for c in checks:
-            report_fn(f"[{'PASS' if c.ok else 'FAIL'}] {c.name}: {c.detail}")
-    return checks

@@ -254,7 +254,8 @@ def _facts(model: SpinModel, tau: float) -> _Facts:
     """The ``_Facts`` of ``model``, which must pass ``validate``, held for a finite duration ``tau``."""
     with np.errstate(over="ignore"):
         h_scale, j_scale = np.max(np.abs(model.static_field) + np.abs(model.rf_amp)), np.max(np.abs(model.coupling))
-    freqs = _distinct(np.abs(model.rf_freq[model.rf_amp != 0.0]))[0].tolist()
+    # return_inverse keeps np.unique on its sorting path; the hash path imports numpy.ma on first use
+    freqs = np.unique(np.abs(model.rf_freq[model.rf_amp != 0.0]), return_inverse=True)[0].tolist()
     turns = freqs[0] * tau / TWO_PI if len(freqs) == 1 else 0.0
     k = round(turns) if math.isfinite(turns) else 1
     k = k if k > 1 and abs(turns - k) <= 4 * math.ulp(turns) else 1
@@ -327,10 +328,6 @@ class PulseSequence:
 
     def __iter__(self):
         return iter(self.eos)
-
-    @property
-    def total_duration(self) -> float:
-        return sum(eo.tau for eo in self.eos)
 
 
 @dataclass(frozen=True)
@@ -882,14 +879,6 @@ def _concatenate(parts: list, dim: int) -> Observables:
     return Observables(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(Observables)))
 
 
-def _distinct(values: np.ndarray) -> tuple:
-    """The sorted distinct entries of ``values`` and the index of each entry among them, as
-    np.unique gives them; np.unique is not used because its first call imports numpy.ma."""
-    ordered = np.sort(values)
-    distinct = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
-    return distinct, np.searchsorted(distinct, values)
-
-
 def _check_stride(sample_every) -> None:
     """Raise ValueError unless ``sample_every`` is None or an integer >= 1."""
     if sample_every is not None and not isinstance(sample_every, numbers.Integral):
@@ -920,7 +909,7 @@ def _matrix_pieces(eo: ElementaryOperation, prog: _StepProgram, plan: StepPlan, 
         k = 1
     ends = _grid(plan.m, sample_every or plan.m)
     q, r = np.divmod(ends - 1, plan.m // k)
-    cuts, index = _distinct(r + 1)  # the residues 1..p; the end's is p
+    cuts, index = np.unique(r + 1, return_inverse=True)  # the residues 1..p; the end's is p
     if k == 1 or cuts.size * dim**2 > _KEPT_ELEMENTS:
         k, cuts = 1, ends
     p, carry, prefixes = plan.m // k, np.eye(dim), []
@@ -942,7 +931,7 @@ def _matrix_pieces(eo: ElementaryOperation, prog: _StepProgram, plan: StepPlan, 
     prefixes = np.concatenate(prefixes)
     for lo in range(0, ends.size, chunk):
         hi = min(lo + chunk, ends.size)
-        qs, inverse = _distinct(q[lo:hi])
+        qs, inverse = np.unique(q[lo:hi], return_inverse=True)
         lift = np.stack([np.linalg.matrix_power(carry, int(power)) for power in qs])  # carry is U
         yield lift[inverse] @ prefixes[index[lo:hi]]
 

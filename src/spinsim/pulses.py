@@ -181,11 +181,9 @@ def full_search_product(item: int) -> list:
 
 @dataclass
 class GroverProgram:
-    """Initialization plus the shortened search program for one item."""
+    """Initialization plus the shortened search program for one item. Every reader takes only
+    ``seq``; the class stays because ``perfbench/workloads.py`` reads ``grover_program(...).seq``."""
 
-    item: int
-    profile: HardwareProfile
-    init_order: str
     seq: PulseSequence
 
 
@@ -201,4 +199,4 @@ def grover_program(item: int, profile: HardwareProfile, init_order: str = "12") 
         raise ValueError(f"init_order must be one of {INIT_ORDERS}, got {init_order!r}")
     first, second = (1, 2) if init_order == "12" else (2, 1)
     product = shortened_search_product(item) + wh_transform_product(second) + wh_transform_product(first)
-    return GroverProgram(item=item, profile=profile, init_order=init_order, seq=sequence_from_product(profile, product))
+    return GroverProgram(sequence_from_product(profile, product))

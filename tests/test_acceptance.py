@@ -65,7 +65,7 @@ def _scaled_plan_run(item, init, k):
     seq = grover_program(item, make_profile("nmr"), init).seq
     plans = [StepPlan(k * auto_substeps(eo).m, eo.tau) for eo in seq.eos]
     final, _ = run_sequence(new_basis_state(2, [0, 0]), seq, sample_every=10**9, plans=plans)
-    obs = final.observables(t=seq.total_duration)
+    obs = final.observables()
     return SimpleNamespace(q=tuple(float(qj) for qj in obs.q), norm=obs.norm)
 
 

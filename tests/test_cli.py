@@ -209,6 +209,13 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--sequence", "s"]) == 1
         assert "config error: line" in capsys.readouterr().err
 
+    def test_no_sequence_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "no_run.cfg"
+        cfg.write_text("L = 1\n[eo A]\ntau_over_2pi = 1\n[sequence s]\neos = A\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "spinsim: config error: no sequence given (use --sequence or a [run] section)\n")
+
     def test_empty_sequence_yields_single_sample(self, tmp_path, capsys):
         # a [run] with a defined but never-extended sequence cannot exist, so
         # use a zero-duration EO, which is the identity

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinsim.config import ConfigError, dump_profile, parse_config
-from spinsim.propagator import ElementaryOperation
+from spinsim.config import ConfigError, _exact_tau_over_2pi, dump_profile, parse_config
+from spinsim.propagator import TWO_PI, ElementaryOperation
 from spinsim.pulses import EO_NAMES, HardwareProfile, make_profile
 
 SAMPLE = """
@@ -108,6 +108,8 @@ class TestParsing:
             ("[run]\nsequence = s\n[run]  # merged, t would win\nsequence = t", 3, r"duplicate \[run\] section"),
             ("[sequence s]\n[run]\nsequence = s", 1, r"\[sequence s\] is missing an eos line"),
             ("[eo A]\ntau_over_2pi = 1\n[sequence s]  # no eos line", 3, "missing an eos line"),
+            ("[eo A]\ntau_over_2pi = 1\nh0 x one = 1", 3, "expected a qubit index, got 'one'"),
+            ("[eo A]\ntau_over_2pi = 1\n[sequence s]\neos = , ", 4, "empty EO list"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):
@@ -174,6 +176,18 @@ class TestDump:
             assert b.tau == a.tau
             for arr in ("coupling", "static_field", "rf_amp", "rf_freq", "rf_phase"):
                 assert np.array_equal(getattr(a.model, arr), getattr(b.model, arr))
+
+    def test_durations_off_the_two_pi_grid_reparse_within_one_ulp(self):
+        # no float t has TWO_PI * t == 13.522987986828882, so it comes back one ulp off; a duration
+        # that is TWO_PI times a float, as every built-in and parsed one is, comes back bitwise
+        nmr, tau = make_profile("nmr"), 13.522987986828882
+        eos = {**nmr.eos, "X1": ElementaryOperation("X1", nmr.eos["X1"].model, tau)}
+        assert parse_config(dump_profile(HardwareProfile("nmr", eos))).eos["X1"].tau == tau + math.ulp(tau)
+        taus = np.random.default_rng(40).uniform(0.1, 100.0, 1000).tolist()
+        backs = [TWO_PI * float(repr(_exact_tau_over_2pi(tau))) for tau in taus]
+        assert all(abs(back - tau) <= math.ulp(tau) for tau, back in zip(taus, backs))
+        assert 0 < sum(back != tau for tau, back in zip(taus, backs)) < len(taus)
+        assert all(TWO_PI * float(repr(_exact_tau_over_2pi(TWO_PI * t))) == TWO_PI * t for t in taus)
 
     def test_dump_includes_search_programs(self):
         cfg = parse_config(dump_profile(make_profile("ideal")))

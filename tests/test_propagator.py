@@ -28,7 +28,8 @@ from spinsim.propagator import (
 from spinsim import propagator
 from spinsim.propagator import _axis_multiplier, _gate_blocks, _global_gate
 from spinsim.pulses import grover_program, make_profile
-from spinsim.reference import dense_propagator, embed_single, hamiltonian, pairs_step_oracle
+from spinsim.reference import (dense_propagator, embed_single, grover_iterate_check, hamiltonian, ideal_gate,
+                               pairs_step_oracle)
 from spinsim.state import StateVector, fidelity, new_basis_state, spin_z_values
 
 TWO_PI = 2.0 * math.pi
@@ -467,6 +468,21 @@ class TestFoldedPasses:
         counters.reset()
         evolve_eo(random_state(self.L, 710), ElementaryOperation("e", model, 0.4), 0.0, plan=StepPlan(40, 0.4))
         assert (counters.diagonal_sweeps, counters.global_rotations) == (80, 40)
+
+    @pytest.mark.parametrize("amplitude", [1e-3, 1e-5, 1e-7])
+    def test_a_weak_drive_above_the_lowest_block_matches_the_dense_propagator(self, amplitude):
+        # a z-coupled chain with one weak x drive, on qubit 6: its pass gates lie near their fold
+        # targets without meeting them, so they fold only within rounding. The errors are at most
+        # 1.7e-11; folding within 1e-6 instead gives 1.6e-9 to 1.6e-5, 16 to 1.6e5 times the bound
+        model = SpinModel(6).set_rf(6, "x", amplitude, 1.0)
+        for j in range(1, 7):
+            model.set_static(j, "z", 1 + j / 6)
+            if j < 6:
+                model.set_coupling(j, j + 1, "z", 0.05 * j)
+        s = random_state(6, 760)
+        exact = dense_propagator(model, 0.0, 0.5) @ s.amp
+        evolve_eo(s, ElementaryOperation("e", model, 0.5), 0.0, StepPlan(400, 0.5))
+        assert np.max(np.abs(s.amp - exact)) < 1e-10
 
     @pytest.mark.parametrize("L", [5, 6, 17])
     def test_a_chunk_steps_by_index_as_one_substep_at_a_time(self, L):
@@ -978,6 +994,18 @@ class TestEvolveEo:
         out, samples = evolve_eo(s, ElementaryOperation("idle", SpinModel(2), 0.0), 5.0)
         assert samples.t.shape == (0,) and samples.q.shape == (0, 2)
         assert np.array_equal(out.amp, ref)
+
+    @pytest.mark.parametrize("L", [2, 5])  # step matrices and in place
+    def test_a_drive_of_frequency_zero_is_a_static_field(self, L):
+        # the drive h1 sin(0 t + phi) is the static field h1 sin(phi) on its axis
+        base = SpinModel(L).set_static(1, "z", 1.0).set_coupling(1, 2, "z", 0.3).set_rf(1, "y", 0.2, 1.3)
+        runs = []
+        for model in (copy.deepcopy(base).set_rf(2, "x", 0.7, 0.0, 0.4),
+                      copy.deepcopy(base).set_static(2, "x", 0.7 * math.sin(0.4))):
+            s = random_state(L, 770 + L)
+            evolve_eo(s, ElementaryOperation("e", model, 2.0), 0.0, StepPlan(64, 2.0))
+            runs.append(s.amp)
+        assert np.array_equal(*runs)
 
     def test_conditional_evolution_phases(self):
         # J_z = -1e-6 held for tau = -pi/J: phases -/+ pi/4 on aligned/anti-aligned
@@ -1718,6 +1746,13 @@ def _model_with(**entries):
     return m
 
 
+def _strided_state():
+    """The one-qubit state |0> over a strided view of amplitudes, which no constructor makes."""
+    s = new_basis_state(1, [0])
+    s.amp = np.repeat(s.amp, 2)[::2]
+    return s
+
+
 #: (a call, the whole message of the ValueError it raises)
 BAD_ARGUMENTS = [
     (lambda: run_sequence(new_basis_state(1, [0]), PulseSequence([]), sample_every=0),
@@ -1753,6 +1788,13 @@ BAD_ARGUMENTS = [
     (lambda: PulseSequence([ElementaryOperation("a", SpinModel(1), 1.0), ElementaryOperation("b", SpinModel(2), 1.0)]),
      "all operations in a sequence must share one qubit count"),
     (lambda: global_half_pi_rotation(new_basis_state(1, [0]), "z"), "rotation axis must be 'x' or 'y', got 'z'"),
+    (lambda: SpinModel(1).set_static(1, "w", 1.0), "axis must be 'x', 'y' or 'z', got 'w'"),
+    (lambda: new_basis_state(1, [0]).apply_gate(2, np.eye(2)), "qubit index must be in 1..1, got 2"),
+    (lambda: new_basis_state(1, [0]).apply_gate(1, np.eye(3)), "gate must be a 2x2 matrix"),
+    (lambda: _strided_state().apply_gate(1, np.eye(2)), "amplitude array must be C-contiguous"),
+    (lambda: ideal_gate("X", 3, 2), "qubit index 3 out of range for L=2 (L <= 10)"),
+    (lambda: grover_iterate_check(4), "item must be 0..3, got 4"),
+    (lambda: dense_propagator(SpinModel(1), 0.0, 1.0, n_slices=0), "n_slices must be >= 1"),
     (lambda: symmetrized_step(new_basis_state(2, [0, 0]), SpinModel(2).set_static(1, "z", 1e308), 10.0, 0.0),
      "a substep of length 10 advances a phase that is not finite: field scale 1e+308, coupling scale 0"),
     (lambda: evolve_eo(new_basis_state(5, [0] * 5), ElementaryOperation("e", SpinModel(5).set_coupling(

@@ -1,5 +1,6 @@
 """Oracle tests: exact gates, diffusion iteration, dense propagators."""
 
+import copy
 import math
 
 import numpy as np
@@ -212,6 +213,17 @@ class TestDensePropagator:
         m = SpinModel(2).set_rf(1, "x", 0.4, 1.0).set_static(2, "z", 0.3)
         u = dense_propagator(m, 0.0, 2.0, tol=1e-10)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
+
+    def test_zero_duration_is_the_identity(self):
+        m = SpinModel(2).set_static(1, "z", 1.0).set_rf(2, "x", 0.4, 1.3, 0.2)
+        assert np.array_equal(dense_propagator(m, 0.7, 0.0), np.eye(4))
+
+    def test_zero_frequency_drive_is_a_static_field(self):
+        # a drive of frequency 0 is the static field h1 sin(phi) on its axis
+        base = SpinModel(2).set_static(1, "z", 1.0).set_coupling(1, 2, "z", 0.3).set_rf(1, "y", 0.2, 1.3)
+        driven = copy.deepcopy(base).set_rf(2, "x", 0.7, 0.0, 0.4)
+        static = copy.deepcopy(base).set_static(2, "x", 0.7 * math.sin(0.4))
+        assert np.array_equal(dense_propagator(driven, 0.0, 2.0), dense_propagator(static, 0.0, 2.0))
 
     def test_capacity_limit(self):
         with pytest.raises(ValueError, match="L <= 6"):

@@ -84,7 +84,7 @@ class TestBasisState:
 
     def test_capacity_bounds(self):
         for build in (lambda: new_basis_state(0, []), lambda: new_basis_state(27, [0] * 27),
-                      lambda: SpinModel(0), lambda: SpinModel(27)):
+                      lambda: SpinModel(0), lambda: SpinModel(27), lambda: StateVector(0), lambda: StateVector(27)):
             with pytest.raises(CapacityError):
                 build()
 
