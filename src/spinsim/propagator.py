@@ -254,8 +254,7 @@ def _facts(model: SpinModel, tau: float) -> _Facts:
     """The ``_Facts`` of ``model``, which must pass ``validate``, held for a finite duration ``tau``."""
     with np.errstate(over="ignore"):
         h_scale, j_scale = np.max(np.abs(model.static_field) + np.abs(model.rf_amp)), np.max(np.abs(model.coupling))
-    # return_inverse keeps np.unique on its sorting path; the hash path imports numpy.ma on first use
-    freqs = np.unique(np.abs(model.rf_freq[model.rf_amp != 0.0]), return_inverse=True)[0].tolist()
+    freqs = sorted(set(np.abs(model.rf_freq[model.rf_amp != 0.0]).tolist()))
     turns = freqs[0] * tau / TWO_PI if len(freqs) == 1 else 0.0
     k = round(turns) if math.isfinite(turns) else 1
     k = k if k > 1 and abs(turns - k) <= 4 * math.ulp(turns) else 1
@@ -442,12 +441,11 @@ def _split(alpha, beta, u0, v0) -> tuple:
 
     c, p, q = fit(u0, v0)
     fits = np.abs(p.imag) + np.abs(q.imag) <= _ROUNDING
-    if not fits.all():
-        a, b = np.angle(alpha), np.angle(beta)
-        own = 0.5 * np.array([a + b, a - b])
-        own -= 0.5 * np.pi * np.round(own / (0.5 * np.pi))
-        u0, v0 = np.where(fits, u0, own[0]), np.where(fits, v0, own[1])
-        c, p, q = fit(u0, v0)
+    a, b = np.angle(alpha), np.angle(beta)
+    own = 0.5 * np.array([a + b, a - b])
+    own -= 0.5 * np.pi * np.round(own / (0.5 * np.pi))
+    u0, v0 = np.where(fits, u0, own[0]), np.where(fits, v0, own[1])
+    c, p, q = fit(u0, v0)
     p, q, s = p.real, q.real, (c * c).real  # s = -1 where c = i: R is then a reflection
     return c, np.stack([np.stack([p, q], -1), np.stack([-s * q, s * p], -1)], -2), u0, v0
 
@@ -480,8 +478,6 @@ def _gate_blocks(alpha, beta, L: int, u0=0.0, v0=0.0) -> tuple:
     g = np.empty(shape[:-1] + (low, 2, 2), dtype=np.complex128)
     a, b = alpha[..., :low], beta[..., :low]
     g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1] = a, b, -np.conj(b), np.conj(a)
-    if L == low:
-        return [_kron(g)], None, None
     c, r, u, v = _split(alpha[..., low:], beta[..., low:], u0, v0)
     blocks = [_kron(g) * np.prod(c, axis=-1)[..., None, None]]
     blocks += [_kron(r[..., lo:lo + _GATE_BLOCK, :, :]) for lo in range(0, L - low, _GATE_BLOCK)]
@@ -698,8 +694,6 @@ class _StepProgram:
         ``_gate_blocks`` puts the difference into row scalings.
         """
         low = min(self.L, _GATE_BLOCK)
-        if self.L == low:  # no qubit above the lowest block
-            return {}
         held, high = {}, np.arange(self.L - low)
         for op in self.passes:
             alpha, beta = (np.broadcast_to(x, (2, self.L))[:, low:]

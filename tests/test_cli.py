@@ -119,7 +119,8 @@ class TestGroverCommand:
         assert listed.split(",") == [name.strip() for name in documented.split(",")]
 
     def test_an_nmr_program_does_not_import_numpy_ma(self):
-        # np.unique and np.union1d import numpy.ma on first use, about 1.6 MB resident
+        # a values-only np.unique call imports numpy.ma, about 1.6 MB resident;
+        # this guards the np.unique calls of _matrix_pieces
         script = textwrap.dedent("""
             import contextlib, io, sys
             from spinsim import cli

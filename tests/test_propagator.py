@@ -664,6 +664,19 @@ class TestStepLayouts:
         self.check_step(model, seed)
         if L > 4:
             return
+        # up to L = 4 no qubit is above the lowest block: every pass is one
+        # block with no row scaling, and folding adds only zero fields
+        extras, fold = [], propagator._StepProgram._fold
+
+        def recorded(prog, delta):
+            extras.append(fold(prog, delta))
+            return extras[-1]
+
+        with mock.patch.object(propagator._StepProgram, "_fold", recorded):
+            prog = propagator._StepProgram(model, 0.23)
+        assert all(len(blocks) == 1 and before is None and after is None
+                   for blocks, before, after in prog.pass_parts(np.array([0.1, 1.3])))
+        assert not any(extra.any() for extra in extras[0].values())
         eo = ElementaryOperation("e", model, 0.5)
         psi0 = random_state(L, seed + 1)
         by_matrices, in_place = psi0.copy(), psi0.copy()
