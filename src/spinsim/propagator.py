@@ -432,22 +432,20 @@ def _split(alpha, beta, u0, v0) -> tuple:
     arg beta, reduced mod pi/2. Z(pi/2) = i sigma_z puts its sigma_z into R
     and its i into c.
     """
-    alpha, beta, u0, v0 = np.broadcast_arrays(alpha, beta, u0, v0)
-
-    def fit(u, v):  # g's real part R in the frame of Z(u), Z(v), up to c
-        p, q = alpha * np.exp(-1j * (u + v)), beta * np.exp(-1j * (u - v))
-        c = np.where(np.abs(p.real) + np.abs(q.real) >= np.abs(p.imag) + np.abs(q.imag), 1.0 + 0j, 1j)
-        return c, p * np.conj(c), q * np.conj(c)
-
-    c, p, q = fit(u0, v0)
-    fits = np.abs(p.imag) + np.abs(q.imag) <= _ROUNDING
-    a, b = np.angle(alpha), np.angle(beta)
-    own = 0.5 * np.array([a + b, a - b])
-    own -= 0.5 * np.pi * np.round(own / (0.5 * np.pi))
-    u0, v0 = np.where(fits, u0, own[0]), np.where(fits, v0, own[1])
-    c, p, q = fit(u0, v0)
-    p, q, s = p.real, q.real, (c * c).real  # s = -1 where c = i: R is then a reflection
-    return c, np.stack([np.stack([p, q], -1), np.stack([-s * q, s * p], -1)], -2), u0, v0
+    shape = np.broadcast_shapes(np.shape(alpha), np.shape(beta), np.shape(u0), np.shape(v0))
+    a, b, w = np.angle(alpha), np.angle(beta), np.empty((2, 2) + shape)  # w[f] = (u, v): f = 0 targets, 1 own
+    w[0, 0], w[0, 1], w[1, 0], w[1, 1] = u0, v0, a + b, a - b
+    w[1] *= 0.5
+    w[1] -= 0.5 * np.pi * np.round(w[1] / (0.5 * np.pi))
+    u, v = w[:, 0], w[:, 1]  # g's real part R in each frame of Z(u), Z(v), up to c
+    p, q = alpha * np.exp(-1j * (u + v)), beta * np.exp(-1j * (u - v))
+    c = np.where(np.abs(p.real) + np.abs(q.real) >= np.abs(p.imag) + np.abs(q.imag), 1.0 + 0j, 1j)
+    p, q = p * np.conj(c), q * np.conj(c)
+    fits = np.abs(p[0].imag) + np.abs(q[0].imag) <= _ROUNDING
+    c, p, q, u, v = (np.where(fits, x[0], x[1]) for x in (c, p.real, q.real, u, v))
+    s, r = (c * c).real, np.empty(shape + (2, 2))  # s = -1 where c = i: R is then a reflection
+    r[..., 0, 0], r[..., 0, 1], r[..., 1, 0], r[..., 1, 1] = p, q, -s * q, s * p
+    return c, r, u, v
 
 
 def _kron(g: np.ndarray) -> np.ndarray:
@@ -882,10 +880,12 @@ def _check_stride(sample_every) -> None:
 
 
 def _grid(m: int, sample_every: int | None) -> np.ndarray:
-    """The substeps sampled in m: every ``sample_every``-th one and the last, as int64; none for None."""
+    """The substeps sampled in m: every ``sample_every``-th one and the last, as int64; none for None.
+    A stride of m or more, also one that no int64 holds, samples the last substep only."""
     if sample_every is None:
         return np.empty(0, dtype=np.int64)
-    return np.append(np.arange(1, (m - 1) // sample_every + 1, dtype=np.int64) * sample_every, m)
+    k = min(sample_every, m)
+    return np.append(np.arange(1, (m - 1) // k + 1, dtype=np.int64) * k, m)
 
 
 def _matrix_pieces(eo: ElementaryOperation, prog: _StepProgram, plan: StepPlan, sample_every: int | None):

@@ -133,6 +133,15 @@ class TestGroverCommand:
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_a_stride_beyond_int64_samples_each_last_substep(self, tmp_path, capsys):
+        # a stride that no int64 holds samples like one of m or more
+        huge, pinned = tmp_path / "huge.csv", tmp_path / "pinned.csv"
+        for stride, out in (("99999999999999999999", huge), (PINNED[1], pinned)):
+            assert main(["grover", "--hardware", "nmr", "--item", "0", "--sample-every", stride,
+                         "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+        assert huge.read_bytes() == pinned.read_bytes()
+
 
 class TestSharedProfile:
     """The 8 NMR search programs share one profile, whose instructions keep their step-matrix pieces."""
@@ -234,6 +243,19 @@ class TestRunCommand:
         cfg.write_text(IDLE_CONFIG)
         assert main(["run", "--config", str(cfg)]) == 0
         assert "  operations 2, substeps 0, samples 1" in capsys.readouterr().out.splitlines()
+
+    def test_a_config_stride_beyond_int64_samples_each_last_substep(self, tmp_path, capsys):
+        # the [run] section's sample_every, as the --sample-every option
+        main(["dump-profile", "nmr", "--out", str(tmp_path / "nmr.cfg")])
+        csvs = []
+        for stride in ("99999999999999999999", PINNED[1]):
+            cfg, out = tmp_path / f"{stride}.cfg", tmp_path / f"{stride}.csv"
+            cfg.write_text((tmp_path / "nmr.cfg").read_text() + f"sample_every = {stride}\n")  # ends in [run]
+            capsys.readouterr()
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_round_trip_matches_preset(self, tmp_path, capsys):
         # dump the nmr profile, rerun a search program from the config text,

@@ -365,7 +365,7 @@ class TestSplit:
         c, r, u, v = propagator._split(alpha, beta, u0, v0)
         assert r.dtype == np.float64 and np.all((c == 1) | (c == 1j))
         rebuilt = c[..., None, None] * z_phase(u) @ r @ z_phase(v)
-        assert np.max(np.abs(rebuilt - self.gates(alpha, beta))) < 1e-15
+        assert np.max(np.abs(rebuilt - self.gates(alpha, beta)), initial=0.0) < 1e-15
         return u, v
 
     def test_random_gates(self):
@@ -399,6 +399,32 @@ class TestSplit:
         u, v = self.assert_rebuilds(alpha[:5], beta[:5])
         for w in (u, v):
             assert np.allclose(np.cos(4 * w) ** 2, 1.0, atol=1e-15)
+
+    def test_a_substep_axis_with_per_qubit_targets(self):
+        # gates (n, H) with targets (H,), as _gate_blocks passes them: each
+        # substep splits as it would alone, and the first keeps its own phases
+        alpha, beta = quarter_turn_products(2)
+        alpha, beta = alpha[:20].reshape(4, 5), beta[:20].reshape(4, 5)
+        _, _, u0, v0 = propagator._split(alpha[0], beta[0], 0.0, 0.0)
+        u, v = self.assert_rebuilds(alpha, beta, u0, v0)
+        assert u.shape == v.shape == (4, 5)
+        assert np.array_equal(u[0], u0) and np.array_equal(v[0], v0)
+        split = propagator._split(alpha, beta, u0, v0)
+        for n in range(4):
+            assert all(np.array_equal(x[n], y) for x, y in zip(split, propagator._split(alpha[n], beta[n], u0, v0)))
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_no_gates(self, lead):
+        empty = np.empty(lead + (0,), dtype=np.complex128)
+        c, r, u, v = propagator._split(empty, empty, np.zeros(0), 0.0)
+        assert c.shape == u.shape == v.shape == lead + (0,) and r.shape == lead + (0, 2, 2)
+        self.assert_rebuilds(empty, empty)
+
+    def test_a_negative_zero_target_keeps_its_sign(self):
+        # the identity fits the targets (-0.0, 0.0) and gives them back bit for bit
+        u, v = self.assert_rebuilds(np.ones(2, dtype=np.complex128), np.zeros(2, dtype=np.complex128),
+                                    np.array([-0.0, 0.0]), -0.0)
+        assert np.array_equal(np.signbit(u), [True, False]) and np.all(np.signbit(v))
 
 
 class TestFoldedPasses:
@@ -1078,7 +1104,8 @@ class TestEvolveEo:
         # A stride that is not an integer >= 1 is refused with one text by
         # evolve_eo and by run_sequence, before the first substep
         eo, plan = ElementaryOperation("e", random_driven_model(2, 14), 1.0), StepPlan(10, 1.0)
-        grids = [(3, [3, 6, 9, 10]), (5, [5, 10]), (10, [10]), (11, [10]), (None, [])]
+        # a stride of m or more, also one that no int64 holds, samples the last substep only
+        grids = [(3, [3, 6, 9, 10]), (5, [5, 10]), (10, [10]), (11, [10]), (2**63, [10]), (10**30, [10]), (None, [])]
         for batch_max_dim in (propagator._BATCH_MAX_DIM, 1):  # 1: in place at L = 2
             monkeypatch.setattr(propagator, "_BATCH_MAX_DIM", batch_max_dim)
             every_substep = evolve_eo(random_state(2, 15), eo, 0.5, plan, sample_every=1)[1]

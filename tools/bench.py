@@ -185,6 +185,12 @@ def scale_rows() -> dict:
     return rows
 
 
+def archive_head(dest: Path) -> None:
+    """Extract the committed tree of HEAD into the directory ``dest`` with ``git archive``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", "HEAD"], cwd=ROOT, capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+
+
 def _run(cmd: list, cwd: Path, env: dict | None = None) -> str:
     proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -203,8 +209,7 @@ def main() -> int:
     out = ROOT / f"BENCH_{max(bench_files(ROOT), default=0) + 1}.json"
     with tempfile.TemporaryDirectory(prefix="spinsim-bench-") as tmp:
         copy = Path(tmp)
-        archive = subprocess.run(["git", "archive", "--format=tar", "HEAD"], cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", str(copy)], input=archive.stdout, check=True)
+        archive_head(copy)
         results, env = {w: [] for w in workloads}, None
         for batch in range(BATCHES):
             for seed in SEEDS:
