@@ -104,7 +104,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .state import MAX_QUBITS, CapacityError, Observables, StateVector, check_axis, observables_of, spin_z_values
+from .state import (_TILE, MAX_QUBITS, CapacityError, Observables, StateVector, check_axis, observables_of,
+                    spin_z_values)
 
 #: The quarter-turns Rx = exp(+i (pi/2) Sx), Ry = exp(-i (pi/2) Sy) and their
 #: inverses, each as (alpha, beta) of g = [[alpha, beta], [-conj(beta), conj(alpha)]].
@@ -115,9 +116,6 @@ _INVERSE = {"Rx": "Rx+", "Rx+": "Rx", "Ry": "Ry+", "Ry+": "Ry"}
 _ORDER = ((2, 0.5), "Rx+", (1, 0.5), "Rx", "Ry+", (0, 1.0), "Ry", "Rx+", (1, 0.5), "Rx", (2, 0.5))
 #: Qubits per matmul of a global gate pass; see the module docstring.
 _GATE_BLOCK = 4
-#: Amplitudes per tile of a global pass (1 MiB, so a tile and its buffer fit
-#: a 2 MiB L2 cache); see the module docstring.
-_TILE = 1 << 16
 #: Largest imaginary part of a real pass factor that _split drops as rounding.
 _ROUNDING = 1e-14
 

@@ -36,6 +36,10 @@ import numpy as np
 #: Largest supported register; 2**26 complex amplitudes is about 1 GiB.
 MAX_QUBITS = 26
 
+#: Amplitudes per tile (1 MiB, so a tile and its buffer fit a 2 MiB L2
+#: cache): the most scratch that a global pass or an observables read holds.
+_TILE = 1 << 16
+
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
@@ -94,18 +98,16 @@ class StateVector:
             amp = np.zeros(dim, dtype=np.complex128)
             amp[0] = 1.0
         else:
-            amp = np.asarray(amp, dtype=np.complex128)
+            amp = np.array(amp, dtype=np.complex128, order="C")  # the register's one copy, checked in place
             if amp.shape != (dim,):
                 raise ValueError(f"amplitude array must have shape ({dim},), got {amp.shape}")
-            if not np.all(np.isfinite(amp)):
+            if not np.isfinite(amp).all():
                 raise ValueError("amplitudes must be finite")
-            with np.errstate(over="ignore"):  # huge finite amplitudes: inf norm, rejected below
-                nrm = math.sqrt(float(np.sum(np.abs(amp) ** 2)))
+            nrm = math.sqrt(np.vdot(amp, amp).real)
             if not math.isfinite(nrm):
                 raise ValueError(f"state norm is not finite: |amp| = {nrm!r}")
             if abs(nrm - 1.0) > 1e-9:
                 raise ValueError(f"state is not normalized: |amp| = {nrm!r}")
-            amp = amp.copy()
         self.amp = amp
 
     def copy(self) -> "StateVector":
@@ -119,8 +121,8 @@ class StateVector:
         return self.amp.size
 
     def norm(self) -> float:
-        """2-norm, accumulated with numpy's pairwise summation (deterministic)."""
-        return math.sqrt(float(np.sum(self.amp.real**2 + self.amp.imag**2)))
+        """2-norm by one ``np.vdot``, no temporaries; the same bits for one input, BLAS build and thread count."""
+        return math.sqrt(np.vdot(self.amp, self.amp).real)
 
     def apply_gate(self, j: int, g: np.ndarray) -> "StateVector":
         """Apply a 2x2 unitary to qubit j, in place.
@@ -153,6 +155,12 @@ class StateVector:
         return observables_of(self.amp, t)
 
 
+def _cross(amp: np.ndarray, k: int) -> np.ndarray:
+    """<a0|a1> over the halves of every register in ``amp`` (its last axis) split on bit k."""
+    view = amp.reshape(amp.shape[:-1] + (amp.shape[-1] >> (k + 1), 2, 1 << k))
+    return np.vecdot(view[..., 0, :], view[..., 1, :]).sum(-1)
+
+
 def observables_of(amp: np.ndarray, t) -> Observables:
     """The observables of every register in ``amp`` at time(s) ``t``.
 
@@ -161,33 +169,38 @@ def observables_of(amp: np.ndarray, t) -> Observables:
     qubit j, with c = <a0|a1> over the halves split on bit j: <S^x> = Re c
     and <S^y> = Im c; <S^z> is the mean of +-1/2 over the populations.
 
-    With lo = L // 2 and hi = L - lo, the register is a (2^hi, 2^lo) grid
-    and ``tr`` its one transposed copy, in which bit j < lo of ``amp`` is
-    bit j + hi. Each qubit's halves so lie along a contiguous axis of at
-    least 2^lo entries of a strided view, of ``amp`` for j >= lo and of
-    ``tr`` for j < lo, and c is a row-wise ``vecdot`` summed over the rows;
-    no other copy is made. The row norms of the grid are the marginal of
-    the high bits and those of ``tr`` the marginal of the low bits; <S^z>
-    is a ``vecdot`` of each with a +-1/2 sign table, and the norm is the
-    square root of the first marginal's sum. Every reduction runs per row,
-    so a row of a batch is bitwise the call on that row alone.
+    With lo = L // 2 and hi = L - lo, the register is a (2^hi, 2^lo) grid.
+    For j >= lo, the halves of qubit j lie along a contiguous axis of at
+    least 2^lo entries of a strided view of ``amp``, and c is a row-wise
+    ``vecdot`` summed over the rows. For j < lo, the grid is read in blocks
+    of 2^r rows, one tile (_TILE amplitudes) at most: ``tr`` holds one block
+    transposed, in which bit j of ``amp`` is bit j + r, and gives the
+    block's partial c the same way; its row norms are the block's partial
+    marginal of the low bits. The partials are summed over the blocks, and
+    at one tile (every L <= 16) the loop runs once. The row norms of the
+    grid are the marginal of the high bits; <S^z> is a ``vecdot`` of each
+    marginal with a +-1/2 sign table, and the norm is the square root of
+    the high marginal's sum. Every reduction runs per row, so a row of a
+    batch is bitwise the call on that row alone.
     """
     lead, dim = amp.shape[:-1], amp.shape[-1]
     L = dim.bit_length() - 1
     lo = L // 2
     hi = L - lo
     grid = amp.reshape(lead + (1 << hi, 1 << lo))
-    tr = np.swapaxes(grid, -1, -2).copy()
-    cross = []
-    for j in range(L):
-        src, k = (amp, j) if j >= lo else (tr, j + hi)
-        view = src.reshape(lead + (dim >> (k + 1), 2, 1 << k))  # split on bit k
-        cross.append(np.vecdot(view[..., 0, :], view[..., 1, :]).sum(-1))
-    c = np.stack(cross, axis=-1)
+    rows = min(1 << hi, max(1, _TILE >> lo))
+    r = rows.bit_length() - 1
+    tr = np.empty(lead + (1 << lo, rows), dtype=amp.dtype)
+    flat = tr.reshape(lead + (rows << lo,))  # a view of tr, where bit j < lo of amp is bit j + r
+    for h0 in range(0, 1 << hi, rows):
+        np.copyto(tr, np.swapaxes(grid[..., h0:h0 + rows, :], -1, -2))
+        part = [_cross(flat, j + r) for j in range(lo)] + [np.vecdot(tr, tr)]
+        acc = part if h0 == 0 else [s + p for s, p in zip(acc, part)]
+    *cross, low = acc
+    c = np.stack(cross + [_cross(amp, j) for j in range(lo, L)], axis=-1)
     signs = np.array([spin_z_values(hi, b + 1) for b in range(hi)])  # signs[b]: +-1/2 on bit b
     high = np.vecdot(grid, grid).real
-    low = np.vecdot(tr, tr).real
-    sz = np.concatenate([np.vecdot(low[..., None, :], signs[:lo, : 1 << lo]),
+    sz = np.concatenate([np.vecdot(low.real[..., None, :], signs[:lo, : 1 << lo]),
                          np.vecdot(high[..., None, :], signs)], axis=-1)
     return Observables(sx=c.real, sy=c.imag, sz=sz, q=0.5 - sz, norm=np.sqrt(high.sum(-1)), t=t)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinsim import state
 from spinsim.propagator import SpinModel
 from spinsim.reference import hamiltonian
 from spinsim.state import (
@@ -64,6 +65,16 @@ def random_registers(rng, shape):
     return amp / np.linalg.norm(amp, axis=-1, keepdims=True)
 
 
+def peak_bytes(call):
+    """The tracemalloc peak of ``call()``, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBasisState:
     def test_all_up_is_index_zero(self):
         s = new_basis_state(2, [0, 0])
@@ -104,6 +115,7 @@ class TestBasisState:
         ([1.0, 0.0, 0.0], "amplitude array must have shape (2,), got (3,)"),
         ([[1.0, 0.0]], "amplitude array must have shape (2,), got (1, 2)"),
         ([0.5, 0.5], "state is not normalized: |amp| = 0.7071067811865476"),
+        ([1 + 1e-6, 0.0], "state is not normalized: |amp| = 1.000001"),
     ])
     def test_bad_amplitude_arrays_rejected(self, amp, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -119,6 +131,20 @@ class TestBasisState:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="not finite"):
                 StateVector(1, [1e200, 0.0])
+
+    def test_a_register_is_copied_once_and_checked_in_place(self):
+        # L = 18 is 4 MiB; beside its one copy the constructor holds the finiteness mask (1/16 of it)
+        # and a few small objects
+        amp = random_registers(np.random.default_rng(18), (1 << 18,))
+        assert peak_bytes(lambda: StateVector(18, amp)) <= 17 / 16 * amp.nbytes + 4096
+        real = np.abs(amp) / np.linalg.norm(np.abs(amp))  # a float64 input is converted, which is its one copy
+        assert peak_bytes(lambda: StateVector(18, real)) <= 17 / 16 * amp.nbytes + 4096
+        s = StateVector(18, real[::-1])
+        assert s.amp.flags.c_contiguous and s.amp.flags.owndata and np.array_equal(s.amp, real[::-1])
+
+    def test_norm_holds_no_register_sized_temporary(self):
+        s = StateVector(18, random_registers(np.random.default_rng(19), (1 << 18,)))
+        assert peak_bytes(s.norm) < s.amp.nbytes / 16
 
 
 class TestGateApplication:
@@ -229,41 +255,43 @@ class TestObservables:
 
     @pytest.mark.parametrize("L", range(1, 13))
     @pytest.mark.parametrize("lead", [(), (0,), (3,), (2, 3)])
-    def test_matches_reduced_density_matrices(self, L, lead):
-        # an oracle sharing no code with the kernel, past the sizes dense S^a_j reach and at odd L
+    def test_matches_reduced_density_matrices(self, L, lead, monkeypatch):
+        # an oracle sharing no code with the kernel, past the sizes dense S^a_j reach and at odd L;
+        # at a tile of 2^4 amplitudes, L = 5..12 read the grid in many transposed blocks
         amp = random_registers(np.random.default_rng(700 + L), lead + (1 << L,))
-        obs = observables_of(amp, 0.0)
-        for name in ("sx", "sy", "sz", "q"):
-            assert getattr(obs, name).shape == lead + (L,)
-        assert np.shape(obs.norm) == lead
-        for idx in np.ndindex(lead):
-            expected = reduced_expectations(amp[idx])
-            for j in range(1, L + 1):
-                assert abs(obs.sx[idx][j - 1] - expected[j, "x"]) <= 1e-15
-                assert abs(obs.sy[idx][j - 1] - expected[j, "y"]) <= 1e-15
-                assert abs(obs.sz[idx][j - 1] - expected[j, "z"]) <= 1e-15
-            assert abs(obs.norm[idx] - expected["norm"]) <= 1e-15
-        assert np.array_equal(obs.q, 0.5 - obs.sz)
+        for tile in (state._TILE, 1 << 4):
+            monkeypatch.setattr(state, "_TILE", tile)
+            obs = observables_of(amp, 0.0)
+            for name in ("sx", "sy", "sz", "q"):
+                assert getattr(obs, name).shape == lead + (L,)
+            assert np.shape(obs.norm) == lead
+            for idx in np.ndindex(lead):
+                expected = reduced_expectations(amp[idx])
+                for j in range(1, L + 1):
+                    assert abs(obs.sx[idx][j - 1] - expected[j, "x"]) <= 1e-15
+                    assert abs(obs.sy[idx][j - 1] - expected[j, "y"]) <= 1e-15
+                    assert abs(obs.sz[idx][j - 1] - expected[j, "z"]) <= 1e-15
+                assert abs(obs.norm[idx] - expected["norm"]) <= 1e-15
+            assert np.array_equal(obs.q, 0.5 - obs.sz)
 
     @pytest.mark.parametrize("L", range(1, 12))
-    def test_batch_rows_are_bitwise_one_state_calls(self, L):
-        # the in-place path reads amp[None] and StateVector.observables reads amp: both must give the same bytes
+    def test_batch_rows_are_bitwise_one_state_calls(self, L, monkeypatch):
+        # the in-place path reads amp[None] and StateVector.observables reads amp: both must give the same bytes,
+        # also when the grid is read in many transposed blocks (a tile of 2^4 amplitudes)
         amp = random_registers(np.random.default_rng(800 + L), (4, 1 << L))
-        obs = observables_of(amp, 0.0)
-        for i in range(len(amp)):
-            one = observables_of(amp[i], 0.0)
-            for name in ("sx", "sy", "sz", "q", "norm"):
-                assert np.array_equal(getattr(obs, name)[i], getattr(one, name))
+        for tile in (state._TILE, 1 << 4):
+            monkeypatch.setattr(state, "_TILE", tile)
+            obs = observables_of(amp, 0.0)
+            for i in range(len(amp)):
+                one = observables_of(amp[i], 0.0)
+                for name in ("sx", "sy", "sz", "q", "norm"):
+                    assert np.array_equal(getattr(obs, name)[i], getattr(one, name))
 
     def test_holds_one_transposed_copy(self):
-        amp = random_registers(np.random.default_rng(16), (1 << 16,))
-        tracemalloc.start()
-        try:
-            observables_of(amp, 0.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * amp.nbytes
+        # one tile of scratch: the whole register at L = 16, a quarter of it at L = 18
+        for L in (16, 18):
+            amp = random_registers(np.random.default_rng(L), (1 << L,))
+            assert peak_bytes(lambda: observables_of(amp, 0.0)) <= 1.1 * state._TILE * amp.itemsize
 
 
 class TestQubitValues:

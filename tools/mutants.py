@@ -55,9 +55,19 @@ MUTANTS = [
     Mutant(PROPAGATOR, "        view *= row[:, None]\n        view *= col\n", "        view *= row[:, None]\n",
            "_multiply drops the column factor"),
     Mutant(STATE, "np.vecdot(view[..., 0, :], view[..., 1, :])", "np.vecdot(view[..., 1, :], view[..., 0, :])",
-           "<a1|a0> for <a0|a1> in observables_of"),
+           "<a1|a0> for <a0|a1> in observables_of, for the qubits read from amp and from the blocks"),
+    Mutant(STATE, "else [s + p for s, p in zip(acc, part)]", "else part",
+           "observables_of keeps the last block's partial sums only"),
+    Mutant(STATE, "_cross(flat, j + r)", "_cross(flat, j + hi)",
+           "observables_of splits a transposed block on the whole grid's bit offset"),
+    Mutant(STATE, "if abs(nrm - 1.0) > 1e-9:", "if abs(nrm - 1.0) > 1e-3:", "StateVector's norm tolerance 1e-3"),
     Mutant(PROPAGATOR, "blk = (g[..., q, :, None, :, None] * blk[..., None, :, None, :])",
            "blk = (blk[..., :, None, :, None] * g[..., q, None, :, None, :])", "Kronecker factors in the wrong order"),
+    Mutant(PROPAGATOR, '_ORDER = ((2, 0.5), "Rx+", (1, 0.5), "Rx", "Ry+", (0, 1.0), "Ry", "Rx+", (1, 0.5), "Rx", '
+           '(2, 0.5))', '_ORDER = ((2, 1.0), "Rx+", (1, 0.5), "Rx", "Ry+", (0, 1.0), "Ry", "Rx+", (1, 0.5), "Rx")',
+           "the factor order loses its symmetry: both z halves first"),
+    Mutant(PROPAGATOR, "np.exp(1j * np.stack([phases, -phases], -1))", "np.exp(1j * np.stack([-phases, phases], -1))",
+           "_scale_rows' phases flipped in sign"),
     Mutant(PROPAGATOR, "e[0] = np.exp(-0.5j * field[j])", "e[0] = np.exp(0.5j * field[j])",
            "the field phase sign flipped"),
     Mutant(PROPAGATOR, "_ROUNDING = 1e-14", "_ROUNDING = 1e-6", "_split drops imaginary parts up to 1e-6"),
