@@ -57,13 +57,15 @@ view, one buffer's worth at a time, each copied back while still in cache.
 Factored multipliers. Up to one tile a multiplier is one vector. Above it,
 with lo = log2 _TILE, amplitude n = h 2^lo + l sits at l in tile h, and
 its phase sum_{j<k} J_jk s_j s_k + sum_j h_j s_j splits into three parts:
-the pairs and fields of the low qubits (a function of l), those of the
-high qubits (of h), and the cross pairs, which are a field c_k(h) =
-sum_{j high} J_jk s_j(h) on each low qubit k. So a multiplier is a table of
-one tile for the low part and, per tile, the product form of its cross
-fields on the tile viewed as (2^(lo - lo/2), 2^(lo/2)): a row factor, which
-also holds the high part, and a column factor. It is applied tile by tile,
-three multiplies each, and nothing of 2^L entries is built.
+the pairs of the low qubits (a function of l), the pairs and fields of the
+high qubits (of h), and a field c_k(h) + h_k on each low qubit k, where
+c_k(h) = sum_{j high} J_jk s_j(h) comes from the cross pairs. The low
+pairs are even under flipping every low spin, which maps l to 2^lo - 1 - l,
+so they are a table of half a tile, for the top low spin up, whose reverse
+serves the upper half. Per tile, the low fields take the product form on the
+tile viewed as (2^(lo - lo/2), 2^(lo/2)): a row factor, which also holds the
+high part, and a column factor. A multiplier is applied tile by tile, three
+multiplies of a tile's size each, and nothing of 2^L entries is built.
 
 Operands. A pass and a multiplier act on one register; only step matrices
 and observables are batched. Step matrices are for registers of one block,
@@ -389,16 +391,17 @@ def _multiplier(L: int, coupling: np.ndarray, field: np.ndarray) -> tuple:
     """The ``_axis_multiplier`` of L qubits as (table, rows, cols), factored as in the module docstring.
 
     Up to one tile, (the flat multiplier, None, None). Above it, with lo =
-    log2 _TILE, the table of the low lo qubits and, per tile h, the row
-    factor rows[h] (which holds the high qubits' multiplier) and the column
-    factor cols[h] of the cross fields c_k(h) = sum_{j high} J_jk s_j(h).
+    log2 _TILE, the table of the low qubits' pairs on the lower half of a
+    tile and, per tile h, the row factor rows[h] (which holds the high
+    qubits' multiplier) and the column factor cols[h] of the fields c_k(h) +
+    h_k, c_k(h) = sum_{j high} J_jk s_j(h), on the low qubits k.
     """
-    lo = min(L, _TILE.bit_length() - 1)
-    table = _axis_multiplier(lo, coupling[:lo, :lo], field[:lo])
-    if lo == L:
-        return table, None, None
+    lo = _TILE.bit_length() - 1
+    if L <= lo:
+        return _axis_multiplier(L, coupling, field), None, None
+    table = _axis_multiplier(lo - 1, coupling[:lo - 1, :lo - 1], 0.5 * coupling[:lo - 1, lo - 1])
     high, half = _axis_multiplier(L - lo, coupling[lo:, lo:], field[lo:]), lo // 2
-    cross = _spins(L - lo) @ coupling[lo:, :lo]  # (2^(L-lo), lo): c_k(h)
+    cross = _spins(L - lo) @ coupling[lo:, :lo] + field[:lo]  # (2^(L-lo), lo): c_k(h) + h_k
     rows = high[:, None] * np.exp(1j * (cross[:, half:] @ _spins(lo - half).T))
     return table, rows, np.exp(1j * (cross[:, :half] @ _spins(half).T))
 
@@ -414,8 +417,10 @@ def _multiply(amp: np.ndarray, mult: tuple) -> None:
     if rows is None:
         amp *= table
         return
-    for tile, row, col in zip(amp.reshape(len(rows), table.size), rows, cols):
-        tile *= table
+    n = table.size
+    for tile, row, col in zip(amp.reshape(len(rows), 2 * n), rows, cols):
+        tile[:n] *= table
+        tile[n:] *= table[::-1]
         view = tile.reshape(row.size, col.size)
         view *= row[:, None]
         view *= col
@@ -431,6 +436,8 @@ def _split(alpha, beta, u0, v0) -> tuple:
     and its i into c.
     """
     shape = np.broadcast_shapes(np.shape(alpha), np.shape(beta), np.shape(u0), np.shape(v0))
+    if 0 in shape:  # no gates
+        return np.empty(shape, dtype=np.complex128), np.empty(shape + (2, 2)), np.empty(shape), np.empty(shape)
     a, b, w = np.angle(alpha), np.angle(beta), np.empty((2, 2) + shape)  # w[f] = (u, v): f = 0 targets, 1 own
     w[0, 0], w[0, 1], w[1, 0], w[1, 1] = u0, v0, a + b, a - b
     w[1] *= 0.5

@@ -101,10 +101,10 @@ class StateVector:
             amp = np.array(amp, dtype=np.complex128, order="C")  # the register's one copy, checked in place
             if amp.shape != (dim,):
                 raise ValueError(f"amplitude array must have shape ({dim},), got {amp.shape}")
-            if not np.isfinite(amp).all():
-                raise ValueError("amplitudes must be finite")
             nrm = math.sqrt(np.vdot(amp, amp).real)
-            if not math.isfinite(nrm):
+            if not math.isfinite(nrm):  # an entry is not finite, or the sum of squares overflowed
+                if not np.isfinite(amp).all():
+                    raise ValueError("amplitudes must be finite")
                 raise ValueError(f"state norm is not finite: |amp| = {nrm!r}")
             if abs(nrm - 1.0) > 1e-9:
                 raise ValueError(f"state is not normalized: |amp| = {nrm!r}")

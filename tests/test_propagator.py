@@ -209,12 +209,12 @@ class TestFactoredMultiplier:
         return upper + upper.T, field
 
     @pytest.mark.parametrize("kind", ["all pairs", "sparse", "fields", "zero"])
-    @pytest.mark.parametrize("L", [17, 18])
+    @pytest.mark.parametrize("L", [17, 18, 19, 20])
     def test_matches_the_flat_multiplier(self, L, kind):
         coupling, field = self.couplings(L, np.random.default_rng(1000 + L), kind)
         mult = propagator._multiplier(L, coupling, field)
         table, rows, cols = mult
-        assert table.size == propagator._TILE and rows.shape == cols.shape == (1 << (L - 16), 256)
+        assert table.size == propagator._TILE // 2 and rows.shape == cols.shape == (1 << (L - 16), 256)
         got = np.ones(1 << L, dtype=np.complex128)
         propagator._multiply(got, mult)
         if kind == "zero":
@@ -831,7 +831,7 @@ class TestAboveTheTile:
 
     def test_an_all_pairs_step_holds_no_register_sized_multiplier(self):
         # L = 18 is four tiles (4 MiB); flat multipliers would hold 12 MiB and
-        # their scratch 2 MiB. The step holds a one-tile table per coupled
+        # their scratch 2 MiB. The step holds a half-tile table per coupled
         # axis, the pass's one-tile buffer and factors of 2^(L-8) entries
         L = 18
         model = random_driven_model(L, 950)
@@ -843,7 +843,7 @@ class TestAboveTheTile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * (3 + 1) * propagator._TILE * s.amp.itemsize  # 4.4 MiB
+        assert peak <= 1.1 * (3 / 2 + 1) * propagator._TILE * s.amp.itemsize  # 2.75 MiB
 
 
 class TestInstrumentation:

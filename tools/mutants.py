@@ -13,7 +13,7 @@ at one thread. Each entry is printed as killed (the tests fail), survived
 (they pass) or stale (its text does not occur exactly once, so nothing ran),
 with its time; then the score, killed over all entries. A stale entry counts
 against the score and makes the command exit 1; survivors are test gaps and
-only lower the score. A pass over the list takes about 4 minutes on 2 cores.
+only lower the score. A pass over the list takes about 6 minutes on 2 cores.
 """
 
 from __future__ import annotations
@@ -54,6 +54,12 @@ MUTANTS = [
            "if sample_every is not None and sample_every < 0:", "a stride of 0 accepted"),
     Mutant(PROPAGATOR, "        view *= row[:, None]\n        view *= col\n", "        view *= row[:, None]\n",
            "_multiply drops the column factor"),
+    Mutant(PROPAGATOR, "tile[n:] *= table[::-1]", "tile[n:] *= table",
+           "_multiply's upper half of a tile takes the table unreversed"),
+    Mutant(PROPAGATOR, "0.5 * coupling[:lo - 1, lo - 1])", "-0.5 * coupling[:lo - 1, lo - 1])",
+           "_multiplier's table takes the top low spin down"),
+    Mutant(PROPAGATOR, "@ coupling[lo:, :lo] + field[:lo]", "@ coupling[lo:, :lo]",
+           "_multiplier leaves the low fields out of the cross fields"),
     Mutant(STATE, "np.vecdot(view[..., 0, :], view[..., 1, :])", "np.vecdot(view[..., 1, :], view[..., 0, :])",
            "<a1|a0> for <a0|a1> in observables_of, for the qubits read from amp and from the blocks"),
     Mutant(STATE, "else [s + p for s, p in zip(acc, part)]", "else part",
@@ -61,6 +67,9 @@ MUTANTS = [
     Mutant(STATE, "_cross(flat, j + r)", "_cross(flat, j + hi)",
            "observables_of splits a transposed block on the whole grid's bit offset"),
     Mutant(STATE, "if abs(nrm - 1.0) > 1e-9:", "if abs(nrm - 1.0) > 1e-3:", "StateVector's norm tolerance 1e-3"),
+    Mutant(STATE, 'raise ValueError("amplitudes must be finite")\n                raise ValueError(f"state norm is not '
+           'finite: |amp| = {nrm!r}")', 'raise ValueError(f"state norm is not finite: |amp| = {nrm!r}")\n'
+           '                raise ValueError("amplitudes must be finite")', "StateVector's two non-finite messages swapped"),
     Mutant(PROPAGATOR, "blk = (g[..., q, :, None, :, None] * blk[..., None, :, None, :])",
            "blk = (blk[..., :, None, :, None] * g[..., q, None, :, None, :])", "Kronecker factors in the wrong order"),
     Mutant(PROPAGATOR, '_ORDER = ((2, 0.5), "Rx+", (1, 0.5), "Rx", "Ry+", (0, 1.0), "Ry", "Rx+", (1, 0.5), "Rx", '
