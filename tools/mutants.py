@@ -13,7 +13,7 @@ at one thread. Each entry is printed as killed (the tests fail), survived
 (they pass) or stale (its text does not occur exactly once, so nothing ran),
 with its time; then the score, killed over all entries. A stale entry counts
 against the score and makes the command exit 1; survivors are test gaps and
-only lower the score. A pass over the list takes about 6 minutes on 2 cores.
+only lower the score. A pass over the list takes about 5 minutes on 2 cores.
 """
 
 from __future__ import annotations
