@@ -142,11 +142,9 @@ def run_grover(
     if rotating_frame:
         omega = [float(profile.eo("Ipi").model.static_field[j, 2]) for j in range(2)]
         _rotate_samples(report.samples, omega)
-    ref = REFERENCE_Q.get((hardware, init_order, item))
-    if ref is not None:
-        report.reference = ref
-        report.deviations = tuple(abs(q - r) for q, r in zip(report.q, ref))
-        report.flagged = max(report.deviations) > Q_TOLERANCE
+    report.reference = ref = REFERENCE_Q[hardware, init_order, item]  # the calls above refuse every other key
+    report.deviations = tuple(abs(q - r) for q, r in zip(report.q, ref))
+    report.flagged = max(report.deviations) > Q_TOLERANCE
     return report
 
 

@@ -42,10 +42,10 @@ Z(w) = diag(e^{iw}, e^{-iw}), with R real, u + v = arg alpha and u - v =
 arg beta, both reduced mod pi/2: Z(pi/2) = i sigma_z puts its sigma_z into R
 and its i into a scalar that the lowest block takes. The blocks of R are
 real matmuls on the float64 view of the register. The Z phases are diagonal
-and commute with the multipliers: where they are constant over an
-operation, the multipliers beside the pass hold them as extra field; where
-they vary, or no multiplier is beside the pass, they are a row scaling of
-the register viewed as (2^(L-4), 16), built one substep at a time.
+and commute with the multipliers, which hold as extra field the phases at
+the first midpoint, delta/2; where a substep's differ (they vary, or no
+multiplier is beside the pass), the difference is a row scaling of the
+register viewed as (2^(L-4), 16), built one substep at a time.
 
 Tiles and column chunks. A pass acts on one register through one buffer of
 min(2^L, _TILE) amplitudes and never through a register-sized scratch. The
@@ -689,22 +689,17 @@ class _StepProgram:
 
         The gaps still hold axes here. The phases Z(u) of the pass before a
         gap and Z(v) of the pass after it (none at either end of the step),
-        taken from their gates at the first two midpoints, commute with the
-        gap's multiplier, so the first gap an axis occurs in sets its
-        multiplier to hold their sum; a gap of None holds nothing. Each pass
-        then targets what its gaps hold. A pass whose phases match those
-        targets (mod pi/2) at a substep is a real pass; elsewhere
-        ``_gate_blocks`` puts the difference into row scalings.
+        taken from their gates at the first midpoint, commute with the gap's
+        multiplier, so the first gap an axis occurs in sets its multiplier to
+        hold their sum; a gap of None holds nothing. Each pass then targets
+        what its gaps hold. A pass whose phases match those targets (mod
+        pi/2) at a substep is a real pass; elsewhere ``_gate_blocks`` puts
+        the difference into row scalings.
         """
-        low = min(self.L, _GATE_BLOCK)
-        held, high = {}, np.arange(self.L - low)
+        low, held = min(self.L, _GATE_BLOCK), {}
         for op in self.passes:
-            alpha, beta = (np.broadcast_to(x, (2, self.L))[:, low:]
-                           for x in self.gates(op.factors, [0.5 * delta, 1.5 * delta]))
-            # per qubit, the midpoint whose gate fixes both phases better:
-            # a drive may be at a zero of its sine at the first
-            k = np.argmax(np.minimum(np.abs(alpha), np.abs(beta)), axis=0)
-            op.u0, op.v0 = _split(alpha[k, high], beta[k, high], 0.0, 0.0)[2:]
+            alpha, beta = (np.broadcast_to(x, (self.L,))[low:] for x in self.gates(op.factors, 0.5 * delta))
+            op.u0, op.v0 = _split(alpha, beta, 0.0, 0.0)[2:]
         for prev, a, op in zip([None] + self.passes, self.gaps, self.passes + [None]):
             need = (prev.u0 if prev else 0.0) + (op.v0 if op else 0.0)
             total = 0.0 if a is None else held.setdefault(a, need)

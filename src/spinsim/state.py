@@ -210,8 +210,6 @@ def new_basis_state(L: int, bits) -> StateVector:
 
     The amplitude is exactly 1 at index sum_j bits[j-1] * 2**(j-1).
     """
-    if not 1 <= L <= MAX_QUBITS:
-        raise CapacityError(f"qubit count must be in 1..{MAX_QUBITS}, got {L}")
     bits = list(bits)
     if len(bits) != L:
         raise ValueError(f"expected {L} bits, got {len(bits)}")

@@ -25,7 +25,7 @@ from spinsim.propagator import (
     run_sequence,
     symmetrized_step,
 )
-from spinsim import propagator
+from spinsim import propagator, state
 from spinsim.propagator import _axis_multiplier, _gate_blocks, _global_gate
 from spinsim.pulses import grover_program, make_profile
 from spinsim.reference import (dense_propagator, embed_single, grover_iterate_check, hamiltonian, ideal_gate,
@@ -473,14 +473,22 @@ class TestFoldedPasses:
         assert prog.counts == counts
         assert self.row_scalings(prog, (np.arange(40) + 0.5) * 0.01) == 0
 
-    def test_a_drive_at_a_zero_of_its_sine_still_folds(self):
-        # the chain's x drive phased so that its field is 0 at the first
-        # midpoint, where its pass is the identity and fixes no phase
-        model = self.chain(np.random.default_rng(720), "x")
-        delta = 0.01
-        model.rf_phase[:, 0] = -model.rf_freq[:, 0] * delta / 2
-        prog = propagator._StepProgram(model, delta)
-        assert self.row_scalings(prog, (np.arange(40) + 0.5) * delta) == 0
+    def test_a_drive_at_a_zero_of_its_sine_matches_the_dense_propagator(self):
+        # a z-coupled chain whose x drives are phased so that their fields are 0 at the first
+        # midpoint: there the pass is the identity, and the targets it gives qubits 5 and 6
+        # fit no later substep, which row-scales the difference
+        tau, m = 0.5, 1000
+        model = SpinModel(6)
+        for j in range(1, 7):
+            model.set_static(j, "z", 1 + j / 6)
+            model.set_rf(j, "x", 0.01, 1 + j / 6, -(1 + j / 6) * (tau / m) / 2)
+            if j < 6:
+                model.set_coupling(j, j + 1, "z", 0.05 * j)
+        assert self.row_scalings(propagator._StepProgram(model, tau / m), (np.arange(3) + 0.5) * (tau / m)) == 6
+        s = random_state(6, 770)
+        exact = dense_propagator(model, 0.0, tau) @ s.amp
+        evolve_eo(s, ElementaryOperation("e", model, tau), 0.0, StepPlan(m, tau))
+        assert np.max(np.abs(s.amp - exact)) < 1e-10
 
     def test_varying_phases_are_row_scalings_not_sweeps(self):
         # RF on the coupled z axis: its factors sit in the one pass between the
@@ -1303,6 +1311,71 @@ class TestSmallTileRuns:
     @pytest.mark.parametrize("axis", ["z", "y"])
     def test_in_place_run_matches_the_dense_propagator(self, axis):
         TestMergedMultipliers().test_in_place_run_matches_the_dense_propagator(axis)
+
+
+def relabelled(model, perm):
+    """``model`` with qubit perm[i] + 1 of it as qubit i + 1."""
+    out = SpinModel(model.L)
+    out.coupling[...] = model.coupling[np.ix_(perm, perm)]
+    for name in ("static_field", "rf_amp", "rf_freq", "rf_phase"):
+        getattr(out, name)[...] = getattr(model, name)[perm]
+    return out
+
+
+def relabelled_amp(amp, perm):
+    """A register's amplitudes with qubit perm[i] + 1 as qubit i + 1; qubit j is bit j - 1 of the index."""
+    L = len(perm)
+    return amp.reshape((2,) * L).transpose([L - 1 - perm[L - 1 - k] for k in range(L)]).reshape(-1)
+
+
+def reversed_model(model, tau):
+    """The model whose run over [0, tau] undoes one of ``model``: H'(u) = -H(tau - u)."""
+    out = SpinModel(model.L)
+    for name in ("coupling", "static_field", "rf_amp", "rf_freq"):
+        getattr(out, name)[...] = -getattr(model, name)
+    out.rf_phase[...] = model.rf_freq * tau + model.rf_phase
+    return out
+
+
+class TestExactRelations:
+    """Two relations that hold to rounding at any size, with no oracle: the step splits by axis,
+    not by qubit, so relabelling the qubits relabels the output; and it is a palindrome of exact
+    factors at one midpoint, so the model reversed in time (``reversed_model``) undoes a run
+    substep by substep. With tiles of 16 amplitudes they cross many tiles and blocks above the tile."""
+
+    @staticmethod
+    def run(model, amp, m, tau):
+        s = StateVector(model.L, amp)
+        evolve_eo(s, ElementaryOperation("e", model, tau), 0.0, StepPlan(m, tau))
+        return s.amp
+
+    def check_relabelling(self, model, amp, perm, m, tau):
+        forward = relabelled_amp(self.run(model, amp, m, tau), perm)
+        return np.max(np.abs(self.run(relabelled(model, perm), relabelled_amp(amp, perm), m, tau) - forward))
+
+    def check_reversal(self, model, amp, m, tau):
+        return np.max(np.abs(self.run(reversed_model(model, tau), self.run(model, amp, m, tau), m, tau) - amp))
+
+    layouts = st.sets(st.sampled_from("xyz")).map("".join)
+
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(L=st.integers(5, 12), coupled=layouts, static=layouts, rf=layouts, seed=st.integers(0, 2**32 - 1))
+    def test_both_relations_over_small_tiles(self, L, coupled, static, rf, seed):
+        rng = np.random.default_rng(seed)
+        model, amp, perm = layout_model(L, coupled, static, rf, rng), random_state(L, seed).amp, rng.permutation(L)
+        with mock.patch.object(propagator, "_TILE", 1 << 4), mock.patch.object(state, "_TILE", 1 << 4):
+            assert self.check_relabelling(model, amp, perm, 3, 0.15) < 1e-12
+            assert self.check_reversal(model, amp, 4, 0.2) < 1e-12
+
+    @pytest.mark.parametrize("L, m", [(17, 3), (18, 3), (20, 2)])
+    def test_both_relations_at_the_real_tile(self, L, m):
+        rng = np.random.default_rng(1900 + L)
+        model, amp = layout_model(L, "xyz", "xyz", "xyz" if L < 20 else "xy", rng), random_state(L, 1910 + L).amp
+        lo = propagator._TILE.bit_length() - 1
+        perm = rng.permutation(L)
+        assert set(perm[:lo]) != set(range(lo))  # a qubit of the tile comes from above it
+        assert self.check_relabelling(model, amp, perm, m, 0.01 * m) < 1e-13
+        assert self.check_reversal(model, amp, m, 0.01 * m) < 1e-13
 
 
 class TestSampledMatrixPath:

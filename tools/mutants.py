@@ -42,7 +42,10 @@ PROPAGATOR, STATE = "src/spinsim/propagator.py", "src/spinsim/state.py"
 
 # Left out: ``signs[:lo, : 1 << lo]`` changed to ``signs[:lo, -(1 << lo):]`` in
 # ``observables_of`` is an equivalent mutant. Bit b < lo repeats with period
-# 2^(b+1), which divides 2^lo, so both slices hold the same signs.
+# 2^(b+1), which divides 2^lo, so both slices hold the same signs. So is
+# moving ``_segment_products``' padding identity to another place inside the
+# odd run it pads (its start, or before its last matrix): every product stays
+# the same up to rounding, so only a pad that lands in the next run is listed.
 MUTANTS = [
     Mutant(PROPAGATOR, "key = (plan, sample_every) if", "key = plan if",
            "kept pieces keyed by the plan alone"),
@@ -94,6 +97,17 @@ MUTANTS = [
     Mutant(PROPAGATOR, "if np.count_nonzero(active) <= 1 and not np.any(model.rf_amp):",
            "if np.count_nonzero(active) <= 1:", "the planner gives a driven one-axis operation one substep"),
     Mutant(PROPAGATOR, "    if j_scale > 0.0:\n", "    if False:\n", "the planner ignores the coupling bound"),
+    Mutant(PROPAGATOR, "thetas[a] = theta + (thetas[a] if self.gaps[-1] == a else 0.0)", "thetas[a] = theta",
+           "an axis's multiplier met again in one gap replaces the earlier one, not merges with it"),
+    Mutant(PROPAGATOR, "held.setdefault(a, need)", "need",
+           "_fold's passes target phases that no multiplier holds"),
+    Mutant(PROPAGATOR, "not math.isfinite(end * facts.top):", "not math.isfinite(facts.top):",
+           "the run check drops its drive-phase bound"),
+    Mutant(PROPAGATOR, "np.insert(steps, np.cumsum(lengths)[odd], eye, axis=0)",
+           "np.insert(steps, np.cumsum(lengths)[odd] + 1, eye, axis=0)",
+           "_segment_products pads an odd run one matrix late, inside the next run"),
+    Mutant(PROPAGATOR, "            chunks[i] = out\n        lo += size.bit_length() - 1\n", "            chunks[i] = out\n",
+           "_tiled applies every block above the tile at the tile's bit offset"),
 ]
 
 
