@@ -473,18 +473,18 @@ class TestFoldedPasses:
         assert prog.counts == counts
         assert self.row_scalings(prog, (np.arange(40) + 0.5) * 0.01) == 0
 
-    def test_a_drive_at_a_zero_of_its_sine_matches_the_dense_propagator(self):
+    def test_a_drive_at_a_zero_of_its_sine_matches_dense_propagator(self):
         # a z-coupled chain whose x drives are phased so that their fields are 0 at the first
         # midpoint: there the pass is the identity, and the targets it gives qubits 5 and 6
         # fit no later substep, which row-scales the difference
         tau, m = 0.5, 1000
-        model = SpinModel(6)
+        delta, model = tau / m, SpinModel(6)
         for j in range(1, 7):
             model.set_static(j, "z", 1 + j / 6)
-            model.set_rf(j, "x", 0.01, 1 + j / 6, -(1 + j / 6) * (tau / m) / 2)
+            model.set_rf(j, "x", 0.01, 1 + j / 6, -(1 + j / 6) * delta / 2)
             if j < 6:
                 model.set_coupling(j, j + 1, "z", 0.05 * j)
-        assert self.row_scalings(propagator._StepProgram(model, tau / m), (np.arange(3) + 0.5) * (tau / m)) == 6
+        assert self.row_scalings(propagator._StepProgram(model, delta), (np.arange(3) + 0.5) * delta) == 6
         s = random_state(6, 770)
         exact = dense_propagator(model, 0.0, tau) @ s.amp
         evolve_eo(s, ElementaryOperation("e", model, tau), 0.0, StepPlan(m, tau))
