@@ -20,7 +20,7 @@ import numpy as np
 from .config import ConfigError, dump_profile, parse_config, parse_count
 from .experiments import run_grover, run_report, self_test, write_trajectory_csv
 from .propagator import MAX_DOUBLINGS
-from .pulses import make_profile
+from .pulses import INIT_ORDERS, ITEMS, make_profile
 from .state import StateVector, fidelity, new_basis_state
 
 EXIT_OK = 0
@@ -43,8 +43,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("grover", help="run a database-search preset")
     p.set_defaults(func=_cmd_grover)
     p.add_argument("--hardware", choices=("ideal", "nmr"), required=True)
-    p.add_argument("--item", type=int, choices=(0, 1, 2, 3), required=True)
-    p.add_argument("--init", choices=("12", "21"), default="12",
+    p.add_argument("--item", type=int, choices=ITEMS, required=True)
+    p.add_argument("--init", choices=INIT_ORDERS, default="12",
                    help="preparation order: 12 executes W1 before W2")
     p.add_argument("--out", help="trajectory CSV path")
     p.add_argument("--steps", default="auto",

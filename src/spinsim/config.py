@@ -36,8 +36,8 @@ from functools import partial
 from itertools import combinations
 
 from .propagator import TWO_PI, ElementaryOperation, PulseSequence, SpinModel
-from .pulses import EO_NAMES, HardwareProfile, grover_program
-from .state import MAX_QUBITS
+from .pulses import EO_NAMES, INIT_ORDERS, ITEMS, HardwareProfile, grover_program
+from .state import AXES, MAX_QUBITS
 
 
 class ConfigError(ValueError):
@@ -74,8 +74,6 @@ class ExperimentConfig:
             raise ConfigError(None, f"sequence {name!r} references undefined EOs: {unknown}")
         return PulseSequence([self.eos[n] for n in eo_names])
 
-
-AXES = ("x", "y", "z")
 
 #: EO parameter lines ``key axis qubit... = value``, in dump order: key -> (qubit count, SpinModel array).
 EO_KEYS = {
@@ -253,8 +251,8 @@ def dump_profile(profile: HardwareProfile) -> str:
                     if (v := float(arr[(*qubits, a)])) != 0.0:
                         lines.append(f"{param} {axis} {' '.join(str(j + 1) for j in qubits)} = {v!r}")
         lines.append("")
-    for init_order in ("12", "21"):
-        for item in range(4):
+    for init_order in INIT_ORDERS:
+        for item in ITEMS:
             names = ", ".join(eo.name for eo in grover_program(item, profile, init_order).seq.eos)
             lines += [f"[sequence grover{item}_init{init_order}]", f"eos = {names}", ""]
     lines += ["[run]", "state = 00", "sequence = grover0_init12", ""]

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagator import TWO_PI, StepPlan, Trajectory, evolve_eo, run_sequence
-from .pulses import grover_program, make_profile
+from .propagator import _ARRAYS, TWO_PI, SpinModel, StepPlan, Trajectory, evolve_eo, run_sequence, symmetrized_step
+from .pulses import (ITEMS, full_search_product, grover_program, make_profile, sequence_from_product,
+                     shortened_search_product)
 from .reference import (
     dense_propagator,
     global_phase_between,
@@ -21,7 +22,7 @@ from .reference import (
     hamiltonian,
     matrix_of_sequence,
 )
-from .state import StateVector, new_basis_state
+from .state import AXES, StateVector, new_basis_state
 
 #: Tolerance for flagging deviations from the reference endpoints.
 Q_TOLERANCE = 0.03
@@ -197,13 +198,11 @@ def _check_conjugation(n_models: int = 100) -> CheckResult:
     quarter-turns, so this checks Rx Sz Rx+ = Sy and Ry Sz Ry+ = Sx with the
     compile rule and the coupling multipliers, five doubling levels deep at L = 5.
     """
-    from .propagator import _ARRAYS, SpinModel, symmetrized_step
-
     rng = np.random.default_rng(2024)
     worst = 0.0
     for L in [2] * n_models + [5] * (n_models // 5):
         m = SpinModel(L)
-        for ax in "xyz":
+        for ax in AXES:
             for j in range(1, L + 1):
                 for k in range(j + 1, L + 1):
                     m.set_coupling(j, k, ax, rng.uniform(-1, 1))
@@ -253,12 +252,10 @@ def _check_convergence_order() -> CheckResult:
 
 
 def _check_shortening() -> CheckResult:
-    from .pulses import full_search_product, sequence_from_product, shortened_search_product
-
     profile = make_profile("ideal")
     worst = 0.0
     phases_ok = True
-    for item in range(4):
+    for item in ITEMS:
         short = matrix_of_sequence(sequence_from_product(profile, shortened_search_product(item)))
         full = matrix_of_sequence(sequence_from_product(profile, full_search_product(item)))
         phase = global_phase_between(short, full, atol=1e-10)
@@ -274,7 +271,7 @@ def _check_shortening() -> CheckResult:
 
 
 def _check_iteration_pattern() -> CheckResult:
-    bad = [item for item in range(4) if not grover_iterate_check(item).ok]
+    bad = [item for item in ITEMS if not grover_iterate_check(item).ok]
     return CheckResult(
         "search iteration pattern",
         not bad,

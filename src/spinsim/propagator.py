@@ -106,8 +106,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .state import (_TILE, MAX_QUBITS, CapacityError, Observables, StateVector, check_axis, observables_of,
-                    spin_z_values)
+from .state import _TILE, MAX_QUBITS, CapacityError, Observables, StateVector, _spins, check_axis, observables_of
 
 #: The quarter-turns Rx = exp(+i (pi/2) Sx), Ry = exp(-i (pi/2) Sy) and their
 #: inverses, each as (alpha, beta) of g = [[alpha, beta], [-conj(beta), conj(alpha)]].
@@ -150,11 +149,11 @@ class KernelCounters:
 
     A substep adds one diagonal sweep per multiplier it applies, one global
     rotation per pass and L gate kernel calls per pass (a row scaling is part
-    of its pass). Per axis factor (z and y twice, x once) it adds one pair
-    term per nonzero coupling and one field term per qubit with a field on
-    that axis. These depend on the model alone. A run of m substeps adds m
-    times them once, before its first substep, whatever its operand and
-    however its step matrices are built, kept or lifted.
+    of its pass). Per visit of an axis in the step order (``_ORDER``) it adds
+    one pair term per nonzero coupling and one field term per qubit with a
+    field on that axis. These depend on the model alone. A run of m substeps
+    adds m times them once, before its first substep, whatever its operand
+    and however its step matrices are built, kept or lifted.
     """
 
     diagonal_sweeps: int = 0
@@ -406,11 +405,6 @@ def _multiplier(L: int, coupling: np.ndarray, field: np.ndarray) -> tuple:
     return table, rows, np.exp(1j * (cross[:, :half] @ _spins(half).T))
 
 
-def _spins(n: int) -> np.ndarray:
-    """The spin values s_j = +-1/2 of the n qubits of every basis index, shape (2^n, n)."""
-    return np.stack([spin_z_values(n, j) for j in range(1, n + 1)], axis=-1)
-
-
 def _multiply(amp: np.ndarray, mult: tuple) -> None:
     """Multiply the register ``amp`` by the multiplier ``mult`` of ``_multiplier`` in place, one tile at a time."""
     table, rows, cols = mult
@@ -550,15 +544,15 @@ def _global_gate(amp: np.ndarray, blocks: list, before=None, after=None) -> None
     _scale_rows(amp, after)
 
 
-def global_half_pi_rotation(state: StateVector, axis: str, inverse: bool = False) -> StateVector:
-    """Rotate every spin by a quarter turn about x or y (or undo it), in place.
+def global_half_pi_rotation(state: StateVector, axis: str) -> StateVector:
+    """Rotate every spin by a quarter turn about x or y, in place.
 
     The step program applies its quarter-turns inside fused passes and does
     not call this; it stays because ``perfbench/tracing.py`` binds it by name.
     """
     if axis not in ("x", "y"):
         raise ValueError(f"rotation axis must be 'x' or 'y', got {axis!r}")
-    _global_gate(state.amp, *_gate_blocks(*_TURN[f"R{axis}+" if inverse else f"R{axis}"], state.L))
+    _global_gate(state.amp, *_gate_blocks(*_TURN[f"R{axis}"], state.L))
     return state
 
 
@@ -675,7 +669,7 @@ class _StepProgram:
         mult = {a: _multiplier(L, theta * coupling[:, :, a], theta * static[:, a] + extra.get(a, 0.0))
                 for a, theta in thetas.items()}
         self.gaps = [mult.get(a) for a in self.gaps]
-        visits = np.array([1, 2, 2])  # of the x, y and z factors per substep
+        visits = np.bincount([item[0] for item in _ORDER if isinstance(item, tuple)], minlength=3)  # by axis
         self.counts = {
             "diagonal_sweeps": len(self.gaps) - self.gaps.count(None),
             "global_rotations": len(self.passes),
@@ -756,14 +750,12 @@ class _StepProgram:
 
         Row k of entry i is the step at ``t_mid[i]`` applied to basis state
         k, so a state advances by one substep as ``amp @ result[i]``. Every
-        pass must be one block with no row scaling (L <= _GATE_BLOCK). The
-        stack starts as diag(the multiplier before the first pass) times the
+        pass is one block with no row scaling, since it runs at L <= _GATE_BLOCK.
+        The stack starts as diag(the multiplier before the first pass) times the
         transposed first pass; each later pass is one matmul of the stack
         with its transposed block, and each multiplier scales every row.
         """
         parts = self.pass_parts(t_mid)
-        if any(len(blocks) > 1 or before is not None or after is not None for blocks, before, after in parts):
-            raise ValueError(f"step matrices need passes of one block and no row scaling, got L={self.L}")
         transposed = [blocks[0].swapaxes(-1, -2) for blocks, _, _ in parts]  # (n,) leading where RF varies
         lead = np.ones(self.dim) if self.gaps[0] is None else self.gaps[0][0]
         steps = np.empty((len(t_mid), self.dim, self.dim), dtype=np.complex128)

@@ -35,6 +35,8 @@ EO_NAMES = ("X1", "X1b", "X2", "X2b", "Y1", "Y1b", "Y2", "Y2b", "Ipi")
 #: Execute W1's three instructions first ("12", the standard preparation) or
 #: W2's first ("21", the logically equivalent swap that derails the NMR run).
 INIT_ORDERS = ("12", "21")
+#: The database items, 0..3, whose bits select the marked two-qubit basis state.
+ITEMS = (0, 1, 2, 3)
 
 # ideal rotation table: name -> (qubit, field axis, sign)
 _IDEAL_ROTATIONS = {
@@ -131,7 +133,7 @@ def _check_qubit(j: int) -> None:
 
 
 def _check_item(item: int) -> None:
-    if item not in (0, 1, 2, 3):
+    if item not in ITEMS:
         raise ValueError(f"item must be 0..3, got {item}")
 
 
@@ -174,7 +176,6 @@ def shortened_search_product(item: int) -> list:
 
 def full_search_product(item: int) -> list:
     """Unshortened program: W1 W2 P W1 W2 F_item (used by the oracle tests)."""
-    _check_item(item)
     w1w2 = wh_transform_product(1) + wh_transform_product(2)
     return w1w2 + conditional_phase_product() + w1w2 + f_oracle_product(item)
 
@@ -194,7 +195,6 @@ def grover_program(item: int, profile: HardwareProfile, init_order: str = "12") 
     preparation); "21" swaps them, which is logically equivalent but exposes
     the phase errors of the nmr instructions.
     """
-    _check_item(item)
     if init_order not in INIT_ORDERS:
         raise ValueError(f"init_order must be one of {INIT_ORDERS}, got {init_order!r}")
     first, second = (1, 2) if init_order == "12" else (2, 1)

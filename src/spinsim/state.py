@@ -40,7 +40,9 @@ MAX_QUBITS = 26
 #: cache): the most scratch that a global pass or an observables read holds.
 _TILE = 1 << 16
 
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
+#: The axis labels, in the order of every per-axis array's last index.
+AXES = ("x", "y", "z")
+_AXIS_INDEX = {axis: a for a, axis in enumerate(AXES)}
 
 
 class CapacityError(ValueError):
@@ -63,6 +65,12 @@ def spin_z_values(L: int, j: int) -> np.ndarray:
     """S^z eigenvalue of qubit j for every basis index: +1/2 (up) or -1/2 (down)."""
     idx = np.arange(1 << L, dtype=np.int64)
     return 0.5 - ((idx >> (j - 1)) & 1)
+
+
+def _spins(n: int) -> np.ndarray:
+    """The spin values s_j = +-1/2 of the n qubits of every basis index, shape (2^n, n); its
+    transpose, which ``observables_of`` reads row by row, is C-contiguous."""
+    return np.array([spin_z_values(n, j) for j in range(1, n + 1)]).T
 
 
 @dataclass
@@ -198,7 +206,7 @@ def observables_of(amp: np.ndarray, t) -> Observables:
         acc = part if h0 == 0 else [s + p for s, p in zip(acc, part)]
     *cross, low = acc
     c = np.stack(cross + [_cross(amp, j) for j in range(lo, L)], axis=-1)
-    signs = np.array([spin_z_values(hi, b + 1) for b in range(hi)])  # signs[b]: +-1/2 on bit b
+    signs = _spins(hi).T  # signs[b]: +-1/2 on bit b
     high = np.vecdot(grid, grid).real
     sz = np.concatenate([np.vecdot(low.real[..., None, :], signs[:lo, : 1 << lo]),
                          np.vecdot(high[..., None, :], signs)], axis=-1)

@@ -267,6 +267,17 @@ class TestSelfTest:
             assert not _check_conjugation(n_models=5).ok
             assert main(["selftest"]) == 2
 
+    def test_shortening_check_detects_a_flipped_relative_sign(self, monkeypatch):
+        # four quarter-turns X1 are -I, so every shortened program changes its sign
+        from spinsim import experiments
+
+        short = experiments.shortened_search_product
+        monkeypatch.setattr(experiments, "shortened_search_product", lambda item: ["X1"] * 4 + short(item))
+        check = experiments._check_shortening()
+        assert not check.ok
+        assert float(check.detail.split()[3].rstrip(";")) < 1e-12  # "max column deviation <value>; ..."
+        assert check.detail.endswith("relative signs as expected: False")
+
     def test_conjugation_check_reaches_deep_doubling_levels(self):
         # E_j and conj(E_j) swapped for j >= 2 is the multiplier of the model with
         # h_j and J_jk (k < j) negated; two-qubit models never reach j = 2

@@ -230,12 +230,13 @@ class TestFactoredMultiplier:
 
 
 class TestGlobalRotation:
-    def test_rotation_then_inverse(self):
+    def test_four_quarter_turns_negate_every_spin(self):
+        # exp(2 pi i Sx) = -1 on each spin, so three spins take the register to -amp
         s = random_state(3, 1)
         ref = s.amp.copy()
-        global_half_pi_rotation(s, "x")
-        global_half_pi_rotation(s, "x", inverse=True)
-        assert np.allclose(s.amp, ref, atol=1e-12)
+        for _ in range(4):
+            global_half_pi_rotation(s, "x")
+        assert np.allclose(s.amp, -ref, atol=1e-12)
 
     def test_x_rotation_on_all_up(self):
         s = new_basis_state(2, [0, 0])
@@ -872,6 +873,39 @@ class TestInstrumentation:
         pairs = [np.count_nonzero(np.triu(m.coupling[:, :, a], 1)) for a in range(3)]
         assert counters.pair_terms == 2 * pairs[2] + 2 * pairs[1] + pairs[0]
 
+    def test_counts_follow_the_visits_of_the_step_order(self, monkeypatch):
+        # an x factor split in halves around two turns that cancel compiles to
+        # the same step but visits x twice, so its pairs and fields count twice;
+        # x coupled with its field in the multiplier, or x uncoupled with an RF field
+        rng = np.random.default_rng(90)
+        models = [SpinModel(3), SpinModel(3)]
+        for j in (1, 2, 3):
+            for x_coupled, model in zip((True, False), models):
+                if j < 3:
+                    model.set_coupling(j, j + 1, "z", rng.uniform(-1, 1))
+                    if x_coupled:
+                        model.set_coupling(j, j + 1, "x", rng.uniform(-1, 1))
+                model.set_static(j, "x", rng.uniform(-1, 1))
+                model.set_static(j, "z", rng.uniform(-1, 1))
+                if not x_coupled:
+                    model.set_rf(j, "x", rng.uniform(0.1, 0.5), rng.uniform(0.5, 2.0), rng.uniform(0, TWO_PI))
+        halves = [(0, 0.5), "Ry", "Ry+", (0, 0.5)]
+        split = sum((halves if item == (0, 1.0) else [item] for item in propagator._ORDER), [])
+        for model in models:
+            plain = propagator._StepProgram(model, 0.01)
+            with monkeypatch.context() as mp:
+                mp.setattr(propagator, "_ORDER", tuple(split))
+                twice = propagator._StepProgram(model, 0.01)
+            assert [op.factors for op in twice.passes] == [op.factors for op in plain.passes]
+            amps = [random_state(3, 91).amp for _ in range(2)]
+            for prog, amp in zip((plain, twice), amps):
+                prog.apply(amp, prog.pass_parts(np.array([0.305])), 0)
+            assert np.array_equal(*amps)
+            x_pairs = np.count_nonzero(model.coupling[:, :, 0]) // 2
+            x_fields = np.count_nonzero((model.static_field[:, 0] != 0) | (model.rf_amp[:, 0] != 0))
+            assert twice.counts == {**plain.counts, "pair_terms": plain.counts["pair_terms"] + x_pairs,
+                                    "field_terms": plain.counts["field_terms"] + x_fields}
+
     @pytest.mark.parametrize("with_rf", [True, False])
     def test_evolve_eo_counts_m_logical_steps(self, with_rf, monkeypatch):
         # every run counts per-substep visits: m substeps are m times one
@@ -1219,14 +1253,6 @@ class TestBatchedSteps:
         monkeypatch.setattr(propagator, "_BATCH_ELEMENTS", 7 * 16)  # 7 substeps per chunk
         evolve_eo(chunked, eo, 0.0, plan=StepPlan(50, eo.tau))
         assert np.max(np.abs(whole.amp - chunked.amp)) < 1e-12
-
-    def test_a_threshold_above_one_block_is_refused(self, monkeypatch):
-        # at L = 5 a pass has a real block above the lowest four qubits, which
-        # a stack of step matrices does not apply
-        monkeypatch.setattr(propagator, "_BATCH_MAX_DIM", 32)
-        eo = ElementaryOperation("e", random_driven_model(5, 64), 0.1)
-        with pytest.raises(ValueError, match="step matrices need passes of one block and no row scaling, got L=5"):
-            evolve_eo(random_state(5, 65), eo, 0.0, plan=StepPlan(2, eo.tau))
 
     def test_zero_duration_returns_no_samples_and_leaves_the_state_untouched(self):
         s = random_state(3, 62)

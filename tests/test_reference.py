@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from spinsim import reference
 from spinsim.propagator import SpinModel
 from spinsim.reference import (
     _SPIN,
@@ -105,6 +106,14 @@ class TestGroverIteration:
         assert report.pure_iterations == [1, 4, 7, 10]
         assert report.indices_ok
         assert report.ok
+
+    def test_a_query_for_another_item_fails_the_index_check(self, monkeypatch):
+        # F1 replaced by F2: the pattern holds, but the basis state found is item 2
+        exact = reference.ideal_two_qubit
+        monkeypatch.setattr(reference, "ideal_two_qubit", lambda name: exact("F2" if name == "F1" else name))
+        report = grover_iterate_check(1)
+        assert report.pure_iterations == [1, 4, 7, 10]
+        assert not report.indices_ok and not report.ok
 
     def test_single_iteration_finds_item_two(self):
         uniform = np.full(4, -0.5, dtype=complex)

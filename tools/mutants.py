@@ -38,7 +38,7 @@ class Mutant(NamedTuple):
     note: str
 
 
-PROPAGATOR, STATE = "src/spinsim/propagator.py", "src/spinsim/state.py"
+PROPAGATOR, STATE, PULSES = "src/spinsim/propagator.py", "src/spinsim/state.py", "src/spinsim/pulses.py"
 
 # Left out: ``signs[:lo, : 1 << lo]`` changed to ``signs[:lo, -(1 << lo):]`` in
 # ``observables_of`` is an equivalent mutant. Bit b < lo repeats with period
@@ -108,6 +108,13 @@ MUTANTS = [
            "_segment_products pads an odd run one matrix late, inside the next run"),
     Mutant(PROPAGATOR, "            chunks[i] = out\n        lo += size.bit_length() - 1\n", "            chunks[i] = out\n",
            "_tiled applies every block above the tile at the tile's bit offset"),
+    Mutant(STATE, "for j in range(1, n + 1)]).T", "for j in range(n, 0, -1)]).T",
+           "_spins lists the qubits in reverse order"),
+    Mutant(PROPAGATOR, "np.bincount([item[0] for item in _ORDER", "np.bincount([2 - item[0] for item in _ORDER",
+           "the visits per axis counted from the reversed axis column of _ORDER"),
+    Mutant(STATE, 'AXES = ("x", "y", "z")', 'AXES = ("x", "z", "y")', "the axis labels out of index order"),
+    Mutant(PULSES, "ITEMS = (0, 1, 2, 3)", "ITEMS = (0, 1, 2)", "item 3 left out of the items"),
+    Mutant(PULSES, 'INIT_ORDERS = ("12", "21")', 'INIT_ORDERS = ("12",)', "init order 21 left out of the init orders"),
 ]
 
 
